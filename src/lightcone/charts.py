@@ -198,14 +198,14 @@ def _fd_christoffels(chart: Chart, coords, fd_step):
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(f"metric not invertible at {coords}") from exc
-    dg = np.empty((4, 4, 4))  # dg[l, i, j] = d g_li / d x^j
+    dg = np.empty(g.shape + (4,))  # dg[..., l, i, j] = d g_li / d x^j
     for j in range(4):
         h = np.zeros(4)
         h[j] = fd_step
-        dg[:, :, j] = (chart.metric(coords + h) - chart.metric(coords - h)) / (2.0 * fd_step)
+        dg[..., j] = (chart.metric(coords + h) - chart.metric(coords - h)) / (2.0 * fd_step)
     # gamma^k_ij = 1/2 g^{kl} (g_{li,j} + g_{lj,i} - g_{ij,l})
-    term = dg + np.einsum("lji->lij", dg) - np.einsum("ijl->lij", dg)
-    return 0.5 * np.einsum("kl,lij->kij", ginv, term)
+    term = dg + np.einsum("...lji->...lij", dg) - np.einsum("...ijl->...lij", dg)
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
 
 
 def christoffels_at(chart: Chart, coords, fd_step=1e-5) -> np.ndarray:

@@ -123,29 +123,25 @@ def _read_targets(path):
     return events
 
 
-def cmd_invert(scn: Scenario, targets_path, out_dir, threads=1):
-    """Invert the observer map for every target event in the input file."""
+def cmd_invert(scn: Scenario, targets_path, out_dir):
+    """Invert the observer map for every target event in the input file.
+
+    All targets go through one invert_many call, so the multistart grid
+    is mapped forward once per file.
+    """
     chart = scn.build_chart()
     curve = scn.build_observer(chart)
     frames = scn.build_frames(chart, curve)
     search = scn.build_search(curve)
     targets = _read_targets(targets_path)
+    results = sp.invert_many(chart, frames, targets, search)
 
-    def run(tgt):
-        res = sp.invert_observer_map(chart, frames, Event(chart.name, tgt), search)
-        rows = []
-        for p, resid, cond, reg in zip(res.preimages, res.residuals, res.conds, res.regular):
-            rows.append((*tgt, p.tau, *p.x, resid, cond, int(reg)))
-        return rows, len(res) == 0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, targets))
-    else:
-        outcomes = [run(t) for t in targets]
-
-    rows = [row for out, _ in outcomes for row in out]
-    misses = sum(1 for _, empty in outcomes if empty)
+    rows = [
+        (*tgt, p.tau, *p.x, resid, cond, int(reg))
+        for tgt, res in zip(targets, results)
+        for p, resid, cond, reg in zip(res.preimages, res.residuals, res.conds, res.regular)
+    ]
+    misses = sum(1 for res in results if len(res) == 0)
     header = ["k0_m", "k1", "k2", "k3", "tau_s", "x1_m", "x2_m", "x3_m",
               "residual", "cond", "regular"]
     _write_csv(Path(out_dir) / "preimages.csv", header, rows)
@@ -168,7 +164,7 @@ def _build_worldline(scn: Scenario, chart, frames):
     raise ConfigError(f"unknown observed worldline kind {kind!r}")
 
 
-def cmd_observe(scn: Scenario, out_dir, threads=1):
+def cmd_observe(scn: Scenario, out_dir):
     """Track an observed worldline: relative position, velocity, acceleration."""
     chart = scn.build_chart()
     curve = scn.build_observer(chart)
@@ -224,7 +220,7 @@ def run_limit_scenario(scn: Scenario, c):
     return samples, breakdowns
 
 
-def cmd_newton_limit(scn: Scenario, c_values, out_dir, threads=1):
+def cmd_newton_limit(scn: Scenario, c_values, out_dir):
     """Sweep c and report clock-rate and force residual scaling."""
     report = nl.newtonian_limit_report(
         lambda c: run_limit_scenario(scn, c), c_values,
@@ -369,7 +365,8 @@ def build_parser():
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--tol-override", action="append", default=[],
                         metavar="KEY=VAL", help="override a tol.* setting")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for trace-cone; the other commands ignore it")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for random invariant sampling")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -395,12 +392,12 @@ def main(argv=None):
         if args.command == "trace-cone":
             outputs, extra = cmd_trace_cone(scn, out_dir, args.threads)
         elif args.command == "invert":
-            outputs, extra = cmd_invert(scn, args.targets, out_dir, args.threads)
+            outputs, extra = cmd_invert(scn, args.targets, out_dir)
         elif args.command == "observe":
-            outputs, extra = cmd_observe(scn, out_dir, args.threads)
+            outputs, extra = cmd_observe(scn, out_dir)
         elif args.command == "newton-limit":
             c_values = [float(p) for p in args.c_list.split(",")]
-            outputs, extra = cmd_newton_limit(scn, c_values, out_dir, args.threads)
+            outputs, extra = cmd_newton_limit(scn, c_values, out_dir)
         elif args.command == "validate":
             outputs, extra, ok = cmd_validate(scn, out_dir, args.seed)
             _write_manifest(out_dir, scn, args.command, outputs, started, extra)

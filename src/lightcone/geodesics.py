@@ -5,9 +5,11 @@ The integrator is scipy's embedded Runge-Kutta 5(4) pair with dense output
 exit terminates integration early and returns the maximal partial solution
 flagged as clipped, so cone tracing can report per-ray reach.
 
-A private batched entry point integrates many rays (optionally with their
-Jacobi columns) as one stacked system; the public single-ray operations
-are thin wrappers over the same right-hand sides.
+A batched entry point, integrate_batch, integrates many rays (optionally
+with their Jacobi columns) as one stacked system; the splitting layer and
+exp_differential use it.  The other single-ray operations
+(integrate_geodesic, parallel_transport, integrate_jacobi,
+detect_conjugate) each carry their own right-hand side.
 """
 
 from dataclasses import dataclass

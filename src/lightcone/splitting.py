@@ -13,8 +13,8 @@ seconds.  The coordinate origin x = 0 (the observer itself) is excluded.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -225,6 +225,9 @@ def observer_map_jacobian(chart: Chart, frames: FrameField, p: ObservedEvent,
 
 # -- inversion ---------------------------------------------------------------
 
+_CHUNK = 512  # targets per Newton batch in invert_many
+
+
 def _start_grid(cfg: MultistartConfig):
     taus = np.linspace(cfg.tau_range[0], cfg.tau_range[1], cfg.n_tau)
     axes = [np.linspace(c - cfg.x_halfwidth, c + cfg.x_halfwidth, cfg.n_x)
@@ -342,59 +345,52 @@ def invert_observer_map(chart: Chart, frames: FrameField, target: Event,
                         rel_tol=REL_TOL, abs_tol=ABS_TOL) -> InversionResult:
     """All observer-coordinate preimages of a spacetime event in a box.
 
-    Damped Newton from a grid of starts (pruned to the most promising by
-    initial forward residual), converged roots deduplicated and sorted by
-    coordinates so the outcome does not depend on start order.  An empty
-    result is diagnostic, not an error: the event may be outside the seen
-    region, or on the worldline itself (origin excluded).
+    A batch of one through invert_many, which holds the only inversion
+    implementation.  An empty result is diagnostic, not an error: the
+    event may be outside the seen region, or on the worldline itself
+    (origin excluded).
     """
-    starts = _start_grid(search)
-    tgt = target.coords
-    n_starts = len(starts)
-
-    ev, _ = _eval_batch(chart, frames, starts, False, rel_tol, abs_tol)
-    score = np.linalg.norm(ev - tgt[None, :], axis=1)
-    order = np.argsort(score, kind="stable")[: search.top_k]
-    seeds = np.array([[starts[i][0], *starts[i][1]] for i in order])
-
-    return _finish_inversion(chart, frames, tgt, seeds, search, n_starts,
-                             rel_tol, abs_tol)
+    return invert_many(chart, frames, target.coords[None, :], search,
+                       rel_tol=rel_tol, abs_tol=abs_tol)[0]
 
 
 def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartConfig,
-                seeds_per_target=4, chunk=512,
+                seeds_per_target=None,
                 rel_tol=REL_TOL, abs_tol=ABS_TOL) -> List[InversionResult]:
     """Invert the observer map for many targets sharing one start grid.
 
-    The start grid is mapped forward once; each target keeps its best
-    seeds and all Newton iterations run as chunked batches.  Results are
-    identical in content to per-target invert_observer_map with top_k =
-    seeds_per_target.
+    The start grid is mapped forward once.  Each target keeps the
+    seeds_per_target starts (default search.top_k, at most the grid size)
+    with the smallest forward residual, and damped Newton runs on all
+    targets' seeds as batches of _CHUNK targets.  Converged roots are
+    deduplicated and sorted by coordinates, so a target's outcome does
+    not depend on start order.
     """
-    targets = np.asarray(targets, dtype=float)
+    targets = np.asarray(targets, dtype=float).reshape(-1, 4)
+    if len(targets) == 0:
+        return []
     starts = _start_grid(search)
     ev, _ = _eval_batch(chart, frames, starts, False, rel_tol, abs_tol)
     start_arr = np.array([[s[0], *s[1]] for s in starts])
 
-    results: List[Optional[InversionResult]] = [None] * len(targets)
-    cfg = replace(search, top_k=seeds_per_target)
-    for base in range(0, len(targets), chunk):
-        tgt_chunk = targets[base:base + chunk]
+    k = min(search.top_k if seeds_per_target is None else seeds_per_target, len(starts))
+    results: List[InversionResult] = []
+    for base in range(0, len(targets), _CHUNK):
+        tgt_chunk = targets[base:base + _CHUNK]
         # per-target seed selection by forward residual
         d = np.linalg.norm(ev[None, :, :] - tgt_chunk[:, None, :], axis=2)
-        picks = np.argsort(d, axis=1, kind="stable")[:, :seeds_per_target]
+        picks = np.argsort(d, axis=1, kind="stable")[:, :k]
         flat_states = start_arr[picks.ravel()]
-        flat_targets = np.repeat(tgt_chunk, seeds_per_target, axis=0)
+        flat_targets = np.repeat(tgt_chunk, k, axis=0)
         states, rnorm, converged = _newton_polish(
-            chart, frames, flat_targets, flat_states, cfg, rel_tol, abs_tol
+            chart, frames, flat_targets, flat_states, search, rel_tol, abs_tol
         )
-        for i in range(len(tgt_chunk)):
-            rows = slice(i * seeds_per_target, (i + 1) * seeds_per_target)
-            seeds = states[rows][converged[rows]]
-            res = _collect_roots(chart, frames, tgt_chunk[i], seeds,
-                                 rnorm[rows][converged[rows]], cfg, len(starts),
-                                 rel_tol, abs_tol)
-            results[base + i] = res
+        for i, tgt in enumerate(tgt_chunk):
+            rows = slice(i * k, (i + 1) * k)
+            ok = converged[rows]
+            results.append(_collect_roots(chart, frames, tgt, states[rows][ok],
+                                          rnorm[rows][ok], search, len(starts),
+                                          rel_tol, abs_tol))
     return results
 
 
@@ -429,15 +425,6 @@ def _collect_roots(chart, frames, tgt, roots, rres, search, n_starts, rel_tol, a
                            n_starts, len(keep), origin_excluded=origin)
 
 
-def _finish_inversion(chart, frames, tgt, seeds, search, n_starts, rel_tol, abs_tol):
-    m = len(seeds)
-    states, rnorm, converged = _newton_polish(
-        chart, frames, np.tile(tgt, (m, 1)), seeds, search, rel_tol, abs_tol
-    )
-    return _collect_roots(chart, frames, tgt, states[converged], rnorm[converged],
-                          search, n_starts, rel_tol, abs_tol)
-
-
 # -- relative motion ---------------------------------------------------------
 
 class MappedCurve:
@@ -469,16 +456,6 @@ class MappedCurve:
 
 def comoving_worldline(chart: Chart, frames: FrameField, x) -> MappedCurve:
     return MappedCurve(chart, frames, x)
-
-
-def _warm_invert(chart, frames, target, seed, cfg, rel_tol, abs_tol):
-    """Single-start Newton from a known nearby preimage."""
-    states, rnorm, conv = _newton_polish(
-        chart, frames, target[None, :], seed[None, :], cfg, rel_tol, abs_tol
-    )
-    if conv[0]:
-        return states[0]
-    return None
 
 
 def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
@@ -516,8 +493,10 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
             ambiguous = len(res) > 1
             state = rows[0]
         else:
-            state = _warm_invert(chart, frames, target, prev, search, rel_tol, abs_tol)
-            if state is None:
+            warm, _, conv = _newton_polish(chart, frames, target[None, :], prev[None, :],
+                                           search, rel_tol, abs_tol)
+            state = warm[0]
+            if not conv[0]:
                 res = invert_observer_map(chart, frames, Event(chart.name, target), search,
                                           rel_tol, abs_tol)
                 if len(res) == 0:
@@ -530,29 +509,28 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
                 state = rows[best]
         prev = state
 
-        first = _first_derivatives(chart, frames, worldline, s, state, rel_tol, abs_tol)
-        tau_dot, dx_ds, char = first
-        v = dx_ds / tau_dot if tau_dot != 0.0 else np.full(3, np.nan)
+        # five-point stencil: the four warm inversions form one Newton batch,
+        # and the sample's Jacobian shares one batch with the stencil's
+        s_pts = s + stencil_h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])
+        tk = np.array([worldline.position(sk) for sk in s_pts[1:]], dtype=float)
+        stk, _, conv = _newton_polish(chart, frames, tk, np.tile(state, (4, 1)),
+                                      search, rel_tol, abs_tol)
+        stencil_ok = bool(np.all(conv))
+        states = np.vstack([state, stk]) if stencil_ok else state[None, :]
+        lam = np.array([worldline.velocity(sk) for sk in s_pts[:len(states)]], dtype=float)
+        tds, dx_ds = _first_derivatives(chart, frames, states, lam, rel_tol, abs_tol)
+        tau_dot = tds[0]
+        vs = np.full_like(dx_ds, np.nan)  # dx/dtau, undefined where tau' = 0
+        moving = tds != 0.0
+        vs[moving] = dx_ds[moving] / tds[moving, None]
+        v = vs[0]
+        g = metric_at(chart, target)
+        char = causal_character(g, lam[0], tol=1e-9 * max(1.0, float(np.max(np.abs(lam[0])))**2))
 
-        # stencil for second derivatives
-        vs, tds = [], []
-        offsets = (-2, -1, 1, 2)
-        stencil_ok = True
-        for k in offsets:
-            sk = s + k * stencil_h
-            tk = np.asarray(worldline.position(sk), dtype=float)
-            stk = _warm_invert(chart, frames, tk, state, search, rel_tol, abs_tol)
-            if stk is None:
-                stencil_ok = False
-                break
-            td_k, dxds_k, _ = _first_derivatives(chart, frames, worldline, sk, stk,
-                                                 rel_tol, abs_tol)
-            tds.append(td_k)
-            vs.append(dxds_k / td_k if td_k != 0.0 else np.full(3, np.nan))
         if stencil_ok and tau_dot != 0.0:
             w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * stencil_h)
-            dv_ds = sum(wi * vi for wi, vi in zip(w, vs))
-            tau_ddot = float(np.dot(w, tds))
+            dv_ds = w @ vs[1:]
+            tau_ddot = float(w @ tds[1:])
             dv_dtau = dv_ds / tau_dot
         else:
             dv_dtau = np.full(3, np.nan)
@@ -571,16 +549,16 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     return samples
 
 
-def _first_derivatives(chart, frames, worldline, s, state, rel_tol, abs_tol):
-    """(tau', dx/ds, causal character) at one tracked sample."""
-    c = frames.curve.c
-    p = ObservedEvent(state[0], state[1:])
-    jac = observer_map_jacobian(chart, frames, p, rel_tol, abs_tol)
-    lam = np.asarray(worldline.velocity(s), dtype=float)
-    xi_dot = np.linalg.solve(jac, lam)  # d(c tau, x)/ds
-    g = metric_at(chart, np.asarray(worldline.position(s), dtype=float))
-    char = causal_character(g, lam, tol=1e-9 * max(1.0, float(np.max(np.abs(lam)))**2))
-    return xi_dot[0] / c, xi_dot[1:], char
+def _first_derivatives(chart, frames, states, tangents, rel_tol, abs_tol):
+    """(tau', dx/ds) at tracked states from one map+Jacobian batch.
+
+    states: (m, 4) rows (tau, x); tangents: (m, 4) worldline tangents
+    there.  Applies each inverse Jacobian to its tangent.
+    """
+    pts = [(st[0], st[1:]) for st in states]
+    _, jac = _eval_batch(chart, frames, pts, True, rel_tol, abs_tol)
+    xi_dot = np.linalg.solve(jac, tangents[:, :, None])[:, :, 0]  # d(c tau, x)/ds
+    return xi_dot[:, 0] / frames.curve.c, xi_dot[:, 1:]
 
 
 # -- pulled-back metric and forces --------------------------------------------
@@ -665,24 +643,34 @@ def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent,
 
     if method != "jacobian":
         raise InvalidInputError(f"unknown method {method!r}")
+    return _jacobian_christoffels(chart, *_map_derivatives(chart, frames, p, fd_step,
+                                                           rel_tol, abs_tol))[0]
 
-    ev, jac = _eval_batch(chart, frames, [(p.tau, p.x)], True, rel_tol, abs_tol)
-    j = jac[0]
-    det = np.linalg.det(j)
-    if abs(det) < 1e-12:
+
+def _map_derivatives(chart, frames, p, fd_step, rel_tol, abs_tol):
+    """Event, Jacobian and finite-difference Hessian of the map at p.
+
+    One map+Jacobian batch holds p and the 8 points p +- fd_step e_i in
+    (x^0 = c*tau, x^a); hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the
+    central difference of the Jacobian columns, symmetrized.
+    """
+    c = frames.curve.c
+    base = np.array([c * p.tau, *p.x])
+    shifted = np.concatenate([base + fd_step * np.eye(4), base - fd_step * np.eye(4)])
+    pts = [(p.tau, p.x)] + [(xi[0] / c, xi[1:]) for xi in shifted]
+    ev, jac = _eval_batch(chart, frames, pts, True, rel_tol, abs_tol)
+    hess = ((jac[1:5] - jac[5:9]) / (2.0 * fd_step)).transpose(1, 0, 2)
+    return ev[0], jac[0], 0.5 * (hess + hess.transpose(0, 2, 1))
+
+
+def _jacobian_christoffels(chart, event, j, hess):
+    """(Ups, J^-1): the chart connection carried to observer coordinates."""
+    if abs(np.linalg.det(j)) < 1e-12:
         raise CriticalPointError("observer map is singular at this point")
     w = np.linalg.inv(j)
-    gam = chart.christoffels(ev[0])
-    hess = np.empty((4, 4, 4))  # hess[l, i, j] = d^2 kappa^l / dx^i dx^j
-    for i in range(4):
-        h = np.zeros(4)
-        h[i] = fd_step
-        _, jp = _eval_batch(chart, frames, [at(base + h)], True, rel_tol, abs_tol)
-        _, jm = _eval_batch(chart, frames, [at(base - h)], True, rel_tol, abs_tol)
-        hess[:, i, :] = (jp[0] - jm[0]) / (2.0 * fd_step)
-    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+    gam = chart.christoffels(event)
     ups = np.einsum("cl,lmn,mi,nj->cij", w, gam, j, j) + np.einsum("cl,lij->cij", w, hess)
-    return ups
+    return ups, w
 
 
 def relative_force(m, chart: Chart, frames: FrameField, sample: RelativeMotionSample,
@@ -697,10 +685,14 @@ def relative_force(m, chart: Chart, frames: FrameField, sample: RelativeMotionSa
     """
     c = frames.curve.c
     p = ObservedEvent(sample.tau, sample.x)
-    alpha = pullback_metric(chart, frames, p, rel_tol, abs_tol)
-    jac = observer_map_jacobian(chart, frames, p, rel_tol, abs_tol)
-    w = np.linalg.inv(jac)
-    ups = transformed_christoffels(chart, frames, p, method, rel_tol=rel_tol, abs_tol=abs_tol)
+    event, jac, hess = _map_derivatives(chart, frames, p, 1e-4, rel_tol, abs_tol)
+    alpha = jac.T @ metric_at(chart, event) @ jac
+    if method == "jacobian":
+        ups, w = _jacobian_christoffels(chart, event, jac, hess)
+    else:
+        w = np.linalg.inv(jac)
+        ups = transformed_christoffels(chart, frames, p, method,
+                                       rel_tol=rel_tol, abs_tol=abs_tol)
     v = sample.v
     td = sample.tau_dot
     tdd = sample.tau_ddot if tau_ddot is None else float(tau_ddot)

@@ -1,5 +1,8 @@
 """Chart models: metric displays, connection coefficients, curvature."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from lightcone.charts import (
 )
 from lightcone.errors import InvalidInputError, OutOfChartError
 from lightcone.lorentz import ETA, validate_metric
+from lightcone.scenario import load_scenario
+from lightcone.splitting import _eval_batch
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +81,27 @@ def test_christoffel_fd_matches_analytic(sw):
         coords = np.array([0.0, r, th, 0.3])
         dev = np.max(np.abs(_fd_christoffels(sw, coords, 1e-5) - sw.christoffels(coords)))
         assert dev <= 1e-6
+
+
+def test_metric_only_chart_batched(sw):
+    # a chart without analytic connection serves the batched map and
+    # Jacobian; they match the analytic chart within fd accuracy
+    mo = dataclasses.replace(sw, christoffel_fn=None)
+    pts = np.array([[0.0, 2.0, np.pi / 2, 0.0], [0.5, 3.7, 1.1, 0.3], [1.0, 10.0, 2.0, -1.0]])
+    batched = _fd_christoffels(mo, pts, 1e-5)
+    assert np.array_equal(batched, np.stack([_fd_christoffels(mo, p, 1e-5) for p in pts]))
+
+    scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                        / "schwarzschild_faller.scn")
+    chart = scn.build_chart()
+    frames = scn.build_frames(chart, scn.build_observer(chart))
+    obs = [(0.0, np.array([0.5, 0.25, -0.15])), (0.5, np.array([-0.4, 0.6, 0.2]))]
+    tols = (1e-8, 1e-10)  # fd noise in the curvature makes tighter tolerances slow
+    ev, jac = _eval_batch(chart, frames, obs, True, *tols)
+    ev_mo, jac_mo = _eval_batch(dataclasses.replace(chart, christoffel_fn=None),
+                                frames, obs, True, *tols)
+    assert np.max(np.abs(ev_mo - ev)) <= 1e-9
+    assert np.max(np.abs(jac_mo - jac)) <= 1e-7 * max(1.0, np.max(np.abs(jac)))
 
 
 def test_christoffel_symmetry(sw):

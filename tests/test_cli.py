@@ -160,6 +160,50 @@ class TestInvert:
                 chart, frames, ObservedEvent(vals[4], np.array(vals[5:8])))
             assert np.max(np.abs(remapped.coords - np.array(vals[0:4]))) <= 1e-8
 
+    def test_multi_target_file_single_batch(self, tmp_path, monkeypatch):
+        # the whole file inverts through one invert_many call and agrees
+        # with per-target inversion, root for root
+        from lightcone import splitting
+        from lightcone.lorentz import Event
+        from lightcone.splitting import (ObservedEvent, invert_observer_map,
+                                         kinematic_observer_map)
+
+        scn = load_scenario(SCN_DIR / "accel_rotating.scn")
+        chart = scn.build_chart()
+        curve = scn.build_observer(chart)
+        frames = scn.build_frames(chart, curve)
+        search = scn.build_search(curve)
+        pts = [(0.5, [1.0, 0.5, 0.0]), (-1.0, [0.0, 1.2, 0.4]), (1.5, [-0.6, -0.3, 0.9])]
+        targets = [kinematic_observer_map(chart, frames, ObservedEvent(t, np.array(x))).coords
+                   for t, x in pts]
+        targets.append(np.array([500.0, 3.0, 4.0, 0.0]))  # not seen in the box
+        path = tmp_path / "targets.txt"
+        path.write_text("".join(" ".join(format(float(c), ".17g") for c in t) + "\n"
+                                for t in targets))
+        expected = [invert_observer_map(chart, frames, Event(chart.name, t), search)
+                    for t in targets]
+
+        calls = []
+        real = splitting.invert_many
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, "invert_many", counting)
+        rc = main(["--scenario", str(SCN_DIR / "accel_rotating.scn"),
+                   "--out", str(tmp_path), "invert", "--targets", str(path)])
+        assert rc == 0
+        assert calls == [len(targets)]
+        _, rows = read_csv(tmp_path / "preimages.csv")
+        vals = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 11)
+        for tgt, res in zip(targets, expected):
+            mine = vals[np.all(vals[:, 0:4] == tgt, axis=1)]
+            assert len(mine) == len(res)
+            want = np.array([[p.tau, *p.x] for p in res.preimages]).reshape(-1, 4)
+            assert np.max(np.abs(mine[:, 4:8] - want), initial=0.0) <= 1e-9
+        assert sum(len(r) for r in expected) >= len(pts)
+
     def test_missing_targets_file(self, tmp_path):
         rc = main(["--scenario", str(SCN_DIR / "minkowski_inertial.scn"),
                    "--out", str(tmp_path), "invert", "--targets",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lightcone import splitting
 from lightcone.charts import metric_at, minkowski, schwarzschild
 from lightcone.errors import InvalidInputError, SuperluminalError
 from lightcone.lorentz import ETA, Event, Frame4
@@ -21,6 +22,7 @@ from lightcone.splitting import (
     comoving_worldline,
     cone_vector,
     force_zero_component,
+    invert_many,
     invert_observer_map,
     kinematic_observer_map,
     observe_curve,
@@ -256,6 +258,23 @@ class TestInversion:
             worst = max(worst, best)
         assert worst <= 1e-8
 
+    def test_seed_count_clipped_to_start_grid(self, inertial):
+        # top_k larger than the two-point start grid: every start seeds
+        # each target, in the batched and in the single-target path
+        _, ff = inertial
+        cfg = MultistartConfig(tau_range=(9.0, 11.0), x_halfwidth=1.0,
+                               x_center=(3.0, 4.0, 0.0), n_tau=2, n_x=1, top_k=4)
+        pts = [(10.0, np.array([3.0, 4.0, 0.0])), (10.5, np.array([3.2, 3.9, 0.1]))]
+        targets = [kinematic_observer_map(MK, ff, ObservedEvent(tau, x)) for tau, x in pts]
+        results = invert_many(MK, ff, [t.coords for t in targets], cfg)
+        singles = [invert_observer_map(MK, ff, t, cfg) for t in targets]
+        for (tau, x), res, single in zip(pts, results, singles):
+            for r in (res, single):
+                assert r.n_starts == 2
+                assert len(r) == 1
+                assert r.preimages[0].tau == pytest.approx(tau, abs=1e-9)
+                assert np.allclose(r.preimages[0].x, x, atol=1e-9)
+
 
 class TestObserveCurve:
     def test_radial_inertial_motion(self, inertial):
@@ -477,3 +496,54 @@ def test_fw_temporal_column_initial_data():
     a_frame = -np.array([float(acc @ g @ m[:, b]) for b in (1, 2, 3)])
     want = (float(x @ a_frame) / cur.c) * m[:, 0] - (r / cur.c) * (m[:, 1:] @ a_frame)
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+class TestOneBatchPerSample:
+    """The splitting layer evaluates each force or stencil as one batch."""
+
+    @staticmethod
+    def count_batches(monkeypatch):
+        """Record (rays, n_jac) of every batched integration outside Newton."""
+        calls, newton = [], []
+        real_batch, real_newton = splitting.integrate_batch, splitting._newton_polish
+
+        def batch(chart, y0, n_jac=0, *args, **kwargs):
+            if not newton or newton[-1] is not None:
+                calls.append((len(y0), n_jac))
+            return real_batch(chart, y0, n_jac, *args, **kwargs)
+
+        def polish(chart, frames, targets, *args, **kwargs):
+            newton.append(None)  # batches from here on belong to Newton
+            try:
+                return real_newton(chart, frames, targets, *args, **kwargs)
+            finally:
+                newton[-1] = len(targets)
+
+        monkeypatch.setattr(splitting, "integrate_batch", batch)
+        monkeypatch.setattr(splitting, "_newton_polish", polish)
+        return calls, newton
+
+    def test_relative_force_single_batch(self, accel_rot, monkeypatch):
+        _, ff = accel_rot
+        wl = comoving_worldline(MK, ff, np.array([0.0, 0.5, 0.0]))
+        samples = observe_curve(MK, ff, wl, np.linspace(0, 1, 3),
+                                search_box(tau=(-4, 4), half=2.0))
+        calls, newton = self.count_batches(monkeypatch)
+        for smp in samples:
+            relative_force(1.0, MK, ff, smp, np.zeros(3))
+        assert calls == [(9, 4)] * len(samples)
+        assert newton == []
+
+    def test_observe_stencil_single_newton_and_jacobian(self, inertial, monkeypatch):
+        _, ff = inertial
+        cur2 = make_inertial_observer(MK, Event("minkowski", np.array([0.0, 4, 0, 0])),
+                                      [1, 0.1, 0, 0], interval=(-30, 30))
+        res = invert_observer_map(MK, ff, Event("minkowski", cur2.position(1.0)),
+                                  search_box())
+        monkeypatch.setattr(splitting, "invert_observer_map", lambda *a, **k: res)
+        calls, newton = self.count_batches(monkeypatch)
+        (smp,) = observe_curve(MK, ff, cur2, [1.0], search_box())
+        assert newton == [4]           # the four stencil inversions
+        assert calls == [(5, 4)]       # sample and stencil Jacobians
+        assert smp.v[0] == pytest.approx(0.1 / 1.1, abs=1e-9)
+        assert np.max(np.abs(smp.dv_dtau)) <= 1e-8
