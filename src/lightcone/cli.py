@@ -117,7 +117,14 @@ def _read_targets(path):
                 if len(parts) != 4:
                     raise ConfigError(f"target needs 4 coordinates, got {raw.strip()!r}",
                                       line=lineno)
-                events.append(np.array([float(p) for p in parts]))
+                try:
+                    coords = np.array([float(p) for p in parts])
+                except ValueError:
+                    coords = None
+                if coords is None or not np.all(np.isfinite(coords)):
+                    raise ConfigError(f"target coordinates must be finite numbers, "
+                                      f"got {raw.strip()!r}", line=lineno)
+                events.append(coords)
     except OSError as exc:
         raise ConfigError(f"cannot read targets file {path}: {exc}") from exc
     return events

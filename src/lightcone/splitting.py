@@ -609,8 +609,11 @@ def force_zero_component(alpha, v, c, inv_jacobian, f_spatial) -> float:
     return float(-(uw[1:] @ f_spatial) / uw[0])
 
 
+_FD_STEP = 1e-4  # central step in (c*tau, x) for derivatives of the map
+
+
 def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent,
-                             method="jacobian", fd_step=1e-4,
+                             method="jacobian", fd_step=_FD_STEP,
                              rel_tol=REL_TOL, abs_tol=ABS_TOL) -> np.ndarray:
     """Connection coefficients of the spacetime metric in observer coordinates.
 
@@ -619,20 +622,13 @@ def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent,
     differentiates the pulled-back metric directly.  Both differentiate in
     (x^0 = c*tau, x^a) with central step fd_step.
     """
-    c = frames.curve.c
-    base = np.array([c * p.tau, *p.x])
-
-    def at(xi):
-        return (xi[0] / c, xi[1:])
-
     if method == "pullback":
         alpha0 = pullback_metric(chart, frames, p, rel_tol, abs_tol)
+        shifted = _stencil_points(frames.curve.c, p, fd_step)
         dal = np.empty((4, 4, 4))
         for l in range(4):
-            h = np.zeros(4)
-            h[l] = fd_step
-            ap = pullback_metric(chart, frames, ObservedEvent(*at(base + h)), rel_tol, abs_tol)
-            am = pullback_metric(chart, frames, ObservedEvent(*at(base - h)), rel_tol, abs_tol)
+            ap = pullback_metric(chart, frames, ObservedEvent(*shifted[l]), rel_tol, abs_tol)
+            am = pullback_metric(chart, frames, ObservedEvent(*shifted[4 + l]), rel_tol, abs_tol)
             dal[:, :, l] = (ap - am) / (2.0 * fd_step)
         try:
             ainv = np.linalg.inv(alpha0)
@@ -647,17 +643,24 @@ def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent,
                                                            rel_tol, abs_tol))[0]
 
 
+def _stencil_points(c, p, fd_step):
+    """The 8 points p + fd_step e_i, then p - fd_step e_i, as (tau, x).
+
+    e_i are the unit vectors of (x^0 = c*tau, x^a).
+    """
+    base = np.array([c * p.tau, *p.x])
+    shifted = np.concatenate([base + fd_step * np.eye(4), base - fd_step * np.eye(4)])
+    return [(xi[0] / c, xi[1:]) for xi in shifted]
+
+
 def _map_derivatives(chart, frames, p, fd_step, rel_tol, abs_tol):
     """Event, Jacobian and finite-difference Hessian of the map at p.
 
-    One map+Jacobian batch holds p and the 8 points p +- fd_step e_i in
-    (x^0 = c*tau, x^a); hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the
-    central difference of the Jacobian columns, symmetrized.
+    One map+Jacobian batch holds p and its 8 stencil points;
+    hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the central difference of
+    the Jacobian columns, symmetrized.
     """
-    c = frames.curve.c
-    base = np.array([c * p.tau, *p.x])
-    shifted = np.concatenate([base + fd_step * np.eye(4), base - fd_step * np.eye(4)])
-    pts = [(p.tau, p.x)] + [(xi[0] / c, xi[1:]) for xi in shifted]
+    pts = [(p.tau, p.x)] + _stencil_points(frames.curve.c, p, fd_step)
     ev, jac = _eval_batch(chart, frames, pts, True, rel_tol, abs_tol)
     hess = ((jac[1:5] - jac[5:9]) / (2.0 * fd_step)).transpose(1, 0, 2)
     return ev[0], jac[0], 0.5 * (hess + hess.transpose(0, 2, 1))
@@ -674,7 +677,7 @@ def _jacobian_christoffels(chart, event, j, hess):
 
 
 def relative_force(m, chart: Chart, frames: FrameField, sample: RelativeMotionSample,
-                   f_spatial, tau_ddot=None, method="jacobian",
+                   f_spatial, tau_ddot=None,
                    rel_tol=REL_TOL, abs_tol=ABS_TOL) -> ForceBreakdown:
     """Decompose the relative force on an observed point mass.
 
@@ -685,14 +688,9 @@ def relative_force(m, chart: Chart, frames: FrameField, sample: RelativeMotionSa
     """
     c = frames.curve.c
     p = ObservedEvent(sample.tau, sample.x)
-    event, jac, hess = _map_derivatives(chart, frames, p, 1e-4, rel_tol, abs_tol)
+    event, jac, hess = _map_derivatives(chart, frames, p, _FD_STEP, rel_tol, abs_tol)
     alpha = jac.T @ metric_at(chart, event) @ jac
-    if method == "jacobian":
-        ups, w = _jacobian_christoffels(chart, event, jac, hess)
-    else:
-        w = np.linalg.inv(jac)
-        ups = transformed_christoffels(chart, frames, p, method,
-                                       rel_tol=rel_tol, abs_tol=abs_tol)
+    ups, w = _jacobian_christoffels(chart, event, jac, hess)
     v = sample.v
     td = sample.tau_dot
     tdd = sample.tau_ddot if tau_ddot is None else float(tau_ddot)

@@ -210,6 +210,16 @@ class TestInvert:
                    str(tmp_path / "nope.txt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", ["nan 3 4 0", "5 inf 4 0", "5 3 four 0"])
+    def test_non_finite_target_rejected(self, tmp_path, capsys, bad):
+        targets = tmp_path / "targets.txt"
+        targets.write_text(f"5 3 4 0\n{bad}\n")
+        rc = main(["--scenario", str(SCN_DIR / "minkowski_inertial.scn"),
+                   "--out", str(tmp_path), "invert", "--targets", str(targets)])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "preimages.csv").exists()
+
 
 class TestObserve:
     def test_comoving_clock_rates(self, tmp_path):
