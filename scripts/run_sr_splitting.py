@@ -13,7 +13,7 @@ import numpy as np
 
 from lightcone import Event, MultistartConfig, minkowski
 from lightcone.observers import make_inertial_observer, standard_inertial_frame
-from lightcone.splitting import _eval_batch, invert_many
+from lightcone.splitting import ObservedEvent, invert_many, kinematic_observer_map
 
 
 def main():
@@ -30,7 +30,8 @@ def main():
     taus = np.linspace(-4, 4, args.n)
     vals = np.linspace(-3, 3, args.n)
     pts = [(t, np.array([a, b, 1.5])) for t in taus for a in vals for b in vals]
-    events, _ = _eval_batch(chart, frames, pts, False)
+    events = np.array([kinematic_observer_map(chart, frames, ObservedEvent(t, x)).coords
+                       for t, x in pts])
 
     cfg = MultistartConfig(tau_range=(-10, 10), x_halfwidth=4.0,
                            n_tau=5, n_x=5, top_k=8)

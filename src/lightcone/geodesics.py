@@ -5,11 +5,12 @@ The integrator is scipy's embedded Runge-Kutta 5(4) pair with dense output
 exit terminates integration early and returns the maximal partial solution
 flagged as clipped, so cone tracing can report per-ray reach.
 
-A batched entry point, integrate_batch, integrates many rays (optionally
-with their Jacobi columns) as one stacked system; the splitting layer and
-exp_differential use it.  The other single-ray operations
-(integrate_geodesic, parallel_transport, integrate_jacobi,
-detect_conjugate) each carry their own right-hand side.
+Every ray solve shares one right-hand side, _ray_rhs: a stack of rays,
+each with n_jac Jacobi columns.  integrate_geodesic (n_jac = 0),
+integrate_jacobi (1), detect_conjugate (4) and integrate_batch (any) all
+run it through _solve.  Only integrate_batch, which has no chart-exit
+event, freezes members that leave the domain; parallel_transport solves
+its own (different) equation.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .charts import Chart, riemann_ricci_at
+from .charts import Chart
 from .errors import (
     EmptySolutionError,
     IntegrationError,
@@ -91,18 +92,21 @@ class TransportSolution(DenseSolution):
 
 
 class JacobiSolution(DenseSolution):
-    """Jacobi field J and its covariant derivative along a geodesic."""
+    """Jacobi field J and its covariant derivative along a geodesic.
+
+    The state is the ray (kappa, kappa') followed by (J, W).
+    """
 
     def __init__(self, interp, s0, s1, steps, clipped, along):
-        super().__init__(interp, s0, s1, steps, clipped, 8)
+        super().__init__(interp, s0, s1, steps, clipped, 16)
         self.along = along
 
     def value(self, s):
-        return self.state(s)[:4]
+        return self.state(s)[8:12]
 
     def derivative(self, s):
         """Covariant derivative of J along the geodesic at s."""
-        return self.state(s)[4:]
+        return self.state(s)[12:16]
 
 
 def _const_interp(y0):
@@ -158,6 +162,65 @@ def _domain_event(chart):
     return event
 
 
+def _ray_rhs(chart: Chart, n_jac: int):
+    """Right-hand side for a stack of rays, each with n_jac Jacobi columns.
+
+    The flat state holds (n, 8 + 8*n_jac) rows: kappa (4), kappa' (4),
+    then n_jac columns (J, W), W the covariant derivative of J:
+        kappa''^k = -Gamma^k_ij kappa'^i kappa'^j
+        J'^k = W^k - Gamma^k_ij kappa'^i J^j
+        W'^k = -Gamma^k_ij kappa'^i W^j - R^k_{l i j} J^i kappa'^j kappa'^l
+    """
+    shape = (-1, 1 + n_jac, 2, 4)  # member, (ray, columns), (value, derivative)
+
+    if chart.flat:
+        def rhs(s, y):
+            m = y.reshape(shape)
+            out = np.zeros_like(m)
+            out[:, :, 0] = m[:, :, 1]
+            return out.ravel()
+
+        return rhs
+
+    def rhs(s, y):
+        m = y.reshape(shape)
+        out = np.empty_like(m)
+        pos, vel = m[:, 0, 0], m[:, 0, 1]
+        gam = chart.christoffels(pos)  # (n,4,4,4)
+        out[:, 0, 0] = vel
+        out[:, 0, 1] = -np.einsum("nkij,ni,nj->nk", gam, vel, vel)
+        if n_jac:
+            riem = _batch_riemann(chart, pos)
+            jj, ww = m[:, 1:, 0], m[:, 1:, 1]
+            out[:, 1:, 0] = ww - np.einsum("nkij,ni,ncj->nck", gam, vel, jj)
+            out[:, 1:, 1] = (
+                -np.einsum("nklij,nci,nj,nl->nck", riem, jj, vel, vel)
+                - np.einsum("nkij,ni,ncj->nck", gam, vel, ww)
+            )
+        return out.ravel()
+
+    return rhs
+
+
+def _batch_riemann(chart: Chart, pos, fd_step=1e-5):
+    """Riemann components for a batch of points via fd of the connection."""
+    if chart.riemann_fn is not None:
+        return chart.riemann_fn(pos)
+    n = pos.shape[0]
+    gamma = chart.christoffels(pos)
+    dgam = np.empty((n, 4, 4, 4, 4))
+    for mu in range(4):
+        h = np.zeros(4)
+        h[mu] = fd_step
+        dgam[..., mu] = (chart.christoffels(pos + h) - chart.christoffels(pos - h)) / (2 * fd_step)
+    return (
+        np.einsum("nkjli->nklij", dgam)
+        - np.einsum("nkilj->nklij", dgam)
+        + np.einsum("nkim,nmjl->nklij", gamma, gamma)
+        - np.einsum("nkjm,nmil->nklij", gamma, gamma)
+    )
+
+
 def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end, rel_tol=REL_TOL,
                        abs_tol=ABS_TOL) -> GeodesicSolution:
     """Solve the autoparallel equation from the given initial data.
@@ -177,18 +240,9 @@ def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end, rel_tol=REL_TOL,
     if bd is not None and bd <= 1e-12 * max(1.0, abs(chart.params.get("R", 1.0))):
         raise EmptySolutionError("start point touches the chart boundary")
 
-    if chart.flat:
-        def rhs(s, y):
-            return np.concatenate([y[4:], np.zeros(4)])
-    else:
-        def rhs(s, y):
-            gam = chart.christoffels(y[:4])
-            acc = -np.einsum("kij,i,j->k", gam, y[4:], y[4:])
-            return np.concatenate([y[4:], acc])
-
     y0 = np.concatenate([q0, ivp.velocity])
-    interp, s1, steps, clipped = _solve(chart, rhs, y0, s_end, rel_tol, abs_tol,
-                                        events=_domain_event(chart))
+    interp, s1, steps, clipped = _solve(chart, _ray_rhs(chart, 0), y0, s_end, rel_tol,
+                                        abs_tol, events=_domain_event(chart))
     return GeodesicSolution(interp, 0.0, s1, steps, clipped, 8)
 
 
@@ -230,29 +284,15 @@ def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0,
                      rel_tol=REL_TOL, abs_tol=ABS_TOL) -> JacobiSolution:
     """Solve the geodesic deviation equation along a stored geodesic.
 
-    First-order system in (J, W) with W the covariant derivative of J:
-        J'^k = W^k - Gamma^k_ij kappa'^i J^j
-        W'^k = -Gamma^k_ij kappa'^i W^j - R^k_{l i j} J^i kappa'^j kappa'^l
+    The geodesic is integrated again together with the field, from its
+    stored initial data to its end parameter, as a ray with one Jacobi
+    column (J, W), W the covariant derivative of J (see _ray_rhs).  The
+    stored solution is kept as `along`.
     """
-    j0 = np.asarray(j0, dtype=float)
-    dj0 = np.asarray(dj0, dtype=float)
-
-    if chart.flat:
-        def rhs(s, y):
-            return np.concatenate([y[4:], np.zeros(4)])
-    else:
-        def rhs(s, y):
-            state = geodesic.state(s)
-            kdot = state[4:8]
-            curv = riemann_ricci_at(chart, state[:4])
-            jj, ww = y[:4], y[4:]
-            jdot = ww - np.einsum("kij,i,j->k", curv.gamma, kdot, jj)
-            force = -np.einsum("klij,i,j,l->k", curv.riemann, jj, kdot, kdot)
-            wdot = force - np.einsum("kij,i,j->k", curv.gamma, kdot, ww)
-            return np.concatenate([jdot, wdot])
-
-    y0 = np.concatenate([j0, dj0])
-    interp, s1, steps, clipped = _solve(chart, rhs, y0, geodesic.s1, rel_tol, abs_tol)
+    y0 = np.concatenate([geodesic.position(0.0), geodesic.velocity(0.0),
+                         np.asarray(j0, dtype=float), np.asarray(dj0, dtype=float)])
+    interp, s1, steps, clipped = _solve(chart, _ray_rhs(chart, 1), y0, geodesic.s1,
+                                        rel_tol, abs_tol)
     return JacobiSolution(interp, 0.0, s1, steps, clipped, geodesic)
 
 
@@ -302,62 +342,34 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n,
                      rel_tol=REL_TOL, abs_tol=ABS_TOL) -> ConjugateScan:
     """Scan a geodesic for conjugate parameter values.
 
-    Integrates three Jacobi fields vanishing at the start whose initial
-    derivatives span the orthogonal complement of the initial velocity,
-    together with a parallel-transported transversal vector.  Conjugate
-    values show up as zeros of det([N, J^1, J^2, J^3]) / s^3: the
-    normalization removes the trivial triple zero at the start, and the
-    transported transversal keeps the determinant honest when the
-    orthogonal complement is degenerate (lightlike rays).  Sign changes
-    are refined by bisection on the dense output; the scan is a detector,
-    not a proof, so an empty result only means none found at this
-    resolution.
+    Integrates the ray with four Jacobi columns: three vanishing at the
+    start whose initial derivatives span the orthogonal complement of the
+    initial velocity K, and a transversal N with J(0) = N, W(0) = 0.  The
+    transversal's pairing g(J, K) = g(N, K) stays constant and nonzero
+    while the other three pair to zero, so conjugate values show up as
+    zeros of det([J^N, J^1, J^2, J^3]) / s^3: the normalization removes
+    the trivial triple zero at the start, and the transversal keeps the
+    determinant honest when the orthogonal complement is degenerate
+    (lightlike rays).  Sign changes are refined by bisection on the dense
+    output; the scan is a detector, not a proof, so an empty result only
+    means none found at this resolution.
     """
     tangent = np.asarray(tangent, dtype=float)
     g0 = chart.metric(q.coords)
     dirs = _orthogonal_triple(g0, tangent)
-    # transversal: any vector with g(N, K) != 0 survives transport as such
-    gk = g0 @ tangent
     n0 = np.zeros(4)
-    n0[int(np.argmax(np.abs(gk)))] = 1.0
+    n0[int(np.argmax(np.abs(g0 @ tangent)))] = 1.0
 
-    if chart.flat:
-        def rhs(s, y):
-            out = np.zeros(36)
-            out[0:4] = y[4:8]
-            for col in range(3):
-                base = 12 + 8 * col
-                out[base:base + 4] = y[base + 4:base + 8]
-            return out
-    else:
-        def rhs(s, y):
-            pos, vel = y[0:4], y[4:8]
-            curv = riemann_ricci_at(chart, pos)
-            out = np.zeros(36)
-            out[0:4] = vel
-            out[4:8] = -np.einsum("kij,i,j->k", curv.gamma, vel, vel)
-            out[8:12] = -np.einsum("kij,i,j->k", curv.gamma, vel, y[8:12])
-            for col in range(3):
-                base = 12 + 8 * col
-                jj, ww = y[base:base + 4], y[base + 4:base + 8]
-                out[base:base + 4] = ww - np.einsum("kij,i,j->k", curv.gamma, vel, jj)
-                out[base + 4:base + 8] = (
-                    -np.einsum("klij,i,j,l->k", curv.riemann, jj, vel, vel)
-                    - np.einsum("kij,i,j->k", curv.gamma, vel, ww)
-                )
-            return out
-
-    y0 = np.concatenate([q.coords, tangent, n0]
+    y0 = np.concatenate([q.coords, tangent, n0, np.zeros(4)]
                         + [np.concatenate([np.zeros(4), d]) for d in dirs])
-    interp, s1, steps, clipped = _solve(chart, rhs, y0, s_max, rel_tol, abs_tol,
-                                        events=_domain_event(chart))
+    interp, s1, steps, clipped = _solve(chart, _ray_rhs(chart, 4), y0, s_max, rel_tol,
+                                        abs_tol, events=_domain_event(chart))
 
     if grid_n < 2:
         return ConjugateScan((), True, s1)
 
     def det_at(s):
-        y = interp(s)
-        cols = np.stack([y[8:12]] + [y[12 + 8 * c:16 + 8 * c] for c in range(3)], axis=1)
+        cols = interp(s)[8:].reshape(4, 2, 4)[:, 0].T  # the J of each column
         return float(np.linalg.det(cols)) / s**3
 
     grid = np.linspace(s1 / grid_n, s1, grid_n)
@@ -385,86 +397,42 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n,
 
 
 # ---------------------------------------------------------------------------
-# Batched geodesic + Jacobi-column systems
+# Batches of rays
 #
-# State per member: kappa (4), kappa' (4), then n_jac columns of (J, W).
 # Used by the splitting layer, where thousands of rays with their map
-# differentials are integrated per call.  No chart-exit events here; the
-# caller is responsible for keeping batches inside the domain (a freeze
-# guard stops runaway members from stalling the shared step control).
+# differentials are integrated per call.  No chart-exit events here, so
+# the caller keeps batches inside the domain; a freeze guard stops a
+# runaway member from stalling the shared step control.
 # ---------------------------------------------------------------------------
 
-def _batch_rhs(chart: Chart, n_jac: int):
-    width = 8 + 8 * n_jac
+def _freeze_outside(chart: Chart, rhs, width):
+    """Wrap a batch RHS so members outside the domain stop moving.
 
-    if chart.flat:
-        def rhs(s, y):
-            m = y.reshape(-1, width)
-            out = np.zeros_like(m)
-            out[:, 0:4] = m[:, 4:8]
-            for c in range(n_jac):
-                base = 8 + 8 * c
-                out[:, base:base + 4] = m[:, base + 4:base + 8]
-            return out.ravel()
-
+    Such a member is evaluated at _fallback_point and its derivatives are
+    zeroed; while every member is inside, rhs is called unchanged.
+    """
+    if chart.boundary_fn is None:
         return rhs
+    margin = 1e-9 * max(1.0, abs(chart.params.get("R", 1.0)))
 
-    def rhs(s, y):
+    def guarded(s, y):
         m = y.reshape(-1, width)
-        out = np.zeros_like(m)
-        pos, vel = m[:, 0:4], m[:, 4:8]
-        inside = _inside_guard(chart, pos)
-        safe_pos = np.where(inside[:, None], pos, _fallback_point(chart))
-        gam = chart.christoffels(safe_pos)  # (n,4,4,4)
-        out[:, 0:4] = vel
-        out[:, 4:8] = -np.einsum("nkij,ni,nj->nk", gam, vel, vel)
-        if n_jac:
-            riem = _batch_riemann(chart, safe_pos)
-            for col in range(n_jac):
-                base = 8 + 8 * col
-                jj = m[:, base:base + 4]
-                ww = m[:, base + 4:base + 8]
-                out[:, base:base + 4] = ww - np.einsum("nkij,ni,nj->nk", gam, vel, jj)
-                out[:, base + 4:base + 8] = (
-                    -np.einsum("nklij,ni,nj,nl->nk", riem, jj, vel, vel)
-                    - np.einsum("nkij,ni,nj->nk", gam, vel, ww)
-                )
-        out[~inside] = 0.0  # freeze members that left the domain
+        outside = ~(chart.boundary_distance(m[:, :4]) > margin)  # NaN counts as outside
+        if not outside.any():
+            return rhs(s, y)
+        m = m.copy()
+        m[outside, :4] = _fallback_point(chart)
+        out = rhs(s, m.ravel()).reshape(-1, width)
+        out[outside] = 0.0
         return out.ravel()
 
-    return rhs
-
-
-def _inside_guard(chart: Chart, pos):
-    if chart.boundary_fn is None:
-        return np.ones(pos.shape[0], dtype=bool)
-    margin = 1e-9 * max(1.0, abs(chart.params.get("R", 1.0)))
-    return chart.boundary_distance(pos) > margin
+    return guarded
 
 
 def _fallback_point(chart: Chart):
     if chart.name == "schwarzschild":
         return np.array([0.0, 2.0 * chart.params["R"], np.pi / 2.0, 0.0])
     return np.zeros(4)
-
-
-def _batch_riemann(chart: Chart, pos, fd_step=1e-5):
-    """Riemann components for a batch of points via fd of the connection."""
-    if chart.riemann_fn is not None:
-        return chart.riemann_fn(pos)
-    n = pos.shape[0]
-    gamma = chart.christoffels(pos)
-    dgam = np.empty((n, 4, 4, 4, 4))
-    for mu in range(4):
-        h = np.zeros(4)
-        h[mu] = fd_step
-        dgam[..., mu] = (chart.christoffels(pos + h) - chart.christoffels(pos - h)) / (2 * fd_step)
-    return (
-        np.einsum("nkjli->nklij", dgam)
-        - np.einsum("nkilj->nklij", dgam)
-        + np.einsum("nkim,nmjl->nklij", gamma, gamma)
-        - np.einsum("nkjm,nmil->nklij", gamma, gamma)
-    )
 
 
 def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0,
@@ -478,18 +446,6 @@ def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0,
     n, width = y0.shape
     if width != 8 + 8 * n_jac:
         raise InvalidInputError("batch state width does not match n_jac")
-    rhs = _batch_rhs(chart, n_jac)
-    if s_end == 0.0:
-        flat_interp = _const_interp(y0.ravel())
-        return (lambda s: flat_interp(s).reshape(n, width)), 0
-
-    sol = solve_ivp(rhs, (0.0, s_end), y0.ravel(), method="RK45",
-                    dense_output=True, rtol=rel_tol, atol=abs_tol)
-    if sol.status != 0:
-        raise IntegrationError(f"batched integration failed: {sol.message}")
-    dense = sol.sol
-
-    def interp(s):
-        return dense(s).reshape(n, width)
-
-    return interp, len(sol.t) - 1
+    rhs = _freeze_outside(chart, _ray_rhs(chart, n_jac), width)
+    interp, _, steps, _ = _solve(chart, rhs, y0.ravel(), s_end, rel_tol, abs_tol)
+    return (lambda s: interp(s).reshape(n, width)), steps

@@ -327,31 +327,13 @@ def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None,
         )
         return dcols.ravel(order="F")
 
-    y0 = x0[:, 1:].ravel(order="F")
-    interps = {}
-    for target in (lo, hi):
-        if target == tau0:
-            continue
-        sol = solve_ivp(rhs, (tau0, target), y0, method="RK45", dense_output=True,
-                        rtol=rel_tol, atol=abs_tol)
-        if sol.status != 0:
-            raise IntegrationError(f"frame transport failed: {sol.message}")
-        interps["fwd" if target > tau0 else "bwd"] = sol.sol
-
-    def spatial_cols(tau):
-        if tau < lo - 1e-12 or tau > hi + 1e-12:
-            raise InvalidInputError(f"tau={tau} outside transported range [{lo}, {hi}]")
-        if abs(tau - tau0) < 1e-300:
-            return x0[:, 1:].copy()
-        key = "fwd" if tau > tau0 else "bwd"
-        if key not in interps:
-            raise InvalidInputError(f"tau={tau} outside transported range [{lo}, {hi}]")
-        return interps[key](tau).reshape(4, 3, order="F")
+    state = _two_sided(rhs, x0[:, 1:].ravel(order="F"), lo, hi, rel_tol, abs_tol,
+                       "frame transport")
 
     def matrix_fn(tau):
         m = np.empty((4, 4))
         m[:, 0] = curve.velocity(tau) / c
-        m[:, 1:] = spatial_cols(tau)
+        m[:, 1:] = state(tau).reshape(4, 3, order="F")
         return m
 
     def cov_deriv_fn(tau):
@@ -415,10 +397,14 @@ def rotating_frame(base: FrameField, omega, axis=1) -> FrameField:
                       tau_range=base.tau_range)
 
 
-def _integrate_frame_system(chart, rhs, y0, interval, rel_tol, abs_tol, kind):
-    """Shared machinery for coupled worldline+frame integrations."""
-    lo, hi = float(interval[0]), float(interval[1])
+def _two_sided(rhs, y0, lo, hi, rel_tol, abs_tol, what):
+    """Integrate y' = rhs(tau, y) from the base instant out to both ends.
+
+    The base instant is tau = 0 when [lo, hi] straddles it, else lo; y0
+    is the state there.  Returns state(tau), which raises outside [lo, hi].
+    """
     tau0 = 0.0 if lo <= 0.0 <= hi else lo
+    y0 = np.asarray(y0, dtype=float)
     interps = {}
     for target in (lo, hi):
         if target == tau0:
@@ -426,17 +412,24 @@ def _integrate_frame_system(chart, rhs, y0, interval, rel_tol, abs_tol, kind):
         sol = solve_ivp(rhs, (tau0, target), y0, method="RK45", dense_output=True,
                         rtol=rel_tol, atol=abs_tol)
         if sol.status != 0:
-            raise IntegrationError(f"worldline integration failed: {sol.message}")
-        interps["fwd" if target > tau0 else "bwd"] = sol.sol
+            raise IntegrationError(f"{what} failed: {sol.message}")
+        interps[target > tau0] = sol.sol
 
     def state(tau):
         if abs(tau - tau0) < 1e-300:
-            return np.asarray(y0, dtype=float).copy()
-        key = "fwd" if tau > tau0 else "bwd"
-        if key not in interps:
-            raise InvalidInputError(f"tau={tau} outside interval [{lo}, {hi}]")
-        return interps[key](tau)
+            return y0.copy()
+        interp = interps.get(tau > tau0)
+        if interp is None or tau < lo - 1e-12 or tau > hi + 1e-12:
+            raise InvalidInputError(f"tau={tau} outside {what} range [{lo}, {hi}]")
+        return interp(tau)
 
+    return state
+
+
+def _integrate_frame_system(chart, rhs, y0, interval, rel_tol, abs_tol, kind):
+    """Shared machinery for coupled worldline+frame integrations."""
+    lo, hi = float(interval[0]), float(interval[1])
+    state = _two_sided(rhs, y0, lo, hi, rel_tol, abs_tol, "worldline integration")
     c = chart.c
 
     def accel_of(tau):
@@ -480,13 +473,13 @@ def standard_inertial_frame(curve: ObserverCurve) -> FrameField:
         raise InvalidInputError("standard inertial frames require a flat chart")
     c = curve.c
     u = curve.velocity(curve.interval[0])  # constant for inertial flat curves
-    m = _complete_orthonormal(curve.chart.metric(curve.position(curve.interval[0])), u / c)
+    m = complete_orthonormal(curve.chart.metric(curve.position(curve.interval[0])), u / c)
     zero = np.zeros((4, 4))
     return FrameField(curve=curve, matrix_fn=lambda tau: m.copy(),
                       cov_deriv_fn=lambda tau: zero.copy(), kind="fermi-walker")
 
 
-def _complete_orthonormal(g, e0):
+def complete_orthonormal(g, e0):
     """Gram-Schmidt completion of a unit timelike vector to a frame.
 
     Signature (+,-,-,-): spatial columns are normalized to g(e,e) = -1.

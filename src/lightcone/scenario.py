@@ -11,6 +11,7 @@ feeds the manifest hash, so cosmetic edits never change it.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .lorentz import Event
 from .observers import (
     FrameField,
     ObserverCurve,
+    complete_orthonormal,
     fermi_walker_transport,
     make_inertial_observer,
     make_uniformly_accelerated_observer,
@@ -107,8 +109,8 @@ class Scenario:
     def build_chart(self) -> Chart:
         name = self.get("spacetime.name", kind=str)
         c = self.get("spacetime.c_m_per_s", 1.0)
-        if c <= 0:
-            raise ConfigError("spacetime.c_m_per_s must be positive")
+        if not (math.isfinite(c) and c > 0):
+            raise ConfigError("spacetime.c_m_per_s must be a positive finite number")
         if name == "minkowski":
             return minkowski(c)
         if name == "schwarzschild":
@@ -182,13 +184,21 @@ class Scenario:
         lo = self.get("invert.tau_min_s", curve.interval[0])
         hi = self.get("invert.tau_max_s", curve.interval[1])
         center = self.get("invert.x_center_m", [0.0, 0.0, 0.0], kind=list)
+        box = self.get("invert.x_box_m", 6.0)
+        if not (math.isfinite(box) and box >= 0):
+            raise ConfigError("invert.x_box_m must be a non-negative finite number")
+        n_tau = self.get("invert.n_tau", 9, kind=int)
+        n_x = self.get("invert.n_x", 9, kind=int)
+        top_k = self.get("invert.top_k", 16, kind=int)
+        if min(n_tau, n_x, top_k) < 1:
+            raise ConfigError("invert.n_tau, invert.n_x and invert.top_k must be at least 1")
         return MultistartConfig(
             tau_range=(lo, hi),
-            x_halfwidth=self.get("invert.x_box_m", 6.0),
+            x_halfwidth=box,
             x_center=tuple(center),
-            n_tau=self.get("invert.n_tau", 9, kind=int),
-            n_x=self.get("invert.n_x", 9, kind=int),
-            top_k=self.get("invert.top_k", 16, kind=int),
+            n_tau=n_tau,
+            n_x=n_x,
+            top_k=top_k,
             max_iter=self.get("invert.max_newton", 50, kind=int),
             inv_tol=self.get("tol.inv", 1e-10),
             merge_tol=self.get("tol.merge", 1e-6),
@@ -198,20 +208,16 @@ class Scenario:
 
 def _initial_frame(chart, curve):
     """Orthonormal right-handed completion of the tangent at the base instant."""
-    from .observers import _complete_orthonormal
-
     lo, hi = curve.interval
     tau0 = 0.0 if lo <= 0.0 <= hi else lo
     g = chart.metric(curve.position(tau0))
-    return _complete_orthonormal(g, curve.velocity(tau0) / chart.c)
+    return complete_orthonormal(g, curve.velocity(tau0) / chart.c)
 
 
 def _initial_frame_at(chart, coords):
-    from .observers import _complete_orthonormal
-
     g = chart.metric(np.asarray(coords, dtype=float))
     ref = chart.reference_frame(np.asarray(coords, dtype=float))
-    return _complete_orthonormal(g, ref[:, 0])
+    return complete_orthonormal(g, ref[:, 0])
 
 
 def load_scenario(path) -> Scenario:

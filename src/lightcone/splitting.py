@@ -370,6 +370,9 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
     if len(targets) == 0:
         return []
     starts = _start_grid(search)
+    if not starts:
+        raise InvalidInputError("the multistart grid is empty: its only point is the "
+                                "excluded observer position x = 0")
     ev, _ = _eval_batch(chart, frames, starts, False, rel_tol, abs_tol)
     start_arr = np.array([[s[0], *s[1]] for s in starts])
 

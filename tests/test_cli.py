@@ -221,6 +221,36 @@ class TestInvert:
         assert not (tmp_path / "preimages.csv").exists()
 
 
+    @pytest.mark.parametrize("setting,value", [
+        ("invert.n_tau", "0"), ("invert.n_x", "0"), ("invert.top_k", "0"),
+        ("invert.x_box_m", "-1"), ("invert.x_box_m", "nan"), ("invert.x_box_m", "inf"),
+    ])
+    def test_bad_search_rejected(self, tmp_path, setting, value):
+        scn_text = (SCN_DIR / "minkowski_inertial.scn").read_text()
+        old = next(l for l in scn_text.splitlines() if l.startswith(setting))
+        scn_file = tmp_path / "bad.scn"
+        scn_file.write_text(scn_text.replace(old, f"{setting} = {value}"))
+        targets = tmp_path / "targets.txt"
+        targets.write_text("5 3 4 0\n")
+        rc = main(["--scenario", str(scn_file), "--out", str(tmp_path),
+                   "invert", "--targets", str(targets)])
+        assert rc == 2
+        assert not (tmp_path / "preimages.csv").exists()
+
+    def test_empty_start_grid_is_a_numerical_failure(self, tmp_path):
+        scn_text = (SCN_DIR / "minkowski_inertial.scn").read_text()
+        scn_text = scn_text.replace("invert.x_box_m = 6", "invert.x_box_m = 0")
+        scn_text = scn_text.replace("invert.n_x = 5", "invert.n_x = 1")
+        scn_file = tmp_path / "origin.scn"
+        scn_file.write_text(scn_text)
+        targets = tmp_path / "targets.txt"
+        targets.write_text("5 3 4 0\n")
+        rc = main(["--scenario", str(scn_file), "--out", str(tmp_path),
+                   "invert", "--targets", str(targets)])
+        assert rc == 3
+        assert not (tmp_path / "preimages.csv").exists()
+
+
 class TestObserve:
     def test_comoving_clock_rates(self, tmp_path):
         rc = main(["--scenario", str(SCN_DIR / "accel_rotating.scn"),
@@ -294,6 +324,14 @@ class TestNewtonLimit:
         _, rows = read_csv(tmp_path / "limit_residuals.csv")
         for row in rows:
             assert float(row[1]) <= 1e-10  # max |tau_dot - 1|
+
+
+    @pytest.mark.parametrize("c_list", ["1,abc", "1,nan", "1,inf"])
+    def test_bad_c_list_rejected(self, tmp_path, c_list):
+        rc = main(["--scenario", str(SCN_DIR / "sr_limit_sweep.scn"),
+                   "--out", str(tmp_path), "newton-limit", "--c-list", c_list])
+        assert rc == 2
+        assert not (tmp_path / "limit_residuals.csv").exists()
 
 
 class TestValidate:

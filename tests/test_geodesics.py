@@ -12,6 +12,8 @@ from lightcone.errors import (
 )
 from lightcone.geodesics import (
     GeodesicIVP,
+    _freeze_outside,
+    _ray_rhs,
     detect_conjugate,
     exp_differential,
     exp_map,
@@ -252,3 +254,28 @@ def test_batch_matches_single():
     state = interp(1.0)[0]
     assert np.max(np.abs(state[:4] - sol.position(1.0))) <= 1e-10
     assert np.max(np.abs(state[8:12] - jac.value(1.0))) <= 1e-9
+
+
+def test_jacobi_is_the_batch_column():
+    # both run one right-hand side from the same initial state, so the
+    # field agrees bit for bit
+    q, vel = sw_event(), np.array([1.2, 0.0, 0.0, 0.04])
+    j0, dj0 = np.array([0.02, 0.1, -0.03, 0.0]), np.array([0.1, -0.2, 0.05, 0.3])
+    sol = integrate_geodesic(SW, GeodesicIVP(q, vel), 1.0)
+    jac = integrate_jacobi(SW, sol, j0, dj0)
+    y0 = np.concatenate([q.coords, vel, j0, dj0])[None, :]
+    interp, _ = integrate_batch(SW, y0, n_jac=1, s_end=1.0)
+    assert np.array_equal(jac.value(1.0), interp(1.0)[0, 8:12])
+
+
+def test_batch_freezes_members_outside_the_domain():
+    inside = np.concatenate([sw_event().coords, [1.2, -0.3, 0.0, 0.02]])
+    fallen = np.concatenate([[0.0, 0.5, np.pi / 2, 0.0], [1.2, -0.3, 0.0, 0.02]])
+    rhs = _ray_rhs(SW, 0)
+    guarded = _freeze_outside(SW, rhs, 8)
+    # all inside: the plain right-hand side; one outside: only it stops
+    both = np.stack([inside, inside]).ravel()
+    assert np.array_equal(guarded(0.0, both), rhs(0.0, both))
+    out = guarded(0.0, np.stack([inside, fallen]).ravel()).reshape(2, 8)
+    assert np.array_equal(out[0], rhs(0.0, inside))
+    assert np.array_equal(out[1], np.zeros(8))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lightcone.charts import metric_at, minkowski, schwarzschild
-from lightcone.errors import CausalDomainError
+from lightcone.errors import CausalDomainError, InvalidInputError
 from lightcone.geodesics import GeodesicIVP, integrate_geodesic, parallel_transport
 from lightcone.lorentz import ETA, Event, gram_matrix, validate_frame_of_reference
 from lightcone.observers import (
@@ -243,3 +243,12 @@ class TestProgrammedObserver:
         for tau in np.linspace(0, 4, 9):
             u = cur.velocity(tau)
             assert abs(float(u @ ETA @ u) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("tau", [-3.5, 3.5])
+    def test_frame_outside_interval_rejected(self, tau):
+        _, ff = make_programmed_observer(
+            MK, Event("minkowski", np.zeros(4)), np.eye(4),
+            lambda t: np.array([0.5, 0.0, 0.0]), interval=(-3, 3))
+        ff.matrix(3.0)
+        with pytest.raises(InvalidInputError):
+            ff.matrix(tau)

@@ -258,6 +258,13 @@ class TestInversion:
             worst = max(worst, best)
         assert worst <= 1e-8
 
+    def test_empty_start_grid_rejected(self, inertial):
+        # a one-point box at the origin holds only the excluded x = 0
+        _, ff = inertial
+        cfg = search_box(half=0.0, n_x=1)
+        with pytest.raises(InvalidInputError):
+            invert_many(MK, ff, [[5.0, 3.0, 4.0, 0.0]], cfg)
+
     def test_seed_count_clipped_to_start_grid(self, inertial):
         # top_k larger than the two-point start grid: every start seeds
         # each target, in the batched and in the single-target path
