@@ -6,6 +6,12 @@ designated right-handed orthonormal reference frame used for orientation
 checks.  Two analytic models ship built in (flat Minkowski and exterior
 Schwarzschild); anything else goes through the finite-difference path.
 
+Connection derivatives dgam[..., k, i, j, m] = d_m Gamma^k_ij drive the
+Jacobi columns of the ray integrator and the curvature checks.  A chart
+may supply them in closed form as christoffel_deriv_fn, a model
+capability like christoffel_fn; without it Chart.christoffel_derivs takes
+central differences of the connection along the four coordinate axes.
+
 All evaluators are vectorized over a leading batch axis: coords may be
 shaped (4,) or (n, 4).
 """
@@ -38,6 +44,7 @@ class Chart:
     boundary_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     flat: bool = False
     params: dict = field(default_factory=dict)
+    christoffel_deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def metric(self, coords):
         return self.metric_fn(np.asarray(coords, dtype=float))
@@ -52,6 +59,20 @@ class Chart:
         if self.christoffel_fn is not None:
             return self.christoffel_fn(np.asarray(coords, dtype=float))
         return _fd_christoffels(self, np.asarray(coords, dtype=float), fd_step)
+
+    def christoffel_derivs(self, coords, fd_step=1e-5):
+        """dgam[..., k, i, j, m] = d_m Gamma^k_ij, closed form if the chart has one."""
+        coords = np.asarray(coords, dtype=float)
+        if self.christoffel_deriv_fn is not None:
+            return self.christoffel_deriv_fn(coords)
+        dgam = np.empty(coords.shape[:-1] + (4, 4, 4, 4))
+        for m in range(4):
+            h = np.zeros(4)
+            h[m] = fd_step
+            dgam[..., m] = (
+                self.christoffels(coords + h, fd_step) - self.christoffels(coords - h, fd_step)
+            ) / (2.0 * fd_step)
+        return dgam
 
     def boundary_distance(self, coords):
         """Positive inside the domain, crossing zero at the boundary."""
@@ -96,6 +117,7 @@ def minkowski(c=1.0) -> Chart:
         boundary_fn=None,
         flat=True,
         params={"c": float(c)},
+        christoffel_deriv_fn=lambda coords: np.zeros(np.asarray(coords).shape[:-1] + (4,) * 4),
     )
 
 
@@ -167,6 +189,30 @@ def schwarzschild(radius, c=1.0) -> Chart:
         gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
         return gam[0] if single else gam
 
+    def christoffel_deriv_fn(coords):
+        # only d_r (m = 1) and d_theta (m = 2) are nonzero
+        coords = np.asarray(coords, dtype=float)
+        single = coords.ndim == 1
+        pts = np.atleast_2d(coords)
+        r, th = pts[:, 1], pts[:, 2]
+        f = 1.0 - radius / r
+        fp = radius / r**2  # df/dr
+        fpp = -2.0 * radius / r**3
+        sin, cos = np.sin(th), np.cos(th)
+        dgam = np.zeros((pts.shape[0], 4, 4, 4, 4))
+        d_ratio = (fpp * f - fp**2) / (2.0 * f**2)  # d/dr of fp / (2 f)
+        dgam[:, 0, 0, 1, 1] = dgam[:, 0, 1, 0, 1] = d_ratio
+        dgam[:, 1, 0, 0, 1] = (fp**2 + f * fpp) / 2.0
+        dgam[:, 1, 1, 1, 1] = -d_ratio
+        dgam[:, 1, 2, 2, 1] = -(fp * r + f)
+        dgam[:, 1, 3, 3, 1] = -(fp * r + f) * sin**2
+        dgam[:, 1, 3, 3, 2] = -2.0 * f * r * sin * cos
+        dgam[:, 2, 1, 2, 1] = dgam[:, 2, 2, 1, 1] = -1.0 / r**2
+        dgam[:, 2, 3, 3, 2] = sin**2 - cos**2
+        dgam[:, 3, 1, 3, 1] = dgam[:, 3, 3, 1, 1] = -1.0 / r**2
+        dgam[:, 3, 2, 3, 2] = dgam[:, 3, 3, 2, 2] = -1.0 / sin**2
+        return dgam[0] if single else dgam
+
     return Chart(
         name="schwarzschild",
         c=float(c),
@@ -178,6 +224,7 @@ def schwarzschild(radius, c=1.0) -> Chart:
         boundary_fn=boundary_fn,
         flat=False,
         params={"c": float(c), "R": radius},
+        christoffel_deriv_fn=christoffel_deriv_fn,
     )
 
 
@@ -216,7 +263,10 @@ def christoffels_at(chart: Chart, coords, fd_step=1e-5) -> np.ndarray:
 
 
 def riemann_ricci_at(chart: Chart, coords, fd_step=1e-5) -> CurvatureSample:
-    """Curvature components from central differences of the connection.
+    """Curvature components from the connection and its derivatives.
+
+    The derivatives come from Chart.christoffel_derivs: closed form when
+    the chart has christoffel_deriv_fn, else central differences.
 
     riemann[k, l, i, j] are the components of R(e_i, e_j) e_l in the
     commutator convention nabla_i nabla_j - nabla_j nabla_i - nabla_[i,j];
@@ -230,13 +280,7 @@ def riemann_ricci_at(chart: Chart, coords, fd_step=1e-5) -> CurvatureSample:
     if chart.riemann_fn is not None:
         riem = chart.riemann_fn(coords)
     else:
-        dgam = np.empty((4, 4, 4, 4))  # dgam[k, i, j, m] = d gamma^k_ij / d x^m
-        for m in range(4):
-            h = np.zeros(4)
-            h[m] = fd_step
-            dgam[:, :, :, m] = (
-                chart.christoffels(coords + h, fd_step) - chart.christoffels(coords - h, fd_step)
-            ) / (2.0 * fd_step)
+        dgam = chart.christoffel_derivs(coords, fd_step)
         # R^k_{l ij} = d_i gamma^k_jl - d_j gamma^k_il
         #             + gamma^k_im gamma^m_jl - gamma^k_jm gamma^m_il
         riem = (

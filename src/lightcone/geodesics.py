@@ -11,6 +11,13 @@ integrate_jacobi (1), detect_conjugate (4) and integrate_batch (any) all
 run it through _solve.  Only integrate_batch, which has no chart-exit
 event, freezes members that leave the domain; parallel_transport solves
 its own (different) equation.
+
+A Jacobi column is integrated as the coordinate variation (dx, dv) of the
+ray, whose variational equation needs the connection and its first
+derivatives (Chart.christoffel_derivs) but no curvature; then J = dx
+exactly.  Callers see the covariant layout (J, W), W = DJ/ds: one helper,
+_convert_columns, sets dv = W - Gamma(kappa', J) before a solve and
+W = dv + Gamma(kappa', dx) on read-out.
 """
 
 from dataclasses import dataclass
@@ -94,19 +101,23 @@ class TransportSolution(DenseSolution):
 class JacobiSolution(DenseSolution):
     """Jacobi field J and its covariant derivative along a geodesic.
 
-    The state is the ray (kappa, kappa') followed by (J, W).
+    The state is the ray (kappa, kappa') followed by the variation
+    (dx, dv), with J = dx (see _ray_rhs).
     """
 
-    def __init__(self, interp, s0, s1, steps, clipped, along):
+    def __init__(self, interp, s0, s1, steps, clipped, along, chart):
         super().__init__(interp, s0, s1, steps, clipped, 16)
         self.along = along
+        self.chart = chart
 
     def value(self, s):
         return self.state(s)[8:12]
 
     def derivative(self, s):
         """Covariant derivative of J along the geodesic at s."""
-        return self.state(s)[12:16]
+        st = self.state(s)
+        w = _convert_columns(self.chart, np.atleast_2d(st.T), +1)[:, 12:16]
+        return w[0] if st.ndim == 1 else w.T
 
 
 def _const_interp(y0):
@@ -166,10 +177,15 @@ def _ray_rhs(chart: Chart, n_jac: int):
     """Right-hand side for a stack of rays, each with n_jac Jacobi columns.
 
     The flat state holds (n, 8 + 8*n_jac) rows: kappa (4), kappa' (4),
-    then n_jac columns (J, W), W the covariant derivative of J:
+    then n_jac columns (dx, dv), the coordinate variation of the ray and
+    of its velocity (the variational equation, Hairer-Norsett-Wanner,
+    Solving ODEs I, sec. I.14):
         kappa''^k = -Gamma^k_ij kappa'^i kappa'^j
-        J'^k = W^k - Gamma^k_ij kappa'^i J^j
-        W'^k = -Gamma^k_ij kappa'^i W^j - R^k_{l i j} J^i kappa'^j kappa'^l
+        dx'^k = dv^k
+        dv'^k = -d_m Gamma^k_ij kappa'^i kappa'^j dx^m - 2 Gamma^k_ij kappa'^i dv^j
+    The Jacobi field is J = dx exactly; its covariant derivative is
+    W = dv + Gamma(kappa', dx) (see _convert_columns).  No curvature
+    tensor is formed.
     """
     shape = (-1, 1 + n_jac, 2, 4)  # member, (ray, columns), (value, derivative)
 
@@ -190,35 +206,38 @@ def _ray_rhs(chart: Chart, n_jac: int):
         out[:, 0, 0] = vel
         out[:, 0, 1] = -np.einsum("nkij,ni,nj->nk", gam, vel, vel)
         if n_jac:
-            riem = _batch_riemann(chart, pos)
-            jj, ww = m[:, 1:, 0], m[:, 1:, 1]
-            out[:, 1:, 0] = ww - np.einsum("nkij,ni,ncj->nck", gam, vel, jj)
-            out[:, 1:, 1] = (
-                -np.einsum("nklij,nci,nj,nl->nck", riem, jj, vel, vel)
-                - np.einsum("nkij,ni,ncj->nck", gam, vel, ww)
-            )
+            n = len(m)
+            row = vel[:, None, None, :]
+            vv = (vel[:, :, None] * vel[:, None, :]).reshape(n, 1, 1, 16)
+            # coef[n, k] = (d_m Gamma^k(kappa', kappa'), 2 Gamma^k_ij kappa'^i), width 8;
+            # matmul over the flattened (i, j) pair beat einsum at n = 1, 20 and 400
+            coef = np.concatenate([
+                np.matmul(vv, chart.christoffel_derivs(pos).reshape(n, 4, 16, 4)),
+                2.0 * np.matmul(row, gam),
+            ], axis=-1)[:, :, 0]
+            cols = m[:, 1:]
+            out[:, 1:, 0] = cols[:, :, 1]
+            out[:, 1:, 1] = -np.matmul(cols.reshape(n, n_jac, 8), coef.transpose(0, 2, 1))
         return out.ravel()
 
     return rhs
 
 
-def _batch_riemann(chart: Chart, pos, fd_step=1e-5):
-    """Riemann components for a batch of points via fd of the connection."""
-    if chart.riemann_fn is not None:
-        return chart.riemann_fn(pos)
-    n = pos.shape[0]
-    gamma = chart.christoffels(pos)
-    dgam = np.empty((n, 4, 4, 4, 4))
-    for mu in range(4):
-        h = np.zeros(4)
-        h[mu] = fd_step
-        dgam[..., mu] = (chart.christoffels(pos + h) - chart.christoffels(pos - h)) / (2 * fd_step)
-    return (
-        np.einsum("nkjli->nklij", dgam)
-        - np.einsum("nkilj->nklij", dgam)
-        + np.einsum("nkim,nmjl->nklij", gamma, gamma)
-        - np.einsum("nkjm,nmil->nklij", gamma, gamma)
-    )
+def _convert_columns(chart: Chart, states, sign):
+    """Move ray states between the (J, W) and (dx, dv) column layouts.
+
+    states: (n, 8 + 8*n_jac).  J = dx in both; each column's second half
+    becomes W + sign * Gamma^k_ij kappa'^i J^j, so sign = -1 maps the
+    public (J, W) to the integrated (dx, dv) and sign = +1 maps back.
+    Returns a new array.
+    """
+    states = np.array(states, dtype=float)
+    if chart.flat or states.shape[-1] == 8:
+        return states
+    m = states.reshape(len(states), -1, 2, 4)
+    gv = np.einsum("nkij,ni->nkj", chart.christoffels(m[:, 0, 0]), m[:, 0, 1])
+    m[:, 1:, 1] += sign * np.einsum("nkj,ncj->nck", gv, m[:, 1:, 0])
+    return states
 
 
 def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end, rel_tol=REL_TOL,
@@ -286,14 +305,15 @@ def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0,
 
     The geodesic is integrated again together with the field, from its
     stored initial data to its end parameter, as a ray with one Jacobi
-    column (J, W), W the covariant derivative of J (see _ray_rhs).  The
+    column: j0 = J(0) and dj0 = W(0), the covariant derivative of J.  The
     stored solution is kept as `along`.
     """
     y0 = np.concatenate([geodesic.position(0.0), geodesic.velocity(0.0),
                          np.asarray(j0, dtype=float), np.asarray(dj0, dtype=float)])
+    y0 = _convert_columns(chart, y0[None, :], -1)[0]
     interp, s1, steps, clipped = _solve(chart, _ray_rhs(chart, 1), y0, geodesic.s1,
                                         rel_tol, abs_tol)
-    return JacobiSolution(interp, 0.0, s1, steps, clipped, geodesic)
+    return JacobiSolution(interp, 0.0, s1, steps, clipped, geodesic, chart)
 
 
 def exp_differential(chart: Chart, q: Event, tangent, base_dir, fiber_dir,
@@ -362,6 +382,7 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n,
 
     y0 = np.concatenate([q.coords, tangent, n0, np.zeros(4)]
                         + [np.concatenate([np.zeros(4), d]) for d in dirs])
+    y0 = _convert_columns(chart, y0[None, :], -1)[0]  # transversal: dv(0) = -Gamma(K, N)
     interp, s1, steps, clipped = _solve(chart, _ray_rhs(chart, 4), y0, s_max, rel_tol,
                                         abs_tol, events=_domain_event(chart))
 
@@ -439,13 +460,15 @@ def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0,
                     rel_tol=REL_TOL, abs_tol=ABS_TOL):
     """Integrate n stacked geodesic(+Jacobi) systems over one interval.
 
-    y0: (n, 8 + 8*n_jac) initial states.  Returns a callable interp(s)
-    giving states shaped (n, width), plus the step count.
+    y0: (n, 8 + 8*n_jac) initial states, each column (J, W).  Returns a
+    callable interp(s) giving states shaped (n, width) in the same
+    layout, plus the step count.
     """
     y0 = np.asarray(y0, dtype=float)
     n, width = y0.shape
     if width != 8 + 8 * n_jac:
         raise InvalidInputError("batch state width does not match n_jac")
     rhs = _freeze_outside(chart, _ray_rhs(chart, n_jac), width)
+    y0 = _convert_columns(chart, y0, -1)
     interp, _, steps, _ = _solve(chart, rhs, y0.ravel(), s_end, rel_tol, abs_tol)
-    return (lambda s: interp(s).reshape(n, width)), steps
+    return (lambda s: _convert_columns(chart, interp(s).reshape(n, width), +1)), steps

@@ -90,10 +90,11 @@ class Scenario:
                 raise ConfigError(f"missing required setting {key!r}")
             return default
         raw = self.values[key]
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
+        if kind in (float, int):
+            try:
+                return kind(raw)
+            except ValueError as exc:
+                raise ConfigError(f"setting {key!r} expects {kind.__name__}, got {raw!r}") from exc
         if kind is str:
             return raw
         if kind is list:

@@ -229,19 +229,13 @@ _CHUNK = 512  # targets per Newton batch in invert_many
 
 
 def _start_grid(cfg: MultistartConfig):
+    """Multistart points (tau, x), tau-major then x1, x2, x3; x = 0 excluded."""
     taus = np.linspace(cfg.tau_range[0], cfg.tau_range[1], cfg.n_tau)
     axes = [np.linspace(c - cfg.x_halfwidth, c + cfg.x_halfwidth, cfg.n_x)
             for c in cfg.x_center]
-    pts = []
-    for tau in taus:
-        for x1 in axes[0]:
-            for x2 in axes[1]:
-                for x3 in axes[2]:
-                    x = np.array([x1, x2, x3])
-                    if np.linalg.norm(x) < 1e-9 * max(1.0, cfg.x_halfwidth):
-                        continue
-                    pts.append((tau, x))
-    return pts
+    grid = np.stack(np.meshgrid(taus, *axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    keep = ~(np.linalg.norm(grid[:, 1:], axis=1) < 1e-9 * max(1.0, cfg.x_halfwidth))
+    return [(tau, x) for tau, x in zip(grid[keep, 0], grid[keep, 1:])]
 
 
 def _tau_bounds(frames):

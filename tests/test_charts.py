@@ -15,9 +15,10 @@ from lightcone.charts import (
     schwarzschild,
 )
 from lightcone.errors import InvalidInputError, OutOfChartError
+from lightcone.geodesics import integrate_batch
 from lightcone.lorentz import ETA, validate_metric
 from lightcone.scenario import load_scenario
-from lightcone.splitting import _eval_batch
+from lightcone.splitting import _eval_batch, _map_states
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,50 @@ def test_metric_only_chart_batched(sw):
                                 frames, obs, True, *tols)
     assert np.max(np.abs(ev_mo - ev)) <= 1e-9
     assert np.max(np.abs(jac_mo - jac)) <= 1e-7 * max(1.0, np.max(np.abs(jac)))
+
+
+def test_metric_only_chart_jacobian_steps():
+    # without analytic connection or derivatives the Jacobian columns take
+    # central differences of fd Christoffels; their noise must not drive
+    # the shared step control to tiny steps
+    scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                        / "schwarzschild_faller.scn")
+    chart = scn.build_chart()
+    frames = scn.build_frames(chart, scn.build_observer(chart))
+    rays = [(0.3, (1.0, 0.5, 0.2)), (-1.0, (-0.8, 0.6, 0.3))]
+    y0 = _map_states(frames, [(tau, np.array(x)) for tau, x in rays], True)
+    interp, steps = integrate_batch(chart, y0, n_jac=4, rel_tol=1e-8)
+    mo = dataclasses.replace(chart, christoffel_fn=None, christoffel_deriv_fn=None)
+    interp_mo, steps_mo = integrate_batch(mo, y0, n_jac=4, rel_tol=1e-8)
+    assert steps_mo <= 2 * steps
+    out, out_mo = interp(1.0), interp_mo(1.0)
+    cols = np.r_[8:12, 16:20, 24:28, 32:36]  # the J of each column
+    assert (np.max(np.abs(out_mo[:, cols] - out[:, cols]))
+            <= 1e-7 * np.max(np.abs(out[:, cols])))
+
+
+def test_schwarzschild_christoffel_derivs_closed_form(sw):
+    # criterion 8's grid: the closed form against central differences of
+    # the analytic connection
+    step = 1e-5
+    for r in np.linspace(1.5, 12.0, 5):
+        for th in np.linspace(0.3, np.pi - 0.3, 4):
+            coords = np.array([0.0, r, th, 0.4])
+            dgam = sw.christoffel_derivs(coords)
+            assert dgam.shape == (4, 4, 4, 4)
+            for m in range(4):
+                h = np.zeros(4)
+                h[m] = step
+                fd = (sw.christoffels(coords + h) - sw.christoffels(coords - h)) / (2 * step)
+                assert np.max(np.abs(dgam[..., m] - fd)) <= 1e-6
+            assert np.array_equal(dgam, dgam.transpose(0, 2, 1, 3))
+            assert not dgam[..., 0].any() and not dgam[..., 3].any()
+    pts = np.array([[0.0, 3.0, 1.0, 0.2], [0.0, 5.0, 2.0, 0.1]])
+    assert np.array_equal(sw.christoffel_derivs(pts)[1], sw.christoffel_derivs(pts[1]))
+
+
+def test_minkowski_christoffel_derivs_vanish():
+    assert not minkowski().christoffel_derivs(np.zeros((3, 4))).any()
 
 
 def test_christoffel_symmetry(sw):

@@ -376,6 +376,23 @@ class TestValidate:
         assert rc == 2
 
 
+@pytest.mark.parametrize("scn_name,setting,value,command", [
+    ("minkowski_inertial.scn", "invert.n_tau", "five", "invert"),
+    ("schwarzschild_faller.scn", "spacetime.c_m_per_s", "fast", "trace-cone"),
+])
+def test_non_numeric_setting_rejected(tmp_path, capsys, scn_name, setting, value, command):
+    scn_text = (SCN_DIR / scn_name).read_text()
+    old = next(l for l in scn_text.splitlines() if l.startswith(setting))
+    scn_file = tmp_path / "bad.scn"
+    scn_file.write_text(scn_text.replace(old, f"{setting} = {value}"))
+    targets = tmp_path / "targets.txt"
+    targets.write_text("5 3 4 0\n")
+    extra = ["--targets", str(targets)] if command == "invert" else []
+    rc = main(["--scenario", str(scn_file), "--out", str(tmp_path), command, *extra])
+    assert rc == 2
+    assert setting in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("nonsense without equals\n")

@@ -180,6 +180,25 @@ class TestJacobi:
                 pairing = float(jac.value(s) @ g @ sol.velocity(s))
                 assert abs(pairing - (slope * s + offset)) <= 1e-7
 
+    def test_derivative_is_covariant(self):
+        # W = dJ/ds + Gamma(kappa', J), from a central difference of the
+        # dense output
+        sol = integrate_geodesic(SW, GeodesicIVP(sw_event(), [1.2, -0.3, 0.0, 0.04]), 5.0)
+        j0, dj0 = np.array([0.02, 0.1, -0.03, 0.05]), np.array([0.1, -0.2, 0.05, 0.3])
+        jac = integrate_jacobi(SW, sol, j0, dj0)
+        assert np.max(np.abs(jac.derivative(0.0) - dj0)) <= 1e-12
+        h = 1e-4
+        svals = np.array([0.5, 2.0, 3.5, 4.9])
+        for s in svals:
+            dj = (jac.value(s + h) - jac.value(s - h)) / (2 * h)
+            vel = jac.state(s)[4:8]
+            expected = dj + np.einsum("kij,i,j->k", SW.christoffels(jac.state(s)[:4]),
+                                      vel, jac.value(s))
+            assert np.max(np.abs(jac.derivative(s) - expected)) <= 1e-6
+        stacked = jac.derivative(svals)
+        assert stacked.shape == (4, len(svals))
+        assert np.allclose(stacked[:, 1], jac.derivative(svals[1]), rtol=0, atol=1e-14)
+
 
 class TestExpDifferential:
     def test_vertical_lift_inverse(self):

@@ -265,6 +265,21 @@ class TestInversion:
         with pytest.raises(InvalidInputError):
             invert_many(MK, ff, [[5.0, 3.0, 4.0, 0.0]], cfg)
 
+    def test_start_grid_order(self):
+        # tau-major, then x1, x2, x3, with the origin left out
+        cfg = MultistartConfig(tau_range=(-1.0, 2.0), x_halfwidth=1.0, n_tau=2, n_x=3,
+                               top_k=1)
+        taus = np.linspace(-1.0, 2.0, 2)
+        axis = np.linspace(-1.0, 1.0, 3)
+        expected = [(tau, np.array([x1, x2, x3]))
+                    for tau in taus for x1 in axis for x2 in axis for x3 in axis
+                    if (x1, x2, x3) != (0.0, 0.0, 0.0)]
+        grid = splitting._start_grid(cfg)
+        assert len(grid) == len(expected) == 2 * 26
+        for (tau, x), (tau_e, x_e) in zip(grid, expected):
+            assert tau == tau_e
+            assert np.array_equal(x, x_e)
+
     def test_seed_count_clipped_to_start_grid(self, inertial):
         # top_k larger than the two-point start grid: every start seeds
         # each target, in the batched and in the single-target path
