@@ -40,7 +40,6 @@ class Chart:
     domain_fn: Callable[[np.ndarray], np.ndarray]
     reference_frame_fn: Callable[[np.ndarray], np.ndarray]
     christoffel_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    riemann_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     boundary_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     flat: bool = False
     params: dict = field(default_factory=dict)
@@ -113,7 +112,6 @@ def minkowski(c=1.0) -> Chart:
         domain_fn=domain_fn,
         reference_frame_fn=frame_fn,
         christoffel_fn=lambda coords: np.zeros(np.asarray(coords).shape[:-1] + (4, 4, 4)),
-        riemann_fn=lambda coords: np.zeros(np.asarray(coords).shape[:-1] + (4, 4, 4, 4)),
         boundary_fn=None,
         flat=True,
         params={"c": float(c)},
@@ -220,7 +218,6 @@ def schwarzschild(radius, c=1.0) -> Chart:
         domain_fn=domain_fn,
         reference_frame_fn=frame_fn,
         christoffel_fn=christoffel_fn,
-        riemann_fn=None,
         boundary_fn=boundary_fn,
         flat=False,
         params={"c": float(c), "R": radius},
@@ -277,17 +274,14 @@ def riemann_ricci_at(chart: Chart, coords, fd_step=1e-5) -> CurvatureSample:
     if not chart.contains(coords):
         raise OutOfChartError(f"{coords} lies outside the {chart.name} chart domain")
     gamma = chart.christoffels(coords, fd_step)
-    if chart.riemann_fn is not None:
-        riem = chart.riemann_fn(coords)
-    else:
-        dgam = chart.christoffel_derivs(coords, fd_step)
-        # R^k_{l ij} = d_i gamma^k_jl - d_j gamma^k_il
-        #             + gamma^k_im gamma^m_jl - gamma^k_jm gamma^m_il
-        riem = (
-            np.einsum("kjli->klij", dgam)
-            - np.einsum("kilj->klij", dgam)
-            + np.einsum("kim,mjl->klij", gamma, gamma)
-            - np.einsum("kjm,mil->klij", gamma, gamma)
-        )
+    dgam = chart.christoffel_derivs(coords, fd_step)
+    # R^k_{l ij} = d_i gamma^k_jl - d_j gamma^k_il
+    #             + gamma^k_im gamma^m_jl - gamma^k_jm gamma^m_il
+    riem = (
+        np.einsum("kjli->klij", dgam)
+        - np.einsum("kilj->klij", dgam)
+        + np.einsum("kim,mjl->klij", gamma, gamma)
+        - np.einsum("kjm,mil->klij", gamma, gamma)
+    )
     ricci = np.einsum("klkj->lj", riem)
     return CurvatureSample(gamma=gamma, riemann=riem, ricci=ricci)

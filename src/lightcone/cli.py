@@ -22,7 +22,7 @@ from . import newtonian as nl
 from . import splitting as sp
 from .charts import metric_at, riemann_ricci_at
 from .errors import ConfigError, LightconeError
-from .geodesics import GeodesicIVP, integrate_geodesic
+from .geodesics import GeodesicIVP, integrate_geodesic, integrate_jacobi
 from .lorentz import ETA, Event, gram_matrix, validate_frame_of_reference
 from .observers import make_inertial_observer
 from .scenario import TOOL_VERSION, Scenario, apply_overrides, load_scenario
@@ -314,8 +314,6 @@ def _validate_checks(scn: Scenario, rng):
     yield "fw_gram_drift", gram_drift, scn.get("tol.fw_gram", 1e-8)
 
     # Jacobi pairing affinity on a random ray
-    from .geodesics import integrate_jacobi
-
     tau = float(taus[len(taus) // 2])
     k = sp.cone_vector(frames, tau, np.array([1.2, -0.4, 0.8]))
     q = Event(chart.name, curve.position(tau))

@@ -8,8 +8,9 @@ non-rotating law); rotating variants post-multiply the spatial columns by
 a time-dependent rotation.
 
 Analytic curves carry exact tangents and accelerations; numerically
-integrated ones interpolate the solver's dense output.  The two kinds are
-never mixed inside one FrameField.
+integrated ones interpolate the solver's dense output, computed at
+geodesics.REL_TOL and geodesics.ABS_TOL.  The two kinds are never mixed
+inside one FrameField.
 """
 
 import math
@@ -19,9 +20,10 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .charts import Chart, metric_at
+from .charts import Chart, metric_at, minkowski
 from .errors import CausalDomainError, IntegrationError, InvalidInputError
-from .lorentz import Event, Frame4, causal_character, CausalCharacter, gram_matrix
+from .lorentz import (ETA, Event, Frame4, causal_character, CausalCharacter, gram_matrix,
+                      projectors)
 from .geodesics import REL_TOL, ABS_TOL, GeodesicIVP, integrate_geodesic
 
 
@@ -106,8 +108,8 @@ def normalize_observer_velocity(chart: Chart, coords, u0):
     return u0 * (chart.c / math.sqrt(q))
 
 
-def make_inertial_observer(chart: Chart, q0: Event, u0, interval=(-10.0, 10.0),
-                           rel_tol=REL_TOL, abs_tol=ABS_TOL) -> ObserverCurve:
+def make_inertial_observer(chart: Chart, q0: Event, u0,
+                           interval=(-10.0, 10.0)) -> ObserverCurve:
     """Geodesic observer through q0 with (normalized) initial velocity u0."""
     u = normalize_observer_velocity(chart, q0.coords, u0)
     lo, hi = float(interval[0]), float(interval[1])
@@ -123,8 +125,8 @@ def make_inertial_observer(chart: Chart, q0: Event, u0, interval=(-10.0, 10.0),
             kind="inertial",
         )
 
-    fwd = integrate_geodesic(chart, GeodesicIVP(q0, u), hi, rel_tol, abs_tol) if hi > 0 else None
-    bwd = integrate_geodesic(chart, GeodesicIVP(q0, u), lo, rel_tol, abs_tol) if lo < 0 else None
+    fwd = integrate_geodesic(chart, GeodesicIVP(q0, u), hi) if hi > 0 else None
+    bwd = integrate_geodesic(chart, GeodesicIVP(q0, u), lo) if lo < 0 else None
     for sol, want in ((fwd, hi), (bwd, lo)):
         if sol is not None and sol.clipped:
             raise IntegrationError(
@@ -151,8 +153,6 @@ def make_uniformly_accelerated_observer(a, c=1.0, interval=(-10.0, 10.0)) -> Obs
     starting at rest at the origin and accelerating along axis 1 with
     constant proper acceleration a > 0.
     """
-    from .charts import minkowski
-
     a = float(a)
     if a <= 0.0:
         raise CausalDomainError("proper acceleration must be positive")
@@ -182,8 +182,7 @@ def make_uniformly_accelerated_observer(a, c=1.0, interval=(-10.0, 10.0)) -> Obs
 
 
 def make_programmed_observer(chart: Chart, q0: Event, frame0, accel_program,
-                             interval=(-10.0, 10.0), rel_tol=REL_TOL,
-                             abs_tol=ABS_TOL) -> tuple:
+                             interval=(-10.0, 10.0)) -> tuple:
     """Observer driven by an accelerometer program.
 
     accel_program(tau) gives the spatial proper-acceleration components in
@@ -212,8 +211,7 @@ def make_programmed_observer(chart: Chart, q0: Event, frame0, accel_program,
         )
         return np.concatenate([vel, dvel, dcols.ravel(order="F")])
 
-    curve, field = _integrate_frame_system(chart, rhs, y0, interval, rel_tol, abs_tol,
-                                           kind="programmed")
+    curve, field = _integrate_frame_system(chart, rhs, y0, interval, kind="programmed")
     return curve, field
 
 
@@ -253,8 +251,6 @@ def fermi_walker_derivative_projector_form(curve: ObserverCurve, field, tau,
     Kept as an independent oracle: it evaluates the defining projector
     formula numerically instead of the observer-adapted expression.
     """
-    from .lorentz import projectors
-
     pos = curve.position(tau)
     vel = curve.velocity(tau)
     g = metric_at(curve.chart, pos)
@@ -290,8 +286,7 @@ def _fw_cov_deriv_matrix(curve: ObserverCurve, tau, mat):
     return (np.outer(acc, (g @ vel) @ mat) - np.outer(vel, (g @ acc) @ mat)) / c**2
 
 
-def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None,
-                           rel_tol=REL_TOL, abs_tol=ABS_TOL) -> FrameField:
+def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None) -> FrameField:
     """Propagate a frame of reference along the observer without rotation.
 
     The zeroth column is pinned to gamma'/c analytically; the three
@@ -309,8 +304,6 @@ def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None,
     if np.max(np.abs(x0[:, 0] - curve.velocity(tau0) / c)) > 1e-8:
         raise CausalDomainError("frame column 0 must equal the observer tangent / c")
     g0 = metric_at(chart, curve.position(tau0))
-    from .lorentz import ETA
-
     if np.max(np.abs(gram_matrix(g0, x0) - ETA)) > 1e-8:
         raise CausalDomainError("initial frame is not orthonormal")
 
@@ -327,8 +320,7 @@ def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None,
         )
         return dcols.ravel(order="F")
 
-    state = _two_sided(rhs, x0[:, 1:].ravel(order="F"), lo, hi, rel_tol, abs_tol,
-                       "frame transport")
+    state = _two_sided(rhs, x0[:, 1:].ravel(order="F"), lo, hi, "frame transport")
 
     def matrix_fn(tau):
         m = np.empty((4, 4))
@@ -397,7 +389,7 @@ def rotating_frame(base: FrameField, omega, axis=1) -> FrameField:
                       tau_range=base.tau_range)
 
 
-def _two_sided(rhs, y0, lo, hi, rel_tol, abs_tol, what):
+def _two_sided(rhs, y0, lo, hi, what):
     """Integrate y' = rhs(tau, y) from the base instant out to both ends.
 
     The base instant is tau = 0 when [lo, hi] straddles it, else lo; y0
@@ -410,7 +402,7 @@ def _two_sided(rhs, y0, lo, hi, rel_tol, abs_tol, what):
         if target == tau0:
             continue
         sol = solve_ivp(rhs, (tau0, target), y0, method="RK45", dense_output=True,
-                        rtol=rel_tol, atol=abs_tol)
+                        rtol=REL_TOL, atol=ABS_TOL)
         if sol.status != 0:
             raise IntegrationError(f"{what} failed: {sol.message}")
         interps[target > tau0] = sol.sol
@@ -426,10 +418,10 @@ def _two_sided(rhs, y0, lo, hi, rel_tol, abs_tol, what):
     return state
 
 
-def _integrate_frame_system(chart, rhs, y0, interval, rel_tol, abs_tol, kind):
+def _integrate_frame_system(chart, rhs, y0, interval, kind):
     """Shared machinery for coupled worldline+frame integrations."""
     lo, hi = float(interval[0]), float(interval[1])
-    state = _two_sided(rhs, y0, lo, hi, rel_tol, abs_tol, "worldline integration")
+    state = _two_sided(rhs, y0, lo, hi, "worldline integration")
     c = chart.c
 
     def accel_of(tau):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import Chart, minkowski, schwarzschild
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .lorentz import Event
 from .observers import (
     FrameField,
@@ -25,6 +25,7 @@ from .observers import (
     complete_orthonormal,
     fermi_walker_transport,
     make_inertial_observer,
+    make_programmed_observer,
     make_uniformly_accelerated_observer,
     rotating_frame,
     standard_inertial_frame,
@@ -143,8 +144,6 @@ class Scenario:
         raise ConfigError(f"unknown observer kind {kind!r}")
 
     def _programmed(self, chart, lo, hi):
-        from .observers import make_programmed_observer
-
         q0 = np.array(self.get("observer.q0_m", [0, 0, 0, 0], kind=list))
         accel = np.array(self.get("observer.accel_m_per_s2", kind=list))
         if accel.shape != (3,):
@@ -185,26 +184,22 @@ class Scenario:
         lo = self.get("invert.tau_min_s", curve.interval[0])
         hi = self.get("invert.tau_max_s", curve.interval[1])
         center = self.get("invert.x_center_m", [0.0, 0.0, 0.0], kind=list)
-        box = self.get("invert.x_box_m", 6.0)
-        if not (math.isfinite(box) and box >= 0):
-            raise ConfigError("invert.x_box_m must be a non-negative finite number")
-        n_tau = self.get("invert.n_tau", 9, kind=int)
-        n_x = self.get("invert.n_x", 9, kind=int)
-        top_k = self.get("invert.top_k", 16, kind=int)
-        if min(n_tau, n_x, top_k) < 1:
-            raise ConfigError("invert.n_tau, invert.n_x and invert.top_k must be at least 1")
-        return MultistartConfig(
+        settings = dict(
             tau_range=(lo, hi),
-            x_halfwidth=box,
+            x_halfwidth=self.get("invert.x_box_m", 6.0),
             x_center=tuple(center),
-            n_tau=n_tau,
-            n_x=n_x,
-            top_k=top_k,
+            n_tau=self.get("invert.n_tau", 9, kind=int),
+            n_x=self.get("invert.n_x", 9, kind=int),
+            top_k=self.get("invert.top_k", 16, kind=int),
             max_iter=self.get("invert.max_newton", 50, kind=int),
             inv_tol=self.get("tol.inv", 1e-10),
             merge_tol=self.get("tol.merge", 1e-6),
             cond_max=self.get("tol.cond_max", 1e8),
         )
+        try:
+            return MultistartConfig(**settings)
+        except InvalidInputError as exc:
+            raise ConfigError(f"invert settings: {exc}") from exc
 
 
 def _initial_frame(chart, curve):

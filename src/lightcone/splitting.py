@@ -10,6 +10,13 @@ relative-force decomposition into actual and pseudo parts.
 
 Observer coordinates carry x^0 = c*tau internally; reports expose tau in
 seconds.  The coordinate origin x = 0 (the observer itself) is excluded.
+Batches of points travel as float arrays of shape (n, 4) with rows
+(tau, x^1, x^2, x^3).
+
+The map is as accurate as its rays: every ray is integrated at
+geodesics.REL_TOL and geodesics.ABS_TOL.  The inversion's residual
+tolerance (MultistartConfig.inv_tol, scenario key tol.inv) sits on top of
+that accuracy and cannot meaningfully be set below it.
 """
 
 import math
@@ -24,10 +31,11 @@ from .errors import (
     IllPosedForceError,
     InvalidInputError,
     LightconeError,
+    NotInExpDomainError,
     SuperluminalError,
     UnreachableDirectionError,
 )
-from .geodesics import REL_TOL, ABS_TOL, integrate_batch
+from .geodesics import exp_map, integrate_batch
 from .lorentz import Event, Frame4, CausalCharacter, causal_character, projectors
 from .observers import FrameField
 
@@ -96,7 +104,12 @@ class ForceBreakdown:
 
 @dataclass(frozen=True)
 class MultistartConfig:
-    """Start grid and Newton controls for observer-map inversion."""
+    """Start grid and Newton controls for observer-map inversion.
+
+    The box tau_range x (x_center +- x_halfwidth) must be finite with
+    x_halfwidth >= 0, and the grid and seed counts n_tau, n_x and top_k
+    at least 1; anything else raises InvalidInputError.
+    """
 
     tau_range: tuple
     x_halfwidth: float
@@ -109,14 +122,29 @@ class MultistartConfig:
     merge_tol: float = 1e-6
     cond_max: float = 1e8
 
+    def __post_init__(self):
+        box = np.asarray([*self.tau_range, self.x_halfwidth, *self.x_center], dtype=float)
+        if not (np.all(np.isfinite(box)) and self.x_halfwidth >= 0):
+            raise InvalidInputError("the search box must be finite, with x_halfwidth >= 0")
+        if min(self.n_tau, self.n_x, self.top_k) < 1:
+            raise InvalidInputError("n_tau, n_x and top_k must each be at least 1")
+
 
 # -- map evaluation ----------------------------------------------------------
 
+def _cone_components(x):
+    """Frame components (-|x|, x^1, x^2, x^3) of the cone vector, for x of shape (..., 3).
+
+    |x| is summed as ndarray.dot sums it, so a row of a batch gets the
+    same bits as that point alone.
+    """
+    r = np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
+    return np.concatenate([-r, x], axis=-1)
+
+
 def cone_vector(frames: FrameField, tau, x):
     """Past-lightlike initial vector -|x| X_0 + x^a X_a in chart components."""
-    x = np.asarray(x, dtype=float)
-    m = frames.matrix(tau)
-    return m @ np.concatenate([[-np.linalg.norm(x)], x])
+    return frames.matrix(tau) @ _cone_components(np.asarray(x, dtype=float))
 
 
 def static_observer_map(chart: Chart, frame: Frame4, x) -> Event:
@@ -124,10 +152,7 @@ def static_observer_map(chart: Chart, frame: Frame4, x) -> Event:
     x = np.asarray(x, dtype=float)
     if np.max(np.abs(x)) == 0.0:
         raise InvalidInputError("x = 0 excluded from the observer mapping domain")
-    k = frame.matrix @ np.concatenate([[-np.linalg.norm(x)], x])
-    from .geodesics import exp_map
-    from .errors import NotInExpDomainError
-
+    k = frame.matrix @ _cone_components(x)
     try:
         return exp_map(chart, frame.base, k)
     except NotInExpDomainError as exc:
@@ -147,71 +172,61 @@ def static_distance(g, x0_col, k, kprime):
     return math.sqrt(max(0.0, -q))
 
 
-def _map_states(frames: FrameField, points, with_jacobian):
-    """Initial batch states for map (width 8) or map+differential (width 40)."""
-    c = frames.curve.c
-    n = len(points)
-    width = 40 if with_jacobian else 8
-    y0 = np.zeros((n, width))
-    for i, (tau, x) in enumerate(points):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        m = frames.matrix(tau)
-        q = frames.curve.position(tau)
-        k = m @ np.concatenate([[-r], x])
-        y0[i, 0:4] = q
-        y0[i, 4:8] = k
-        if with_jacobian:
-            # temporal column: J(0) = gamma'/c, W(0) from the frame's
-            # covariant derivatives; spatial columns: J(0)=0, W(0) per
-            # the light-cone chart directions.
-            d = frames.cov_deriv(tau)
-            y0[i, 8:12] = m[:, 0]
-            y0[i, 12:16] = (d @ np.concatenate([[-r], x])) / c
-            xhat = x / r
-            for a in range(3):
-                w0 = m @ np.concatenate([[-xhat[a]], np.eye(3)[a]])
-                base = 16 + 8 * a
-                y0[i, base + 4:base + 8] = w0
-    return y0
+def _point(tau, x):
+    """The one-row batch (tau, x^1, x^2, x^3) of a single point."""
+    return np.concatenate([[tau], x])[None, :]
 
 
-def _eval_batch(chart, frames, points, with_jacobian, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-    """Map (and optionally Jacobian) for many observer-coordinate points.
+def _map_states(frames: FrameField, pts, with_jacobian):
+    """Initial batch states for map (width 8) or map+differential (width 40).
+
+    pts: (n, 4) rows (tau, x).  A state is blocks of 8 = (J, W): the ray
+    (position, cone vector) first, then with the Jacobian the temporal
+    column, J(0) = gamma'/c with W(0) from the frame's covariant
+    derivatives, and the three spatial columns, J(0) = 0 with W(0) along
+    the light-cone chart directions X_a - (x^a/|x|) X_0.
+    """
+    taus, x = pts[:, 0], pts[:, 1:]
+    n = len(pts)
+    mats = np.array([frames.matrix(tau) for tau in taus])
+    comps = _cone_components(x)
+    y0 = np.zeros((n, 5 if with_jacobian else 1, 8))
+    y0[:, 0, :4] = [frames.curve.position(tau) for tau in taus]
+    y0[:, 0, 4:] = (mats @ comps[:, :, None])[:, :, 0]
+    if with_jacobian:
+        derivs = np.array([frames.cov_deriv(tau) for tau in taus])
+        y0[:, 1, :4] = mats[:, :, 0]
+        y0[:, 1, 4:] = (derivs @ comps[:, :, None])[:, :, 0] / frames.curve.c
+        xhat = x / -comps[:, :1]  # comps[:, 0] holds -|x|
+        y0[:, 2:, 4:] = (mats[:, :, 1:] - mats[:, :, :1] * xhat[:, None, :]).transpose(0, 2, 1)
+    return y0.reshape(n, -1)
+
+
+def _eval_batch(chart, frames, pts, with_jacobian):
+    """Map (and optionally Jacobian) for an (n, 4) array of points (tau, x).
 
     Returns (events (n,4), jacobians (n,4,4) or None).  Jacobian columns
     are derivatives with respect to (c*tau, x^1, x^2, x^3).
     """
-    y0 = _map_states(frames, points, with_jacobian)
-    interp, _ = integrate_batch(chart, y0, n_jac=4 if with_jacobian else 0,
-                                s_end=1.0, rel_tol=rel_tol, abs_tol=abs_tol)
+    y0 = _map_states(frames, pts, with_jacobian)
+    interp, _ = integrate_batch(chart, y0, n_jac=4 if with_jacobian else 0, s_end=1.0)
     out = interp(1.0)
     events = out[:, 0:4]
     if not with_jacobian:
         return events, None
-    jac = np.empty((len(points), 4, 4))
-    jac[:, :, 0] = out[:, 8:12]
-    for a in range(3):
-        base = 16 + 8 * a
-        jac[:, :, a + 1] = out[:, base:base + 4]
-    return events, jac
+    return events, out.reshape(len(out), 5, 8)[:, 1:, :4].transpose(0, 2, 1)
 
 
-def kinematic_observer_map(chart: Chart, frames: FrameField, p: ObservedEvent,
-                           rel_tol=REL_TOL, abs_tol=ABS_TOL) -> Event:
+def kinematic_observer_map(chart: Chart, frames: FrameField, p: ObservedEvent) -> Event:
     """Spacetime event seen at observer coordinates (tau, x)."""
-    from .geodesics import exp_map
-    from .errors import NotInExpDomainError
-
     k = cone_vector(frames, p.tau, p.x)
     try:
-        return exp_map(chart, frames.curve.event(p.tau), k, rel_tol, abs_tol)
+        return exp_map(chart, frames.curve.event(p.tau), k)
     except NotInExpDomainError as exc:
         raise UnreachableDirectionError(str(exc)) from exc
 
 
-def observer_map_jacobian(chart: Chart, frames: FrameField, p: ObservedEvent,
-                          rel_tol=REL_TOL, abs_tol=ABS_TOL) -> np.ndarray:
+def observer_map_jacobian(chart: Chart, frames: FrameField, p: ObservedEvent) -> np.ndarray:
     """Differential of the kinematic map at p, columns d phi / d(c tau, x^a).
 
     Each column is the endpoint value of a Jacobi field along the seen
@@ -219,7 +234,7 @@ def observer_map_jacobian(chart: Chart, frames: FrameField, p: ObservedEvent,
     derivatives in its initial data, the spatial ones the light-cone
     chart directions.
     """
-    _, jac = _eval_batch(chart, frames, [(p.tau, p.x)], True, rel_tol, abs_tol)
+    _, jac = _eval_batch(chart, frames, _point(p.tau, p.x), True)
     return jac[0]
 
 
@@ -229,13 +244,13 @@ _CHUNK = 512  # targets per Newton batch in invert_many
 
 
 def _start_grid(cfg: MultistartConfig):
-    """Multistart points (tau, x), tau-major then x1, x2, x3; x = 0 excluded."""
+    """Multistart rows (tau, x), tau-major then x1, x2, x3; x = 0 excluded."""
     taus = np.linspace(cfg.tau_range[0], cfg.tau_range[1], cfg.n_tau)
     axes = [np.linspace(c - cfg.x_halfwidth, c + cfg.x_halfwidth, cfg.n_x)
             for c in cfg.x_center]
     grid = np.stack(np.meshgrid(taus, *axes, indexing="ij"), axis=-1).reshape(-1, 4)
     keep = ~(np.linalg.norm(grid[:, 1:], axis=1) < 1e-9 * max(1.0, cfg.x_halfwidth))
-    return [(tau, x) for tau, x in zip(grid[keep, 0], grid[keep, 1:])]
+    return grid[keep]
 
 
 def _tau_bounds(frames):
@@ -244,8 +259,7 @@ def _tau_bounds(frames):
     return lo + pad, hi - pad
 
 
-def _newton_polish(chart, frames, targets, states, cfg,
-                   rel_tol=REL_TOL, abs_tol=ABS_TOL):
+def _newton_polish(chart, frames, targets, states, cfg):
     """Damped Newton on a batch of (target, state) pairs.
 
     states: (m, 4) rows (tau, x1, x2, x3).  Returns (states, residual_norm,
@@ -267,8 +281,7 @@ def _newton_polish(chart, frames, targets, states, cfg,
         )
 
     def forward(st, idx):
-        pts = [(st[i, 0], st[i, 1:]) for i in range(len(st))]
-        ev, _ = _eval_batch(chart, frames, pts, False, rel_tol, abs_tol)
+        ev, _ = _eval_batch(chart, frames, st, False)
         return ev - targets[idx]
 
     active = np.flatnonzero(admissible(states))
@@ -277,13 +290,12 @@ def _newton_polish(chart, frames, targets, states, cfg,
         resid[active] = forward(states[active], active)
     rnorm = np.linalg.norm(resid, axis=1)
     converged = rnorm <= cfg.inv_tol * scale
-    active = np.array([i for i in active if not converged[i]])
+    active = active[~converged[active]]
 
     for _ in range(cfg.max_iter):
         if len(active) == 0:
             break
-        pts = [(states[i, 0], states[i, 1:]) for i in active]
-        _, jacs = _eval_batch(chart, frames, pts, True, rel_tol, abs_tol)
+        _, jacs = _eval_batch(chart, frames, states[active], True)
         # solve J dxi = -r in (c tau, x) variables
         ok = np.abs(np.linalg.det(jacs)) > 1e-300
         steps = np.zeros((len(active), 4))
@@ -321,7 +333,7 @@ def _newton_polish(chart, frames, targets, states, cfg,
         rnorm = np.linalg.norm(resid, axis=1)
         converged = rnorm <= cfg.inv_tol * scale
         active = active[keep]
-        active = np.array([i for i in active if not converged[i]], dtype=int)
+        active = active[~converged[active]]
 
     return states, rnorm, converged
 
@@ -335,8 +347,7 @@ def _near_worldline(frames, target, tol):
 
 
 def invert_observer_map(chart: Chart, frames: FrameField, target: Event,
-                        search: MultistartConfig,
-                        rel_tol=REL_TOL, abs_tol=ABS_TOL) -> InversionResult:
+                        search: MultistartConfig) -> InversionResult:
     """All observer-coordinate preimages of a spacetime event in a box.
 
     A batch of one through invert_many, which holds the only inversion
@@ -344,62 +355,57 @@ def invert_observer_map(chart: Chart, frames: FrameField, target: Event,
     event may be outside the seen region, or on the worldline itself
     (origin excluded).
     """
-    return invert_many(chart, frames, target.coords[None, :], search,
-                       rel_tol=rel_tol, abs_tol=abs_tol)[0]
+    return invert_many(chart, frames, target.coords[None, :], search)[0]
 
 
 def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartConfig,
-                seeds_per_target=None,
-                rel_tol=REL_TOL, abs_tol=ABS_TOL) -> List[InversionResult]:
+                seeds_per_target=None) -> List[InversionResult]:
     """Invert the observer map for many targets sharing one start grid.
 
     The start grid is mapped forward once.  Each target keeps the
-    seeds_per_target starts (default search.top_k, at most the grid size)
+    seeds_per_target >= 1 starts (default search.top_k, at most the grid size)
     with the smallest forward residual, and damped Newton runs on all
     targets' seeds as batches of _CHUNK targets.  Converged roots are
     deduplicated and sorted by coordinates, so a target's outcome does
     not depend on start order.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1, 4)
+    if seeds_per_target is None:
+        seeds_per_target = search.top_k
+    if seeds_per_target < 1:
+        raise InvalidInputError("seeds_per_target must be at least 1")
     if len(targets) == 0:
         return []
     starts = _start_grid(search)
-    if not starts:
+    if len(starts) == 0:
         raise InvalidInputError("the multistart grid is empty: its only point is the "
                                 "excluded observer position x = 0")
-    ev, _ = _eval_batch(chart, frames, starts, False, rel_tol, abs_tol)
-    start_arr = np.array([[s[0], *s[1]] for s in starts])
+    ev, _ = _eval_batch(chart, frames, starts, False)
 
-    k = min(search.top_k if seeds_per_target is None else seeds_per_target, len(starts))
+    k = min(seeds_per_target, len(starts))
     results: List[InversionResult] = []
     for base in range(0, len(targets), _CHUNK):
         tgt_chunk = targets[base:base + _CHUNK]
         # per-target seed selection by forward residual
         d = np.linalg.norm(ev[None, :, :] - tgt_chunk[:, None, :], axis=2)
         picks = np.argsort(d, axis=1, kind="stable")[:, :k]
-        flat_states = start_arr[picks.ravel()]
         flat_targets = np.repeat(tgt_chunk, k, axis=0)
         states, rnorm, converged = _newton_polish(
-            chart, frames, flat_targets, flat_states, search, rel_tol, abs_tol
+            chart, frames, flat_targets, starts[picks.ravel()], search
         )
         for i, tgt in enumerate(tgt_chunk):
             rows = slice(i * k, (i + 1) * k)
             ok = converged[rows]
             results.append(_collect_roots(chart, frames, tgt, states[rows][ok],
-                                          rnorm[rows][ok], search, len(starts),
-                                          rel_tol, abs_tol))
+                                          rnorm[rows][ok], search, len(starts)))
     return results
 
 
-def _collect_roots(chart, frames, tgt, roots, rres, search, n_starts, rel_tol, abs_tol):
+def _collect_roots(chart, frames, tgt, roots, rres, search, n_starts):
     """Dedup, origin-filter and grade already-converged roots."""
-    origin = False
-    roots = np.asarray(roots, dtype=float).reshape(-1, 4)
-    rres = np.asarray(rres, dtype=float)
-    if len(roots):
-        at_origin = np.linalg.norm(roots[:, 1:], axis=1) <= search.merge_tol
-        origin = bool(np.any(at_origin))
-        roots, rres = roots[~at_origin], rres[~at_origin]
+    at_origin = np.linalg.norm(roots[:, 1:], axis=1) <= search.merge_tol
+    origin = bool(np.any(at_origin))
+    roots, rres = roots[~at_origin], rres[~at_origin]
     if len(roots) == 0:
         origin = origin or _near_worldline(frames, tgt, 1e-6 * (1.0 + np.max(np.abs(tgt))))
         return InversionResult([], np.empty(0), np.empty(0),
@@ -407,19 +413,17 @@ def _collect_roots(chart, frames, tgt, roots, rres, search, n_starts, rel_tol, a
                                origin_excluded=origin)
     order = np.lexsort((roots[:, 3], roots[:, 2], roots[:, 1], roots[:, 0]))
     roots, rres = roots[order], rres[order]
-    keep, keep_res = [], []
-    for row, res in zip(roots, rres):
-        if any(np.max(np.abs(row - k)) <= search.merge_tol for k in keep):
-            continue
-        keep.append(row)
-        keep_res.append(res)
-    pts = [(row[0], row[1:]) for row in keep]
-    _, jacs = _eval_batch(chart, frames, pts, True, rel_tol, abs_tol)
-    conds = np.array([np.linalg.cond(j) for j in jacs])
+    keep = []
+    for i, row in enumerate(roots):
+        if not any(np.max(np.abs(row - roots[j])) <= search.merge_tol for j in keep):
+            keep.append(i)
+    roots, rres = roots[keep], rres[keep]
+    _, jacs = _eval_batch(chart, frames, roots, True)
+    conds = np.linalg.cond(jacs)
     regular = conds < search.cond_max
-    preimages = [ObservedEvent(row[0], row[1:]) for row in keep]
-    return InversionResult(preimages, np.asarray(keep_res), conds, regular,
-                           n_starts, len(keep), origin_excluded=origin)
+    preimages = [ObservedEvent(row[0], row[1:]) for row in roots]
+    return InversionResult(preimages, rres, conds, regular,
+                           n_starts, len(roots), origin_excluded=origin)
 
 
 # -- relative motion ---------------------------------------------------------
@@ -432,23 +436,19 @@ class MappedCurve:
     decides whether a physical observer can sit at x at all.
     """
 
-    def __init__(self, chart, frames, x, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+    def __init__(self, chart, frames, x):
         self.chart = chart
         self.frames = frames
         self.x = np.asarray(x, dtype=float)
         self.interval = frames.interval
-        self._tols = (rel_tol, abs_tol)
-
-    def _both(self, s):
-        ev, jac = _eval_batch(self.chart, self.frames, [(s, self.x)], True, *self._tols)
-        return ev[0], self.chart.c * jac[0][:, 0]  # phi_* d/dtau = c * column 0
 
     def position(self, s):
-        ev, _ = _eval_batch(self.chart, self.frames, [(s, self.x)], False, *self._tols)
+        ev, _ = _eval_batch(self.chart, self.frames, _point(s, self.x), False)
         return ev[0]
 
     def velocity(self, s):
-        return self._both(s)[1]
+        _, jac = _eval_batch(self.chart, self.frames, _point(s, self.x), True)
+        return self.chart.c * jac[0][:, 0]  # phi_* d/dtau = c * column 0
 
 
 def comoving_worldline(chart: Chart, frames: FrameField, x) -> MappedCurve:
@@ -456,8 +456,7 @@ def comoving_worldline(chart: Chart, frames: FrameField, x) -> MappedCurve:
 
 
 def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
-                  search: MultistartConfig, stencil_h=None,
-                  rel_tol=REL_TOL, abs_tol=ABS_TOL) -> List[RelativeMotionSample]:
+                  search: MultistartConfig, stencil_h=None) -> List[RelativeMotionSample]:
     """Track a worldline through the observer's eyes.
 
     Inverts the observer map at every sample of the worldline parameter,
@@ -466,6 +465,11 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     lensing makes multiple branches physical), and differentiates the
     tracked coordinates to relative velocity and acceleration.  Branch
     loss truncates the report rather than failing.
+
+    A sample starts from the previous state by Newton; the first sample,
+    and any whose warm start fails, inverts cold over the search box and
+    takes the first preimage (first sample) or the one nearest the
+    previous state.
 
     tau' and dx/ds come from the inverse Jacobian applied to the
     worldline tangent; the second derivatives use a five-point stencil of
@@ -481,41 +485,35 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     for s in s_samples:
         target = np.asarray(worldline.position(s), dtype=float)
         ambiguous = False
-        if prev is None:
-            res = invert_observer_map(chart, frames, Event(chart.name, target), search,
-                                      rel_tol, abs_tol)
+        warm_ok = False
+        if prev is not None:
+            warm, _, conv = _newton_polish(chart, frames, target[None, :], prev[None, :],
+                                           search)
+            state, warm_ok = warm[0], conv[0]
+        if not warm_ok:
+            res = invert_observer_map(chart, frames, Event(chart.name, target), search)
             if len(res) == 0:
                 break
             rows = np.array([[p.tau, *p.x] for p in res.preimages])
-            ambiguous = len(res) > 1
-            state = rows[0]
-        else:
-            warm, _, conv = _newton_polish(chart, frames, target[None, :], prev[None, :],
-                                           search, rel_tol, abs_tol)
-            state = warm[0]
-            if not conv[0]:
-                res = invert_observer_map(chart, frames, Event(chart.name, target), search,
-                                          rel_tol, abs_tol)
-                if len(res) == 0:
-                    break
-                rows = np.array([[p.tau, *p.x] for p in res.preimages])
+            if prev is None:
+                best, near = 0, len(rows)
+            else:
                 dists = np.max(np.abs(rows - prev), axis=1)
                 best = np.argmin(dists)
                 near = np.sum(dists <= dists[best] + search.merge_tol)
-                ambiguous = near > 1
-                state = rows[best]
+            ambiguous = near > 1
+            state = rows[best]
         prev = state
 
         # five-point stencil: the four warm inversions form one Newton batch,
         # and the sample's Jacobian shares one batch with the stencil's
         s_pts = s + stencil_h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])
         tk = np.array([worldline.position(sk) for sk in s_pts[1:]], dtype=float)
-        stk, _, conv = _newton_polish(chart, frames, tk, np.tile(state, (4, 1)),
-                                      search, rel_tol, abs_tol)
+        stk, _, conv = _newton_polish(chart, frames, tk, np.tile(state, (4, 1)), search)
         stencil_ok = bool(np.all(conv))
         states = np.vstack([state, stk]) if stencil_ok else state[None, :]
         lam = np.array([worldline.velocity(sk) for sk in s_pts[:len(states)]], dtype=float)
-        tds, dx_ds = _first_derivatives(chart, frames, states, lam, rel_tol, abs_tol)
+        tds, dx_ds = _first_derivatives(chart, frames, states, lam)
         tau_dot = tds[0]
         vs = np.full_like(dx_ds, np.nan)  # dx/dtau, undefined where tau' = 0
         moving = tds != 0.0
@@ -546,25 +544,22 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     return samples
 
 
-def _first_derivatives(chart, frames, states, tangents, rel_tol, abs_tol):
+def _first_derivatives(chart, frames, states, tangents):
     """(tau', dx/ds) at tracked states from one map+Jacobian batch.
 
     states: (m, 4) rows (tau, x); tangents: (m, 4) worldline tangents
     there.  Applies each inverse Jacobian to its tangent.
     """
-    pts = [(st[0], st[1:]) for st in states]
-    _, jac = _eval_batch(chart, frames, pts, True, rel_tol, abs_tol)
+    _, jac = _eval_batch(chart, frames, states, True)
     xi_dot = np.linalg.solve(jac, tangents[:, :, None])[:, :, 0]  # d(c tau, x)/ds
     return xi_dot[:, 0] / frames.curve.c, xi_dot[:, 1:]
 
 
 # -- pulled-back metric and forces --------------------------------------------
 
-def pullback_metric(chart: Chart, frames: FrameField, p: ObservedEvent,
-                    rel_tol=REL_TOL, abs_tol=ABS_TOL) -> np.ndarray:
+def pullback_metric(chart: Chart, frames: FrameField, p: ObservedEvent) -> np.ndarray:
     """Components of the pulled-back spacetime metric in observer coordinates."""
-    pts = [(p.tau, p.x)]
-    ev, jac = _eval_batch(chart, frames, pts, True, rel_tol, abs_tol)
+    ev, jac = _eval_batch(chart, frames, _point(p.tau, p.x), True)
     g = metric_at(chart, ev[0])
     j = jac[0]
     return j.T @ g @ j
@@ -610,8 +605,7 @@ _FD_STEP = 1e-4  # central step in (c*tau, x) for derivatives of the map
 
 
 def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent,
-                             method="jacobian", fd_step=_FD_STEP,
-                             rel_tol=REL_TOL, abs_tol=ABS_TOL) -> np.ndarray:
+                             method="jacobian", fd_step=_FD_STEP) -> np.ndarray:
     """Connection coefficients of the spacetime metric in observer coordinates.
 
     method="jacobian" transforms the chart coefficients with the map
@@ -620,12 +614,13 @@ def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent,
     (x^0 = c*tau, x^a) with central step fd_step.
     """
     if method == "pullback":
-        alpha0 = pullback_metric(chart, frames, p, rel_tol, abs_tol)
-        shifted = _stencil_points(frames.curve.c, p, fd_step)
+        alpha0 = pullback_metric(chart, frames, p)
+        shifted = [ObservedEvent(row[0], row[1:])
+                   for row in _stencil_points(frames.curve.c, p, fd_step)]
         dal = np.empty((4, 4, 4))
         for l in range(4):
-            ap = pullback_metric(chart, frames, ObservedEvent(*shifted[l]), rel_tol, abs_tol)
-            am = pullback_metric(chart, frames, ObservedEvent(*shifted[4 + l]), rel_tol, abs_tol)
+            ap = pullback_metric(chart, frames, shifted[l])
+            am = pullback_metric(chart, frames, shifted[4 + l])
             dal[:, :, l] = (ap - am) / (2.0 * fd_step)
         try:
             ainv = np.linalg.inv(alpha0)
@@ -636,29 +631,29 @@ def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent,
 
     if method != "jacobian":
         raise InvalidInputError(f"unknown method {method!r}")
-    return _jacobian_christoffels(chart, *_map_derivatives(chart, frames, p, fd_step,
-                                                           rel_tol, abs_tol))[0]
+    return _jacobian_christoffels(chart, *_map_derivatives(chart, frames, p, fd_step))[0]
 
 
 def _stencil_points(c, p, fd_step):
-    """The 8 points p + fd_step e_i, then p - fd_step e_i, as (tau, x).
+    """The 8 rows p + fd_step e_i, then p - fd_step e_i, as (tau, x).
 
     e_i are the unit vectors of (x^0 = c*tau, x^a).
     """
     base = np.array([c * p.tau, *p.x])
     shifted = np.concatenate([base + fd_step * np.eye(4), base - fd_step * np.eye(4)])
-    return [(xi[0] / c, xi[1:]) for xi in shifted]
+    shifted[:, 0] /= c
+    return shifted
 
 
-def _map_derivatives(chart, frames, p, fd_step, rel_tol, abs_tol):
+def _map_derivatives(chart, frames, p, fd_step):
     """Event, Jacobian and finite-difference Hessian of the map at p.
 
     One map+Jacobian batch holds p and its 8 stencil points;
     hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the central difference of
     the Jacobian columns, symmetrized.
     """
-    pts = [(p.tau, p.x)] + _stencil_points(frames.curve.c, p, fd_step)
-    ev, jac = _eval_batch(chart, frames, pts, True, rel_tol, abs_tol)
+    pts = np.vstack([_point(p.tau, p.x), _stencil_points(frames.curve.c, p, fd_step)])
+    ev, jac = _eval_batch(chart, frames, pts, True)
     hess = ((jac[1:5] - jac[5:9]) / (2.0 * fd_step)).transpose(1, 0, 2)
     return ev[0], jac[0], 0.5 * (hess + hess.transpose(0, 2, 1))
 
@@ -674,8 +669,7 @@ def _jacobian_christoffels(chart, event, j, hess):
 
 
 def relative_force(m, chart: Chart, frames: FrameField, sample: RelativeMotionSample,
-                   f_spatial, tau_ddot=None,
-                   rel_tol=REL_TOL, abs_tol=ABS_TOL) -> ForceBreakdown:
+                   f_spatial, tau_ddot=None) -> ForceBreakdown:
     """Decompose the relative force on an observed point mass.
 
     Combines the actual force (mapped to observer coordinates and scaled
@@ -685,7 +679,7 @@ def relative_force(m, chart: Chart, frames: FrameField, sample: RelativeMotionSa
     """
     c = frames.curve.c
     p = ObservedEvent(sample.tau, sample.x)
-    event, jac, hess = _map_derivatives(chart, frames, p, _FD_STEP, rel_tol, abs_tol)
+    event, jac, hess = _map_derivatives(chart, frames, p, _FD_STEP)
     alpha = jac.T @ metric_at(chart, event) @ jac
     ups, w = _jacobian_christoffels(chart, event, jac, hess)
     v = sample.v

@@ -71,7 +71,7 @@ def test_criterion_1_sr_splitting_closed_form(sr_frames):
     pts = [(t, np.array([a, b, c])) for t in taus for a in xs for b in xs for c in zs]
     assert len(pts) == 10 * 10 * 10 * 3
 
-    events, _ = _eval_batch(MK, ff, pts, False)
+    events, _ = _eval_batch(MK, ff, np.array([[t, *x] for t, x in pts]), False)
     closed = np.array([[t - np.linalg.norm(x), *x] for t, x in pts])
     fwd_dev = float(np.max(np.abs(events - closed)))
     assert fwd_dev <= 1e-9
@@ -101,7 +101,7 @@ def test_criterion_2_accelerated_rotating_pipeline():
                ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.3, -0.7, 1.1],
                 [0.0, 0.0, 0.8], [-0.5, 0.4, -0.3])]
     pts = [(t, offsets[i % len(offsets)]) for i, t in enumerate(taus)]
-    events, _ = _eval_batch(MK, ff, pts, False)
+    events, _ = _eval_batch(MK, ff, np.array([[t, *x] for t, x in pts]), False)
 
     worst = 0.0
     for (tau, x), got in zip(pts, events):
@@ -258,7 +258,7 @@ def _jacobian_oracle(chart, frames, rng, n_points, tau_span, x_span):
             dd[i] = h
             pp = [( (base + dd)[0] / frames.curve.c, (base + dd)[1:]),
                   ( (base - dd)[0] / frames.curve.c, (base - dd)[1:])]
-            ev, _ = _eval_batch(chart, frames, pp, False)
+            ev, _ = _eval_batch(chart, frames, np.array([[t, *x] for t, x in pp]), False)
             cols.append((ev[0] - ev[1]) / (2 * h))
         fd = np.stack(cols, axis=1)
         worst = max(worst, float(np.max(np.abs(jac - fd)) / max(1.0, np.max(np.abs(jac)))))

@@ -18,7 +18,7 @@ from lightcone.errors import InvalidInputError, OutOfChartError
 from lightcone.geodesics import integrate_batch
 from lightcone.lorentz import ETA, validate_metric
 from lightcone.scenario import load_scenario
-from lightcone.splitting import _eval_batch, _map_states
+from lightcone.splitting import _map_states
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +96,14 @@ def test_metric_only_chart_batched(sw):
                         / "schwarzschild_faller.scn")
     chart = scn.build_chart()
     frames = scn.build_frames(chart, scn.build_observer(chart))
-    obs = [(0.0, np.array([0.5, 0.25, -0.15])), (0.5, np.array([-0.4, 0.6, 0.2]))]
+    obs = np.array([[0.0, 0.5, 0.25, -0.15], [0.5, -0.4, 0.6, 0.2]])
     tols = (1e-8, 1e-10)  # fd noise in the curvature makes tighter tolerances slow
-    ev, jac = _eval_batch(chart, frames, obs, True, *tols)
-    ev_mo, jac_mo = _eval_batch(dataclasses.replace(chart, christoffel_fn=None),
-                                frames, obs, True, *tols)
+    y0 = _map_states(frames, obs, True)
+    cols = np.r_[8:12, 16:20, 24:28, 32:36]  # the J of each Jacobian column
+    out = integrate_batch(chart, y0, 4, 1.0, *tols)[0](1.0)
+    out_mo = integrate_batch(dataclasses.replace(chart, christoffel_fn=None),
+                             y0, 4, 1.0, *tols)[0](1.0)
+    ev, jac, ev_mo, jac_mo = out[:, :4], out[:, cols], out_mo[:, :4], out_mo[:, cols]
     assert np.max(np.abs(ev_mo - ev)) <= 1e-9
     assert np.max(np.abs(jac_mo - jac)) <= 1e-7 * max(1.0, np.max(np.abs(jac)))
 
@@ -114,7 +117,7 @@ def test_metric_only_chart_jacobian_steps():
     chart = scn.build_chart()
     frames = scn.build_frames(chart, scn.build_observer(chart))
     rays = [(0.3, (1.0, 0.5, 0.2)), (-1.0, (-0.8, 0.6, 0.3))]
-    y0 = _map_states(frames, [(tau, np.array(x)) for tau, x in rays], True)
+    y0 = _map_states(frames, np.array([[tau, *x] for tau, x in rays]), True)
     interp, steps = integrate_batch(chart, y0, n_jac=4, rel_tol=1e-8)
     mo = dataclasses.replace(chart, christoffel_fn=None, christoffel_deriv_fn=None)
     interp_mo, steps_mo = integrate_batch(mo, y0, n_jac=4, rel_tol=1e-8)
@@ -211,7 +214,7 @@ def test_fd_path_on_metric_only_chart():
     bare = type(sw)(
         name=sw.name, c=sw.c, metric_fn=sw.metric_fn, domain_fn=sw.domain_fn,
         reference_frame_fn=sw.reference_frame_fn, christoffel_fn=None,
-        riemann_fn=None, boundary_fn=sw.boundary_fn, flat=False, params=sw.params,
+        boundary_fn=sw.boundary_fn, flat=False, params=sw.params,
     )
     coords = np.array([0.0, 3.0, 1.3, 0.2])
     assert np.max(np.abs(bare.christoffels(coords) - sw.christoffels(coords))) <= 1e-6

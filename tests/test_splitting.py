@@ -1,6 +1,7 @@
 """Observer mappings, inversion, relative motion and force decomposition."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lightcone.observers import (
     rotating_frame,
     standard_inertial_frame,
 )
+from lightcone.scenario import load_scenario
 from lightcone.splitting import (
     MultistartConfig,
     ObservedEvent,
@@ -37,6 +39,7 @@ from lightcone.splitting import (
 
 MK = minkowski()
 SW = schwarzschild(1.0)
+SCN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -276,9 +279,23 @@ class TestInversion:
                     if (x1, x2, x3) != (0.0, 0.0, 0.0)]
         grid = splitting._start_grid(cfg)
         assert len(grid) == len(expected) == 2 * 26
-        for (tau, x), (tau_e, x_e) in zip(grid, expected):
-            assert tau == tau_e
-            assert np.array_equal(x, x_e)
+        for row, (tau_e, x_e) in zip(grid, expected):
+            assert row[0] == tau_e
+            assert np.array_equal(row[1:], x_e)
+
+    @pytest.mark.parametrize("bad", [
+        {"top_k": 0}, {"n_tau": 0}, {"n_x": 0}, {"x_halfwidth": -1.0},
+        {"x_halfwidth": float("nan")}, {"x_halfwidth": float("inf")},
+        {"tau_range": (-1.0, float("inf"))}, {"x_center": (0.0, float("nan"), 0.0)},
+    ])
+    def test_search_config_validated(self, bad):
+        with pytest.raises(InvalidInputError):
+            MultistartConfig(**dict({"tau_range": (-1.0, 1.0), "x_halfwidth": 1.0}, **bad))
+
+    def test_zero_seeds_per_target_rejected(self, inertial):
+        _, ff = inertial
+        with pytest.raises(InvalidInputError):
+            invert_many(MK, ff, [[5.0, 3.0, 4.0, 0.0]], search_box(), seeds_per_target=0)
 
     def test_seed_count_clipped_to_start_grid(self, inertial):
         # top_k larger than the two-point start grid: every start seeds
@@ -498,6 +515,42 @@ def test_observe_truncates_on_branch_loss():
                            n_tau=5, n_x=5, top_k=8)
     samples = observe_curve(MK, ff, cur2, np.linspace(0, 20, 9), cfg, stencil_h=0.05)
     assert 0 < len(samples) < 9
+
+
+def _states_per_point(frames, pts, with_jacobian):
+    """The loop construction of _map_states: one frame evaluation per point."""
+    rows = []
+    for tau, *x in pts:
+        x = np.array(x)
+        r = np.linalg.norm(x)
+        m = frames.matrix(tau)
+        row = [frames.curve.position(tau), cone_vector(frames, tau, x)]
+        if with_jacobian:
+            row += [m[:, 0], frames.cov_deriv(tau) @ np.concatenate([[-r], x]) / frames.curve.c]
+            for a in range(3):
+                row += [np.zeros(4), m @ np.concatenate([[-x[a] / r], np.eye(3)[a]])]
+        rows.append(np.concatenate(row))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("preset", ["schwarzschild_faller", "accel_rotating",
+                                    "minkowski_inertial"])
+def test_map_states_match_per_point_construction(preset):
+    scn = load_scenario(SCN_DIR / f"{preset}.scn")
+    chart = scn.build_chart()
+    frames = scn.build_frames(chart, scn.build_observer(chart))
+    lo, hi = frames.interval
+    rng = np.random.default_rng(7)
+    for n in (1, 9, 620):
+        pts = np.column_stack([rng.uniform(lo, hi, n), rng.normal(size=(n, 3))])
+        for with_jacobian in (False, True):
+            got = splitting._map_states(frames, pts, with_jacobian)
+            want = _states_per_point(frames, pts, with_jacobian)
+            assert got.shape == want.shape == (n, 40 if with_jacobian else 8)
+            if n == 1:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_fw_temporal_column_initial_data():
