@@ -23,7 +23,7 @@ W = dv + Gamma(kappa', dx) on read-out.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 from .charts import Chart
 from .errors import (
@@ -57,6 +57,13 @@ class DenseSolution:
     The parameter interval is oriented (s1 may be below s0 for backward
     integration); evaluation outside it raises.  `clipped` marks runs that
     were cut short by chart exit.
+
+    state(s) takes a scalar or a 1-D array of s.  Column i of an array
+    result has the bits of state(s[i]): each entry gets its own
+    matrix-vector product with its step's interpolation matrix, as scipy's
+    scalar call does.  (scipy's array call takes one matrix-matrix product
+    per step, whose columns can differ in the last bit, so an entry would
+    depend on the others.)
     """
 
     def __init__(self, interp, s0, s1, steps, clipped, n_state):
@@ -66,15 +73,42 @@ class DenseSolution:
         self.steps = int(steps)
         self.clipped = bool(clipped)
         self.n_state = int(n_state)
+        self._stacked = None  # per-step interpolation data, built on the first array call
 
-    def _check(self, s):
+    def _clipped(self, s):
+        """s clipped into the solution interval; more than 1e-12 outside raises."""
         lo, hi = sorted((self.s0, self.s1))
-        if np.any(np.asarray(s) < lo - 1e-12) or np.any(np.asarray(s) > hi + 1e-12):
+        s = np.asarray(s, dtype=float)
+        if (s < lo - 1e-12).any() or (s > hi + 1e-12).any():
             raise InvalidInputError(f"parameter {s} outside solution interval [{lo}, {hi}]")
+        return np.minimum(np.maximum(s, lo), hi)
 
     def state(self, s):
-        self._check(s)
-        return self._interp(np.clip(s, *sorted((self.s0, self.s1))))
+        """(n_state,) for scalar s, (n_state, len(s)) for a 1-D array."""
+        s = self._clipped(s)
+        if s.ndim == 0 or not isinstance(self._interp, OdeSolution):
+            return self._interp(s)
+        return self._rows(s).T
+
+    def _rows(self, s):
+        """The RK dense output (RkDenseOutput._call_impl) at each s, one row each."""
+        if self._stacked is None:
+            sol = self._interp
+            parts = sol.interpolants
+            # OdeSolution's step for a scalar s: searchsorted on the inner step
+            # ends, counted from the end when the solution runs backward
+            self._stacked = (sol.ts_sorted[1:-1], sol.side, not sol.ascending,
+                             np.array([p.t_old for p in parts]), np.array([p.h for p in parts]),
+                             np.stack([p.Q for p in parts]), np.stack([p.y_old for p in parts]))
+        inner, side, backward, t_old, h, q, y_old = self._stacked
+        seg = np.searchsorted(inner, s, side=side)
+        if backward:
+            seg = len(t_old) - 1 - seg
+        x = (s - t_old[seg]) / h[seg]
+        p = np.cumprod(np.repeat(x[:, None], q.shape[2], axis=1), axis=1)
+        y = h[seg][:, None] * (q[seg] @ p[:, :, None])[:, :, 0]
+        y += y_old[seg]
+        return y
 
 
 class GeodesicSolution(DenseSolution):

@@ -11,6 +11,11 @@ Analytic curves carry exact tangents and accelerations; numerically
 integrated ones interpolate the solver's dense output, computed at
 geodesics.REL_TOL and geodesics.ABS_TOL.  The two kinds are never mixed
 inside one FrameField.
+
+Curves and frame fields are evaluated over arrays of tau: a scalar tau
+gives (4,) or (4, 4), a 1-D array of n values gives (n, 4) or (n, 4, 4).
+A scalar is run as an array of one, so row i of an array result has the
+bits of the scalar call at tau[i].
 """
 
 import math
@@ -21,44 +26,58 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .charts import Chart, metric_at, minkowski
-from .errors import CausalDomainError, IntegrationError, InvalidInputError
+from .errors import CausalDomainError, IntegrationError, InvalidInputError, OutOfChartError
 from .lorentz import (ETA, Event, Frame4, causal_character, CausalCharacter, gram_matrix,
                       projectors)
-from .geodesics import REL_TOL, ABS_TOL, GeodesicIVP, integrate_geodesic
+from .geodesics import REL_TOL, ABS_TOL, DenseSolution, GeodesicIVP, integrate_geodesic
+
+
+def _over_taus(fn, tau, interval, what):
+    """fn on a 1-D array of tau, after a range check; a scalar is an array of one."""
+    taus = np.asarray(tau, dtype=float)
+    scalar = taus.ndim == 0
+    if scalar:
+        taus = taus.reshape(1)
+    elif taus.ndim != 1:
+        raise InvalidInputError(f"tau must be a scalar or a 1-D array, not shape {taus.shape}")
+    lo, hi = interval
+    if len(taus) and not (lo - 1e-12 <= taus.min() and taus.max() <= hi + 1e-12):
+        bad = taus[~((taus >= lo - 1e-12) & (taus <= hi + 1e-12))][0]
+        raise InvalidInputError(f"tau={bad} outside {what} [{lo}, {hi}]")
+    rows = fn(taus)
+    return rows[0] if scalar else rows
 
 
 @dataclass(frozen=True)
 class ObserverCurve:
-    """Worldline parametrized by proper time on a fixed chart."""
+    """Worldline parametrized by proper time on a fixed chart.
+
+    position, velocity and acceleration take a scalar tau, giving (4,),
+    or a 1-D array of n values, giving (n, 4); any tau outside interval
+    raises InvalidInputError.  The *_fn evaluators map an (n,) array of
+    tau to (n, 4) rows.
+    """
 
     chart: Chart
     interval: tuple
-    position_fn: Callable[[float], np.ndarray]
-    velocity_fn: Callable[[float], np.ndarray]       # gamma' components
-    acceleration_fn: Callable[[float], np.ndarray]   # covariant acceleration
+    position_fn: Callable[[np.ndarray], np.ndarray]
+    velocity_fn: Callable[[np.ndarray], np.ndarray]       # gamma' components
+    acceleration_fn: Callable[[np.ndarray], np.ndarray]   # covariant acceleration
     kind: str = "generic"
 
     @property
     def c(self):
         return self.chart.c
 
-    def _check_tau(self, tau):
-        lo, hi = self.interval
-        if tau < lo - 1e-12 or tau > hi + 1e-12:
-            raise InvalidInputError(f"tau={tau} outside observer interval [{lo}, {hi}]")
-
     def position(self, tau):
-        self._check_tau(tau)
-        return self.position_fn(tau)
+        return _over_taus(self.position_fn, tau, self.interval, "observer interval")
 
     def velocity(self, tau):
-        self._check_tau(tau)
-        return self.velocity_fn(tau)
+        return _over_taus(self.velocity_fn, tau, self.interval, "observer interval")
 
     def acceleration(self, tau):
         """Covariant acceleration (the proper acceleration vector)."""
-        self._check_tau(tau)
-        return self.acceleration_fn(tau)
+        return _over_taus(self.acceleration_fn, tau, self.interval, "observer interval")
 
     def event(self, tau) -> Event:
         return Event(self.chart.name, self.position(tau))
@@ -72,13 +91,16 @@ class FrameField:
     frame vectors; column 0 equals gamma'(tau)/c.  cov_deriv(tau) returns
     the covariant derivatives of the columns, which the splitting layer
     needs for the temporal column of the observer-map differential.
+    Both take a scalar tau, giving (4, 4), or a 1-D array of n values,
+    giving (n, 4, 4); any tau outside interval raises InvalidInputError.
+    The *_fn evaluators map an (n,) array of tau to (n, 4, 4).
     tau_range may be narrower than the curve's interval when the frame
     was transported over a sub-range.
     """
 
     curve: ObserverCurve
-    matrix_fn: Callable[[float], np.ndarray]
-    cov_deriv_fn: Callable[[float], np.ndarray]
+    matrix_fn: Callable[[np.ndarray], np.ndarray]
+    cov_deriv_fn: Callable[[np.ndarray], np.ndarray]
     kind: str = "fermi-walker"
     tau_range: tuple = None
 
@@ -87,10 +109,10 @@ class FrameField:
         return self.curve.interval if self.tau_range is None else self.tau_range
 
     def matrix(self, tau):
-        return self.matrix_fn(tau)
+        return _over_taus(self.matrix_fn, tau, self.interval, "frame interval")
 
     def cov_deriv(self, tau):
-        return self.cov_deriv_fn(tau)
+        return _over_taus(self.cov_deriv_fn, tau, self.interval, "frame interval")
 
     def frame(self, tau) -> Frame4:
         return Frame4(self.curve.event(tau), self.matrix(tau))
@@ -119,9 +141,9 @@ def make_inertial_observer(chart: Chart, q0: Event, u0,
         return ObserverCurve(
             chart=chart,
             interval=(lo, hi),
-            position_fn=lambda tau: p0 + tau * u,
-            velocity_fn=lambda tau: u.copy(),
-            acceleration_fn=lambda tau: np.zeros(4),
+            position_fn=lambda taus: p0 + taus[:, None] * u,
+            velocity_fn=lambda taus: u[None].repeat(len(taus), axis=0),
+            acceleration_fn=lambda taus: np.zeros((len(taus), 4)),
             kind="inertial",
         )
 
@@ -133,15 +155,22 @@ def make_inertial_observer(chart: Chart, q0: Event, u0,
                 f"observer worldline exits the chart at tau={sol.s1:.6g} (wanted {want})"
             )
 
-    def pick(tau):
-        return fwd if tau >= 0 else bwd
+    def state(taus):
+        """Rows (position, velocity): forward solution for tau >= 0 when there is one."""
+        ahead = taus >= 0 if fwd is not None else np.zeros(len(taus), dtype=bool)
+        if ahead.all() or not ahead.any():
+            return (fwd if ahead[0] else bwd).state(taus).T
+        out = np.empty((len(taus), 8))
+        out[ahead] = fwd.state(taus[ahead]).T
+        out[~ahead] = bwd.state(taus[~ahead]).T
+        return out
 
     return ObserverCurve(
         chart=chart,
         interval=(lo, hi),
-        position_fn=lambda tau: pick(tau).position(tau),
-        velocity_fn=lambda tau: pick(tau).velocity(tau),
-        acceleration_fn=lambda tau: np.zeros(4),
+        position_fn=lambda taus: state(taus)[:, :4],
+        velocity_fn=lambda taus: state(taus)[:, 4:],
+        acceleration_fn=lambda taus: np.zeros((len(taus), 4)),
         kind="inertial",
     )
 
@@ -159,17 +188,22 @@ def make_uniformly_accelerated_observer(a, c=1.0, interval=(-10.0, 10.0)) -> Obs
     chart = minkowski(c)
     c = float(c)
 
-    def position_fn(tau):
-        w = a * tau / c
-        return np.array([c**2 / a * math.sinh(w), c**2 / a * (math.cosh(w) - 1.0), 0.0, 0.0])
+    def rows(taus, col0, col1):
+        out = np.zeros((len(taus), 4))
+        out[:, 0], out[:, 1] = col0, col1
+        return out
 
-    def velocity_fn(tau):
-        w = a * tau / c
-        return np.array([c * math.cosh(w), c * math.sinh(w), 0.0, 0.0])
+    def position_fn(taus):
+        w = a * taus / c
+        return rows(taus, c**2 / a * np.sinh(w), c**2 / a * (np.cosh(w) - 1.0))
 
-    def acceleration_fn(tau):
-        w = a * tau / c
-        return np.array([a * math.sinh(w), a * math.cosh(w), 0.0, 0.0])
+    def velocity_fn(taus):
+        w = a * taus / c
+        return rows(taus, c * np.cosh(w), c * np.sinh(w))
+
+    def acceleration_fn(taus):
+        w = a * taus / c
+        return rows(taus, a * np.sinh(w), a * np.cosh(w))
 
     return ObserverCurve(
         chart=chart,
@@ -211,7 +245,32 @@ def make_programmed_observer(chart: Chart, q0: Event, frame0, accel_program,
         )
         return np.concatenate([vel, dvel, dcols.ravel(order="F")])
 
-    curve, field = _integrate_frame_system(chart, rhs, y0, interval, kind="programmed")
+    lo, hi = float(interval[0]), float(interval[1])
+    state = _two_sided(rhs, y0, lo, hi, "worldline integration")
+
+    def matrix_fn(taus):
+        y = state(taus)
+        m = np.empty((len(taus), 4, 4))
+        m[:, :, 0] = y[:, 4:8] / c
+        m[:, :, 1:] = y[:, 8:20].reshape(-1, 3, 4).transpose(0, 2, 1)
+        return m
+
+    def acceleration_fn(taus):
+        """The program's reading carried by the spatial frame columns."""
+        reading = np.array([accel_program(tau) for tau in taus], dtype=float)
+        return (matrix_fn(taus)[:, :, 1:] @ reading[:, :, None])[:, :, 0]
+
+    curve = ObserverCurve(
+        chart=chart,
+        interval=(lo, hi),
+        position_fn=lambda taus: state(taus)[:, :4],
+        velocity_fn=lambda taus: state(taus)[:, 4:8],
+        acceleration_fn=acceleration_fn,
+        kind="programmed",
+    )
+    field = FrameField(curve=curve, matrix_fn=matrix_fn,
+                       cov_deriv_fn=lambda taus: _fw_cov_deriv_matrix(curve, taus, matrix_fn(taus)),
+                       kind="fermi-walker")
     return curve, field
 
 
@@ -277,13 +336,19 @@ def fermi_walker_derivative_projector_form(curve: ObserverCurve, field, tau,
     return p_par @ nabla(project("par"), None) + p_perp @ nabla(project("perp"), None)
 
 
-def _fw_cov_deriv_matrix(curve: ObserverCurve, tau, mat):
-    """Covariant derivatives of FW-transported columns: the transport law."""
+def _fw_cov_deriv_matrix(curve: ObserverCurve, taus, mats):
+    """Covariant derivatives of FW-transported columns (the transport law), (n, 4, 4)."""
     c = curve.c
-    vel = curve.velocity(tau)
-    acc = curve.acceleration(tau)
-    g = metric_at(curve.chart, curve.position(tau))
-    return (np.outer(acc, (g @ vel) @ mat) - np.outer(vel, (g @ acc) @ mat)) / c**2
+    pos = curve.position(taus)
+    vel = curve.velocity(taus)[:, :, None]
+    acc = curve.acceleration(taus)[:, :, None]
+    inside = curve.chart.contains(pos)
+    if not np.all(inside):
+        raise OutOfChartError(f"{pos[~inside][0]} lies outside the {curve.chart.name} chart domain")
+    g = curve.chart.metric(pos)
+    gv = (g @ vel).transpose(0, 2, 1) @ mats  # (n, 1, 4): g(gamma', X_m)
+    ga = (g @ acc).transpose(0, 2, 1) @ mats
+    return (acc * gv - vel * ga) / c**2
 
 
 def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None) -> FrameField:
@@ -322,30 +387,33 @@ def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None) -> Fram
 
     state = _two_sided(rhs, x0[:, 1:].ravel(order="F"), lo, hi, "frame transport")
 
-    def matrix_fn(tau):
-        m = np.empty((4, 4))
-        m[:, 0] = curve.velocity(tau) / c
-        m[:, 1:] = state(tau).reshape(4, 3, order="F")
+    def matrix_fn(taus):
+        m = np.empty((len(taus), 4, 4))
+        m[:, :, 0] = curve.velocity(taus) / c
+        m[:, :, 1:] = state(taus).reshape(-1, 3, 4).transpose(0, 2, 1)
         return m
 
-    def cov_deriv_fn(tau):
-        return _fw_cov_deriv_matrix(curve, tau, matrix_fn(tau))
+    def cov_deriv_fn(taus):
+        return _fw_cov_deriv_matrix(curve, taus, matrix_fn(taus))
 
     return FrameField(curve=curve, matrix_fn=matrix_fn, cov_deriv_fn=cov_deriv_fn,
                       kind="fermi-walker", tau_range=(lo, hi))
 
 
-def rotation_block(omega, axis, tau):
-    """SO(3) block rotating about the given spatial axis by omega*tau."""
-    ang = omega * tau
-    cs, sn = math.cos(ang), math.sin(ang)
-    rot = np.eye(3)
+def _rotation(omega, axis, taus):
+    """SO(3) blocks rotating about a spatial axis by omega*tau, and their tau-derivatives.
+
+    Returns (rot, drot), each (n, 3, 3) for an (n,) array of tau.
+    """
+    ang = omega * taus
+    cs, sn = np.cos(ang), np.sin(ang)
     i, j = [(1, 2), (2, 0), (0, 1)][axis - 1]
-    rot[i, i] = cs
-    rot[i, j] = -sn
-    rot[j, i] = sn
-    rot[j, j] = cs
-    return rot
+    rot = np.eye(3)[None].repeat(len(taus), axis=0)
+    drot = np.zeros((len(taus), 3, 3))
+    rot[:, i, i], rot[:, i, j], rot[:, j, i], rot[:, j, j] = cs, -sn, sn, cs
+    drot[:, i, i], drot[:, i, j] = -sn * omega, -cs * omega
+    drot[:, j, i], drot[:, j, j] = cs * omega, -sn * omega
+    return rot, drot
 
 
 def rotating_frame(base: FrameField, omega, axis=1) -> FrameField:
@@ -361,28 +429,17 @@ def rotating_frame(base: FrameField, omega, axis=1) -> FrameField:
     if omega == 0.0:
         return base
 
-    def matrix_fn(tau):
-        m = base.matrix(tau).copy()
-        m[:, 1:] = m[:, 1:] @ rotation_block(omega, axis, tau)
-        return m
+    def matrix_fn(taus):
+        m = base.matrix(taus)
+        rot, _ = _rotation(omega, axis, taus)
+        return np.concatenate([m[:, :, :1], m[:, :, 1:] @ rot], axis=2)
 
-    def cov_deriv_fn(tau):
-        rot = rotation_block(omega, axis, tau)
-        # d/dtau of the rotation block
-        ang = omega * tau
-        cs, sn = math.cos(ang), math.sin(ang)
-        drot = np.zeros((3, 3))
-        i, j = [(1, 2), (2, 0), (0, 1)][axis - 1]
-        drot[i, i] = -sn * omega
-        drot[i, j] = -cs * omega
-        drot[j, i] = cs * omega
-        drot[j, j] = -sn * omega
-        base_m = base.matrix(tau)
-        base_d = base.cov_deriv(tau)
-        d = np.empty((4, 4))
-        d[:, 0] = base_d[:, 0]
-        d[:, 1:] = base_d[:, 1:] @ rot + base_m[:, 1:] @ drot
-        return d
+    def cov_deriv_fn(taus):
+        rot, drot = _rotation(omega, axis, taus)
+        base_m = base.matrix(taus)
+        base_d = base.cov_deriv(taus)
+        return np.concatenate([base_d[:, :, :1], base_d[:, :, 1:] @ rot + base_m[:, :, 1:] @ drot],
+                              axis=2)
 
     return FrameField(curve=base.curve, matrix_fn=matrix_fn,
                       cov_deriv_fn=cov_deriv_fn, kind=f"rotating(axis={axis})",
@@ -393,11 +450,13 @@ def _two_sided(rhs, y0, lo, hi, what):
     """Integrate y' = rhs(tau, y) from the base instant out to both ends.
 
     The base instant is tau = 0 when [lo, hi] straddles it, else lo; y0
-    is the state there.  Returns state(tau), which raises outside [lo, hi].
+    is the state there.  Returns state(taus): the rows (n, len(y0)) at an
+    (n,) array of tau, one interpolant call per side; it raises if any tau
+    is outside [lo, hi].
     """
     tau0 = 0.0 if lo <= 0.0 <= hi else lo
     y0 = np.asarray(y0, dtype=float)
-    interps = {}
+    sides = {}
     for target in (lo, hi):
         if target == tau0:
             continue
@@ -405,53 +464,26 @@ def _two_sided(rhs, y0, lo, hi, what):
                         rtol=REL_TOL, atol=ABS_TOL)
         if sol.status != 0:
             raise IntegrationError(f"{what} failed: {sol.message}")
-        interps[target > tau0] = sol.sol
+        sides[target > tau0] = DenseSolution(sol.sol, tau0, target, len(sol.t) - 1, False,
+                                             len(y0))
 
-    def state(tau):
-        if abs(tau - tau0) < 1e-300:
-            return y0.copy()
-        interp = interps.get(tau > tau0)
-        if interp is None or tau < lo - 1e-12 or tau > hi + 1e-12:
-            raise InvalidInputError(f"tau={tau} outside {what} range [{lo}, {hi}]")
-        return interp(tau)
+    def state(taus):
+        out = ~((taus >= lo - 1e-12) & (taus <= hi + 1e-12))
+        picks = {}
+        for side in (False, True):
+            sel = ((taus > tau0) == side) & (np.abs(taus - tau0) >= 1e-300)
+            if side not in sides:  # the base instant is this end
+                out |= sel
+            elif sel.any():
+                picks[side] = sel
+        if out.any():
+            raise InvalidInputError(f"tau={taus[out][0]} outside {what} range [{lo}, {hi}]")
+        rows = y0[None].repeat(len(taus), axis=0)
+        for side, sel in picks.items():
+            rows[sel] = sides[side].state(taus[sel]).T
+        return rows
 
     return state
-
-
-def _integrate_frame_system(chart, rhs, y0, interval, kind):
-    """Shared machinery for coupled worldline+frame integrations."""
-    lo, hi = float(interval[0]), float(interval[1])
-    state = _two_sided(rhs, y0, lo, hi, "worldline integration")
-    c = chart.c
-
-    def accel_of(tau):
-        y = state(tau)
-        dy = rhs(tau, y)
-        gam = chart.christoffels(y[:4])
-        return dy[4:8] + np.einsum("kij,i,j->k", gam, y[4:8], y[4:8])
-
-    curve = ObserverCurve(
-        chart=chart,
-        interval=(lo, hi),
-        position_fn=lambda tau: state(tau)[:4],
-        velocity_fn=lambda tau: state(tau)[4:8],
-        acceleration_fn=accel_of,
-        kind=kind,
-    )
-
-    def matrix_fn(tau):
-        y = state(tau)
-        m = np.empty((4, 4))
-        m[:, 0] = y[4:8] / c
-        m[:, 1:] = y[8:20].reshape(4, 3, order="F")
-        return m
-
-    def cov_deriv_fn(tau):
-        return _fw_cov_deriv_matrix(curve, tau, matrix_fn(tau))
-
-    field = FrameField(curve=curve, matrix_fn=matrix_fn, cov_deriv_fn=cov_deriv_fn,
-                       kind="fermi-walker")
-    return curve, field
 
 
 def standard_inertial_frame(curve: ObserverCurve) -> FrameField:
@@ -466,9 +498,9 @@ def standard_inertial_frame(curve: ObserverCurve) -> FrameField:
     c = curve.c
     u = curve.velocity(curve.interval[0])  # constant for inertial flat curves
     m = complete_orthonormal(curve.chart.metric(curve.position(curve.interval[0])), u / c)
-    zero = np.zeros((4, 4))
-    return FrameField(curve=curve, matrix_fn=lambda tau: m.copy(),
-                      cov_deriv_fn=lambda tau: zero.copy(), kind="fermi-walker")
+    return FrameField(curve=curve, matrix_fn=lambda taus: m[None].repeat(len(taus), axis=0),
+                      cov_deriv_fn=lambda taus: np.zeros((len(taus), 4, 4)),
+                      kind="fermi-walker")
 
 
 def complete_orthonormal(g, e0):

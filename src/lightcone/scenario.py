@@ -120,7 +120,33 @@ class Scenario:
             return schwarzschild(radius, c)
         raise ConfigError(f"unknown spacetime {name!r}")
 
+    def build_observer_frames(self, chart: Chart) -> tuple:
+        """The observer's worldline and its frame field, as (curve, frames)."""
+        curve, base = self._worldline(chart)
+        return curve, self._frames(chart, curve, base)
+
     def build_observer(self, chart: Chart) -> ObserverCurve:
+        """The worldline alone; build_observer_frames builds it with its frames."""
+        return self._worldline(chart)[0]
+
+    def build_frames(self, chart: Chart, curve: ObserverCurve) -> FrameField:
+        """The frame field along a curve built from these settings.
+
+        A programmed worldline and its Fermi-Walker frame come from one
+        integration, which is run again here and must reproduce the curve.
+        """
+        if curve.kind != "programmed":
+            return self._frames(chart, curve, None)
+        built, frames = self.build_observer_frames(chart)
+        ends = np.array(curve.interval, dtype=float)
+        if not (built.interval == curve.interval
+                and np.array_equal(built.position(ends), curve.position(ends))
+                and np.array_equal(built.velocity(ends), curve.velocity(ends))):
+            raise ConfigError("the programmed worldline was not built from these settings")
+        return frames
+
+    def _worldline(self, chart):
+        """(curve, frames): frames only where one integration gives both, else None."""
         kind = self.get("observer.kind", "inertial", kind=str)
         lo = self.get("observer.tau_min_s", -10.0)
         hi = self.get("observer.tau_max_s", 10.0)
@@ -129,49 +155,37 @@ class Scenario:
         if kind == "inertial":
             q0 = np.array(self.get("observer.q0_m", [0, 0, 0, 0], kind=list))
             u0 = np.array(self.get("observer.u0", [1, 0, 0, 0], kind=list))
-            return make_inertial_observer(chart, Event(chart.name, q0), u0, (lo, hi))
+            return make_inertial_observer(chart, Event(chart.name, q0), u0, (lo, hi)), None
         if kind == "uniformly_accelerated":
             if chart.name != "minkowski":
                 raise ConfigError("uniformly accelerated observers need the flat chart")
             a = self.get("observer.a_m_per_s2")
-            return make_uniformly_accelerated_observer(a, chart.c, (lo, hi))
+            return make_uniformly_accelerated_observer(a, chart.c, (lo, hi)), None
         if kind == "programmed":
             # constant accelerometer reading in the instantaneous frame basis;
             # arbitrary programs are an API-level feature
-            curve, field = self._programmed(chart, lo, hi)
-            self._programmed_frames = field
-            return curve
+            q0 = np.array(self.get("observer.q0_m", [0, 0, 0, 0], kind=list))
+            accel = np.array(self.get("observer.accel_m_per_s2", kind=list))
+            if accel.shape != (3,):
+                raise ConfigError("observer.accel_m_per_s2 needs 3 components")
+            frame0 = _initial_frame_at(chart, q0)
+            return make_programmed_observer(chart, Event(chart.name, q0), frame0,
+                                            lambda tau: accel, interval=(lo, hi))
         raise ConfigError(f"unknown observer kind {kind!r}")
 
-    def _programmed(self, chart, lo, hi):
-        q0 = np.array(self.get("observer.q0_m", [0, 0, 0, 0], kind=list))
-        accel = np.array(self.get("observer.accel_m_per_s2", kind=list))
-        if accel.shape != (3,):
-            raise ConfigError("observer.accel_m_per_s2 needs 3 components")
-        frame0 = _initial_frame_at(chart, q0)
-        return make_programmed_observer(chart, Event(chart.name, q0), frame0,
-                                        lambda tau: accel, interval=(lo, hi))
-
-    def build_frames(self, chart: Chart, curve: ObserverCurve) -> FrameField:
+    def _frames(self, chart, curve, base):
+        """The configured frame field along curve; base is its Fermi-Walker field, if known."""
         kind = self.get("frame.kind", "fermi_walker", kind=str)
         if kind == "explicit":
             cols = np.array(self.get("frame.columns", kind=list)).reshape(4, 4, order="F")
-            zero = np.zeros((4, 4))
-            return FrameField(curve=curve, matrix_fn=lambda tau: cols.copy(),
-                              cov_deriv_fn=lambda tau: zero.copy(), kind="explicit")
-        if curve.kind == "programmed":
-            base = self._programmed_frames
-            if kind == "fermi_walker":
-                return base
-            if kind == "rotating":
-                return rotating_frame(base, self.get("frame.omega_rad_per_s"),
-                                      self.get("frame.axis", 1, kind=int))
-            raise ConfigError(f"unknown frame kind {kind!r}")
-        if curve.kind == "inertial" and chart.flat:
+            return FrameField(curve=curve,
+                              matrix_fn=lambda taus: cols[None].repeat(len(taus), axis=0),
+                              cov_deriv_fn=lambda taus: np.zeros((len(taus), 4, 4)),
+                              kind="explicit")
+        if base is None and curve.kind == "inertial" and chart.flat:
             base = standard_inertial_frame(curve)
-        else:
-            x0 = _initial_frame(chart, curve)
-            base = fermi_walker_transport(curve, x0, curve.interval)
+        elif base is None:
+            base = fermi_walker_transport(curve, _initial_frame(chart, curve), curve.interval)
         if kind == "fermi_walker":
             return base
         if kind == "rotating":

@@ -184,17 +184,19 @@ def _map_states(frames: FrameField, pts, with_jacobian):
     (position, cone vector) first, then with the Jacobian the temporal
     column, J(0) = gamma'/c with W(0) from the frame's covariant
     derivatives, and the three spatial columns, J(0) = 0 with W(0) along
-    the light-cone chart directions X_a - (x^a/|x|) X_0.
+    the light-cone chart directions X_a - (x^a/|x|) X_0.  The frame, the
+    observer position and (with the Jacobian) the covariant derivatives
+    come from one array call each over the column of tau.
     """
     taus, x = pts[:, 0], pts[:, 1:]
     n = len(pts)
-    mats = np.array([frames.matrix(tau) for tau in taus])
+    mats = frames.matrix(taus)
     comps = _cone_components(x)
     y0 = np.zeros((n, 5 if with_jacobian else 1, 8))
-    y0[:, 0, :4] = [frames.curve.position(tau) for tau in taus]
+    y0[:, 0, :4] = frames.curve.position(taus)
     y0[:, 0, 4:] = (mats @ comps[:, :, None])[:, :, 0]
     if with_jacobian:
-        derivs = np.array([frames.cov_deriv(tau) for tau in taus])
+        derivs = frames.cov_deriv(taus)
         y0[:, 1, :4] = mats[:, :, 0]
         y0[:, 1, 4:] = (derivs @ comps[:, :, None])[:, :, 0] / frames.curve.c
         xhat = x / -comps[:, :1]  # comps[:, 0] holds -|x|
@@ -342,7 +344,7 @@ def _near_worldline(frames, target, tol):
     curve = frames.curve
     lo, hi = curve.interval
     taus = np.linspace(lo, hi, 101)
-    d = min(np.max(np.abs(curve.position(t) - target)) for t in taus)
+    d = np.min(np.max(np.abs(curve.position(taus) - target), axis=1))
     return d < tol
 
 

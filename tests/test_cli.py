@@ -439,6 +439,29 @@ class TestProgrammedObserver:
         for row in rows:
             assert float(row[9]) <= 1e-8
 
+    def test_frames_for_a_curve_built_by_another_scenario(self):
+        text = (
+            "spacetime.name = minkowski\n"
+            "observer.kind = programmed\n"
+            "observer.accel_m_per_s2 = 0.5, 0.2, 0\n"
+            "observer.tau_min_s = -2\n"
+            "observer.tau_max_s = 2\n"
+        )
+        scn_a = Scenario(values=parse_scenario_text(text), source_text=text)
+        scn_b = Scenario(values=parse_scenario_text(text), source_text=text)
+        chart = scn_a.build_chart()
+        curve = scn_b.build_observer(chart)
+        frames = scn_a.build_frames(chart, curve)
+        _, want = scn_b.build_observer_frames(chart)
+        taus = np.linspace(-2, 2, 5)
+        assert np.array_equal(frames.matrix(taus), want.matrix(taus))
+        assert np.array_equal(frames.curve.position(taus), curve.position(taus))
+
+        other = text.replace("0.5, 0.2, 0", "0.4, 0.2, 0")
+        scn_c = Scenario(values=parse_scenario_text(other), source_text=other)
+        with pytest.raises(ConfigError):
+            scn_a.build_frames(chart, scn_c.build_observer(chart))
+
     def test_validate_passes_for_programmed(self, tmp_path):
         scn_file = tmp_path / "prog.scn"
         scn_file.write_text(
@@ -466,3 +489,18 @@ def test_trace_cone_empty_radius_list(tmp_path):
     assert rc == 0
     lines = (tmp_path / "cone.csv").read_text().strip().splitlines()
     assert len(lines) == 1  # header only
+
+
+def test_curved_worldline_ending_at_tau_zero(tmp_path):
+    # the worldline has only its backward half; tau = 0 must come from it
+    scn_text = (SCN_DIR / "schwarzschild_faller.scn").read_text()
+    scn_text = scn_text.replace("observer.tau_max_s = 3", "observer.tau_max_s = 0")
+    scn_file = tmp_path / "ends_at_zero.scn"
+    scn_file.write_text(scn_text)
+    rc = main(["--scenario", str(scn_file), "--out", str(tmp_path), "trace-cone"])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "cone.csv")
+    assert len(rows) == 36 and all(row[8] == "1" for row in rows)
+    scn = load_scenario(scn_file)
+    curve = scn.build_observer(scn.build_chart())
+    assert np.array_equal(curve.position(0.0), [0.0, 10.0, 1.5707963267948966, 0.0])

@@ -1,9 +1,12 @@
 """Observer worldlines, Fermi-Walker transport, rotating frames."""
 
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightcone.charts import metric_at, minkowski, schwarzschild
 from lightcone.errors import CausalDomainError, InvalidInputError
@@ -18,10 +21,13 @@ from lightcone.observers import (
     make_uniformly_accelerated_observer,
     proper_acceleration,
     rotating_frame,
+    standard_inertial_frame,
 )
+from lightcone.scenario import load_scenario
 
 MK = minkowski()
 SW = schwarzschild(1.0)
+SCN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def boost_frame(tau):
@@ -54,6 +60,12 @@ class TestInertialObserver:
     def test_past_directed_rejected(self):
         with pytest.raises(CausalDomainError):
             make_inertial_observer(MK, Event("minkowski", np.zeros(4)), [-1, 0, 0, 0])
+
+    def test_curved_worldline_ending_at_tau_zero(self):
+        q0 = Event("schwarzschild", np.array([0.0, 10.0, math.pi / 2, 0.0]))
+        cur = make_inertial_observer(SW, q0, [1, 0, 0, 0], interval=(-3.0, 0.0))
+        assert np.array_equal(cur.position(0.0), q0.coords)
+        assert cur.position(-1.0)[0] < 0.0  # the backward half
 
     def test_schwarzschild_free_fall_normalization(self):
         r0 = 10.0
@@ -252,3 +264,87 @@ class TestProgrammedObserver:
         ff.matrix(3.0)
         with pytest.raises(InvalidInputError):
             ff.matrix(tau)
+
+    @pytest.mark.parametrize("chart", [MK, SW], ids=["flat", "schwarzschild"])
+    def test_acceleration_is_program_in_frame_columns(self, chart):
+        # the acceleration equals the right-hand side's d(gamma')/dtau with
+        # Gamma(gamma', gamma') added back, the form it replaced
+        q0 = np.array([0.0, 10.0, math.pi / 2, 0.0]) if chart is SW else np.zeros(4)
+        program = lambda tau: np.array([0.3 * math.sin(tau), 0.2, -0.1])
+        cur, ff = make_programmed_observer(chart, Event(chart.name, q0),
+                                           chart.reference_frame(q0), program, interval=(-2, 2))
+        for tau in np.linspace(-2, 2, 9):
+            vel = cur.velocity(tau)
+            gam = chart.christoffels(cur.position(tau))
+            gvv = np.einsum("kij,i,j->k", gam, vel, vel)
+            old = (ff.matrix(tau)[:, 1:] @ program(tau) - gvv) + gvv
+            got = cur.acceleration(tau)
+            if chart is MK:
+                assert np.array_equal(got, old)
+            else:
+                assert np.max(np.abs(got - old)) <= 1e-12 * np.max(np.abs(old))
+
+
+# -- scalar and array tau ----------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _frame_field(kind):
+    """One frame field of each kind, built once."""
+    if kind == "curved-inertial-fw":
+        scn = load_scenario(SCN_DIR / "schwarzschild_faller.scn")
+        chart = scn.build_chart()
+        return scn.build_frames(chart, scn.build_observer(chart))
+    if kind == "explicit":
+        scn = load_scenario(SCN_DIR / "corrupted_frame.scn")
+        chart = scn.build_chart()
+        return scn.build_frames(chart, scn.build_observer(chart))
+    if kind == "standard-inertial":
+        cur = make_inertial_observer(MK, Event("minkowski", np.ones(4)), [2, 0.5, 0.3, 0],
+                                     interval=(-4, 4))
+        return standard_inertial_frame(cur)
+    if kind == "programmed":
+        q0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+        _, ff = make_programmed_observer(
+            SW, Event("schwarzschild", q0), SW.reference_frame(q0),
+            lambda tau: np.array([0.2 * math.cos(tau), 0.1, 0.05]), interval=(-1.5, 2))
+        return ff
+    fw = fermi_walker_transport(make_uniformly_accelerated_observer(1.0, 1.0, (-6, 6)),
+                                np.eye(4), (-5, 5))
+    return fw if kind == "accelerated-fw" else rotating_frame(fw, 0.7, 2)
+
+
+_KINDS = ["curved-inertial-fw", "accelerated-fw", "programmed", "rotating",
+          "standard-inertial", "explicit"]
+
+
+def _evaluators(ff):
+    """(interval, evaluator) for each curve and frame evaluator of ff."""
+    cur = ff.curve
+    return [(cur.interval, cur.position), (cur.interval, cur.velocity),
+            (cur.interval, cur.acceleration), (ff.interval, ff.matrix),
+            (ff.interval, ff.cov_deriv)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_array_rows_are_scalar_calls(kind, fractions):
+    for (lo, hi), evaluate in _evaluators(_frame_field(kind)):
+        taus = lo + np.array(fractions) * (hi - lo)
+        rows = evaluate(taus)
+        assert rows.shape == (len(taus),) + evaluate(taus[0]).shape
+        for row, tau in zip(rows, taus):
+            assert np.array_equal(row, evaluate(tau))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       st.integers(0, 7), st.booleans(), st.floats(1e-9, 10.0))
+def test_array_with_one_tau_outside_raises(kind, fractions, at, above, beyond):
+    for (lo, hi), evaluate in _evaluators(_frame_field(kind)):
+        taus = lo + np.array(fractions) * (hi - lo)
+        bad = hi + beyond if above else lo - beyond
+        taus[at % len(taus)] = bad
+        with pytest.raises(InvalidInputError):
+            evaluate(bad)
+        with pytest.raises(InvalidInputError):
+            evaluate(taus)
