@@ -176,14 +176,16 @@ def schwarzschild(radius, c=1.0) -> Chart:
         fp = radius / r**2  # df/dr
         sin, cos = np.sin(th), np.cos(th)
         gam = np.zeros((pts.shape[0], 4, 4, 4))
-        gam[:, 0, 0, 1] = gam[:, 0, 1, 0] = fp / (2.0 * f)
+        # a value and its negative share one evaluation: -a / b == -(a / b)
+        # and (-a) * b == -(a * b) in floating point
+        ratio, minus_fr, inv_r = fp / (2.0 * f), -f * r, 1.0 / r
+        gam[:, 0, 0, 1] = gam[:, 0, 1, 0] = ratio
         gam[:, 1, 0, 0] = f * fp / 2.0
-        gam[:, 1, 1, 1] = -fp / (2.0 * f)
-        gam[:, 1, 2, 2] = -f * r
-        gam[:, 1, 3, 3] = -f * r * sin**2
-        gam[:, 2, 1, 2] = gam[:, 2, 2, 1] = 1.0 / r
+        gam[:, 1, 1, 1] = -ratio
+        gam[:, 1, 2, 2] = minus_fr
+        gam[:, 1, 3, 3] = minus_fr * sin**2
+        gam[:, 2, 1, 2] = gam[:, 2, 2, 1] = gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = inv_r
         gam[:, 2, 3, 3] = -sin * cos
-        gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = 1.0 / r
         gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
         return gam[0] if single else gam
 
@@ -199,16 +201,17 @@ def schwarzschild(radius, c=1.0) -> Chart:
         sin, cos = np.sin(th), np.cos(th)
         dgam = np.zeros((pts.shape[0], 4, 4, 4, 4))
         d_ratio = (fpp * f - fp**2) / (2.0 * f**2)  # d/dr of fp / (2 f)
+        fp2, sin2, minus = fp**2, sin**2, -(fp * r + f)
         dgam[:, 0, 0, 1, 1] = dgam[:, 0, 1, 0, 1] = d_ratio
-        dgam[:, 1, 0, 0, 1] = (fp**2 + f * fpp) / 2.0
+        dgam[:, 1, 0, 0, 1] = (fp2 + f * fpp) / 2.0
         dgam[:, 1, 1, 1, 1] = -d_ratio
-        dgam[:, 1, 2, 2, 1] = -(fp * r + f)
-        dgam[:, 1, 3, 3, 1] = -(fp * r + f) * sin**2
+        dgam[:, 1, 2, 2, 1] = minus
+        dgam[:, 1, 3, 3, 1] = minus * sin2
         dgam[:, 1, 3, 3, 2] = -2.0 * f * r * sin * cos
         dgam[:, 2, 1, 2, 1] = dgam[:, 2, 2, 1, 1] = -1.0 / r**2
-        dgam[:, 2, 3, 3, 2] = sin**2 - cos**2
-        dgam[:, 3, 1, 3, 1] = dgam[:, 3, 3, 1, 1] = -1.0 / r**2
-        dgam[:, 3, 2, 3, 2] = dgam[:, 3, 3, 2, 2] = -1.0 / sin**2
+        dgam[:, 3, 1, 3, 1] = dgam[:, 3, 3, 1, 1] = dgam[:, 2, 1, 2, 1]
+        dgam[:, 2, 3, 3, 2] = sin2 - cos**2
+        dgam[:, 3, 2, 3, 2] = dgam[:, 3, 3, 2, 2] = -1.0 / sin2
         return dgam[0] if single else dgam
 
     return Chart(

@@ -2,8 +2,8 @@
 
 Subcommands: trace-cone, invert, observe, newton-limit, validate.  Every
 run writes its data files plus a manifest into --out.  Output is
-deterministic: floats are printed with 17 significant digits and row
-order never depends on thread count.
+deterministic: floats are printed with 17 significant digits, and every
+command runs in one thread (--threads is accepted and unused).
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
 failure.
@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import newtonian as nl
 from . import splitting as sp
 from .charts import metric_at, riemann_ricci_at
 from .errors import ConfigError, LightconeError
-from .geodesics import GeodesicIVP, integrate_geodesic, integrate_jacobi
+from .geodesics import CLIPPED, FAILED, LANDED, GeodesicIVP, integrate_geodesic, integrate_jacobi
 from .lorentz import ETA, Event, gram_matrix, validate_frame_of_reference
 from .observers import make_inertial_observer
 from .scenario import TOOL_VERSION, Scenario, apply_overrides, load_scenario
@@ -68,8 +67,13 @@ def _direction_grid(n_polar, n_azimuth):
     return dirs
 
 
-def cmd_trace_cone(scn: Scenario, out_dir, threads=1):
-    """Sample the past light cone of the observer at configured instants."""
+def cmd_trace_cone(scn: Scenario, out_dir):
+    """Sample the past light cone of the observer at configured instants.
+
+    Every (tau, r, direction) ray goes into one batch.  A ray that lands
+    gets reach_flag 1; one that clips at the chart boundary or fails
+    gets 0, with the point where it stopped.
+    """
     chart = scn.build_chart()
     curve = scn.build_observer(chart)
     frames = scn.build_frames(chart, curve)
@@ -80,30 +84,20 @@ def cmd_trace_cone(scn: Scenario, out_dir, threads=1):
     dirs = _direction_grid(n_polar, n_azimuth)
 
     jobs = [(tau, r, d) for tau in taus for r in radii for d in dirs]
-
-    def run(job):
-        tau, r, d = job
-        x = r * d
-        k = sp.cone_vector(frames, tau, x)
-        q = Event(chart.name, curve.position(tau))
-        sol = integrate_geodesic(chart, GeodesicIVP(q, k), 1.0)
-        reached = 0 if sol.clipped else 1
-        s_end = sol.s1
-        pos, vel = sol.position(s_end), sol.velocity(s_end)
-        g = chart.metric(pos)
-        residual = abs(float(vel @ g @ vel)) / max(r * r, 1e-30)
-        return (tau, *x, *pos, reached, residual)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
+    pts = np.array([(tau, *(r * d)) for tau, r, d in jobs], dtype=float).reshape(-1, 4)
+    rays = sp.observer_rays(chart, frames, pts)
+    pos, vel = rays.states[:, :4], rays.states[:, 4:8]
+    norms = (vel[:, None, :] @ chart.metric(pos).reshape(-1, 4, 4) @ vel[:, :, None])[:, 0, 0]
+    rows = [(*pt, *p, int(o == LANDED), abs(float(nrm)) / max(r * r, 1e-30))
+            for pt, p, o, nrm, (_, r, _) in zip(pts, pos, rays.outcome, norms, jobs)]
 
     header = ["tau_s", "x1_m", "x2_m", "x3_m", "k0_m", "k1", "k2", "k3",
               "reach_flag", "lightlike_residual"]
     _write_csv(Path(out_dir) / "cone.csv", header, rows)
-    return ["cone.csv"], {"rows": len(rows)}
+    return ["cone.csv"], {"rows": len(rows),
+                          "rays_landed": int(np.sum(rays.outcome == LANDED)),
+                          "rays_clipped": int(np.sum(rays.outcome == CLIPPED)),
+                          "rays_failed": int(np.sum(rays.outcome == FAILED))}
 
 
 def _read_targets(path):
@@ -374,7 +368,7 @@ def build_parser():
     parser.add_argument("--tol-override", action="append", default=[],
                         metavar="KEY=VAL", help="override a tol.* setting")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for trace-cone; the other commands ignore it")
+                        help="accepted for compatibility; no command uses it")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for random invariant sampling")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -398,7 +392,7 @@ def main(argv=None):
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "trace-cone":
-            outputs, extra = cmd_trace_cone(scn, out_dir, args.threads)
+            outputs, extra = cmd_trace_cone(scn, out_dir)
         elif args.command == "invert":
             outputs, extra = cmd_invert(scn, args.targets, out_dir)
         elif args.command == "observe":

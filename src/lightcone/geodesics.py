@@ -1,16 +1,34 @@
 """Geodesics, parallel transport, Jacobi fields and the exponential map.
 
-The integrator is scipy's embedded Runge-Kutta 5(4) pair with dense output
-(solve_ivp, method="RK45"); defaults rel_tol=1e-10, abs_tol=1e-12.  Chart
-exit terminates integration early and returns the maximal partial solution
-flagged as clipped, so cone tracing can report per-ray reach.
+Every integration here runs one stepper, _dopri: the Dormand-Prince 5(4)
+pair with scipy's RK45 tableau, initial step and step control
+(Hairer-Norsett-Wanner, Solving ODEs I, sec. II.4), over an (n, width)
+array of rays.  Each row is its own initial-value problem: it keeps its
+own parameter s, step size, rejected flag and error norm, each step
+evaluates only the rows still running, and no row's arithmetic reads
+another's.  So a ray gives the same bits alone and in any batch.
 
-Every ray solve shares one right-hand side, _ray_rhs: a stack of rays,
+What the tolerances mean for each ray (defaults rel_tol=1e-10,
+abs_tol=1e-12): every accepted step keeps that ray's own RMS error
+estimate over all components of its state, each weighed by
+abs_tol + rel_tol*|y|, below 1.  A ray ends in one of three outcomes:
+  landed   it reached s_end;
+  clipped  it met its chart-exit event, a hair inside the boundary (see
+           _exit_event); the crossing is located to 4 eps by brentq on
+           that ray's own step interpolant, as solve_ivp locates events;
+  failed   its step size fell below 10 ulp of s.
+A batch reports the outcome of each row and never raises for one ray.
+The state of a ray at any s, its end included, is its step interpolant
+there (the RK dense output), which dense solutions keep per step.
+
+On a flat chart a ray is exact and takes no steps: it is (x + s v, v),
+and each Jacobi column (J + s W, W).
+
+Every curved ray runs one right-hand side, _ray_rhs: a stack of rays,
 each with n_jac Jacobi columns.  integrate_geodesic (n_jac = 0),
 integrate_jacobi (1), detect_conjugate (4) and integrate_batch (any) all
-run it through _solve.  Only integrate_batch, which has no chart-exit
-event, freezes members that leave the domain; parallel_transport solves
-its own (different) equation.
+go through _rays; parallel_transport runs its own (different) equation
+through the same stepper.
 
 A Jacobi column is integrated as the coordinate variation (dx, dv) of the
 ray, whose variational equation needs the connection and its first
@@ -23,7 +41,7 @@ W = dv + Gamma(kappa', dx) on read-out.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.optimize import brentq
 
 from .charts import Chart
 from .errors import (
@@ -38,6 +56,9 @@ from .lorentz import Event
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 
+# Ray outcomes
+LANDED, CLIPPED, FAILED = 0, 1, 2
+
 
 @dataclass(frozen=True)
 class GeodesicIVP:
@@ -51,29 +72,49 @@ class GeodesicIVP:
         object.__setattr__(self, "velocity", v)
 
 
+def _interpolate(t_old, h, q, y_old, s):
+    """The RK dense output of each entry's step at s, one row per entry.
+
+    t_old, h, s: (m,); q: (m, width, order); y_old: (m, width).  The state
+    is y_old + h Q (x, x^2, ...), x = (s - t_old) / h, with one
+    matrix-vector product per entry, as scipy's RkDenseOutput takes for a
+    scalar s; so an entry has the same bits whatever else is evaluated
+    with it.
+    """
+    x = (s - t_old) / h
+    p = np.cumprod(np.repeat(x[:, None], q.shape[2], axis=1), axis=1)
+    y = h[:, None] * (q @ p[:, :, None])[:, :, 0]
+    y += y_old
+    return y
+
+
 class DenseSolution:
     """Interpolable solution of one integrated system over [s0, s1].
 
-    The parameter interval is oriented (s1 may be below s0 for backward
-    integration); evaluation outside it raises.  `clipped` marks runs that
-    were cut short by chart exit.
+    Holds per step its start ts[i], length h[i], interpolation matrix
+    q[i] and start state y_old[i]; ts has one more entry, s1.  The
+    interval is oriented (s1 may be below s0 for backward integration);
+    evaluation outside it raises.  `clipped` marks runs cut short by chart
+    exit.  The last step of a clipped run keeps its full length h, with
+    s1 inside it.
 
     state(s) takes a scalar or a 1-D array of s.  Column i of an array
-    result has the bits of state(s[i]): each entry gets its own
-    matrix-vector product with its step's interpolation matrix, as scipy's
-    scalar call does.  (scipy's array call takes one matrix-matrix product
-    per step, whose columns can differ in the last bit, so an entry would
-    depend on the others.)
+    result has the bits of state(s[i]) (see _interpolate).
     """
 
-    def __init__(self, interp, s0, s1, steps, clipped, n_state):
-        self._interp = interp
-        self.s0 = float(s0)
-        self.s1 = float(s1)
+    def __init__(self, ts, h, q, y_old, steps, clipped):
+        ts = np.asarray(ts, dtype=float)
+        self.s0 = float(ts[0])
+        self.s1 = float(ts[-1])
         self.steps = int(steps)
         self.clipped = bool(clipped)
-        self.n_state = int(n_state)
-        self._stacked = None  # per-step interpolation data, built on the first array call
+        self.n_state = int(y_old.shape[1])
+        # the step holding s, as scipy's OdeSolution picks it: searchsorted
+        # on the inner step ends, counted from the end when running backward
+        self._backward = self.s1 < self.s0
+        self._inner = ts[-2:0:-1] if self._backward else ts[1:-1]
+        self._side = "left" if self._backward else "right"
+        self._t_old, self._h, self._q, self._y_old = ts[:-1], h, q, y_old
 
     def _clipped(self, s):
         """s clipped into the solution interval; more than 1e-12 outside raises."""
@@ -86,29 +127,15 @@ class DenseSolution:
     def state(self, s):
         """(n_state,) for scalar s, (n_state, len(s)) for a 1-D array."""
         s = self._clipped(s)
-        if s.ndim == 0 or not isinstance(self._interp, OdeSolution):
-            return self._interp(s)
+        if s.ndim == 0:
+            return self._rows(s.reshape(1))[0]
         return self._rows(s).T
 
     def _rows(self, s):
-        """The RK dense output (RkDenseOutput._call_impl) at each s, one row each."""
-        if self._stacked is None:
-            sol = self._interp
-            parts = sol.interpolants
-            # OdeSolution's step for a scalar s: searchsorted on the inner step
-            # ends, counted from the end when the solution runs backward
-            self._stacked = (sol.ts_sorted[1:-1], sol.side, not sol.ascending,
-                             np.array([p.t_old for p in parts]), np.array([p.h for p in parts]),
-                             np.stack([p.Q for p in parts]), np.stack([p.y_old for p in parts]))
-        inner, side, backward, t_old, h, q, y_old = self._stacked
-        seg = np.searchsorted(inner, s, side=side)
-        if backward:
-            seg = len(t_old) - 1 - seg
-        x = (s - t_old[seg]) / h[seg]
-        p = np.cumprod(np.repeat(x[:, None], q.shape[2], axis=1), axis=1)
-        y = h[seg][:, None] * (q[seg] @ p[:, :, None])[:, :, 0]
-        y += y_old[seg]
-        return y
+        seg = np.searchsorted(self._inner, s, side=self._side)
+        if self._backward:
+            seg = len(self._t_old) - 1 - seg
+        return _interpolate(self._t_old[seg], self._h[seg], self._q[seg], self._y_old[seg], s)
 
 
 class GeodesicSolution(DenseSolution):
@@ -124,8 +151,8 @@ class GeodesicSolution(DenseSolution):
 class TransportSolution(DenseSolution):
     """Vector (or stacked vectors) carried along a stored path."""
 
-    def __init__(self, interp, s0, s1, steps, clipped, n_state, along):
-        super().__init__(interp, s0, s1, steps, clipped, n_state)
+    def __init__(self, ts, h, q, y_old, steps, clipped, along):
+        super().__init__(ts, h, q, y_old, steps, clipped)
         self.along = along
 
     def vector(self, s):
@@ -139,8 +166,8 @@ class JacobiSolution(DenseSolution):
     (dx, dv), with J = dx (see _ray_rhs).
     """
 
-    def __init__(self, interp, s0, s1, steps, clipped, along, chart):
-        super().__init__(interp, s0, s1, steps, clipped, 16)
+    def __init__(self, ts, h, q, y_old, steps, clipped, along, chart):
+        super().__init__(ts, h, q, y_old, steps, clipped)
         self.along = along
         self.chart = chart
 
@@ -154,65 +181,264 @@ class JacobiSolution(DenseSolution):
         return w[0] if st.ndim == 1 else w.T
 
 
-def _const_interp(y0):
+class BatchSolution:
+    """Where each ray of a batch ended, and how; rows in input order.
+
+    states: (n, width) state at s1 in the (J, W) layout; s1: (n,) the
+    parameter each ray ended at; outcome: (n,) LANDED, CLIPPED or FAILED;
+    reasons: why each failed ray failed ("" for the others).  Calling it
+    at s_end gives the states there: NaN rows for rays that did not land.
+    """
+
+    def __init__(self, states, s1, outcome, reasons, s_end):
+        self.states = states
+        self.s1 = s1
+        self.outcome = outcome
+        self.reasons = reasons
+        self.s_end = float(s_end)
+
+    @property
+    def landed(self):
+        return self.outcome == LANDED
+
+    def __call__(self, s):
+        if s != self.s_end:
+            raise InvalidInputError(f"a ray batch keeps its endpoints only; evaluate it at "
+                                    f"s_end = {self.s_end}, not {s}")
+        out = self.states.copy()
+        out[~self.landed] = np.nan
+        return out
+
+
+# ---------------------------------------------------------------------------
+# The stepper
+# ---------------------------------------------------------------------------
+
+# Dormand-Prince 5(4): scipy's RK45 tableau, error weights and dense-output
+# matrix (the optimum c_6 interpolant), and its step-size control.
+_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_EPS = np.finfo(float).eps
+
+
+def _rms(x):
+    """Each row's RMS norm, its square sum taken as ndarray.dot takes it."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) / x.shape[1] ** 0.5
+
+
+def _initial_step(rhs, y, f, s_end, direction, rel_tol, abs_tol):
+    """scipy's select_initial_step for each row, from s = 0."""
+    length = abs(s_end)
+    scale = abs_tol + np.abs(y) * rel_tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, length)
+    f1 = rhs(h0 * direction, y + (h0 * direction)[:, None] * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    with np.errstate(divide="ignore"):
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1 / 5))
+    return np.minimum(np.minimum(100 * h0, h1), length)
+
+
+@dataclass
+class _Run:
+    """What _dopri returns, rows in input order.
+
+    y: (n, width) state at s1; s1, outcome, steps (accepted): (n,);
+    reasons: per row, "" unless failed; segments: with dense output, per
+    row the DenseSolution data (ts, h, q, y_old), else None.
+    """
+
+    y: np.ndarray
+    s1: np.ndarray
+    outcome: np.ndarray
+    steps: np.ndarray
+    reasons: list
+    segments: list = None
+
+
+def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
+    """Integrate y' = rhs(s, y) from s = 0 to s_end != 0 for each row of y0.
+
+    rhs maps (m,) s and (m, width) states of the running rows to their
+    (m, width) derivatives, row by row.  event maps (m, width) states to
+    (m,) values; a row stops, clipped, where its value falls through zero
+    (solve_ivp's terminal event with direction -1).  See the module
+    docstring for the step control and the outcomes.
+    """
     y0 = np.array(y0, dtype=float)
+    n, width = y0.shape
+    direction = 1.0 if s_end > 0 else -1.0
+    clamp = np.minimum if s_end > 0 else np.maximum  # a step ends at s_end at the latest
+    floor = 10 * np.spacing(abs(s_end))  # no row's min_step is larger
+    out = _Run(np.empty((n, width)), np.empty(n), np.full(n, LANDED),
+               np.zeros(n, dtype=int), [""] * n)
+    record = []  # with dense output: per iteration (rows, t_old, h, q, y_old)
 
-    def interp(s):
-        s = np.asarray(s)
-        if s.ndim == 0:
-            return y0.copy()
-        return np.tile(y0[:, None], (1, s.size))  # scipy layout: (n_state, ns)
+    # the running rows: their index in y0, s, state, derivative, next step
+    # size, whether their last attempt was rejected, accepted steps and
+    # event value
+    rows = np.arange(n)
+    s = np.zeros(n)
+    y = y0
+    f = rhs(s, y)
+    h_abs = _initial_step(rhs, y, f, s_end, direction, rel_tol, abs_tol)
+    rejected = np.zeros(n, dtype=bool)
+    retry = False  # whether any row's last attempt was rejected
+    steps = np.zeros(n, dtype=int)
+    g = event(y) if event is not None else None
 
-    return interp
+    def finish(i, y_end, s1):
+        """Record the running rows i as ended, and drop them."""
+        nonlocal rows, s, y, f, h_abs, rejected, steps, g
+        out.y[rows[i]], out.s1[rows[i]], out.steps[rows[i]] = y_end, s1, steps[i]
+        live = np.ones(len(rows), dtype=bool)
+        live[i] = False
+        rows, s, y, f = rows[live], s[live], y[live], f[live]
+        h_abs, rejected, steps = h_abs[live], rejected[live], steps[live]
+        g = g[live] if g is not None else None
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(rows):
+            if not h_abs.min() >= floor:
+                # a fresh step is at least min_step; a rejected one below it
+                # (or NaN) fails
+                min_step = 10 * np.abs(np.nextafter(s, direction * np.inf) - s)
+                small = ~(h_abs >= min_step)
+                h_abs = np.where(rejected, h_abs, np.fmax(h_abs, min_step))
+                fail = np.flatnonzero(rejected & small)
+                for i in fail:
+                    out.outcome[rows[i]] = FAILED
+                    out.reasons[rows[i]] = ("required step size is less than spacing "
+                                            f"between numbers at s = {s[i]:.17g}")
+                if len(fail):
+                    finish(fail, y[fail], s[fail])
+                    continue
+
+            s_new = clamp(s + h_abs * direction, s_end)
+            h = s_new - s
+            h_abs = np.abs(h)
+            hc = h[:, None]
+            t_stage = s[:, None] + _C * hc
+
+            k = np.empty((len(rows), 7, width))
+            kt = k.transpose(0, 2, 1)
+            k[:, 0] = f
+            for i in range(1, 6):
+                k[:, i] = rhs(t_stage[:, i], y + (kt[:, :, :i] @ _A[i, :i]) * hc)
+            y_new = y + hc * (kt[:, :, :6] @ _B)
+            f_new = k[:, 6] = rhs(s + h, y_new)
+            scale = abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol
+            err = _rms((kt @ _E) * hc / scale)
+
+            # scipy's factors: min(MAX_FACTOR, grow) on acceptance, and no
+            # growth right after a rejection; max(MIN_FACTOR, grow) on
+            # rejection, where fmax takes MIN_FACTOR for a NaN error
+            ok = err < 1
+            every = ok.all()
+            grow = _SAFETY * err ** _EXPONENT
+            if every and not retry:
+                h_abs = h_abs * np.minimum(_MAX_FACTOR, grow)
+            else:
+                cap = np.where(rejected, 1.0, _MAX_FACTOR)
+                h_abs = h_abs * np.where(ok, np.minimum(cap, grow), np.fmax(_MIN_FACTOR, grow))
+                rejected = ~ok
+            retry = not every
+            if retry and not ok.any():
+                continue
+            steps += ok
+
+            # the accepted rows: all of them, without a gather, most of the time
+            acc = np.arange(len(rows)) if every else np.flatnonzero(ok)
+            pick = (lambda a: a) if every else (lambda a: a[acc])
+            t_old, y_old, h_acc, s_acc, y_acc = pick(s), pick(y), pick(h), pick(s_new), pick(y_new)
+            stop = s_acc == s_end
+            q = None
+            if dense:
+                q = pick(kt) @ _P  # each accepted step's interpolant
+                record.append((rows[acc], t_old, h_acc, q, y_old))
+            if every:
+                s, y, f = s_new, y_new, f_new
+            else:
+                s = np.where(ok, s_new, s)
+                y, f = np.where(ok[:, None], y_new, y), np.where(ok[:, None], f_new, f)
+
+            ends = s_acc
+            if g is not None:
+                g_new = event(y_acc)
+                cross = (pick(g) >= 0) & (g_new <= 0)
+                if every:
+                    g = g_new
+                else:
+                    g = g.copy()
+                    g[acc] = g_new
+                if cross.any():
+                    q = pick(kt) @ _P if q is None else q
+                    ends = s_acc.copy()
+                    for j in np.flatnonzero(cross):
+                        step = (t_old[j:j + 1], h_acc[j:j + 1], q[j:j + 1], y_old[j:j + 1])
+                        ends[j] = brentq(lambda t: event(_interpolate(*step, np.array([t])))[0],
+                                         t_old[j], s_acc[j], xtol=4 * _EPS, rtol=4 * _EPS)
+                        out.outcome[rows[acc[j]]] = CLIPPED
+                    stop = stop | cross
+            if stop.any():
+                j = np.flatnonzero(stop)
+                qj = q[j] if q is not None else kt[acc[j]] @ _P
+                finish(acc[j], _interpolate(t_old[j], h_acc[j], qj, y_old[j], ends[j]), ends[j])
+
+    if dense:
+        empty = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, width, 4)),
+                 np.zeros((0, width)))
+        seg_rows, t_old, h, q, y_old = ([np.concatenate(p) for p in zip(*record)]
+                                        if record else empty)
+        out.segments = []
+        for r in range(n):
+            sel = seg_rows == r
+            out.segments.append((np.append(t_old[sel], out.s1[r]), h[sel], q[sel], y_old[sel]))
+    return out
 
 
-def _solve(chart, rhs, y0, s_end, rel_tol, abs_tol, events=None):
-    if s_end == 0.0:
-        return _const_interp(y0), 0.0, 0, False
-    sol = solve_ivp(
-        rhs,
-        (0.0, s_end),
-        np.asarray(y0, dtype=float),
-        method="RK45",
-        dense_output=True,
-        rtol=rel_tol,
-        atol=abs_tol,
-        events=events,
-    )
-    if sol.status == -1:
-        raise IntegrationError(f"integrator failed on {chart.name}: {sol.message}")
-    clipped = sol.status == 1
-    s1 = sol.t[-1]
-    if clipped and abs(s1) <= 1e-14 * max(1.0, abs(s_end)):
-        raise EmptySolutionError("trajectory leaves the chart domain immediately")
-    return sol.sol, s1, len(sol.t) - 1, clipped
-
-
-def _domain_event(chart):
-    """Terminal event a hair inside the boundary.
+def _exit_event(chart):
+    """Chart-exit event values a hair inside the boundary, or None.
 
     Chart boundaries are typically coordinate-singular (the metric blows
     up there), so integrating to the exact boundary stalls the stepper.
-    Firing at a small margin keeps the clipped solution well-conditioned.
+    Stopping at a small margin keeps the clipped solution well-conditioned.
     """
     if chart.boundary_fn is None:
         return None
     margin = 1e-6 * max(1.0, abs(chart.params.get("R", 1.0)))
-
-    def event(s, y):
-        return chart.boundary_distance(y[:4]) - margin
-
-    event.terminal = True
-    event.direction = -1
-    return event
+    return lambda y: chart.boundary_distance(y[..., :4]) - margin
 
 
 def _ray_rhs(chart: Chart, n_jac: int):
     """Right-hand side for a stack of rays, each with n_jac Jacobi columns.
 
-    The flat state holds (n, 8 + 8*n_jac) rows: kappa (4), kappa' (4),
-    then n_jac columns (dx, dv), the coordinate variation of the ray and
-    of its velocity (the variational equation, Hairer-Norsett-Wanner,
+    The state holds (n, 8 + 8*n_jac) rows: kappa (4), kappa' (4), then
+    n_jac columns (dx, dv), the coordinate variation of the ray and of
+    its velocity (the variational equation, Hairer-Norsett-Wanner,
     Solving ODEs I, sec. I.14):
         kappa''^k = -Gamma^k_ij kappa'^i kappa'^j
         dx'^k = dv^k
@@ -221,26 +447,16 @@ def _ray_rhs(chart: Chart, n_jac: int):
     W = dv + Gamma(kappa', dx) (see _convert_columns).  No curvature
     tensor is formed.
     """
-    shape = (-1, 1 + n_jac, 2, 4)  # member, (ray, columns), (value, derivative)
-
-    if chart.flat:
-        def rhs(s, y):
-            m = y.reshape(shape)
-            out = np.zeros_like(m)
-            out[:, :, 0] = m[:, :, 1]
-            return out.ravel()
-
-        return rhs
 
     def rhs(s, y):
-        m = y.reshape(shape)
+        n = len(y)
+        m = y.reshape(n, 1 + n_jac, 2, 4)  # member, (ray, columns), (value, derivative)
         out = np.empty_like(m)
         pos, vel = m[:, 0, 0], m[:, 0, 1]
         gam = chart.christoffels(pos)  # (n,4,4,4)
-        out[:, 0, 0] = vel
+        out[:, :, 0] = m[:, :, 1]
         out[:, 0, 1] = -np.einsum("nkij,ni,nj->nk", gam, vel, vel)
         if n_jac:
-            n = len(m)
             row = vel[:, None, None, :]
             vv = (vel[:, :, None] * vel[:, None, :]).reshape(n, 1, 1, 16)
             # coef[n, k] = (d_m Gamma^k(kappa', kappa'), 2 Gamma^k_ij kappa'^i), width 8;
@@ -250,9 +466,8 @@ def _ray_rhs(chart: Chart, n_jac: int):
                 2.0 * np.matmul(row, gam),
             ], axis=-1)[:, :, 0]
             cols = m[:, 1:]
-            out[:, 1:, 0] = cols[:, :, 1]
             out[:, 1:, 1] = -np.matmul(cols.reshape(n, n_jac, 8), coef.transpose(0, 2, 1))
-        return out.ravel()
+        return out.reshape(n, -1)
 
     return rhs
 
@@ -268,10 +483,51 @@ def _convert_columns(chart: Chart, states, sign):
     states = np.array(states, dtype=float)
     if chart.flat or states.shape[-1] == 8:
         return states
-    m = states.reshape(len(states), -1, 2, 4)
+    m = states.reshape(len(states), states.shape[1] // 8, 2, 4)
     gv = np.einsum("nkij,ni->nkj", chart.christoffels(m[:, 0, 0]), m[:, 0, 1])
     m[:, 1:, 1] += sign * np.einsum("nkj,ncj->nck", gv, m[:, 1:, 0])
     return states
+
+
+def _linear_run(y0, deriv, s_end, dense):
+    """The exact run y0 + s * deriv, with no steps: flat rays, s_end = 0."""
+    n = len(y0)
+    out = _Run(y0 + s_end * deriv, np.full(n, float(s_end)), np.full(n, LANDED),
+               np.zeros(n, dtype=int), [""] * n)
+    if dense:
+        # one step of order 1 whose interpolant is y0 + s * deriv
+        ts, h = np.array([0.0, s_end]), np.array([s_end or 1.0])
+        out.segments = [(ts, h, deriv[i][None, :, None], y0[i][None]) for i in range(n)]
+    return out
+
+
+def _rays(chart: Chart, y0, s_end, rel_tol, abs_tol, stop_at_exit=True, dense=False):
+    """Integrate rays in the (dx, dv) layout: y0 is (n, 8 + 8*n_jac).
+
+    Curved rays run _ray_rhs through _dopri, stopped by the chart-exit
+    event when stop_at_exit; flat rays and s_end = 0 are exact.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    if rel_tol <= 0 or abs_tol <= 0:
+        raise InvalidInputError("tolerances must be positive")
+    if s_end == 0.0 or chart.flat:
+        m = y0.reshape(len(y0), y0.shape[1] // 8, 2, 4)
+        deriv = np.zeros_like(m)
+        if chart.flat:
+            deriv[:, :, 0] = m[:, :, 1]
+        return _linear_run(y0, deriv.reshape(y0.shape), s_end, dense)
+    n_jac = y0.shape[1] // 8 - 1
+    event = _exit_event(chart) if stop_at_exit else None
+    return _dopri(_ray_rhs(chart, n_jac), y0, s_end, rel_tol, abs_tol, event, dense)
+
+
+def _single(chart, run, s_end, cls, *extra):
+    """Row 0 of a dense run as a cls solution; a failed or empty ray raises."""
+    if run.outcome[0] == FAILED:
+        raise IntegrationError(f"integrator failed on {chart.name}: {run.reasons[0]}")
+    if run.outcome[0] == CLIPPED and abs(run.s1[0]) <= 1e-14 * max(1.0, abs(s_end)):
+        raise EmptySolutionError("trajectory leaves the chart domain immediately")
+    return cls(*run.segments[0], run.steps[0], run.outcome[0] == CLIPPED, *extra)
 
 
 def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end, rel_tol=REL_TOL,
@@ -284,8 +540,6 @@ def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end, rel_tol=REL_TOL,
     """
     if ivp.start.chart_id != chart.name:
         raise InvalidInputError(f"event belongs to chart {ivp.start.chart_id!r}, not {chart.name!r}")
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise InvalidInputError("tolerances must be positive")
     q0 = ivp.start.coords
     if not chart.contains(q0):
         raise OutOfChartError(f"start {q0} outside {chart.name} domain")
@@ -293,10 +547,9 @@ def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end, rel_tol=REL_TOL,
     if bd is not None and bd <= 1e-12 * max(1.0, abs(chart.params.get("R", 1.0))):
         raise EmptySolutionError("start point touches the chart boundary")
 
-    y0 = np.concatenate([q0, ivp.velocity])
-    interp, s1, steps, clipped = _solve(chart, _ray_rhs(chart, 0), y0, s_end, rel_tol,
-                                        abs_tol, events=_domain_event(chart))
-    return GeodesicSolution(interp, 0.0, s1, steps, clipped, 8)
+    y0 = np.concatenate([q0, ivp.velocity])[None, :]
+    run = _rays(chart, y0, s_end, rel_tol, abs_tol, dense=True)
+    return _single(chart, run, s_end, GeodesicSolution)
 
 
 def exp_map(chart: Chart, q: Event, tangent, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> Event:
@@ -314,23 +567,22 @@ def parallel_transport(chart: Chart, along: GeodesicSolution, v0,
     """Transport v0 along the stored path: v'^k + Gamma^k_ij kappa'^i v^j = 0.
 
     The path's stored velocity is reused instead of re-differentiating the
-    position interpolant.
+    position interpolant.  On a flat chart v stays v0 exactly.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (4,) or not np.all(np.isfinite(v0)):
         raise InvalidInputError("transported vector must be 4 finite reals")
 
-    if chart.flat:
-        def rhs(s, v):
-            return np.zeros(4)
+    if chart.flat or along.s1 == 0.0:
+        run = _linear_run(v0[None, :], np.zeros((1, 4)), along.s1, dense=True)
     else:
         def rhs(s, v):
-            state = along.state(s)
-            gam = chart.christoffels(state[:4])
-            return -np.einsum("kij,i,j->k", gam, state[4:8], v)
+            state = along.state(s).T  # (m, 8) at each row's own s
+            gam = chart.christoffels(state[:, :4])
+            return -np.einsum("nkij,ni,nj->nk", gam, state[:, 4:8], v)
 
-    interp, s1, steps, clipped = _solve(chart, rhs, v0, along.s1, rel_tol, abs_tol)
-    return TransportSolution(interp, 0.0, s1, steps, clipped, 4, along)
+        run = _dopri(rhs, v0[None, :], along.s1, rel_tol, abs_tol, dense=True)
+    return _single(chart, run, along.s1, TransportSolution, along)
 
 
 def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0,
@@ -344,10 +596,9 @@ def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0,
     """
     y0 = np.concatenate([geodesic.position(0.0), geodesic.velocity(0.0),
                          np.asarray(j0, dtype=float), np.asarray(dj0, dtype=float)])
-    y0 = _convert_columns(chart, y0[None, :], -1)[0]
-    interp, s1, steps, clipped = _solve(chart, _ray_rhs(chart, 1), y0, geodesic.s1,
-                                        rel_tol, abs_tol)
-    return JacobiSolution(interp, 0.0, s1, steps, clipped, geodesic, chart)
+    y0 = _convert_columns(chart, y0[None, :], -1)
+    run = _rays(chart, y0, geodesic.s1, rel_tol, abs_tol, stop_at_exit=False, dense=True)
+    return _single(chart, run, geodesic.s1, JacobiSolution, geodesic, chart)
 
 
 def exp_differential(chart: Chart, q: Event, tangent, base_dir, fiber_dir,
@@ -416,15 +667,16 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n,
 
     y0 = np.concatenate([q.coords, tangent, n0, np.zeros(4)]
                         + [np.concatenate([np.zeros(4), d]) for d in dirs])
-    y0 = _convert_columns(chart, y0[None, :], -1)[0]  # transversal: dv(0) = -Gamma(K, N)
-    interp, s1, steps, clipped = _solve(chart, _ray_rhs(chart, 4), y0, s_max, rel_tol,
-                                        abs_tol, events=_domain_event(chart))
+    y0 = _convert_columns(chart, y0[None, :], -1)  # transversal: dv(0) = -Gamma(K, N)
+    sol = _single(chart, _rays(chart, y0, s_max, rel_tol, abs_tol, dense=True), s_max,
+                  DenseSolution)
+    s1 = sol.s1
 
     if grid_n < 2:
         return ConjugateScan((), True, s1)
 
     def det_at(s):
-        cols = interp(s)[8:].reshape(4, 2, 4)[:, 0].T  # the J of each column
+        cols = sol.state(s)[8:].reshape(4, 2, 4)[:, 0].T  # the J of each column
         return float(np.linalg.det(cols)) / s**3
 
     grid = np.linspace(s1 / grid_n, s1, grid_n)
@@ -451,58 +703,29 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n,
     return ConjugateScan(tuple(zeros), False, s1)
 
 
-# ---------------------------------------------------------------------------
-# Batches of rays
-#
-# Used by the splitting layer, where thousands of rays with their map
-# differentials are integrated per call.  No chart-exit events here, so
-# the caller keeps batches inside the domain; a freeze guard stops a
-# runaway member from stalling the shared step control.
-# ---------------------------------------------------------------------------
-
-def _freeze_outside(chart: Chart, rhs, width):
-    """Wrap a batch RHS so members outside the domain stop moving.
-
-    Such a member is evaluated at _fallback_point and its derivatives are
-    zeroed; while every member is inside, rhs is called unchanged.
-    """
-    if chart.boundary_fn is None:
-        return rhs
-    margin = 1e-9 * max(1.0, abs(chart.params.get("R", 1.0)))
-
-    def guarded(s, y):
-        m = y.reshape(-1, width)
-        outside = ~(chart.boundary_distance(m[:, :4]) > margin)  # NaN counts as outside
-        if not outside.any():
-            return rhs(s, y)
-        m = m.copy()
-        m[outside, :4] = _fallback_point(chart)
-        out = rhs(s, m.ravel()).reshape(-1, width)
-        out[outside] = 0.0
-        return out.ravel()
-
-    return guarded
-
-
-def _fallback_point(chart: Chart):
-    if chart.name == "schwarzschild":
-        return np.array([0.0, 2.0 * chart.params["R"], np.pi / 2.0, 0.0])
-    return np.zeros(4)
-
-
 def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0,
                     rel_tol=REL_TOL, abs_tol=ABS_TOL):
-    """Integrate n stacked geodesic(+Jacobi) systems over one interval.
+    """Integrate n rays, each with n_jac Jacobi columns, from s = 0 to s_end.
 
-    y0: (n, 8 + 8*n_jac) initial states, each column (J, W).  Returns a
-    callable interp(s) giving states shaped (n, width) in the same
-    layout, plus the step count.
+    y0: (n, 8 + 8*n_jac) initial states, each column (J, W).  Each row is
+    its own problem, with its own steps and chart-exit event, and ends
+    landed, clipped or failed without stopping the others.  Returns
+    (BatchSolution, steps), steps being the most accepted steps any one
+    ray took (0 on a flat chart, where rays are exact).
     """
     y0 = np.asarray(y0, dtype=float)
     n, width = y0.shape
     if width != 8 + 8 * n_jac:
         raise InvalidInputError("batch state width does not match n_jac")
-    rhs = _freeze_outside(chart, _ray_rhs(chart, n_jac), width)
-    y0 = _convert_columns(chart, y0, -1)
-    interp, _, steps, _ = _solve(chart, rhs, y0.ravel(), s_end, rel_tol, abs_tol)
-    return (lambda s: _convert_columns(chart, interp(s).reshape(n, width), +1)), steps
+    # a ray that starts outside the chart fails there, untraced
+    inside = np.asarray(chart.contains(y0[:, :4]), dtype=bool).reshape(n)
+    run = _rays(chart, _convert_columns(chart, y0[inside], -1), s_end, rel_tol, abs_tol)
+    states, s1 = y0.copy(), np.zeros(n)
+    outcome = np.full(n, FAILED)
+    reasons = ["start outside the chart domain"] * n
+    states[inside] = _convert_columns(chart, run.y, +1)
+    s1[inside], outcome[inside] = run.s1, run.outcome
+    for i, reason in zip(np.flatnonzero(inside), run.reasons):
+        reasons[i] = reason
+    steps = int(run.steps.max()) if len(run.steps) else 0
+    return BatchSolution(states, s1, outcome, reasons, s_end), steps

@@ -464,8 +464,10 @@ def _two_sided(rhs, y0, lo, hi, what):
                         rtol=REL_TOL, atol=ABS_TOL)
         if sol.status != 0:
             raise IntegrationError(f"{what} failed: {sol.message}")
-        sides[target > tau0] = DenseSolution(sol.sol, tau0, target, len(sol.t) - 1, False,
-                                             len(y0))
+        steps = sol.sol.interpolants
+        sides[target > tau0] = DenseSolution(
+            sol.t, np.array([p.h for p in steps]), np.stack([p.Q for p in steps]),
+            np.stack([p.y_old for p in steps]), len(steps), False)
 
     def state(taus):
         out = ~((taus >= lo - 1e-12) & (taus <= hi + 1e-12))

@@ -35,7 +35,7 @@ from .errors import (
     SuperluminalError,
     UnreachableDirectionError,
 )
-from .geodesics import exp_map, integrate_batch
+from .geodesics import BatchSolution, exp_map, integrate_batch
 from .lorentz import Event, Frame4, CausalCharacter, causal_character, projectors
 from .observers import FrameField
 
@@ -201,14 +201,27 @@ def _map_states(frames: FrameField, pts, with_jacobian):
         y0[:, 1, 4:] = (derivs @ comps[:, :, None])[:, :, 0] / frames.curve.c
         xhat = x / -comps[:, :1]  # comps[:, 0] holds -|x|
         y0[:, 2:, 4:] = (mats[:, :, 1:] - mats[:, :, :1] * xhat[:, None, :]).transpose(0, 2, 1)
-    return y0.reshape(n, -1)
+    return y0.reshape(n, 8 * y0.shape[1])
+
+
+def observer_rays(chart: Chart, frames: FrameField, pts) -> BatchSolution:
+    """The seen light rays at an (n, 4) array of points (tau, x), as one batch.
+
+    Each ray runs to unit parameter or until it leaves the chart, and the
+    result says, per ray, where it ended and whether it landed, clipped
+    or failed.
+    """
+    sol, _ = integrate_batch(chart, _map_states(frames, np.asarray(pts, dtype=float), False))
+    return sol
 
 
 def _eval_batch(chart, frames, pts, with_jacobian):
     """Map (and optionally Jacobian) for an (n, 4) array of points (tau, x).
 
     Returns (events (n,4), jacobians (n,4,4) or None).  Jacobian columns
-    are derivatives with respect to (c*tau, x^1, x^2, x^3).
+    are derivatives with respect to (c*tau, x^1, x^2, x^3).  The rows of a
+    ray that does not land (it clips at the chart boundary or fails) are
+    NaN.
     """
     y0 = _map_states(frames, pts, with_jacobian)
     interp, _ = integrate_batch(chart, y0, n_jac=4 if with_jacobian else 0, s_end=1.0)
@@ -217,6 +230,16 @@ def _eval_batch(chart, frames, pts, with_jacobian):
     if not with_jacobian:
         return events, None
     return events, out.reshape(len(out), 5, 8)[:, 1:, :4].transpose(0, 2, 1)
+
+
+def _eval_landed(chart, frames, pts, with_jacobian):
+    """_eval_batch where every ray must land; one that does not raises."""
+    events, jacs = _eval_batch(chart, frames, pts, with_jacobian)
+    lost = np.isnan(events).any(axis=1)
+    if lost.any():
+        raise UnreachableDirectionError(
+            f"the ray at (tau, x) = {pts[lost][0]} leaves {chart.name} before landing")
+    return events, jacs
 
 
 def kinematic_observer_map(chart: Chart, frames: FrameField, p: ObservedEvent) -> Event:
@@ -236,7 +259,7 @@ def observer_map_jacobian(chart: Chart, frames: FrameField, p: ObservedEvent) ->
     derivatives in its initial data, the spatial ones the light-cone
     chart directions.
     """
-    _, jac = _eval_batch(chart, frames, _point(p.tau, p.x), True)
+    _, jac = _eval_landed(chart, frames, _point(p.tau, p.x), True)
     return jac[0]
 
 
@@ -265,8 +288,9 @@ def _newton_polish(chart, frames, targets, states, cfg):
     """Damped Newton on a batch of (target, state) pairs.
 
     states: (m, 4) rows (tau, x1, x2, x3).  Returns (states, residual_norm,
-    converged mask); members that leave the admissible region or fail to
-    reduce the residual are dropped from the active set.
+    converged mask); members that leave the admissible region, whose ray
+    does not land, or that fail to reduce the residual are dropped from
+    the active set.
     """
     c = frames.curve.c
     tau_lo, tau_hi = _tau_bounds(frames)
@@ -290,9 +314,10 @@ def _newton_polish(chart, frames, targets, states, cfg):
     resid = np.full((m, 4), np.inf)
     if len(active):
         resid[active] = forward(states[active], active)
+    resid[np.isnan(resid).any(axis=1)] = np.inf  # the ray did not land
     rnorm = np.linalg.norm(resid, axis=1)
     converged = rnorm <= cfg.inv_tol * scale
-    active = active[~converged[active]]
+    active = active[~converged[active] & np.isfinite(rnorm[active])]
 
     for _ in range(cfg.max_iter):
         if len(active) == 0:
@@ -364,9 +389,10 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
                 seeds_per_target=None) -> List[InversionResult]:
     """Invert the observer map for many targets sharing one start grid.
 
-    The start grid is mapped forward once.  Each target keeps the
-    seeds_per_target >= 1 starts (default search.top_k, at most the grid size)
-    with the smallest forward residual, and damped Newton runs on all
+    The start grid is mapped forward once, and starts whose ray does not
+    land are never seeds.  Each target keeps the seeds_per_target >= 1
+    starts (default search.top_k, at most the landed starts) with the
+    smallest forward residual, and damped Newton runs on all
     targets' seeds as batches of _CHUNK targets.  Converged roots are
     deduplicated and sorted by coordinates, so a target's outcome does
     not depend on start order.
@@ -382,10 +408,16 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
     if len(starts) == 0:
         raise InvalidInputError("the multistart grid is empty: its only point is the "
                                 "excluded observer position x = 0")
+    n_starts = len(starts)
     ev, _ = _eval_batch(chart, frames, starts, False)
+    landed = ~np.isnan(ev).any(axis=1)
+    starts, ev = starts[landed], ev[landed]
 
     k = min(seeds_per_target, len(starts))
     results: List[InversionResult] = []
+    if k == 0:
+        return [_collect_roots(chart, frames, tgt, np.empty((0, 4)), np.empty(0), search,
+                               n_starts) for tgt in targets]
     for base in range(0, len(targets), _CHUNK):
         tgt_chunk = targets[base:base + _CHUNK]
         # per-target seed selection by forward residual
@@ -399,7 +431,7 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
             rows = slice(i * k, (i + 1) * k)
             ok = converged[rows]
             results.append(_collect_roots(chart, frames, tgt, states[rows][ok],
-                                          rnorm[rows][ok], search, len(starts)))
+                                          rnorm[rows][ok], search, n_starts))
     return results
 
 
@@ -435,7 +467,9 @@ class MappedCurve:
 
     position and velocity are both computed through the map machinery;
     the tangent is the push-forward of d/d tau, whose causal character
-    decides whether a physical observer can sit at x at all.
+    decides whether a physical observer can sit at x at all.  Both take a
+    scalar s, giving (4,), or a 1-D array, giving (n, 4) through one map
+    batch; a ray that does not land raises UnreachableDirectionError.
     """
 
     def __init__(self, chart, frames, x):
@@ -444,13 +478,21 @@ class MappedCurve:
         self.x = np.asarray(x, dtype=float)
         self.interval = frames.interval
 
+    def _points(self, s):
+        s = np.asarray(s, dtype=float)
+        pts = np.concatenate([s.reshape(-1, 1), np.tile(self.x, (s.size, 1))], axis=1)
+        return pts, s.ndim == 0
+
     def position(self, s):
-        ev, _ = _eval_batch(self.chart, self.frames, _point(s, self.x), False)
-        return ev[0]
+        pts, scalar = self._points(s)
+        ev, _ = _eval_landed(self.chart, self.frames, pts, False)
+        return ev[0] if scalar else ev
 
     def velocity(self, s):
-        _, jac = _eval_batch(self.chart, self.frames, _point(s, self.x), True)
-        return self.chart.c * jac[0][:, 0]  # phi_* d/dtau = c * column 0
+        pts, scalar = self._points(s)
+        _, jac = _eval_landed(self.chart, self.frames, pts, True)
+        vel = self.chart.c * jac[:, :, 0]  # phi_* d/dtau = c * column 0
+        return vel[0] if scalar else vel
 
 
 def comoving_worldline(chart: Chart, frames: FrameField, x) -> MappedCurve:
@@ -510,11 +552,11 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
         # five-point stencil: the four warm inversions form one Newton batch,
         # and the sample's Jacobian shares one batch with the stencil's
         s_pts = s + stencil_h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])
-        tk = np.array([worldline.position(sk) for sk in s_pts[1:]], dtype=float)
+        tk = np.asarray(worldline.position(s_pts[1:]), dtype=float)
         stk, _, conv = _newton_polish(chart, frames, tk, np.tile(state, (4, 1)), search)
         stencil_ok = bool(np.all(conv))
         states = np.vstack([state, stk]) if stencil_ok else state[None, :]
-        lam = np.array([worldline.velocity(sk) for sk in s_pts[:len(states)]], dtype=float)
+        lam = np.asarray(worldline.velocity(s_pts[:len(states)]), dtype=float)
         tds, dx_ds = _first_derivatives(chart, frames, states, lam)
         tau_dot = tds[0]
         vs = np.full_like(dx_ds, np.nan)  # dx/dtau, undefined where tau' = 0
@@ -552,7 +594,7 @@ def _first_derivatives(chart, frames, states, tangents):
     states: (m, 4) rows (tau, x); tangents: (m, 4) worldline tangents
     there.  Applies each inverse Jacobian to its tangent.
     """
-    _, jac = _eval_batch(chart, frames, states, True)
+    _, jac = _eval_landed(chart, frames, states, True)
     xi_dot = np.linalg.solve(jac, tangents[:, :, None])[:, :, 0]  # d(c tau, x)/ds
     return xi_dot[:, 0] / frames.curve.c, xi_dot[:, 1:]
 
@@ -561,7 +603,7 @@ def _first_derivatives(chart, frames, states, tangents):
 
 def pullback_metric(chart: Chart, frames: FrameField, p: ObservedEvent) -> np.ndarray:
     """Components of the pulled-back spacetime metric in observer coordinates."""
-    ev, jac = _eval_batch(chart, frames, _point(p.tau, p.x), True)
+    ev, jac = _eval_landed(chart, frames, _point(p.tau, p.x), True)
     g = metric_at(chart, ev[0])
     j = jac[0]
     return j.T @ g @ j
@@ -655,7 +697,7 @@ def _map_derivatives(chart, frames, p, fd_step):
     the Jacobian columns, symmetrized.
     """
     pts = np.vstack([_point(p.tau, p.x), _stencil_points(frames.curve.c, p, fd_step)])
-    ev, jac = _eval_batch(chart, frames, pts, True)
+    ev, jac = _eval_landed(chart, frames, pts, True)
     hess = ((jac[1:5] - jac[5:9]) / (2.0 * fd_step)).transpose(1, 0, 2)
     return ev[0], jac[0], 0.5 * (hess + hess.transpose(0, 2, 1))
 

@@ -504,3 +504,61 @@ def test_curved_worldline_ending_at_tau_zero(tmp_path):
     scn = load_scenario(scn_file)
     curve = scn.build_observer(scn.build_chart())
     assert np.array_equal(curve.position(0.0), [0.0, 10.0, 1.5707963267948966, 0.0])
+
+
+def _manifest(path):
+    lines = Path(path).read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
+
+
+def test_trace_cone_counts_rays_by_outcome(tmp_path):
+    # at r = 12.5 the ray aimed at the hole (direction -x1) clips at the
+    # horizon margin: reach flag 0, and the manifest counts it
+    scn_text = (SCN_DIR / "schwarzschild_faller.scn").read_text()
+    scn_file = tmp_path / "hole.scn"
+    scn_file.write_text(scn_text.replace("cone.radii_m = 0.5, 1", "cone.radii_m = 1, 12.5"))
+    rc = main(["--scenario", str(scn_file), "--out", str(tmp_path), "--threads", "2",
+               "trace-cone"])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "cone.csv")
+    flags = [float(row[8]) for row in rows]
+    manifest = _manifest(tmp_path / "manifest.txt")
+    landed, clipped = int(manifest["rays_landed"]), int(manifest["rays_clipped"])
+    failed = int(manifest["rays_failed"])
+    assert landed + clipped + failed == len(rows) == 36
+    assert landed == flags.count(1.0)
+    assert clipped + failed == flags.count(0.0)
+    assert clipped >= 1
+    hole = next(row for row in rows if float(row[1]) == -12.5 and float(row[8]) == 0.0)
+    assert float(hole[5]) == pytest.approx(1.0 + 1e-6, abs=1e-9)  # r at the margin
+
+
+def test_invert_with_start_rays_into_the_hole(tmp_path):
+    # a box of half-width 12 puts start rays into the hole; they clip and
+    # are never seeds, and the target still inverts to the (tau, x) that
+    # made it
+    from lightcone import geodesics, splitting
+    from lightcone.splitting import ObservedEvent, kinematic_observer_map
+
+    scn_file = tmp_path / "wide.scn"
+    scn_file.write_text((SCN_DIR / "schwarzschild_faller.scn").read_text()
+                        + "invert.tau_min_s = -2.5\ninvert.tau_max_s = 2.5\n"
+                        + "invert.x_box_m = 12\ninvert.n_tau = 5\ninvert.n_x = 5\n"
+                        + "invert.top_k = 8\ntol.inv = 1e-10\n")
+    scn = load_scenario(scn_file)
+    chart = scn.build_chart()
+    curve = scn.build_observer(chart)
+    frames = scn.build_frames(chart, curve)
+    tau, x = -0.27595971194180835, np.array([-1.1355379608000944, -0.5267586085767956,
+                                             -1.7328539203122166])
+    target = kinematic_observer_map(chart, frames, ObservedEvent(tau, x)).coords
+    targets = tmp_path / "targets.txt"
+    targets.write_text(" ".join(format(float(c), ".17g") for c in target) + "\n")
+    rc = main(["--scenario", str(scn_file), "--out", str(tmp_path), "invert",
+               "--targets", str(targets)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "preimages.csv")
+    found = np.array([[float(v) for v in row[4:8]] for row in rows]).reshape(-1, 4)
+    assert np.min(np.max(np.abs(found - [tau, *x]), axis=1), initial=np.inf) <= 1e-7
+    grid = splitting._start_grid(scn.build_search(curve))
+    assert geodesics.CLIPPED in splitting.observer_rays(chart, frames, grid).outcome

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from lightcone.charts import metric_at, minkowski, schwarzschild
 from lightcone.errors import (
@@ -11,8 +13,12 @@ from lightcone.errors import (
     OutOfChartError,
 )
 from lightcone.geodesics import (
+    ABS_TOL,
+    CLIPPED,
+    FAILED,
+    LANDED,
+    REL_TOL,
     GeodesicIVP,
-    _freeze_outside,
     _ray_rhs,
     detect_conjugate,
     exp_differential,
@@ -287,14 +293,78 @@ def test_jacobi_is_the_batch_column():
     assert np.array_equal(jac.value(1.0), interp(1.0)[0, 8:12])
 
 
-def test_batch_freezes_members_outside_the_domain():
+def test_batch_members_outside_the_domain_end_alone():
+    # a member that starts inside the horizon fails and one that falls
+    # through the horizon margin clips; the inside member keeps its solo bits
     inside = np.concatenate([sw_event().coords, [1.2, -0.3, 0.0, 0.02]])
     fallen = np.concatenate([[0.0, 0.5, np.pi / 2, 0.0], [1.2, -0.3, 0.0, 0.02]])
+    f = 1.0 - 1.0 / 10.0
+    falling = np.concatenate([sw_event().coords, 20.0 * np.array([1.0 / f, -1.0, 0.0, 0.0])])
+    alone, _ = integrate_batch(SW, inside[None, :])
+    batch, _ = integrate_batch(SW, np.stack([fallen, inside, falling]))
+    assert alone.outcome[0] == LANDED
+    assert np.array_equal(batch(1.0)[1], alone(1.0)[0])
+    assert np.array_equal(batch.states[1], alone.states[0])
+    assert list(batch.outcome) == [FAILED, LANDED, CLIPPED]
+    assert np.isnan(batch(1.0)[[0, 2]]).all()
+    assert 0.0 < batch.s1[2] < 1.0
+    assert batch.states[2, 1] == pytest.approx(1.0 + 1e-6, abs=1e-9)
+
+
+def faller_ray(x, cols=()):
+    """The ray seen in direction x from r = 10 R by an observer at rest there.
+
+    Its initial velocity is the cone vector -|x| e_0 + x^a e_a in the
+    static frame (e_1 radial, outward); the given Jacobi columns follow.
+    """
+    f = 1.0 - 1.0 / 10.0
+    frame = np.diag([1.0 / np.sqrt(f), np.sqrt(f), 0.1, 0.1])
+    k = frame @ np.concatenate([[-np.linalg.norm(x)], x])
+    return np.concatenate([sw_event().coords, k, np.ravel(cols)])
+
+
+HOLE = (-12.5, 0.0, 0.0)  # aimed at the hole: the ray clips at the horizon margin
+
+
+def test_single_ray_follows_scipy_rk45():
+    # one ray through the stepper against solve_ivp's RK45 with the same
+    # right-hand side, tolerances and chart-exit event
     rhs = _ray_rhs(SW, 0)
-    guarded = _freeze_outside(SW, rhs, 8)
-    # all inside: the plain right-hand side; one outside: only it stops
-    both = np.stack([inside, inside]).ravel()
-    assert np.array_equal(guarded(0.0, both), rhs(0.0, both))
-    out = guarded(0.0, np.stack([inside, fallen]).ravel()).reshape(2, 8)
-    assert np.array_equal(out[0], rhs(0.0, inside))
-    assert np.array_equal(out[1], np.zeros(8))
+
+    def leaves(s, y):
+        return SW.boundary_distance(y[:4]) - 1e-6
+
+    leaves.terminal, leaves.direction = True, -1
+    for x in [(1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (-2.0, 1.0, 0.5), (3.0, -3.0, 1.0),
+              (-4.0, -1.0, -2.0), (0.3, 0.2, 5.0), HOLE]:
+        y0 = faller_ray(x)
+        ref = solve_ivp(lambda s, y: rhs(s, y[None])[0], (0.0, 1.0), y0, method="RK45",
+                        rtol=REL_TOL, atol=ABS_TOL, events=leaves, dense_output=True)
+        sol = integrate_geodesic(SW, GeodesicIVP(Event("schwarzschild", y0[:4]), y0[4:]), 1.0)
+        assert sol.steps == len(ref.t) - 1
+        assert sol.clipped == (ref.status == 1)
+        want = ref.sol(ref.t[-1])[:4]
+        assert np.max(np.abs(sol.position(sol.s1) - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+    assert sol.clipped
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([0, 4]), st.integers(0, 2**32 - 1), st.integers(0, 5),
+       st.integers(0, 6))
+def test_ray_bits_do_not_depend_on_its_batch(n_jac, seed, n_mates, where):
+    # random faller rays land (|x| < 5); the mate aimed at the hole clips
+    rng = np.random.default_rng(seed)
+
+    def ray():
+        return faller_ray(rng.uniform(-2.8, 2.8, 3), 0.1 * rng.normal(size=8 * n_jac))
+
+    me = ray()
+    mates = [ray() for _ in range(n_mates)]
+    mates.insert(where % (n_mates + 1), faller_ray(HOLE, np.zeros(8 * n_jac)))
+    i = where % (len(mates) + 1)
+    alone, _ = integrate_batch(SW, me[None], n_jac)
+    mixed, _ = integrate_batch(SW, np.array(mates[:i] + [me] + mates[i:]), n_jac)
+    assert CLIPPED in mixed.outcome
+    assert alone.outcome[0] == mixed.outcome[i] == LANDED
+    assert alone.s1[0] == mixed.s1[i]
+    assert np.array_equal(alone.states[0], mixed.states[i])

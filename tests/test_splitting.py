@@ -1,5 +1,6 @@
 """Observer mappings, inversion, relative motion and force decomposition."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from lightcone import splitting
 from lightcone.charts import metric_at, minkowski, schwarzschild
-from lightcone.errors import InvalidInputError, SuperluminalError
+from lightcone.errors import InvalidInputError, SuperluminalError, UnreachableDirectionError
 from lightcone.lorentz import ETA, Event, Frame4
 from lightcone.observers import (
     fermi_walker_transport,
@@ -622,3 +623,42 @@ class TestOneBatchPerSample:
         assert calls == [(5, 4)]       # sample and stencil Jacobians
         assert smp.v[0] == pytest.approx(0.1 / 1.1, abs=1e-9)
         assert np.max(np.abs(smp.dv_dtau)) <= 1e-8
+
+
+def test_mapped_curve_array_rows_are_scalar_calls():
+    # one map batch serves an array of s, and each row keeps the bits of
+    # its own scalar call
+    scn = load_scenario(SCN_DIR / "schwarzschild_faller.scn")
+    chart = scn.build_chart()
+    frames = scn.build_frames(chart, scn.build_observer(chart))
+    wl = comoving_worldline(chart, frames, np.array([1.0, -0.5, 0.3]))
+    s = np.array([-1.0, 0.25, 0.5, 1.5])
+    pos, vel = wl.position(s), wl.velocity(s)
+    assert pos.shape == vel.shape == (4, 4)
+    for i, si in enumerate(s):
+        assert np.array_equal(pos[i], wl.position(si))
+        assert np.array_equal(vel[i], wl.velocity(si))
+
+
+def test_single_point_callers_raise_for_a_ray_that_does_not_land(inertial):
+    # flat space cut at x1 = -5: the ray seen in direction -x1 from 6 away
+    # leaves before landing
+    _, ff = inertial
+    cut = dataclasses.replace(MK, flat=False, boundary_fn=lambda c: np.asarray(c)[..., 1] + 5.0,
+                              domain_fn=lambda c: np.asarray(c)[..., 1] > -5.0)
+    p = ObservedEvent(0.0, np.array([-6.0, 0.0, 0.0]))
+    with pytest.raises(UnreachableDirectionError):
+        kinematic_observer_map(cut, ff, p)
+    with pytest.raises(UnreachableDirectionError):
+        observer_map_jacobian(cut, ff, p)
+    with pytest.raises(UnreachableDirectionError):
+        pullback_metric(cut, ff, p)
+    with pytest.raises(UnreachableDirectionError):
+        transformed_christoffels(cut, ff, p)
+    with pytest.raises(UnreachableDirectionError):
+        comoving_worldline(cut, ff, p.x).position(np.array([0.0, 1.0]))
+    with pytest.raises(UnreachableDirectionError):
+        comoving_worldline(cut, ff, p.x).velocity(0.0)
+    near = ObservedEvent(0.0, np.array([-4.0, 0.0, 0.0]))  # lands
+    assert np.allclose(observer_map_jacobian(cut, ff, near), observer_map_jacobian(MK, ff, near),
+                       rtol=0, atol=1e-9)
