@@ -24,6 +24,8 @@ import numpy as np
 from .errors import DegenerateMetricError, InvalidInputError, OutOfChartError
 from .lorentz import ETA
 
+_DERIV_STEP = 1e-3  # central-difference step of a metric-only chart's connection
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -59,18 +61,27 @@ class Chart:
             return self.christoffel_fn(np.asarray(coords, dtype=float))
         return _fd_christoffels(self, np.asarray(coords, dtype=float), fd_step)
 
-    def christoffel_derivs(self, coords, fd_step=1e-5):
-        """dgam[..., k, i, j, m] = d_m Gamma^k_ij, closed form if the chart has one."""
+    def christoffel_derivs(self, coords, fd_step=1e-4):
+        """dgam[..., k, i, j, m] = d_m Gamma^k_ij, closed form if the chart has one.
+
+        Otherwise central differences of step _DERIV_STEP of the connection,
+        taken at metric step fd_step.  The outer step is the larger: the
+        connection's rounding noise, about eps / fd_step, is divided by the
+        outer step once more.  On the faller's rays one step of 1e-5 for
+        both left errors of about 2e-5 of the largest component, and its
+        noise drove a Jacobian ray to hundreds of steps; these steps leave
+        about 7e-7.
+        """
         coords = np.asarray(coords, dtype=float)
         if self.christoffel_deriv_fn is not None:
             return self.christoffel_deriv_fn(coords)
         dgam = np.empty(coords.shape[:-1] + (4, 4, 4, 4))
         for m in range(4):
             h = np.zeros(4)
-            h[m] = fd_step
+            h[m] = _DERIV_STEP
             dgam[..., m] = (
                 self.christoffels(coords + h, fd_step) - self.christoffels(coords - h, fd_step)
-            ) / (2.0 * fd_step)
+            ) / (2.0 * _DERIV_STEP)
         return dgam
 
     def boundary_distance(self, coords):

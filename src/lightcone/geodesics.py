@@ -1,25 +1,32 @@
 """Geodesics, parallel transport, Jacobi fields and the exponential map.
 
-Every integration here runs one stepper, _dopri: the Dormand-Prince 5(4)
-pair with scipy's RK45 tableau, initial step and step control
-(Hairer-Norsett-Wanner, Solving ODEs I, sec. II.4), over an (n, width)
-array of rays.  Each row is its own initial-value problem: it keeps its
-own parameter s, step size, rejected flag and error norm, each step
-evaluates only the rows still running, and no row's arithmetic reads
-another's.  So a ray gives the same bits alone and in any batch.
+Every integration here runs one stepper, _dopri: the Dormand-Prince
+8(5,3) pair with scipy's DOP853 tableau, error estimator, initial step
+and step control (Hairer-Norsett-Wanner, Solving ODEs I, sec. II.10),
+over an (n, width) array of rays.  Each row is its own initial-value
+problem: it keeps its own parameter s, step size, rejected flag and
+error norm, each step evaluates only the rows still running, and no
+row's arithmetic reads another's.  So a ray gives the same bits alone
+and in any batch.
 
 What the tolerances mean for each ray (defaults rel_tol=1e-10,
-abs_tol=1e-12): every accepted step keeps that ray's own RMS error
-estimate over all components of its state, each weighed by
-abs_tol + rel_tol*|y|, below 1.  A ray ends in one of three outcomes:
-  landed   it reached s_end;
+abs_tol=1e-12): every accepted step keeps that ray's own error norm
+below 1.  With each component weighed by abs_tol + rel_tol*|y|, the norm
+is DOP853's |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) width) from the
+5th- and 3rd-order estimates e5, e3 over all components of the ray's
+state.  A ray ends in one of three outcomes:
+  landed   it reached s_end; its end state is its last step's end state;
   clipped  it met its chart-exit event, a hair inside the boundary (see
            _exit_event); the crossing is located to 4 eps by brentq on
-           that ray's own step interpolant, as solve_ivp locates events;
+           that ray's own step interpolant, as solve_ivp locates events,
+           and its end state is the interpolant there;
   failed   its step size fell below 10 ulp of s.
 A batch reports the outcome of each row and never raises for one ray.
-The state of a ray at any s, its end included, is its step interpolant
-there (the RK dense output), which dense solutions keep per step.
+Dense solutions keep each step's interpolant (DOP853's 7th-order dense
+output, whose three extra stages are evaluated only for steps that are
+kept or that cross the exit event), converted to the power basis that
+_interpolate evaluates; at its end parameter a dense solution gives the
+ray's end state.
 
 On a flat chart a ray is exact and takes no steps: it is (x + s v, v),
 and each Jacobi column (J + s W, W).
@@ -39,8 +46,10 @@ W = dv + Gamma(kappa', dx) on read-out.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .charts import Chart
@@ -92,20 +101,21 @@ class DenseSolution:
     """Interpolable solution of one integrated system over [s0, s1].
 
     Holds per step its start ts[i], length h[i], interpolation matrix
-    q[i] and start state y_old[i]; ts has one more entry, s1.  The
-    interval is oriented (s1 may be below s0 for backward integration);
-    evaluation outside it raises.  `clipped` marks runs cut short by chart
-    exit.  The last step of a clipped run keeps its full length h, with
-    s1 inside it.
+    q[i] and start state y_old[i]; ts has one more entry, s1, and y1 is
+    the state there.  The interval is oriented (s1 may be below s0 for
+    backward integration); evaluation outside it raises.  `clipped` marks
+    runs cut short by chart exit.  The last step of a clipped run keeps
+    its full length h, with s1 inside it.
 
     state(s) takes a scalar or a 1-D array of s.  Column i of an array
-    result has the bits of state(s[i]) (see _interpolate).
+    result has the bits of state(s[i]) (see _interpolate); at s1 it is y1.
     """
 
-    def __init__(self, ts, h, q, y_old, steps, clipped):
+    def __init__(self, ts, h, q, y_old, y1, steps, clipped):
         ts = np.asarray(ts, dtype=float)
         self.s0 = float(ts[0])
         self.s1 = float(ts[-1])
+        self.y1 = np.asarray(y1, dtype=float)
         self.steps = int(steps)
         self.clipped = bool(clipped)
         self.n_state = int(y_old.shape[1])
@@ -135,7 +145,9 @@ class DenseSolution:
         seg = np.searchsorted(self._inner, s, side=self._side)
         if self._backward:
             seg = len(self._t_old) - 1 - seg
-        return _interpolate(self._t_old[seg], self._h[seg], self._q[seg], self._y_old[seg], s)
+        y = _interpolate(self._t_old[seg], self._h[seg], self._q[seg], self._y_old[seg], s)
+        y[s == self.s1] = self.y1
+        return y
 
 
 class GeodesicSolution(DenseSolution):
@@ -151,8 +163,8 @@ class GeodesicSolution(DenseSolution):
 class TransportSolution(DenseSolution):
     """Vector (or stacked vectors) carried along a stored path."""
 
-    def __init__(self, ts, h, q, y_old, steps, clipped, along):
-        super().__init__(ts, h, q, y_old, steps, clipped)
+    def __init__(self, ts, h, q, y_old, y1, steps, clipped, along):
+        super().__init__(ts, h, q, y_old, y1, steps, clipped)
         self.along = along
 
     def vector(self, s):
@@ -166,8 +178,8 @@ class JacobiSolution(DenseSolution):
     (dx, dv), with J = dx (see _ray_rhs).
     """
 
-    def __init__(self, ts, h, q, y_old, steps, clipped, along, chart):
-        super().__init__(ts, h, q, y_old, steps, clipped)
+    def __init__(self, ts, h, q, y_old, y1, steps, clipped, along, chart):
+        super().__init__(ts, h, q, y_old, y1, steps, clipped)
         self.along = along
         self.chart = chart
 
@@ -214,36 +226,44 @@ class BatchSolution:
 # The stepper
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince 5(4): scipy's RK45 tableau, error weights and dense-output
-# matrix (the optimum c_6 interpolant), and its step-size control.
-_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-])
-_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# Dormand-Prince 8(5,3): scipy's DOP853 tableau (12 stages, then f at the
+# step's end), its two error estimators, the three extra stages and the
+# matrix D of its dense output, and its step-size control
+_A, _B, _C = DOP853.A, DOP853.B, DOP853.C
+_E3, _E5, _D = DOP853.E3, DOP853.E5, DOP853.D
+_A_EXTRA, _C_EXTRA = DOP853.A_EXTRA, DOP853.C_EXTRA
+_STAGES = len(_B)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
 _EPS = np.finfo(float).eps
 
 
+def _power_basis():
+    """M with h Q = F^T M: DOP853's interpolant in powers of x.
+
+    Its interpolant y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...))))
+    weighs F_i by x^(i//2 + 1) (1 - x)^((i + 1)//2); row i of M expands
+    that in the powers x, x^2, ..., x^7 that _interpolate evaluates.
+    """
+    m = np.zeros((7, 7))
+    for i in range(7):
+        a, b = i // 2 + 1, (i + 1) // 2
+        for j in range(b + 1):
+            m[i, a + j - 1] = (-1) ** j * comb(b, j)
+    return m
+
+
+_POWER = _power_basis()
+
+
+def _norm(x):
+    """Each row's 2-norm, its square sum taken as np.linalg.norm takes it."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 def _rms(x):
-    """Each row's RMS norm, its square sum taken as ndarray.dot takes it."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) / x.shape[1] ** 0.5
+    """Each row's RMS norm, as scipy's norm takes it."""
+    return _norm(x) / x.shape[1] ** 0.5
 
 
 def _initial_step(rhs, y, f, s_end, direction, rel_tol, abs_tol):
@@ -258,8 +278,29 @@ def _initial_step(rhs, y, f, s_end, direction, rel_tol, abs_tol):
     d2 = _rms((f1 - f) / scale) / h0
     with np.errstate(divide="ignore"):
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** (1 / 5))
+                      (0.01 / np.maximum(d1, d2)) ** -_EXPONENT)
     return np.minimum(np.minimum(100 * h0, h1), length)
+
+
+def _step_polynomial(rhs, k, t_old, h, y_old, y_new):
+    """Each step's interpolation matrix q (m, width, 7) for _interpolate.
+
+    k: (m, 16, width), the step's stages and f at its end in rows 0-12;
+    rows 13-15 get DOP853's three extra dense-output stages.  The
+    interpolant's coefficients F (scipy's Dop853DenseOutput) are moved to
+    the power basis by _POWER.
+    """
+    kt = k.transpose(0, 2, 1)
+    hc = h[:, None]
+    for i, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_STAGES + 1):
+        k[:, i] = rhs(t_old + c * h, y_old + (kt[:, :, :i] @ a[:i]) * hc)
+    dy = y_new - y_old
+    f = np.empty((len(h), 7, k.shape[2]))
+    f[:, 0] = dy
+    f[:, 1] = hc * k[:, 0] - dy
+    f[:, 2] = 2 * dy - hc * (k[:, _STAGES] + k[:, 0])
+    f[:, 3:] = hc[:, None] * (_D @ k)
+    return (f.transpose(0, 2, 1) @ _POWER) / h[:, None, None]
 
 
 @dataclass
@@ -268,7 +309,7 @@ class _Run:
 
     y: (n, width) state at s1; s1, outcome, steps (accepted): (n,);
     reasons: per row, "" unless failed; segments: with dense output, per
-    row the DenseSolution data (ts, h, q, y_old), else None.
+    row the DenseSolution data (ts, h, q, y_old, y1), else None.
     """
 
     y: np.ndarray
@@ -343,15 +384,18 @@ def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
             hc = h[:, None]
             t_stage = s[:, None] + _C * hc
 
-            k = np.empty((len(rows), 7, width))
+            k = np.empty((len(rows), _STAGES + 4, width))
             kt = k.transpose(0, 2, 1)
             k[:, 0] = f
-            for i in range(1, 6):
+            for i in range(1, _STAGES):
                 k[:, i] = rhs(t_stage[:, i], y + (kt[:, :, :i] @ _A[i, :i]) * hc)
-            y_new = y + hc * (kt[:, :, :6] @ _B)
-            f_new = k[:, 6] = rhs(s + h, y_new)
+            y_new = y + hc * (kt[:, :, :_STAGES] @ _B)
+            f_new = k[:, _STAGES] = rhs(s + h, y_new)
             scale = abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol
-            err = _rms((kt @ _E) * hc / scale)
+            e5 = _norm((kt[:, :, :_STAGES + 1] @ _E5) / scale) ** 2
+            e3 = _norm((kt[:, :, :_STAGES + 1] @ _E3) / scale) ** 2
+            err = np.where((e5 == 0) & (e3 == 0), 0.0,
+                           h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * width))
 
             # scipy's factors: min(MAX_FACTOR, grow) on acceptance, and no
             # growth right after a rejection; max(MIN_FACTOR, grow) on
@@ -374,10 +418,11 @@ def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
             acc = np.arange(len(rows)) if every else np.flatnonzero(ok)
             pick = (lambda a: a) if every else (lambda a: a[acc])
             t_old, y_old, h_acc, s_acc, y_acc = pick(s), pick(y), pick(h), pick(s_new), pick(y_new)
-            stop = s_acc == s_end
+            stop = s_acc == s_end  # landed, at the step's end state
+            ends, y_end = s_acc, y_acc
             q = None
             if dense:
-                q = pick(kt) @ _P  # each accepted step's interpolant
+                q = _step_polynomial(rhs, pick(k), t_old, h_acc, y_old, y_acc)
                 record.append((rows[acc], t_old, h_acc, q, y_old))
             if every:
                 s, y, f = s_new, y_new, f_new
@@ -385,7 +430,6 @@ def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
                 s = np.where(ok, s_new, s)
                 y, f = np.where(ok[:, None], y_new, y), np.where(ok[:, None], f_new, f)
 
-            ends = s_acc
             if g is not None:
                 g_new = event(y_acc)
                 cross = (pick(g) >= 0) & (g_new <= 0)
@@ -395,28 +439,34 @@ def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
                     g = g.copy()
                     g[acc] = g_new
                 if cross.any():
-                    q = pick(kt) @ _P if q is None else q
+                    # clipped, at the crossing on the step's own interpolant
+                    j = np.flatnonzero(cross)
+                    qj = q[j] if q is not None else _step_polynomial(
+                        rhs, k[acc[j]], t_old[j], h_acc[j], y_old[j], y_acc[j])
+                    crossing = (t_old[j], h_acc[j], qj, y_old[j])
                     ends = s_acc.copy()
-                    for j in np.flatnonzero(cross):
-                        step = (t_old[j:j + 1], h_acc[j:j + 1], q[j:j + 1], y_old[j:j + 1])
-                        ends[j] = brentq(lambda t: event(_interpolate(*step, np.array([t])))[0],
-                                         t_old[j], s_acc[j], xtol=4 * _EPS, rtol=4 * _EPS)
-                        out.outcome[rows[acc[j]]] = CLIPPED
+                    for i, jj in enumerate(j):
+                        one = tuple(a[i:i + 1] for a in crossing)
+                        ends[jj] = brentq(lambda t: event(_interpolate(*one, np.array([t])))[0],
+                                          t_old[jj], s_acc[jj], xtol=4 * _EPS, rtol=4 * _EPS)
+                        out.outcome[rows[acc[jj]]] = CLIPPED
+                    y_end = y_acc.copy()
+                    y_end[j] = _interpolate(*crossing, ends[j])
                     stop = stop | cross
             if stop.any():
                 j = np.flatnonzero(stop)
-                qj = q[j] if q is not None else kt[acc[j]] @ _P
-                finish(acc[j], _interpolate(t_old[j], h_acc[j], qj, y_old[j], ends[j]), ends[j])
+                finish(acc[j], y_end[j], ends[j])
 
     if dense:
-        empty = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, width, 4)),
+        empty = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, width, 7)),
                  np.zeros((0, width)))
         seg_rows, t_old, h, q, y_old = ([np.concatenate(p) for p in zip(*record)]
                                         if record else empty)
         out.segments = []
         for r in range(n):
             sel = seg_rows == r
-            out.segments.append((np.append(t_old[sel], out.s1[r]), h[sel], q[sel], y_old[sel]))
+            out.segments.append((np.append(t_old[sel], out.s1[r]), h[sel], q[sel], y_old[sel],
+                                 out.y[r]))
     return out
 
 
@@ -497,7 +547,8 @@ def _linear_run(y0, deriv, s_end, dense):
     if dense:
         # one step of order 1 whose interpolant is y0 + s * deriv
         ts, h = np.array([0.0, s_end]), np.array([s_end or 1.0])
-        out.segments = [(ts, h, deriv[i][None, :, None], y0[i][None]) for i in range(n)]
+        out.segments = [(ts, h, deriv[i][None, :, None], y0[i][None], out.y[i])
+                        for i in range(n)]
     return out
 
 

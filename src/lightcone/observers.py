@@ -467,7 +467,7 @@ def _two_sided(rhs, y0, lo, hi, what):
         steps = sol.sol.interpolants
         sides[target > tau0] = DenseSolution(
             sol.t, np.array([p.h for p in steps]), np.stack([p.Q for p in steps]),
-            np.stack([p.y_old for p in steps]), len(steps), False)
+            np.stack([p.y_old for p in steps]), sol.sol(target), len(steps), False)
 
     def state(taus):
         out = ~((taus >= lo - 1e-12) & (taus <= hi + 1e-12))

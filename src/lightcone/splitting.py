@@ -284,13 +284,14 @@ def _tau_bounds(frames):
     return lo + pad, hi - pad
 
 
-def _newton_polish(chart, frames, targets, states, cfg):
+def _newton_polish(chart, frames, targets, states, cfg, events=None):
     """Damped Newton on a batch of (target, state) pairs.
 
-    states: (m, 4) rows (tau, x1, x2, x3).  Returns (states, residual_norm,
-    converged mask); members that leave the admissible region, whose ray
-    does not land, or that fail to reduce the residual are dropped from
-    the active set.
+    states: (m, 4) rows (tau, x1, x2, x3); events: their forward images,
+    if already mapped, else they are mapped here.  Returns (states,
+    residual_norm, converged mask); members that leave the admissible
+    region, whose ray does not land, or that fail to reduce the residual
+    are dropped from the active set.
     """
     c = frames.curve.c
     tau_lo, tau_hi = _tau_bounds(frames)
@@ -312,7 +313,9 @@ def _newton_polish(chart, frames, targets, states, cfg):
 
     active = np.flatnonzero(admissible(states))
     resid = np.full((m, 4), np.inf)
-    if len(active):
+    if events is not None:
+        resid[active] = events[active] - targets[active]
+    elif len(active):
         resid[active] = forward(states[active], active)
     resid[np.isnan(resid).any(axis=1)] = np.inf  # the ray did not land
     rnorm = np.linalg.norm(resid, axis=1)
@@ -393,9 +396,10 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
     land are never seeds.  Each target keeps the seeds_per_target >= 1
     starts (default search.top_k, at most the landed starts) with the
     smallest forward residual, and damped Newton runs on all
-    targets' seeds as batches of _CHUNK targets.  Converged roots are
-    deduplicated and sorted by coordinates, so a target's outcome does
-    not depend on start order.
+    targets' seeds as batches of _CHUNK targets, starting from the grid's
+    forward images.  Converged roots are deduplicated and sorted by
+    coordinates, so a target's outcome does not depend on start order;
+    the distinct roots of a chunk are graded in one Jacobian batch.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1, 4)
     if seeds_per_target is None:
@@ -415,49 +419,63 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
 
     k = min(seeds_per_target, len(starts))
     results: List[InversionResult] = []
+    no_roots = (np.empty((0, 4)), np.empty(0), False)
     if k == 0:
-        return [_collect_roots(chart, frames, tgt, np.empty((0, 4)), np.empty(0), search,
-                               n_starts) for tgt in targets]
+        return _grade_roots(chart, frames, targets, [no_roots] * len(targets), search,
+                            n_starts)
     for base in range(0, len(targets), _CHUNK):
         tgt_chunk = targets[base:base + _CHUNK]
         # per-target seed selection by forward residual
         d = np.linalg.norm(ev[None, :, :] - tgt_chunk[:, None, :], axis=2)
-        picks = np.argsort(d, axis=1, kind="stable")[:, :k]
+        picks = np.argsort(d, axis=1, kind="stable")[:, :k].ravel()
         flat_targets = np.repeat(tgt_chunk, k, axis=0)
         states, rnorm, converged = _newton_polish(
-            chart, frames, flat_targets, starts[picks.ravel()], search
+            chart, frames, flat_targets, starts[picks], search, ev[picks]
         )
-        for i, tgt in enumerate(tgt_chunk):
+        found = []
+        for i in range(len(tgt_chunk)):
             rows = slice(i * k, (i + 1) * k)
             ok = converged[rows]
-            results.append(_collect_roots(chart, frames, tgt, states[rows][ok],
-                                          rnorm[rows][ok], search, n_starts))
+            found.append(_distinct_roots(states[rows][ok], rnorm[rows][ok], search))
+        results += _grade_roots(chart, frames, tgt_chunk, found, search, n_starts)
     return results
 
 
-def _collect_roots(chart, frames, tgt, roots, rres, search, n_starts):
-    """Dedup, origin-filter and grade already-converged roots."""
+def _distinct_roots(roots, rres, search):
+    """Converged roots off the origin, sorted by coordinates and deduplicated.
+
+    Returns (roots, residuals, whether a root at the origin was dropped).
+    """
     at_origin = np.linalg.norm(roots[:, 1:], axis=1) <= search.merge_tol
-    origin = bool(np.any(at_origin))
     roots, rres = roots[~at_origin], rres[~at_origin]
-    if len(roots) == 0:
-        origin = origin or _near_worldline(frames, tgt, 1e-6 * (1.0 + np.max(np.abs(tgt))))
-        return InversionResult([], np.empty(0), np.empty(0),
-                               np.empty(0, dtype=bool), n_starts, 0,
-                               origin_excluded=origin)
     order = np.lexsort((roots[:, 3], roots[:, 2], roots[:, 1], roots[:, 0]))
     roots, rres = roots[order], rres[order]
     keep = []
     for i, row in enumerate(roots):
         if not any(np.max(np.abs(row - roots[j])) <= search.merge_tol for j in keep):
             keep.append(i)
-    roots, rres = roots[keep], rres[keep]
-    _, jacs = _eval_batch(chart, frames, roots, True)
-    conds = np.linalg.cond(jacs)
-    regular = conds < search.cond_max
-    preimages = [ObservedEvent(row[0], row[1:]) for row in roots]
-    return InversionResult(preimages, rres, conds, regular,
-                           n_starts, len(roots), origin_excluded=origin)
+    return roots[keep], rres[keep], bool(np.any(at_origin))
+
+
+def _grade_roots(chart, frames, targets, found, search, n_starts):
+    """One InversionResult per target from its _distinct_roots triple.
+
+    The Jacobian condition numbers of all targets' roots come from one
+    map+Jacobian batch.
+    """
+    every = np.concatenate([f[0] for f in found])
+    conds = (np.linalg.cond(_eval_batch(chart, frames, every, True)[1]) if len(every)
+             else np.empty(0))
+    results, base = [], 0
+    for tgt, (roots, rres, origin) in zip(targets, found):
+        cond = conds[base:base + len(roots)]
+        base += len(roots)
+        if len(roots) == 0:
+            origin = origin or _near_worldline(frames, tgt, 1e-6 * (1.0 + np.max(np.abs(tgt))))
+        preimages = [ObservedEvent(row[0], row[1:]) for row in roots]
+        results.append(InversionResult(preimages, rres, cond, cond < search.cond_max,
+                                       n_starts, len(roots), origin_excluded=origin))
+    return results
 
 
 # -- relative motion ---------------------------------------------------------

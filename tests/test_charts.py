@@ -128,6 +128,18 @@ def test_metric_only_chart_jacobian_steps():
             <= 1e-7 * np.max(np.abs(out[:, cols])))
 
 
+def test_metric_only_christoffel_derivs_match_closed_form(sw):
+    # the nested differences of a metric-only chart, where the faller's
+    # rays run: their rounding noise must not swamp the derivative
+    mo = dataclasses.replace(sw, christoffel_fn=None, christoffel_deriv_fn=None)
+    for r in np.linspace(2.0, 12.0, 6):
+        pts = np.array([[0.3, r, th, 0.4] for th in np.linspace(1.2, 1.9, 5)])
+        want = sw.christoffel_derivs(pts)
+        got = mo.christoffel_derivs(pts)
+        for w, g in zip(want, got):
+            assert np.max(np.abs(g - w)) <= 2e-6 * np.max(np.abs(w))
+
+
 def test_schwarzschild_christoffel_derivs_closed_form(sw):
     # criterion 8's grid: the closed form against central differences of
     # the analytic connection

@@ -326,25 +326,31 @@ def faller_ray(x, cols=()):
 HOLE = (-12.5, 0.0, 0.0)  # aimed at the hole: the ray clips at the horizon margin
 
 
-def test_single_ray_follows_scipy_rk45():
-    # one ray through the stepper against solve_ivp's RK45 with the same
-    # right-hand side, tolerances and chart-exit event
+def test_single_ray_follows_scipy_dop853():
+    # one ray through the stepper against solve_ivp's DOP853 with the same
+    # right-hand side, tolerances and chart-exit event; the interior
+    # states check the dense output's power basis
     rhs = _ray_rhs(SW, 0)
 
     def leaves(s, y):
         return SW.boundary_distance(y[:4]) - 1e-6
 
+    def rel(a, b):
+        return np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))
+
     leaves.terminal, leaves.direction = True, -1
     for x in [(1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (-2.0, 1.0, 0.5), (3.0, -3.0, 1.0),
               (-4.0, -1.0, -2.0), (0.3, 0.2, 5.0), HOLE]:
         y0 = faller_ray(x)
-        ref = solve_ivp(lambda s, y: rhs(s, y[None])[0], (0.0, 1.0), y0, method="RK45",
+        ref = solve_ivp(lambda s, y: rhs(s, y[None])[0], (0.0, 1.0), y0, method="DOP853",
                         rtol=REL_TOL, atol=ABS_TOL, events=leaves, dense_output=True)
         sol = integrate_geodesic(SW, GeodesicIVP(Event("schwarzschild", y0[:4]), y0[4:]), 1.0)
         assert sol.steps == len(ref.t) - 1
         assert sol.clipped == (ref.status == 1)
         want = ref.sol(ref.t[-1])[:4]
-        assert np.max(np.abs(sol.position(sol.s1) - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+        assert rel(sol.position(sol.s1), want) <= 1e-10
+        inner = np.linspace(0.0, sol.s1, 23)[1:-1]
+        assert rel(sol.state(inner), ref.sol(inner)) <= 1e-10
     assert sol.clipped
 
 
