@@ -12,6 +12,18 @@ may supply them in closed form as christoffel_deriv_fn, a model
 capability like christoffel_fn; without it Chart.christoffel_derivs takes
 central differences of the connection along the four coordinate axes.
 
+A chart may name a second, regular chart that carries its rays
+(Chart.ray_chart, a RayChart): its own closed-form metric, connection and
+connection derivatives, with the coordinate map between the two charts
+and that map's Jacobian Lambda.  Rays are then integrated in the ray
+chart and every result is read back in the model chart: only the
+numerical route changes, not the geometry.  schwarzschild() carries its
+rays in outgoing Eddington-Finkelstein coordinates (u, r, theta, phi),
+u = ct - r*, r* = r + R ln(r/R - 1) (Finkelstein, Phys. Rev. 110, 965,
+1958; MTW sec. 31.4), so du = dx0 - dr/f with f = 1 - R/r.  They are
+regular on the past horizon that past-directed rays approach, where
+Schwarzschild t diverges like ln(r - R).
+
 All evaluators are vectorized over a leading batch axis: coords may be
 shaped (4,) or (n, 4).
 """
@@ -46,6 +58,7 @@ class Chart:
     flat: bool = False
     params: dict = field(default_factory=dict)
     christoffel_deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    ray_chart: Optional["RayChart"] = None
 
     def metric(self, coords):
         return self.metric_fn(np.asarray(coords, dtype=float))
@@ -92,6 +105,39 @@ class Chart:
 
 
 @dataclass(frozen=True)
+class RayChart:
+    """A regular chart that carries a model chart's rays, and the map to it.
+
+    to_ray maps (n, 4) model coordinates to (ray coordinates, Lambda),
+    Lambda[n] = d(ray coordinates) / d(model coordinates) there; from_ray
+    maps ray coordinates back to (model coordinates, Lambda^-1).  The
+    chart's exit boundary must be the model chart's, so a ray clips at the
+    same place in either.
+    """
+
+    chart: Chart
+    to_ray: Callable[[np.ndarray], tuple]
+    from_ray: Callable[[np.ndarray], tuple]
+
+    def states_to_ray(self, states):
+        """Ray states (n, 8k) from model states: position, then k-1 vectors."""
+        return _move_states(self.to_ray, states)
+
+    def states_from_ray(self, states):
+        return _move_states(self.from_ray, states)
+
+
+def _move_states(transform, states):
+    """The first 4-block of each row through the map, every other one by its Jacobian."""
+    states = np.asarray(states, dtype=float)
+    n = len(states)
+    pos, lam = transform(states[:, :4])
+    out = states.reshape(n, -1, 4) @ lam.transpose(0, 2, 1)
+    out[:, 0] = pos
+    return out.reshape(n, -1)
+
+
+@dataclass(frozen=True)
 class CurvatureSample:
     """Connection and curvature components at one chart point."""
 
@@ -130,30 +176,11 @@ def minkowski(c=1.0) -> Chart:
     )
 
 
-def schwarzschild(radius, c=1.0) -> Chart:
-    """Exterior region r > R in coordinates (ct, r, theta, phi).
+def _exterior(radius):
+    """Domain and boundary distance of r > R, 0 < theta < pi.
 
-    The polar seam is excluded from the domain rather than handled:
-    theta must stay strictly inside (0, pi).  phi is left unbounded
-    because every metric component is phi-independent; this sidesteps the
-    2*pi wrap without changing any geometry.
+    Shared by the charts whose coordinates 1 and 2 are r and theta.
     """
-    radius = float(radius)
-    if radius <= 0.0:
-        raise InvalidInputError("Schwarzschild radius must be positive")
-
-    def metric_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
-        pts = np.atleast_2d(coords)
-        r, th = pts[:, 1], pts[:, 2]
-        f = 1.0 - radius / r
-        g = np.zeros((pts.shape[0], 4, 4))
-        g[:, 0, 0] = f
-        g[:, 1, 1] = -1.0 / f
-        g[:, 2, 2] = -(r**2)
-        g[:, 3, 3] = -(r**2) * np.sin(th) ** 2
-        return g[0] if single else g
 
     def domain_fn(coords):
         coords = np.asarray(coords, dtype=float)
@@ -171,6 +198,36 @@ def schwarzschild(radius, c=1.0) -> Chart:
         pts = np.atleast_2d(coords)
         d = np.minimum(pts[:, 1] - radius, np.minimum(pts[:, 2], np.pi - pts[:, 2]))
         return d[0] if coords.ndim == 1 else d
+
+    return domain_fn, boundary_fn
+
+
+def schwarzschild(radius, c=1.0) -> Chart:
+    """Exterior region r > R in coordinates (ct, r, theta, phi).
+
+    The polar seam is excluded from the domain rather than handled:
+    theta must stay strictly inside (0, pi).  phi is left unbounded
+    because every metric component is phi-independent; this sidesteps the
+    2*pi wrap without changing any geometry.  Its rays are carried in
+    outgoing Eddington-Finkelstein coordinates (see eddington_finkelstein).
+    """
+    radius = float(radius)
+    if radius <= 0.0:
+        raise InvalidInputError("Schwarzschild radius must be positive")
+    domain_fn, boundary_fn = _exterior(radius)
+
+    def metric_fn(coords):
+        coords = np.asarray(coords, dtype=float)
+        single = coords.ndim == 1
+        pts = np.atleast_2d(coords)
+        r, th = pts[:, 1], pts[:, 2]
+        f = 1.0 - radius / r
+        g = np.zeros((pts.shape[0], 4, 4))
+        g[:, 0, 0] = f
+        g[:, 1, 1] = -1.0 / f
+        g[:, 2, 2] = -(r**2)
+        g[:, 3, 3] = -(r**2) * np.sin(th) ** 2
+        return g[0] if single else g
 
     def frame_fn(coords):
         coords = np.asarray(coords, dtype=float)
@@ -227,6 +284,126 @@ def schwarzschild(radius, c=1.0) -> Chart:
 
     return Chart(
         name="schwarzschild",
+        c=float(c),
+        metric_fn=metric_fn,
+        domain_fn=domain_fn,
+        reference_frame_fn=frame_fn,
+        christoffel_fn=christoffel_fn,
+        boundary_fn=boundary_fn,
+        flat=False,
+        params={"c": float(c), "R": radius},
+        christoffel_deriv_fn=christoffel_deriv_fn,
+        ray_chart=_eddington_finkelstein_rays(radius, c),
+    )
+
+
+def _eddington_finkelstein_rays(radius, c):
+    """Schwarzschild's ray chart: outgoing Eddington-Finkelstein, u = x0 - r*.
+
+    Lambda is the identity but for Lambda[0, 1] = -1/f, and Lambda^-1 has
+    +1/f there; both depend on r alone, which the two charts share.
+    """
+
+    def transform(sign):
+        def move(coords):
+            # a point at or inside the horizon maps to a non-finite one, outside every domain
+            with np.errstate(invalid="ignore", divide="ignore"):
+                r = coords[:, 1]
+                out = coords.copy()
+                out[:, 0] += sign * (r + radius * np.log(r / radius - 1.0))
+                lam = np.tile(np.eye(4), (len(r), 1, 1))
+                lam[:, 0, 1] = sign / (1.0 - radius / r)
+            return out, lam
+
+        return move
+
+    return RayChart(eddington_finkelstein(radius, c), transform(-1.0), transform(1.0))
+
+
+def eddington_finkelstein(radius, c=1.0) -> Chart:
+    """Schwarzschild's exterior in outgoing Eddington-Finkelstein (u, r, theta, phi).
+
+    u = ct - r*, r* = r + R ln(r/R - 1); the metric is
+    f du^2 + 2 du dr - r^2 dOmega^2 with f = 1 - R/r, and no component
+    of it, of its connection or of their derivatives has a 1/f.  The
+    domain and exit boundary are Schwarzschild's, so rays clip where they
+    would there.
+    """
+    radius = float(radius)
+    if radius <= 0.0:
+        raise InvalidInputError("Schwarzschild radius must be positive")
+    domain_fn, boundary_fn = _exterior(radius)
+
+    def metric_fn(coords):
+        coords = np.asarray(coords, dtype=float)
+        single = coords.ndim == 1
+        pts = np.atleast_2d(coords)
+        r, th = pts[:, 1], pts[:, 2]
+        g = np.zeros((pts.shape[0], 4, 4))
+        g[:, 0, 0] = 1.0 - radius / r
+        g[:, 0, 1] = g[:, 1, 0] = 1.0
+        g[:, 2, 2] = -(r**2)
+        g[:, 3, 3] = -(r**2) * np.sin(th) ** 2
+        return g[0] if single else g
+
+    def frame_fn(coords):
+        # Schwarzschild's static frame, pushed forward: e_1 = f^1/2 (d_r - d_u / f)
+        coords = np.asarray(coords, dtype=float)
+        r, th = coords[1], coords[2]
+        f = 1.0 - radius / r
+        m = np.diag([f**-0.5, f**0.5, 1.0 / r, 1.0 / (r * np.sin(th))])
+        m[0, 1] = -(f**-0.5)
+        return m
+
+    def christoffel_fn(coords):
+        coords = np.asarray(coords, dtype=float)
+        single = coords.ndim == 1
+        pts = np.atleast_2d(coords)
+        r, th = pts[:, 1], pts[:, 2]
+        f = 1.0 - radius / r
+        half_fp = radius / (2.0 * r**2)  # df/dr / 2
+        sin, cos = np.sin(th), np.cos(th)
+        sin2, fr = sin**2, f * r
+        gam = np.zeros((pts.shape[0], 4, 4, 4))
+        gam[:, 0, 0, 0] = -half_fp
+        gam[:, 0, 2, 2] = r
+        gam[:, 0, 3, 3] = r * sin2
+        gam[:, 1, 0, 0] = f * half_fp
+        gam[:, 1, 0, 1] = gam[:, 1, 1, 0] = half_fp
+        gam[:, 1, 2, 2] = -fr
+        gam[:, 1, 3, 3] = -fr * sin2
+        gam[:, 2, 1, 2] = gam[:, 2, 2, 1] = gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = 1.0 / r
+        gam[:, 2, 3, 3] = -sin * cos
+        gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
+        return gam[0] if single else gam
+
+    def christoffel_deriv_fn(coords):
+        # only d_r (m = 1) and d_theta (m = 2) are nonzero
+        coords = np.asarray(coords, dtype=float)
+        single = coords.ndim == 1
+        pts = np.atleast_2d(coords)
+        r, th = pts[:, 1], pts[:, 2]
+        f = 1.0 - radius / r
+        sin, cos = np.sin(th), np.cos(th)
+        sin2, sin_cos, r3 = sin**2, sin * cos, r**3
+        dgam = np.zeros((pts.shape[0], 4, 4, 4, 4))
+        dgam[:, 0, 0, 0, 1] = radius / r3
+        dgam[:, 0, 2, 2, 1] = 1.0
+        dgam[:, 0, 3, 3, 1] = sin2
+        dgam[:, 0, 3, 3, 2] = 2.0 * r * sin_cos
+        dgam[:, 1, 0, 0, 1] = radius * (1.5 * radius - r) / (r3 * r)
+        dgam[:, 1, 0, 1, 1] = dgam[:, 1, 1, 0, 1] = -radius / r3
+        dgam[:, 1, 2, 2, 1] = -1.0
+        dgam[:, 1, 3, 3, 1] = -sin2
+        dgam[:, 1, 3, 3, 2] = -2.0 * f * r * sin_cos
+        dgam[:, 2, 1, 2, 1] = dgam[:, 2, 2, 1, 1] = -1.0 / r**2
+        dgam[:, 3, 1, 3, 1] = dgam[:, 3, 3, 1, 1] = dgam[:, 2, 1, 2, 1]
+        dgam[:, 2, 3, 3, 2] = sin2 - cos**2
+        dgam[:, 3, 2, 3, 2] = dgam[:, 3, 3, 2, 2] = -1.0 / sin2
+        return dgam[0] if single else dgam
+
+    return Chart(
+        name="eddington-finkelstein",
         c=float(c),
         metric_fn=metric_fn,
         domain_fn=domain_fn,

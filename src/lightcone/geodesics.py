@@ -14,13 +14,15 @@ abs_tol=1e-12): every accepted step keeps that ray's own error norm
 below 1.  With each component weighed by abs_tol + rel_tol*|y|, the norm
 is DOP853's |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) width) from the
 5th- and 3rd-order estimates e5, e3 over all components of the ray's
-state.  A ray ends in one of three outcomes:
+state, in the chart it is given (the splitting layer gives a model's ray
+chart, see charts.RayChart).  A ray ends in one of three outcomes:
   landed   it reached s_end; its end state is its last step's end state;
   clipped  it met its chart-exit event, a hair inside the boundary (see
            _exit_event); the crossing is located to 4 eps by brentq on
            that ray's own step interpolant, as solve_ivp locates events,
            and its end state is the interpolant there;
-  failed   its step size fell below 10 ulp of s.
+  failed   its step size fell below 10 ulp of s, or it spent MAX_ATTEMPTS
+           step attempts, accepted or rejected, without ending.
 A batch reports the outcome of each row and never raises for one ray.
 Dense solutions keep each step's interpolant (DOP853's 7th-order dense
 output, whose three extra stages are evaluated only for steps that are
@@ -64,6 +66,12 @@ from .lorentz import Event
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
+
+# Step attempts a ray may spend before it ends failed: over four times the
+# most that any test or benchmark workload's ray takes (229, a ray into the
+# horizon in Schwarzschild coordinates), where a ray whose Jacobi columns
+# grow like 1/f at the horizon would otherwise run on for 10^5 steps
+MAX_ATTEMPTS = 1000
 
 # Ray outcomes
 LANDED, CLIPPED, FAILED = 0, 1, 2
@@ -349,6 +357,7 @@ def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
     rejected = np.zeros(n, dtype=bool)
     retry = False  # whether any row's last attempt was rejected
     steps = np.zeros(n, dtype=int)
+    attempts = 0  # every running row has made this many step attempts
     g = event(y) if event is not None else None
 
     def finish(i, y_end, s1):
@@ -377,6 +386,14 @@ def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
                 if len(fail):
                     finish(fail, y[fail], s[fail])
                     continue
+            if attempts == MAX_ATTEMPTS:
+                for i, row in enumerate(rows):
+                    out.outcome[row] = FAILED
+                    out.reasons[row] = (f"no end after {MAX_ATTEMPTS} step attempts, "
+                                        f"at s = {s[i]:.17g}")
+                finish(np.arange(len(rows)), y, s)
+                continue
+            attempts += 1
 
             s_new = clamp(s + h_abs * direction, s_end)
             h = s_new - s

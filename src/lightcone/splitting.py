@@ -13,10 +13,16 @@ seconds.  The coordinate origin x = 0 (the observer itself) is excluded.
 Batches of points travel as float arrays of shape (n, 4) with rows
 (tau, x^1, x^2, x^3).
 
-The map is as accurate as its rays: every ray is integrated at
-geodesics.REL_TOL and geodesics.ABS_TOL.  The inversion's residual
-tolerance (MultistartConfig.inv_tol, scenario key tol.inv) sits on top of
-that accuracy and cannot meaningfully be set below it.
+Every ray goes through one entry, _trace.  When the chart has a ray chart
+(charts.RayChart; Schwarzschild's is outgoing Eddington-Finkelstein), the
+rays run there: start states go in through its coordinate map and
+Jacobian, and end states come back, so every event, Jacobian and curve
+this module returns is in the model chart.  The map is as accurate as its
+rays: each ray keeps its own error norm, over its state in the ray chart's
+components, within geodesics.REL_TOL and geodesics.ABS_TOL.  The
+inversion's residual tolerance (MultistartConfig.inv_tol, scenario key
+tol.inv) sits on top of that accuracy and cannot meaningfully be set below
+it.
 """
 
 import math
@@ -31,11 +37,10 @@ from .errors import (
     IllPosedForceError,
     InvalidInputError,
     LightconeError,
-    NotInExpDomainError,
     SuperluminalError,
     UnreachableDirectionError,
 )
-from .geodesics import BatchSolution, exp_map, integrate_batch
+from .geodesics import CLIPPED, BatchSolution, _exit_event, integrate_batch
 from .lorentz import Event, Frame4, CausalCharacter, causal_character, projectors
 from .observers import FrameField
 
@@ -152,11 +157,12 @@ def static_observer_map(chart: Chart, frame: Frame4, x) -> Event:
     x = np.asarray(x, dtype=float)
     if np.max(np.abs(x)) == 0.0:
         raise InvalidInputError("x = 0 excluded from the observer mapping domain")
-    k = frame.matrix @ _cone_components(x)
-    try:
-        return exp_map(chart, frame.base, k)
-    except NotInExpDomainError as exc:
-        raise UnreachableDirectionError(str(exc)) from exc
+    y0 = np.concatenate([frame.base.coords, frame.matrix @ _cone_components(x)])[None, :]
+    ray = _trace(chart, y0, 0)
+    if not ray.landed[0]:
+        raise UnreachableDirectionError(f"the ray in direction {x} leaves {chart.name} "
+                                        "before landing")
+    return Event(chart.name, ray.states[0, :4])
 
 
 def static_distance(g, x0_col, k, kprime):
@@ -204,15 +210,55 @@ def _map_states(frames: FrameField, pts, with_jacobian):
     return y0.reshape(n, 8 * y0.shape[1])
 
 
+def _trace(chart, y0, n_jac):
+    """The one ray entry: integrate_batch of model-chart states y0 to s = 1.
+
+    With a ray chart the rays run there: positions go in through its
+    coordinate map and every vector (velocity, J, W) through Lambda, and
+    the end states come back through Lambda^-1, so the result is in the
+    model chart.  Clipped ends are first put onto the exit surface
+    (_onto_exit).  A ray that never left its start keeps its start bits.
+    """
+    rays = chart.ray_chart
+    if rays is None:
+        return integrate_batch(chart, y0, n_jac)[0]
+    sol, _ = integrate_batch(rays.chart, rays.states_to_ray(y0), n_jac)
+    _onto_exit(rays.chart, sol)
+    sol.states = np.where((sol.s1 == 0.0)[:, None], y0, rays.states_from_ray(sol.states))
+    return sol
+
+
+def _onto_exit(chart, sol):
+    """Move the clipped ends of a batch along their rays onto the exit event's zero.
+
+    brentq puts each crossing within 4 eps (1 + |s1|) of the event's zero
+    in s, and the end read off the step's interpolant is a few ulps off
+    the exit surface; the map back to the model chart can multiply that
+    (by 1/f, about 1e6, in Schwarzschild t at the horizon margin).  One
+    Newton step along the ray's velocity, held inside that bracket, puts
+    the position on the surface.  The velocity and the Jacobi columns
+    would move by less than their rounding and are kept.
+    """
+    i = np.flatnonzero(sol.outcome == CLIPPED)
+    event = _exit_event(chart)
+    pos, vel = sol.states[i, :4], sol.states[i, 4:8]
+    # the event's slope along the ray, over a parameter step that moves the
+    # position by 1e-9 of its size, far inside the margin
+    ds = 1e-9 * (1.0 + np.max(np.abs(pos), axis=1)) / np.max(np.abs(vel), axis=1)
+    slope = (event(pos + ds[:, None] * vel) - event(pos - ds[:, None] * vel)) / (2.0 * ds)
+    step = np.divide(-event(pos), slope, out=np.zeros(len(i)), where=slope != 0.0)
+    bracket = 4.0 * np.finfo(float).eps * (1.0 + np.abs(sol.s1[i]))
+    sol.states[i, :4] = pos + np.clip(step, -bracket, bracket)[:, None] * vel
+
+
 def observer_rays(chart: Chart, frames: FrameField, pts) -> BatchSolution:
     """The seen light rays at an (n, 4) array of points (tau, x), as one batch.
 
     Each ray runs to unit parameter or until it leaves the chart, and the
-    result says, per ray, where it ended and whether it landed, clipped
-    or failed.
+    result says, per ray, where it ended, in the model chart, and whether
+    it landed, clipped or failed.
     """
-    sol, _ = integrate_batch(chart, _map_states(frames, np.asarray(pts, dtype=float), False))
-    return sol
+    return _trace(chart, _map_states(frames, np.asarray(pts, dtype=float), False), 0)
 
 
 def _eval_batch(chart, frames, pts, with_jacobian):
@@ -223,9 +269,7 @@ def _eval_batch(chart, frames, pts, with_jacobian):
     ray that does not land (it clips at the chart boundary or fails) are
     NaN.
     """
-    y0 = _map_states(frames, pts, with_jacobian)
-    interp, _ = integrate_batch(chart, y0, n_jac=4 if with_jacobian else 0, s_end=1.0)
-    out = interp(1.0)
+    out = _trace(chart, _map_states(frames, pts, with_jacobian), 4 if with_jacobian else 0)(1.0)
     events = out[:, 0:4]
     if not with_jacobian:
         return events, None
@@ -244,11 +288,8 @@ def _eval_landed(chart, frames, pts, with_jacobian):
 
 def kinematic_observer_map(chart: Chart, frames: FrameField, p: ObservedEvent) -> Event:
     """Spacetime event seen at observer coordinates (tau, x)."""
-    k = cone_vector(frames, p.tau, p.x)
-    try:
-        return exp_map(chart, frames.curve.event(p.tau), k)
-    except NotInExpDomainError as exc:
-        raise UnreachableDirectionError(str(exc)) from exc
+    events, _ = _eval_landed(chart, frames, _point(p.tau, p.x), False)
+    return Event(chart.name, events[0])
 
 
 def observer_map_jacobian(chart: Chart, frames: FrameField, p: ObservedEvent) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from lightcone.charts import (
     _fd_christoffels,
     christoffels_at,
+    eddington_finkelstein,
     metric_at,
     minkowski,
     riemann_ricci_at,
@@ -232,3 +233,79 @@ def test_fd_path_on_metric_only_chart():
     assert np.max(np.abs(bare.christoffels(coords) - sw.christoffels(coords))) <= 1e-6
     sample = riemann_ricci_at(bare, coords, fd_step=1e-4)
     assert np.max(np.abs(sample.ricci)) <= 1e-4
+
+
+# -- the ray chart: outgoing Eddington-Finkelstein ----------------------------
+
+EF_POINTS = np.array([[0.3, r, th, 0.4] for r in (1.001, 1.5, 3.0, 12.0) for th in (0.4, 1.3, 2.9)])
+
+
+def test_eddington_finkelstein_connection_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    u, r, th, ph, big_r = sp.symbols("u r theta phi R", positive=True)
+    xs = [u, r, th, ph]
+    g = sp.Matrix([[1 - big_r / r, 1, 0, 0], [1, 0, 0, 0], [0, 0, -r**2, 0],
+                   [0, 0, 0, -r**2 * sp.sin(th) ** 2]])
+    gi = g.inv()
+    gam = [[[sum(gi[k, l] * (sp.diff(g[l, i], xs[j]) + sp.diff(g[l, j], xs[i])
+                             - sp.diff(g[i, j], xs[l])) for l in range(4)) / 2
+             for j in range(4)] for i in range(4)] for k in range(4)]
+    dgam = [[[[sp.diff(gam[k][i][j], xs[m]) for m in range(4)] for j in range(4)]
+             for i in range(4)] for k in range(4)]
+    want_gam = sp.lambdify((xs, big_r), gam, "numpy")
+    want_dgam = sp.lambdify((xs, big_r), dgam, "numpy")
+    for radius in (1.0, 2.5):
+        ef = eddington_finkelstein(radius)
+        pts = EF_POINTS * [1.0, radius, 1.0, 1.0]
+        got_gam, got_dgam = ef.christoffels(pts), ef.christoffel_derivs(pts)
+        for p, gg, dg in zip(pts, got_gam, got_dgam):
+            w, wd = np.array(want_gam(p, radius), dtype=float), np.array(want_dgam(p, radius),
+                                                                        dtype=float)
+            assert np.max(np.abs(gg - w)) <= 1e-14 * np.max(np.abs(w))
+            assert np.max(np.abs(dg - wd)) <= 1e-14 * np.max(np.abs(wd))
+        assert np.array_equal(got_gam[1], ef.christoffels(pts[1]))
+        assert np.array_equal(got_dgam[1], ef.christoffel_derivs(pts[1]))
+
+
+def test_ray_chart_map_round_trips(sw):
+    rays = sw.ray_chart
+    model = EF_POINTS.copy()
+    ray, lam = rays.to_ray(model)
+    back, lam_inv = rays.from_ray(ray)
+    assert np.max(np.abs(back - model)) <= 1e-14 * np.max(np.abs(model))
+    assert np.array_equal(ray[:, 1:], model[:, 1:])
+    eye = np.broadcast_to(np.eye(4), lam.shape)
+    assert np.max(np.abs(lam @ lam_inv - eye)) <= 1e-15
+    # Lambda is the map's derivative: central differences of u along each axis
+    h = 1e-7
+    for m in range(4):
+        step = np.zeros(4)
+        step[m] = h
+        fd = (rays.to_ray(model + step)[0] - rays.to_ray(model - step)[0]) / (2 * h)
+        assert np.max(np.abs(fd - lam[:, :, m]) / np.maximum(1.0, np.abs(lam[:, :, m]))) <= 1e-5
+    # a ray state (position, velocity, J, W): the position through the
+    # map, every vector through Lambda
+    vectors = np.random.default_rng(1).normal(size=(len(model), 3, 4))
+    states = np.concatenate([model[:, None], vectors], axis=1).reshape(len(model), 16)
+    moved = rays.states_to_ray(states)
+    blocks = moved.reshape(len(model), 4, 4)
+    assert np.array_equal(blocks[:, 0], ray)
+    want = vectors @ lam.transpose(0, 2, 1)
+    assert np.max(np.abs(blocks[:, 1:] - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.max(np.abs(rays.states_from_ray(moved) - states)
+                  / np.maximum(1.0, np.abs(states))) <= 1e-13
+
+
+def test_ray_chart_pulls_back_the_metric(sw):
+    # the map's Jacobian carries one metric into the other, both ways
+    ray, lam = sw.ray_chart.to_ray(EF_POINTS)
+    _, lam_inv = sw.ray_chart.from_ray(ray)
+    g_s, g_ef = sw.metric(EF_POINTS), sw.ray_chart.chart.metric(ray)
+    scale = np.max(np.abs(g_s), axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(lam.transpose(0, 2, 1) @ g_ef @ lam - g_s) / scale) <= 1e-13
+    assert np.max(np.abs(lam_inv.transpose(0, 2, 1) @ g_s @ lam_inv - g_ef)) <= 1e-10
+    for p in ray:
+        g = sw.ray_chart.chart.metric(p)
+        validate_metric(g)
+        frame = sw.ray_chart.chart.reference_frame(p)  # orthonormal in the ray chart
+        assert np.max(np.abs(frame.T @ g @ frame - ETA)) <= 1e-12

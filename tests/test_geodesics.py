@@ -17,6 +17,7 @@ from lightcone.geodesics import (
     CLIPPED,
     FAILED,
     LANDED,
+    MAX_ATTEMPTS,
     REL_TOL,
     GeodesicIVP,
     _ray_rhs,
@@ -374,3 +375,21 @@ def test_ray_bits_do_not_depend_on_its_batch(n_jac, seed, n_mates, where):
     assert alone.outcome[0] == mixed.outcome[i] == LANDED
     assert alone.s1[0] == mixed.s1[i]
     assert np.array_equal(alone.states[0], mixed.states[i])
+
+
+def test_attempt_budget_ends_a_runaway_ray():
+    # in Schwarzschild coordinates the Jacobi columns of the ray aimed at
+    # the hole grow like 1/f and it never reaches the exit margin; it ends
+    # failed once it has spent its step attempts, and its batch mates keep
+    # their bits
+    rng = np.random.default_rng(7)
+    hole = faller_ray(HOLE, 0.1 * rng.normal(size=32))
+    mates = [faller_ray(rng.uniform(-2.8, 2.8, 3), 0.1 * rng.normal(size=32)) for _ in range(2)]
+    mixed, steps = integrate_batch(SW, np.array([mates[0], hole, mates[1]]), 4)
+    alone, _ = integrate_batch(SW, np.array(mates), 4)
+    assert list(mixed.outcome) == [LANDED, FAILED, LANDED]
+    assert f"no end after {MAX_ATTEMPTS} step attempts" in mixed.reasons[1]
+    assert mixed.reasons[0] == mixed.reasons[2] == ""
+    assert 0.0 < mixed.s1[1] < 1.0 and steps <= MAX_ATTEMPTS
+    assert np.array_equal(mixed.states[[0, 2]], alone.states)
+    assert np.array_equal(mixed.s1[[0, 2]], alone.s1)

@@ -10,6 +10,7 @@ import pytest
 from lightcone import splitting
 from lightcone.charts import metric_at, minkowski, schwarzschild
 from lightcone.errors import InvalidInputError, SuperluminalError, UnreachableDirectionError
+from lightcone.geodesics import CLIPPED, LANDED, integrate_batch
 from lightcone.lorentz import ETA, Event, Frame4
 from lightcone.observers import (
     fermi_walker_transport,
@@ -662,3 +663,81 @@ def test_single_point_callers_raise_for_a_ray_that_does_not_land(inertial):
     near = ObservedEvent(0.0, np.array([-4.0, 0.0, 0.0]))  # lands
     assert np.allclose(observer_map_jacobian(cut, ff, near), observer_map_jacobian(MK, ff, near),
                        rtol=0, atol=1e-9)
+
+
+# -- the ray chart -------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def faller():
+    scn = load_scenario(SCN_DIR / "schwarzschild_faller.scn")
+    chart = scn.build_chart()
+    return chart, scn.build_frames(chart, scn.build_observer(chart))
+
+
+HOLE_POINT = np.array([[0.0, -12.5, 0.0, 0.0]])  # the seen ray runs into the horizon margin
+
+
+def _rel(a, b):
+    """Each row's largest deviation, relative to max(1, its largest entry)."""
+    return np.max(np.abs(a - b), axis=1) / np.maximum(1.0, np.max(np.abs(b), axis=1))
+
+
+def test_ray_chart_results_match_the_model_chart(faller):
+    # the rays run in Eddington-Finkelstein coordinates; read back, they
+    # agree with the same rays integrated in Schwarzschild coordinates
+    chart, frames = faller
+    assert chart.ray_chart is not None
+    dirs = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [-0.6, 0.0, 0.8],
+                     [-0.8, -0.6, 0.0], [0.36, -0.48, 0.8]])
+    pts = np.array([(tau, *(r * d)) for tau in (-2.0, 1.0) for r in (2.0, 6.0, 12.5)
+                    for d in dirs])
+    rays = splitting.observer_rays(chart, frames, pts)
+    ref, _ = integrate_batch(chart, splitting._map_states(frames, pts, False))
+    assert np.array_equal(rays.outcome, ref.outcome)
+    landed, clipped = ref.outcome == LANDED, ref.outcome == CLIPPED
+    assert landed.sum() >= 30 and clipped.sum() >= 2 and landed.sum() + clipped.sum() == len(pts)
+    assert np.max(_rel(rays.states[landed], ref.states[landed])) <= 1e-10
+    assert np.max(_rel(rays.states[clipped, :4], ref.states[clipped, :4])) <= 1e-8
+
+    # the map's Jacobian columns, at the landed points
+    events, jacs = splitting._eval_batch(chart, frames, pts[landed], True)
+    ref, _ = integrate_batch(chart, splitting._map_states(frames, pts[landed], True), 4)
+    want = ref.states.reshape(-1, 5, 8)[:, 1:, :4].transpose(0, 2, 1)
+    assert np.max(_rel(events, ref.states[:, :4])) <= 1e-10
+    assert np.max(_rel(jacs.reshape(-1, 16), want.reshape(-1, 16))) <= 1e-10
+
+
+def test_hole_cone_ray_clips_in_few_steps(faller, monkeypatch):
+    # 116 accepted steps in Schwarzschild coordinates, where t diverges
+    chart, frames = faller
+    steps = []
+
+    def counted(*args, **kwargs):
+        out = integrate_batch(*args, **kwargs)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(splitting, "integrate_batch", counted)
+    rays = splitting.observer_rays(chart, frames, HOLE_POINT)
+    assert rays.outcome[0] == CLIPPED
+    assert abs(rays.states[0, 1] - (1.0 + 1e-6)) <= 2.5e-16  # on the exit surface, to the ulp
+    assert steps == [steps[0]] and steps[0] <= 10
+
+
+def test_horizon_bound_jacobian_raises_after_bounded_work(faller):
+    # in Schwarzschild coordinates this ray's Jacobi columns grow like 1/f
+    # and it runs on for 10^5 steps; in the ray chart it clips
+    chart, frames = faller
+    ef = chart.ray_chart.chart
+    calls = []
+
+    def counted(coords):
+        calls.append(1)
+        return ef.christoffel_deriv_fn(coords)
+
+    rays = dataclasses.replace(chart.ray_chart,
+                               chart=dataclasses.replace(ef, christoffel_deriv_fn=counted))
+    with pytest.raises(UnreachableDirectionError):
+        observer_map_jacobian(dataclasses.replace(chart, ray_chart=rays), frames,
+                              ObservedEvent(0.0, HOLE_POINT[0, 1:]))
+    assert 0 < len(calls) <= 1000  # one per right-hand side (485 at REL_TOL)
