@@ -9,9 +9,10 @@ error norm, each step evaluates only the rows still running, and no
 row's arithmetic reads another's.  So a ray gives the same bits alone
 and in any batch.
 
-What the tolerances mean for each ray (defaults rel_tol=1e-10,
-abs_tol=1e-12): every accepted step keeps that ray's own error norm
-below 1.  With each component weighed by abs_tol + rel_tol*|y|, the norm
+What the tolerances mean for each ray (REL_TOL = 1e-10, ABS_TOL =
+1e-12, the one accuracy setting): every accepted step keeps that ray's
+own error norm below 1.  With each component weighed by
+ABS_TOL + REL_TOL*|y|, the norm
 is DOP853's |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) width) from the
 5th- and 3rd-order estimates e5, e3 over all components of the ray's
 state, in the chart it is given (the splitting layer gives a model's ray
@@ -19,7 +20,7 @@ chart, see charts.RayChart).  A ray ends in one of three outcomes:
   landed   it reached s_end; its end state is its last step's end state;
   clipped  it met its chart-exit event, a hair inside the boundary (see
            _exit_event); the crossing is located to 4 eps by brentq on
-           that ray's own step interpolant, as solve_ivp locates events,
+           that ray's own step interpolant, as scipy's ODE solvers locate events,
            and its end state is the interpolant there;
   failed   its step size fell below 10 ulp of s, or it spent MAX_ATTEMPTS
            step attempts, accepted or rejected, without ending.
@@ -274,10 +275,10 @@ def _rms(x):
     return _norm(x) / x.shape[1] ** 0.5
 
 
-def _initial_step(rhs, y, f, s_end, direction, rel_tol, abs_tol):
+def _initial_step(rhs, y, f, s_end, direction):
     """scipy's select_initial_step for each row, from s = 0."""
     length = abs(s_end)
-    scale = abs_tol + np.abs(y) * rel_tol
+    scale = ABS_TOL + np.abs(y) * REL_TOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
@@ -328,13 +329,13 @@ class _Run:
     segments: list = None
 
 
-def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
+def _dopri(rhs, y0, s_end, event=None, dense=False):
     """Integrate y' = rhs(s, y) from s = 0 to s_end != 0 for each row of y0.
 
     rhs maps (m,) s and (m, width) states of the running rows to their
     (m, width) derivatives, row by row.  event maps (m, width) states to
     (m,) values; a row stops, clipped, where its value falls through zero
-    (solve_ivp's terminal event with direction -1).  See the module
+    (scipy's terminal event with direction -1).  See the module
     docstring for the step control and the outcomes.
     """
     y0 = np.array(y0, dtype=float)
@@ -353,7 +354,7 @@ def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
     s = np.zeros(n)
     y = y0
     f = rhs(s, y)
-    h_abs = _initial_step(rhs, y, f, s_end, direction, rel_tol, abs_tol)
+    h_abs = _initial_step(rhs, y, f, s_end, direction)
     rejected = np.zeros(n, dtype=bool)
     retry = False  # whether any row's last attempt was rejected
     steps = np.zeros(n, dtype=int)
@@ -408,7 +409,7 @@ def _dopri(rhs, y0, s_end, rel_tol, abs_tol, event=None, dense=False):
                 k[:, i] = rhs(t_stage[:, i], y + (kt[:, :, :i] @ _A[i, :i]) * hc)
             y_new = y + hc * (kt[:, :, :_STAGES] @ _B)
             f_new = k[:, _STAGES] = rhs(s + h, y_new)
-            scale = abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol
+            scale = ABS_TOL + np.maximum(np.abs(y), np.abs(y_new)) * REL_TOL
             e5 = _norm((kt[:, :, :_STAGES + 1] @ _E5) / scale) ** 2
             e3 = _norm((kt[:, :, :_STAGES + 1] @ _E3) / scale) ** 2
             err = np.where((e5 == 0) & (e3 == 0), 0.0,
@@ -569,15 +570,13 @@ def _linear_run(y0, deriv, s_end, dense):
     return out
 
 
-def _rays(chart: Chart, y0, s_end, rel_tol, abs_tol, stop_at_exit=True, dense=False):
+def _rays(chart: Chart, y0, s_end, stop_at_exit=True, dense=False):
     """Integrate rays in the (dx, dv) layout: y0 is (n, 8 + 8*n_jac).
 
     Curved rays run _ray_rhs through _dopri, stopped by the chart-exit
     event when stop_at_exit; flat rays and s_end = 0 are exact.
     """
     y0 = np.asarray(y0, dtype=float)
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise InvalidInputError("tolerances must be positive")
     if s_end == 0.0 or chart.flat:
         m = y0.reshape(len(y0), y0.shape[1] // 8, 2, 4)
         deriv = np.zeros_like(m)
@@ -586,7 +585,7 @@ def _rays(chart: Chart, y0, s_end, rel_tol, abs_tol, stop_at_exit=True, dense=Fa
         return _linear_run(y0, deriv.reshape(y0.shape), s_end, dense)
     n_jac = y0.shape[1] // 8 - 1
     event = _exit_event(chart) if stop_at_exit else None
-    return _dopri(_ray_rhs(chart, n_jac), y0, s_end, rel_tol, abs_tol, event, dense)
+    return _dopri(_ray_rhs(chart, n_jac), y0, s_end, event, dense)
 
 
 def _single(chart, run, s_end, cls, *extra):
@@ -598,8 +597,7 @@ def _single(chart, run, s_end, cls, *extra):
     return cls(*run.segments[0], run.steps[0], run.outcome[0] == CLIPPED, *extra)
 
 
-def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end, rel_tol=REL_TOL,
-                       abs_tol=ABS_TOL) -> GeodesicSolution:
+def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end) -> GeodesicSolution:
     """Solve the autoparallel equation from the given initial data.
 
     Integrates kappa'' ^k + Gamma^k_ij kappa'^i kappa'^j = 0 up to s_end
@@ -616,13 +614,13 @@ def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end, rel_tol=REL_TOL,
         raise EmptySolutionError("start point touches the chart boundary")
 
     y0 = np.concatenate([q0, ivp.velocity])[None, :]
-    run = _rays(chart, y0, s_end, rel_tol, abs_tol, dense=True)
+    run = _rays(chart, y0, s_end, dense=True)
     return _single(chart, run, s_end, GeodesicSolution)
 
 
-def exp_map(chart: Chart, q: Event, tangent, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> Event:
+def exp_map(chart: Chart, q: Event, tangent) -> Event:
     """Endpoint of the geodesic with initial velocity `tangent` at unit parameter."""
-    sol = integrate_geodesic(chart, GeodesicIVP(q, tangent), 1.0, rel_tol, abs_tol)
+    sol = integrate_geodesic(chart, GeodesicIVP(q, tangent), 1.0)
     if sol.clipped:
         raise NotInExpDomainError(
             f"geodesic leaves {chart.name} at parameter {sol.s1:.6g} < 1"
@@ -630,8 +628,7 @@ def exp_map(chart: Chart, q: Event, tangent, rel_tol=REL_TOL, abs_tol=ABS_TOL) -
     return Event(chart.name, sol.position(1.0))
 
 
-def parallel_transport(chart: Chart, along: GeodesicSolution, v0,
-                       rel_tol=REL_TOL, abs_tol=ABS_TOL) -> TransportSolution:
+def parallel_transport(chart: Chart, along: GeodesicSolution, v0) -> TransportSolution:
     """Transport v0 along the stored path: v'^k + Gamma^k_ij kappa'^i v^j = 0.
 
     The path's stored velocity is reused instead of re-differentiating the
@@ -649,12 +646,11 @@ def parallel_transport(chart: Chart, along: GeodesicSolution, v0,
             gam = chart.christoffels(state[:, :4])
             return -np.einsum("nkij,ni,nj->nk", gam, state[:, 4:8], v)
 
-        run = _dopri(rhs, v0[None, :], along.s1, rel_tol, abs_tol, dense=True)
+        run = _dopri(rhs, v0[None, :], along.s1, dense=True)
     return _single(chart, run, along.s1, TransportSolution, along)
 
 
-def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0,
-                     rel_tol=REL_TOL, abs_tol=ABS_TOL) -> JacobiSolution:
+def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0) -> JacobiSolution:
     """Solve the geodesic deviation equation along a stored geodesic.
 
     The geodesic is integrated again together with the field, from its
@@ -665,25 +661,23 @@ def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0,
     y0 = np.concatenate([geodesic.position(0.0), geodesic.velocity(0.0),
                          np.asarray(j0, dtype=float), np.asarray(dj0, dtype=float)])
     y0 = _convert_columns(chart, y0[None, :], -1)
-    run = _rays(chart, y0, geodesic.s1, rel_tol, abs_tol, stop_at_exit=False, dense=True)
+    run = _rays(chart, y0, geodesic.s1, stop_at_exit=False, dense=True)
     return _single(chart, run, geodesic.s1, JacobiSolution, geodesic, chart)
 
 
-def exp_differential(chart: Chart, q: Event, tangent, base_dir, fiber_dir,
-                     rel_tol=REL_TOL, abs_tol=ABS_TOL) -> np.ndarray:
+def exp_differential(chart: Chart, q: Event, tangent, base_dir, fiber_dir) -> np.ndarray:
     """Differential of the exponential map as a Jacobi endpoint value.
 
     Returns J(1) for the Jacobi field along s -> exp(s*tangent) whose
     initial value is the base-point direction and whose initial covariant
     derivative is the fiber direction; linear in both.
     """
-    exp_map(chart, q, tangent, rel_tol, abs_tol)  # validates reachability
+    exp_map(chart, q, tangent)  # validates reachability
     y0 = np.concatenate([
         q.coords, np.asarray(tangent, dtype=float),
         np.asarray(base_dir, dtype=float), np.asarray(fiber_dir, dtype=float),
     ])[None, :]
-    interp, _ = integrate_batch(chart, y0, n_jac=1, s_end=1.0,
-                                rel_tol=rel_tol, abs_tol=abs_tol)
+    interp, _ = integrate_batch(chart, y0, n_jac=1, s_end=1.0)
     return interp(1.0)[0, 8:12]
 
 
@@ -711,8 +705,7 @@ def _orthogonal_triple(g, k):
     return dirs
 
 
-def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n,
-                     rel_tol=REL_TOL, abs_tol=ABS_TOL) -> ConjugateScan:
+def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n) -> ConjugateScan:
     """Scan a geodesic for conjugate parameter values.
 
     Integrates the ray with four Jacobi columns: three vanishing at the
@@ -736,8 +729,7 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n,
     y0 = np.concatenate([q.coords, tangent, n0, np.zeros(4)]
                         + [np.concatenate([np.zeros(4), d]) for d in dirs])
     y0 = _convert_columns(chart, y0[None, :], -1)  # transversal: dv(0) = -Gamma(K, N)
-    sol = _single(chart, _rays(chart, y0, s_max, rel_tol, abs_tol, dense=True), s_max,
-                  DenseSolution)
+    sol = _single(chart, _rays(chart, y0, s_max, dense=True), s_max, DenseSolution)
     s1 = sol.s1
 
     if grid_n < 2:
@@ -771,8 +763,7 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n,
     return ConjugateScan(tuple(zeros), False, s1)
 
 
-def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0,
-                    rel_tol=REL_TOL, abs_tol=ABS_TOL):
+def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0):
     """Integrate n rays, each with n_jac Jacobi columns, from s = 0 to s_end.
 
     y0: (n, 8 + 8*n_jac) initial states, each column (J, W).  Each row is
@@ -787,7 +778,7 @@ def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0,
         raise InvalidInputError("batch state width does not match n_jac")
     # a ray that starts outside the chart fails there, untraced
     inside = np.asarray(chart.contains(y0[:, :4]), dtype=bool).reshape(n)
-    run = _rays(chart, _convert_columns(chart, y0[inside], -1), s_end, rel_tol, abs_tol)
+    run = _rays(chart, _convert_columns(chart, y0[inside], -1), s_end)
     states, s1 = y0.copy(), np.zeros(n)
     outcome = np.full(n, FAILED)
     reasons = ["start outside the chart domain"] * n

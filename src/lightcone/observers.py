@@ -3,14 +3,25 @@
 An ObserverCurve is a proper-time parametrized, future-directed timelike
 worldline with g(gamma', gamma') = c^2.  A FrameField attaches an
 orthonormal, right-handed frame to every instant, with the zeroth column
-pinned to gamma'/c.  Frames propagate by Fermi-Walker transport (the
-non-rotating law); rotating variants post-multiply the spatial columns by
-a time-dependent rotation.
+pinned to gamma'/c.
 
-Analytic curves carry exact tangents and accelerations; numerically
-integrated ones interpolate the solver's dense output, computed at
-geodesics.REL_TOL and geodesics.ABS_TOL.  The two kinds are never mixed
-inside one FrameField.
+Every curve carries its own Fermi-Walker (non-rotating) basis,
+fw_basis(tau), made the way the curve itself is made:
+  flat inertial            the constant orthonormal completion of gamma'/c;
+  uniformly accelerated    the boost frame, in closed form;
+  curved inertial and      one coupled integration of the worldline and the
+  programmed               frame from tau = 0 (_integrated_curve; the
+                           inertial observer is the programmed system with
+                           no program), on geodesics' stepper at
+                           geodesics.REL_TOL and ABS_TOL.
+Fermi-Walker transport is linear, so every Fermi-Walker frame along a
+curve is its basis times one constant Lorentz matrix, and
+fermi_walker_transport integrates nothing.  Rotating variants
+post-multiply the spatial columns by a time-dependent rotation.
+
+An integrated worldline stops at the chart-exit margin the rays stop at
+(geodesics._exit_event): one that leaves the chart inside its interval
+raises IntegrationError when it is built.
 
 Curves and frame fields are evaluated over arrays of tau: a scalar tau
 gives (4,) or (4, 4), a 1-D array of n values gives (n, 4) or (n, 4, 4).
@@ -23,13 +34,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .charts import Chart, metric_at, minkowski
 from .errors import CausalDomainError, IntegrationError, InvalidInputError, OutOfChartError
 from .lorentz import (ETA, Event, Frame4, causal_character, CausalCharacter, gram_matrix,
                       projectors)
-from .geodesics import REL_TOL, ABS_TOL, DenseSolution, GeodesicIVP, integrate_geodesic
+from .geodesics import CLIPPED, FAILED, DenseSolution, _dopri, _exit_event
 
 
 def _over_taus(fn, tau, interval, what):
@@ -53,9 +63,9 @@ class ObserverCurve:
     """Worldline parametrized by proper time on a fixed chart.
 
     position, velocity and acceleration take a scalar tau, giving (4,),
-    or a 1-D array of n values, giving (n, 4); any tau outside interval
-    raises InvalidInputError.  The *_fn evaluators map an (n,) array of
-    tau to (n, 4) rows.
+    or a 1-D array of n values, giving (n, 4), and fw_basis gives (4, 4)
+    or (n, 4, 4); any tau outside interval raises InvalidInputError.  The
+    *_fn evaluators map an (n,) array of tau to the rows.
     """
 
     chart: Chart
@@ -63,7 +73,8 @@ class ObserverCurve:
     position_fn: Callable[[np.ndarray], np.ndarray]
     velocity_fn: Callable[[np.ndarray], np.ndarray]       # gamma' components
     acceleration_fn: Callable[[np.ndarray], np.ndarray]   # covariant acceleration
-    kind: str = "generic"
+    fw_basis_fn: Callable[[np.ndarray], np.ndarray]       # (n, 4, 4) frames
+    kind: str = "generic"  # "inertial" marks a geodesic
 
     @property
     def c(self):
@@ -78,6 +89,10 @@ class ObserverCurve:
     def acceleration(self, tau):
         """Covariant acceleration (the proper acceleration vector)."""
         return _over_taus(self.acceleration_fn, tau, self.interval, "observer interval")
+
+    def fw_basis(self, tau):
+        """Its Fermi-Walker basis: orthonormal frames, column 0 = gamma'/c."""
+        return _over_taus(self.fw_basis_fn, tau, self.interval, "observer interval")
 
     def event(self, tau) -> Event:
         return Event(self.chart.name, self.position(tau))
@@ -132,45 +147,27 @@ def normalize_observer_velocity(chart: Chart, coords, u0):
 
 def make_inertial_observer(chart: Chart, q0: Event, u0,
                            interval=(-10.0, 10.0)) -> ObserverCurve:
-    """Geodesic observer through q0 with (normalized) initial velocity u0."""
+    """Geodesic observer with (normalized) initial velocity u0, at q0 at tau = 0.
+
+    Its Fermi-Walker basis starts as the orthonormal completion of
+    gamma'/c at q0 (complete_orthonormal); on a flat chart that is the
+    basis everywhere, elsewhere the curve is the programmed system with no
+    program (see make_programmed_observer).
+    """
     u = normalize_observer_velocity(chart, q0.coords, u0)
-    lo, hi = float(interval[0]), float(interval[1])
-    if chart.flat:
-        p0 = q0.coords.copy()
-
-        return ObserverCurve(
-            chart=chart,
-            interval=(lo, hi),
-            position_fn=lambda taus: p0 + taus[:, None] * u,
-            velocity_fn=lambda taus: u[None].repeat(len(taus), axis=0),
-            acceleration_fn=lambda taus: np.zeros((len(taus), 4)),
-            kind="inertial",
-        )
-
-    fwd = integrate_geodesic(chart, GeodesicIVP(q0, u), hi) if hi > 0 else None
-    bwd = integrate_geodesic(chart, GeodesicIVP(q0, u), lo) if lo < 0 else None
-    for sol, want in ((fwd, hi), (bwd, lo)):
-        if sol is not None and sol.clipped:
-            raise IntegrationError(
-                f"observer worldline exits the chart at tau={sol.s1:.6g} (wanted {want})"
-            )
-
-    def state(taus):
-        """Rows (position, velocity): forward solution for tau >= 0 when there is one."""
-        ahead = taus >= 0 if fwd is not None else np.zeros(len(taus), dtype=bool)
-        if ahead.all() or not ahead.any():
-            return (fwd if ahead[0] else bwd).state(taus).T
-        out = np.empty((len(taus), 8))
-        out[ahead] = fwd.state(taus[ahead]).T
-        out[~ahead] = bwd.state(taus[~ahead]).T
-        return out
+    frame0 = complete_orthonormal(chart.metric(q0.coords), u / chart.c)
+    if not chart.flat:
+        return _integrated_curve(chart, q0, np.column_stack([u, frame0[:, 1:]]), None,
+                                 interval, "inertial")
+    p0 = q0.coords.copy()
 
     return ObserverCurve(
         chart=chart,
-        interval=(lo, hi),
-        position_fn=lambda taus: state(taus)[:, :4],
-        velocity_fn=lambda taus: state(taus)[:, 4:],
+        interval=(float(interval[0]), float(interval[1])),
+        position_fn=lambda taus: p0 + taus[:, None] * u,
+        velocity_fn=lambda taus: u[None].repeat(len(taus), axis=0),
         acceleration_fn=lambda taus: np.zeros((len(taus), 4)),
+        fw_basis_fn=lambda taus: frame0[None].repeat(len(taus), axis=0),
         kind="inertial",
     )
 
@@ -205,12 +202,22 @@ def make_uniformly_accelerated_observer(a, c=1.0, interval=(-10.0, 10.0)) -> Obs
         w = a * taus / c
         return rows(taus, a * np.sinh(w), a * np.cosh(w))
 
+    def fw_basis_fn(taus):
+        """The boost frame: gamma'/c, the direction of acceleration, axes 2 and 3."""
+        w = a * taus / c
+        m = np.zeros((len(taus), 4, 4))
+        m[:, 0, 0] = m[:, 1, 1] = np.cosh(w)
+        m[:, 0, 1] = m[:, 1, 0] = np.sinh(w)
+        m[:, 2, 2] = m[:, 3, 3] = 1.0
+        return m
+
     return ObserverCurve(
         chart=chart,
         interval=(float(interval[0]), float(interval[1])),
         position_fn=position_fn,
         velocity_fn=velocity_fn,
         acceleration_fn=acceleration_fn,
+        fw_basis_fn=fw_basis_fn,
         kind="uniformly-accelerated",
     )
 
@@ -220,58 +227,71 @@ def make_programmed_observer(chart: Chart, q0: Event, frame0, accel_program,
     """Observer driven by an accelerometer program.
 
     accel_program(tau) gives the spatial proper-acceleration components in
-    the instantaneous (Fermi-Walker transported) frame basis.  The
-    worldline, its tangent and the non-rotating frame are integrated as one
-    coupled system; returns (ObserverCurve, FrameField).
+    the instantaneous Fermi-Walker basis.  q0 and frame0 hold at tau = 0,
+    and the program is read from 0 out to both ends of the interval.  The
+    worldline and its basis come from one coupled integration; returns
+    (ObserverCurve, FrameField), the field being the curve's basis.
     """
-    c = chart.c
     x0 = np.asarray(frame0.matrix if isinstance(frame0, Frame4) else frame0, dtype=float)
-    y0 = np.concatenate([q0.coords, c * x0[:, 0], x0[:, 1:].ravel(order="F")])
+    curve = _integrated_curve(chart, q0, np.column_stack([chart.c * x0[:, 0], x0[:, 1:]]),
+                              accel_program, interval, "programmed")
+    return curve, _fw_field(curve, curve.fw_basis_fn)
 
-    def rhs(tau, y):
-        pos, vel = y[:4], y[4:8]
-        cols = y[8:20].reshape(4, 3, order="F")
+
+def _integrated_curve(chart: Chart, q0: Event, m0, program, interval, kind) -> ObserverCurve:
+    """Worldline and Fermi-Walker basis from one integration, from tau = 0.
+
+    The state is the position and the four columns M = [gamma', spatial
+    frame columns], all Fermi-Walker transported,
+        x' = gamma',   M' = -Gamma(gamma', M) + (A g(gamma', M) - gamma' g(A, M)) / c^2,
+    with the acceleration A = M[:, 1:] program(tau), which is zero without
+    a program (then gamma' is a geodesic and M is parallel transported).
+    m0 is M at q0.
+    """
+    if q0.chart_id != chart.name:
+        raise InvalidInputError(f"event belongs to chart {q0.chart_id!r}, not {chart.name!r}")
+    c = chart.c
+    y0 = np.concatenate([q0.coords, np.asarray(m0, dtype=float).T.ravel()])
+
+    def reading(taus):
+        if program is None:
+            return np.zeros((len(taus), 3))
+        return np.array([program(tau) for tau in taus], dtype=float).reshape(len(taus), 3)
+
+    def rhs(s, y):
+        pos, m = y[:, :4], y[:, 4:].reshape(-1, 4, 4).transpose(0, 2, 1)
+        vel = m[:, :, 0]
+        acc = m[:, :, 1:] @ reading(s)[:, :, None]
         g = chart.metric(pos)
-        gam = chart.christoffels(pos)
-        acc_frame = np.asarray(accel_program(tau), dtype=float)
-        accel = cols @ acc_frame  # spatial frame components -> chart components
-        dvel = accel - np.einsum("kij,i,j->k", gam, vel, vel)
-        gv = g @ vel
-        ga = g @ accel
-        # Fermi-Walker transport of the spatial columns
-        dcols = (
-            -np.einsum("kij,i,jm->km", gam, vel, cols)
-            + (np.outer(accel, gv @ cols) - np.outer(vel, ga @ cols)) / c**2
-        )
-        return np.concatenate([vel, dvel, dcols.ravel(order="F")])
+        dm = acc * (vel[:, None] @ g @ m) - vel[:, :, None] * (acc.transpose(0, 2, 1) @ g @ m)
+        dm = dm / c**2 - np.einsum("nkij,ni,njm->nkm", chart.christoffels(pos), vel, m)
+        return np.concatenate([vel, dm.transpose(0, 2, 1).reshape(-1, 16)], axis=1)
 
-    lo, hi = float(interval[0]), float(interval[1])
-    state = _two_sided(rhs, y0, lo, hi, "worldline integration")
+    state = _two_sided(chart, rhs, y0, float(interval[0]), float(interval[1]))
 
-    def matrix_fn(taus):
-        y = state(taus)
-        m = np.empty((len(taus), 4, 4))
-        m[:, :, 0] = y[:, 4:8] / c
-        m[:, :, 1:] = y[:, 8:20].reshape(-1, 3, 4).transpose(0, 2, 1)
+    def frames(taus):
+        """M at each tau, (n, 4, 4), C-contiguous as every other frame is."""
+        return np.ascontiguousarray(state(taus)[:, 4:].reshape(-1, 4, 4).transpose(0, 2, 1))
+
+    def fw_basis_fn(taus):
+        m = frames(taus)
+        m[:, :, 0] /= c
         return m
 
     def acceleration_fn(taus):
         """The program's reading carried by the spatial frame columns."""
-        reading = np.array([accel_program(tau) for tau in taus], dtype=float)
-        return (matrix_fn(taus)[:, :, 1:] @ reading[:, :, None])[:, :, 0]
+        return (frames(taus)[:, :, 1:] @ reading(taus)[:, :, None])[:, :, 0]
 
-    curve = ObserverCurve(
+    return ObserverCurve(
         chart=chart,
-        interval=(lo, hi),
+        interval=(float(interval[0]), float(interval[1])),
         position_fn=lambda taus: state(taus)[:, :4],
         velocity_fn=lambda taus: state(taus)[:, 4:8],
-        acceleration_fn=acceleration_fn,
-        kind="programmed",
+        acceleration_fn=(acceleration_fn if program is not None
+                         else lambda taus: np.zeros((len(taus), 4))),
+        fw_basis_fn=fw_basis_fn,
+        kind=kind,
     )
-    field = FrameField(curve=curve, matrix_fn=matrix_fn,
-                       cov_deriv_fn=lambda taus: _fw_cov_deriv_matrix(curve, taus, matrix_fn(taus)),
-                       kind="fermi-walker")
-    return curve, field
 
 
 def proper_acceleration(curve: ObserverCurve, tau):
@@ -336,68 +356,63 @@ def fermi_walker_derivative_projector_form(curve: ObserverCurve, field, tau,
     return p_par @ nabla(project("par"), None) + p_perp @ nabla(project("perp"), None)
 
 
-def _fw_cov_deriv_matrix(curve: ObserverCurve, taus, mats):
-    """Covariant derivatives of FW-transported columns (the transport law), (n, 4, 4)."""
+def _fw_field(curve: ObserverCurve, matrix_fn, tau_range=None) -> FrameField:
+    """Fermi-Walker frame field with the columns of matrix_fn along curve.
+
+    Its covariant derivatives are the transport law's, (n, 4, 4): zero
+    along an inertial observer, whose frame is parallel.
+    """
     c = curve.c
-    pos = curve.position(taus)
-    vel = curve.velocity(taus)[:, :, None]
-    acc = curve.acceleration(taus)[:, :, None]
-    inside = curve.chart.contains(pos)
-    if not np.all(inside):
-        raise OutOfChartError(f"{pos[~inside][0]} lies outside the {curve.chart.name} chart domain")
-    g = curve.chart.metric(pos)
-    gv = (g @ vel).transpose(0, 2, 1) @ mats  # (n, 1, 4): g(gamma', X_m)
-    ga = (g @ acc).transpose(0, 2, 1) @ mats
-    return (acc * gv - vel * ga) / c**2
+
+    def cov_deriv_fn(taus):
+        if curve.kind == "inertial":
+            return np.zeros((len(taus), 4, 4))
+        acc = curve.acceleration(taus)[:, :, None]
+        pos = curve.position(taus)
+        vel = curve.velocity(taus)[:, :, None]
+        inside = curve.chart.contains(pos)
+        if not np.all(inside):
+            raise OutOfChartError(
+                f"{pos[~inside][0]} lies outside the {curve.chart.name} chart domain")
+        g = curve.chart.metric(pos)
+        mats = matrix_fn(taus)
+        gv = (g @ vel).transpose(0, 2, 1) @ mats  # (n, 1, 4): g(gamma', X_m)
+        ga = (g @ acc).transpose(0, 2, 1) @ mats
+        return (acc * gv - vel * ga) / c**2
+
+    return FrameField(curve=curve, matrix_fn=matrix_fn, cov_deriv_fn=cov_deriv_fn,
+                      kind="fermi-walker", tau_range=tau_range)
 
 
 def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None) -> FrameField:
     """Propagate a frame of reference along the observer without rotation.
 
-    The zeroth column is pinned to gamma'/c analytically; the three
-    spatial columns solve the Fermi-Walker transport equation.  frame0
-    must be a valid frame at tau=tau0 (midpoint convention: tau0 is
-    tau_range[0] unless the range straddles it).
+    Fermi-Walker transport is linear, so the field is the curve's own
+    basis times one constant Lorentz matrix: basis(tau) L with
+    L = basis(tau0)^-1 frame0; nothing is integrated.  frame0 must be a
+    valid frame at tau = tau0 (midpoint convention: tau0 is tau_range[0]
+    unless the range straddles 0), and tau_range must lie in the curve's
+    interval.
     """
     chart = curve.chart
-    c = curve.c
     if tau_range is None:
         tau_range = curve.interval
     lo, hi = float(tau_range[0]), float(tau_range[1])
+    if not (curve.interval[0] <= lo and hi <= curve.interval[1]):
+        raise InvalidInputError(f"frame range [{lo}, {hi}] outside the observer interval "
+                                f"{list(curve.interval)}")
     tau0 = 0.0 if lo <= 0.0 <= hi else lo
     x0 = np.asarray(frame0.matrix if isinstance(frame0, Frame4) else frame0, dtype=float)
-    if np.max(np.abs(x0[:, 0] - curve.velocity(tau0) / c)) > 1e-8:
+    if np.max(np.abs(x0[:, 0] - curve.velocity(tau0) / curve.c)) > 1e-8:
         raise CausalDomainError("frame column 0 must equal the observer tangent / c")
     g0 = metric_at(chart, curve.position(tau0))
     if np.max(np.abs(gram_matrix(g0, x0) - ETA)) > 1e-8:
         raise CausalDomainError("initial frame is not orthonormal")
-
-    def rhs(tau, y):
-        cols = y.reshape(4, 3, order="F")
-        pos = curve.position(tau)
-        vel = curve.velocity(tau)
-        acc = curve.acceleration(tau)
-        g = chart.metric(pos)
-        gam = chart.christoffels(pos)
-        dcols = (
-            -np.einsum("kij,i,jm->km", gam, vel, cols)
-            + (np.outer(acc, (g @ vel) @ cols) - np.outer(vel, (g @ acc) @ cols)) / c**2
-        )
-        return dcols.ravel(order="F")
-
-    state = _two_sided(rhs, x0[:, 1:].ravel(order="F"), lo, hi, "frame transport")
-
-    def matrix_fn(taus):
-        m = np.empty((len(taus), 4, 4))
-        m[:, :, 0] = curve.velocity(taus) / c
-        m[:, :, 1:] = state(taus).reshape(-1, 3, 4).transpose(0, 2, 1)
-        return m
-
-    def cov_deriv_fn(taus):
-        return _fw_cov_deriv_matrix(curve, taus, matrix_fn(taus))
-
-    return FrameField(curve=curve, matrix_fn=matrix_fn, cov_deriv_fn=cov_deriv_fn,
-                      kind="fermi-walker", tau_range=(lo, hi))
+    basis0 = curve.fw_basis(tau0)
+    if np.array_equal(x0, basis0):  # most often: the field is the basis, bit for bit
+        return _fw_field(curve, curve.fw_basis_fn, (lo, hi))
+    lorentz = np.linalg.solve(basis0, x0)
+    return _fw_field(curve, lambda taus: curve.fw_basis_fn(taus) @ lorentz, (lo, hi))
 
 
 def _rotation(omega, axis, taus):
@@ -446,63 +461,47 @@ def rotating_frame(base: FrameField, omega, axis=1) -> FrameField:
                       tau_range=base.tau_range)
 
 
-def _two_sided(rhs, y0, lo, hi, what):
-    """Integrate y' = rhs(tau, y) from the base instant out to both ends.
+def _two_sided(chart: Chart, rhs, y0, lo, hi):
+    """Integrate y' = rhs(tau, y) from y0 at tau = 0 out to lo and to hi.
 
-    The base instant is tau = 0 when [lo, hi] straddles it, else lo; y0
-    is the state there.  Returns state(taus): the rows (n, len(y0)) at an
-    (n,) array of tau, one interpolant call per side; it raises if any tau
-    is outside [lo, hi].
+    One geodesics._dopri run with dense output for each side of 0 that
+    [lo, hi] reaches, stopped by the chart-exit event the rays stop at; a
+    run that leaves the chart or fails raises IntegrationError.  Returns
+    state(taus): the rows (n, len(y0)) at an (n,) array of tau, one
+    interpolant call per side.
     """
-    tau0 = 0.0 if lo <= 0.0 <= hi else lo
-    y0 = np.asarray(y0, dtype=float)
     sides = {}
-    for target in (lo, hi):
-        if target == tau0:
+    for ahead, end in ((False, min(lo, 0.0)), (True, max(hi, 0.0))):
+        if end == 0.0:
             continue
-        sol = solve_ivp(rhs, (tau0, target), y0, method="RK45", dense_output=True,
-                        rtol=REL_TOL, atol=ABS_TOL)
-        if sol.status != 0:
-            raise IntegrationError(f"{what} failed: {sol.message}")
-        steps = sol.sol.interpolants
-        sides[target > tau0] = DenseSolution(
-            sol.t, np.array([p.h for p in steps]), np.stack([p.Q for p in steps]),
-            np.stack([p.y_old for p in steps]), sol.sol(target), len(steps), False)
+        run = _dopri(rhs, y0[None], end, _exit_event(chart), dense=True)
+        if run.outcome[0] == FAILED:
+            raise IntegrationError(f"observer worldline integration failed: {run.reasons[0]}")
+        if run.outcome[0] == CLIPPED:
+            raise IntegrationError(
+                f"observer worldline exits the chart at tau={run.s1[0]:.6g} (wanted {end})")
+        sides[ahead] = DenseSolution(*run.segments[0], run.steps[0], False)
 
     def state(taus):
-        out = ~((taus >= lo - 1e-12) & (taus <= hi + 1e-12))
-        picks = {}
-        for side in (False, True):
-            sel = ((taus > tau0) == side) & (np.abs(taus - tau0) >= 1e-300)
-            if side not in sides:  # the base instant is this end
-                out |= sel
-            elif sel.any():
-                picks[side] = sel
-        if out.any():
-            raise InvalidInputError(f"tau={taus[out][0]} outside {what} range [{lo}, {hi}]")
         rows = y0[None].repeat(len(taus), axis=0)
-        for side, sel in picks.items():
-            rows[sel] = sides[side].state(taus[sel]).T
+        for ahead, sol in sides.items():
+            sel = taus > 0.0 if ahead else taus < 0.0
+            if sel.any():
+                rows[sel] = sol.state(taus[sel]).T
         return rows
 
     return state
 
 
 def standard_inertial_frame(curve: ObserverCurve) -> FrameField:
-    """Frame field completing an inertial observer's tangent in a flat chart.
+    """The Fermi-Walker basis of an inertial observer in a flat chart, as a frame field.
 
-    Builds an orthonormal right-handed completion of gamma'/c once and
-    carries it unchanged, which in a flat chart is the Fermi-Walker
-    transported field.
+    That basis is the constant orthonormal completion of gamma'/c, with
+    zero covariant derivatives.
     """
     if not curve.chart.flat:
         raise InvalidInputError("standard inertial frames require a flat chart")
-    c = curve.c
-    u = curve.velocity(curve.interval[0])  # constant for inertial flat curves
-    m = complete_orthonormal(curve.chart.metric(curve.position(curve.interval[0])), u / c)
-    return FrameField(curve=curve, matrix_fn=lambda taus: m[None].repeat(len(taus), axis=0),
-                      cov_deriv_fn=lambda taus: np.zeros((len(taus), 4, 4)),
-                      kind="fermi-walker")
+    return _fw_field(curve, curve.fw_basis_fn)
 
 
 def complete_orthonormal(g, e0):

@@ -8,6 +8,10 @@ meters, with coordinate 0 stored as c*t.
 
 The canonical form (sorted non-comment lines, normalized whitespace)
 feeds the manifest hash, so cosmetic edits never change it.
+
+The observer's frames come from its worldline's own Fermi-Walker basis
+(see observers): build_frames integrates nothing.  Building a worldline
+that leaves the chart inside its interval raises IntegrationError.
 """
 
 import hashlib
@@ -28,7 +32,6 @@ from .observers import (
     make_programmed_observer,
     make_uniformly_accelerated_observer,
     rotating_frame,
-    standard_inertial_frame,
 )
 from .splitting import MultistartConfig
 
@@ -122,59 +125,39 @@ class Scenario:
 
     def build_observer_frames(self, chart: Chart) -> tuple:
         """The observer's worldline and its frame field, as (curve, frames)."""
-        curve, base = self._worldline(chart)
-        return curve, self._frames(chart, curve, base)
+        curve = self.build_observer(chart)
+        return curve, self.build_frames(chart, curve)
 
     def build_observer(self, chart: Chart) -> ObserverCurve:
-        """The worldline alone; build_observer_frames builds it with its frames."""
-        return self._worldline(chart)[0]
-
-    def build_frames(self, chart: Chart, curve: ObserverCurve) -> FrameField:
-        """The frame field along a curve built from these settings.
-
-        A programmed worldline and its Fermi-Walker frame come from one
-        integration, which is run again here and must reproduce the curve.
-        """
-        if curve.kind != "programmed":
-            return self._frames(chart, curve, None)
-        built, frames = self.build_observer_frames(chart)
-        ends = np.array(curve.interval, dtype=float)
-        if not (built.interval == curve.interval
-                and np.array_equal(built.position(ends), curve.position(ends))
-                and np.array_equal(built.velocity(ends), curve.velocity(ends))):
-            raise ConfigError("the programmed worldline was not built from these settings")
-        return frames
-
-    def _worldline(self, chart):
-        """(curve, frames): frames only where one integration gives both, else None."""
+        """The worldline, which carries its own Fermi-Walker basis."""
         kind = self.get("observer.kind", "inertial", kind=str)
-        lo = self.get("observer.tau_min_s", -10.0)
-        hi = self.get("observer.tau_max_s", 10.0)
-        if hi <= lo:
-            raise ConfigError("observer.tau_max_s must exceed observer.tau_min_s")
+        interval = self._interval()
         if kind == "inertial":
             q0 = np.array(self.get("observer.q0_m", [0, 0, 0, 0], kind=list))
             u0 = np.array(self.get("observer.u0", [1, 0, 0, 0], kind=list))
-            return make_inertial_observer(chart, Event(chart.name, q0), u0, (lo, hi)), None
+            return make_inertial_observer(chart, Event(chart.name, q0), u0, interval)
         if kind == "uniformly_accelerated":
             if chart.name != "minkowski":
                 raise ConfigError("uniformly accelerated observers need the flat chart")
             a = self.get("observer.a_m_per_s2")
-            return make_uniformly_accelerated_observer(a, chart.c, (lo, hi)), None
+            return make_uniformly_accelerated_observer(a, chart.c, interval)
         if kind == "programmed":
-            # constant accelerometer reading in the instantaneous frame basis;
-            # arbitrary programs are an API-level feature
-            q0 = np.array(self.get("observer.q0_m", [0, 0, 0, 0], kind=list))
-            accel = np.array(self.get("observer.accel_m_per_s2", kind=list))
-            if accel.shape != (3,):
-                raise ConfigError("observer.accel_m_per_s2 needs 3 components")
+            q0, accel = self._program()
             frame0 = _initial_frame_at(chart, q0)
             return make_programmed_observer(chart, Event(chart.name, q0), frame0,
-                                            lambda tau: accel, interval=(lo, hi))
+                                            lambda tau: accel, interval=interval)[0]
         raise ConfigError(f"unknown observer kind {kind!r}")
 
-    def _frames(self, chart, curve, base):
-        """The configured frame field along curve; base is its Fermi-Walker field, if known."""
+    def build_frames(self, chart: Chart, curve: ObserverCurve) -> FrameField:
+        """The frame field along a curve built from these settings.
+
+        Every frame comes from the curve's Fermi-Walker basis; nothing is
+        integrated here.  A programmed curve is checked against the
+        settings: its event at tau = 0, its interval, and its acceleration
+        at both ends against the settings' reading in its spatial basis.
+        """
+        if curve.kind == "programmed" and not self._builds(curve):
+            raise ConfigError("the programmed worldline was not built from these settings")
         kind = self.get("frame.kind", "fermi_walker", kind=str)
         if kind == "explicit":
             cols = np.array(self.get("frame.columns", kind=list)).reshape(4, 4, order="F")
@@ -182,10 +165,8 @@ class Scenario:
                               matrix_fn=lambda taus: cols[None].repeat(len(taus), axis=0),
                               cov_deriv_fn=lambda taus: np.zeros((len(taus), 4, 4)),
                               kind="explicit")
-        if base is None and curve.kind == "inertial" and chart.flat:
-            base = standard_inertial_frame(curve)
-        elif base is None:
-            base = fermi_walker_transport(curve, _initial_frame(chart, curve), curve.interval)
+        lo, hi = curve.interval
+        base = fermi_walker_transport(curve, curve.fw_basis(0.0 if lo <= 0.0 <= hi else lo))
         if kind == "fermi_walker":
             return base
         if kind == "rotating":
@@ -193,6 +174,37 @@ class Scenario:
             axis = self.get("frame.axis", 1, kind=int)
             return rotating_frame(base, omega, axis)
         raise ConfigError(f"unknown frame kind {kind!r}")
+
+    def _interval(self):
+        lo = self.get("observer.tau_min_s", -10.0)
+        hi = self.get("observer.tau_max_s", 10.0)
+        if hi <= lo:
+            raise ConfigError("observer.tau_max_s must exceed observer.tau_min_s")
+        return lo, hi
+
+    def _program(self):
+        """(q0, reading): a programmed observer's event at tau = 0 and its reading.
+
+        The reading is a constant accelerometer reading in the curve's basis;
+        arbitrary programs are an API-level feature.
+        """
+        q0 = np.array(self.get("observer.q0_m", [0, 0, 0, 0], kind=list))
+        accel = np.array(self.get("observer.accel_m_per_s2", kind=list))
+        if accel.shape != (3,):
+            raise ConfigError("observer.accel_m_per_s2 needs 3 components")
+        return q0, accel
+
+    def _builds(self, curve):
+        """Whether a programmed curve is the one these settings build."""
+        if self.get("observer.kind", "inertial", kind=str) != "programmed":
+            return False
+        q0, accel = self._program()
+        ends = np.array(curve.interval, dtype=float)
+        want = curve.fw_basis(ends)[:, :, 1:] @ accel
+        return (curve.interval == self._interval()  # position_fn: 0 may be outside it
+                and np.array_equal(curve.position_fn(np.zeros(1))[0], q0)
+                and np.max(np.abs(curve.acceleration(ends) - want))
+                <= 1e-12 * np.max(np.abs(want)))
 
     def build_search(self, curve: ObserverCurve) -> MultistartConfig:
         lo = self.get("invert.tau_min_s", curve.interval[0])
@@ -214,14 +226,6 @@ class Scenario:
             return MultistartConfig(**settings)
         except InvalidInputError as exc:
             raise ConfigError(f"invert settings: {exc}") from exc
-
-
-def _initial_frame(chart, curve):
-    """Orthonormal right-handed completion of the tangent at the base instant."""
-    lo, hi = curve.interval
-    tau0 = 0.0 if lo <= 0.0 <= hi else lo
-    g = chart.metric(curve.position(tau0))
-    return complete_orthonormal(g, curve.velocity(tau0) / chart.c)
 
 
 def _initial_frame_at(chart, coords):

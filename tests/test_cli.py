@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lightcone import geodesics, observers
 from lightcone.cli import main
 from lightcone.errors import ConfigError
 from lightcone.scenario import (
@@ -350,6 +351,16 @@ class TestValidate:
         assert "schwarzschild_ricci_flat" in text
         assert "FAIL" not in text
 
+    @pytest.mark.parametrize("preset", ["accel_rotating", "jet_fighter", "minkowski_inertial",
+                                        "schwarzschild_faller", "sr_limit_sweep"])
+    def test_preset_passes(self, tmp_path, preset):
+        rc = main(["--scenario", str(SCN_DIR / f"{preset}.scn"), "--out", str(tmp_path),
+                   "validate"])
+        assert rc == 0
+        text = (tmp_path / "validate.txt").read_text()
+        assert "PASS" in text
+        assert "FAIL" not in text
+
     def test_corrupted_frame_fails(self, tmp_path):
         rc = main(["--scenario", str(SCN_DIR / "corrupted_frame.scn"),
                    "--out", str(tmp_path), "validate"])
@@ -461,6 +472,32 @@ class TestProgrammedObserver:
         scn_c = Scenario(values=parse_scenario_text(other), source_text=other)
         with pytest.raises(ConfigError):
             scn_a.build_frames(chart, scn_c.build_observer(chart))
+
+    def test_build_frames_integrates_nothing(self, monkeypatch):
+        text = (
+            "spacetime.name = schwarzschild\n"
+            "spacetime.R_m = 1\n"
+            "observer.kind = programmed\n"
+            "observer.q0_m = 0, 10, 1.5707963267948966, 0\n"
+            "observer.accel_m_per_s2 = 0.05, 0.02, 0\n"
+            "observer.tau_min_s = -2\n"
+            "observer.tau_max_s = 2\n"
+        )
+        scn = Scenario(values=parse_scenario_text(text), source_text=text)
+        chart = scn.build_chart()
+        runs, dopri = [], geodesics._dopri
+
+        def counted(*args, **kwargs):
+            runs.append(args[2])
+            return dopri(*args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "_dopri", counted)
+        monkeypatch.setattr(observers, "_dopri", counted)
+        curve = scn.build_observer(chart)
+        assert runs == [-2.0, 2.0]
+        frames = scn.build_frames(chart, curve)
+        frames.matrix(np.linspace(-2, 2, 5))
+        assert runs == [-2.0, 2.0]
 
     def test_validate_passes_for_programmed(self, tmp_path):
         scn_file = tmp_path / "prog.scn"

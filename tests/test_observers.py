@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lightcone.charts import metric_at, minkowski, schwarzschild
-from lightcone.errors import CausalDomainError, InvalidInputError
+from lightcone import geodesics, observers
+from lightcone.errors import CausalDomainError, IntegrationError, InvalidInputError
 from lightcone.geodesics import GeodesicIVP, integrate_geodesic, parallel_transport
 from lightcone.lorentz import ETA, Event, gram_matrix, validate_frame_of_reference
 from lightcone.observers import (
@@ -203,6 +205,95 @@ class TestFermiWalkerTransport:
             assert validate_frame_of_reference(
                 metric_at(MK, pos), cur.velocity(tau), MK.reference_frame(pos),
                 ff.matrix(tau))
+
+
+    def test_range_past_the_curve_interval_rejected(self):
+        cur = make_uniformly_accelerated_observer(1.0, 1.0, interval=(-6, 6))
+        for tau_range in ((-7, 5), (-5, 6.5)):
+            with pytest.raises(InvalidInputError):
+                fermi_walker_transport(cur, np.eye(4), tau_range)
+
+    def test_integrates_nothing(self, monkeypatch):
+        q0 = Event("schwarzschild", np.array([0.0, 10.0, math.pi / 2, 0.0]))
+        cur = make_inertial_observer(SW, q0, [1.0, 0.0, 0.0, 0.02], interval=(-3, 3))
+        spin = np.eye(4)
+        spin[2:, 2:] = [[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]
+        monkeypatch.setattr(observers, "_dopri", _no_call)
+        ff = fermi_walker_transport(cur, cur.fw_basis(0.0) @ spin, (-2, 3))
+        taus = np.linspace(-2, 3, 7)
+        assert np.max(np.abs(ff.matrix(taus) - cur.fw_basis(taus) @ spin)) <= 1e-14
+        ff.cov_deriv(taus)
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("integrated")
+
+
+# -- each curve kind's Fermi-Walker basis -------------------------------------
+
+def _curve(kind):
+    q0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    program = lambda tau: np.array([0.3 * math.sin(tau), 0.2, -0.1])
+    if kind == "flat-inertial":
+        return make_inertial_observer(MK, Event("minkowski", np.ones(4)), [2, 0.5, 0.3, 0],
+                                      interval=(-3, 3))
+    if kind == "uniformly-accelerated":
+        return make_uniformly_accelerated_observer(0.7, 2.0, interval=(-3, 3))
+    if kind == "curved-inertial":
+        return make_inertial_observer(SW, Event("schwarzschild", q0), [1.2, -0.1, 0, 0.02],
+                                      interval=(-3, 3))
+    chart = MK if kind == "flat-programmed" else SW
+    return make_programmed_observer(chart, Event(chart.name, q0 if chart is SW else np.zeros(4)),
+                                    chart.reference_frame(q0), program, interval=(-3, 3))[0]
+
+
+@pytest.mark.parametrize("kind", ["flat-inertial", "uniformly-accelerated", "curved-inertial",
+                                  "flat-programmed", "curved-programmed"])
+def test_basis_is_fermi_walker_transported(kind):
+    cur = _curve(kind)
+    for tau in (-2.5, -0.4, 0.0, 1.1, 2.5):
+        m = cur.fw_basis(tau)
+        g = metric_at(cur.chart, cur.position(tau))
+        assert np.max(np.abs(gram_matrix(g, m) - ETA)) <= 1e-9
+        assert np.max(np.abs(m[:, 0] - cur.velocity(tau) / cur.c)) <= 1e-12
+        assert np.linalg.det(m) > 0
+        for i in range(4):
+            column = lambda t, i=i: cur.fw_basis(t)[:, i]
+            direct = fermi_walker_derivative(cur, column, tau)
+            via_projectors = fermi_walker_derivative_projector_form(cur, column, tau)
+            assert np.max(np.abs(direct)) <= 1e-7
+            assert np.max(np.abs(direct - via_projectors)) <= 1e-7
+
+
+@pytest.mark.parametrize("make", [
+    lambda q0, frame0: make_programmed_observer(SW, q0, frame0, lambda tau: np.zeros(3),
+                                                interval=(-10, 10)),
+    lambda q0, frame0: make_inertial_observer(SW, q0, frame0[:, 0], interval=(-10, 10)),
+], ids=["programmed", "inertial"])
+def test_worldline_leaving_the_chart_raises(make):
+    # released at rest at r = 1.5 R, the worldline meets the horizon margin
+    # both ways at |tau| ~ 2; it stops there as the rays do
+    q0 = np.array([0.0, 1.5, math.pi / 2, 0.0])
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match=r"exits the chart at tau=-1\.9967"):
+        make(Event("schwarzschild", q0), SW.reference_frame(q0))
+    assert time.perf_counter() - start <= 2.0
+
+
+def test_curved_inertial_worldline_is_one_integration(monkeypatch):
+    runs, dopri = [], geodesics._dopri
+
+    def counted(*args, **kwargs):
+        runs.append(args[2])
+        return dopri(*args, **kwargs)
+
+    monkeypatch.setattr(observers, "_dopri", counted)
+    monkeypatch.setattr(geodesics, "integrate_geodesic", _no_call)
+    q0 = Event("schwarzschild", np.array([0.0, 10.0, math.pi / 2, 0.0]))
+    cur = make_inertial_observer(SW, q0, [1.0, 0.0, 0.0, 0.0], interval=(-3, 2))
+    assert runs == [-3.0, 2.0]  # one run per side of tau = 0
+    fermi_walker_transport(cur, SW.reference_frame(q0.coords)).matrix(np.linspace(-3, 2, 5))
+    assert len(runs) == 2
 
 
 class TestRotatingFrame:
