@@ -22,7 +22,10 @@ rays: each ray keeps its own error norm, over its state in the ray chart's
 components, within geodesics.REL_TOL and geodesics.ABS_TOL.  The
 inversion's residual tolerance (MultistartConfig.inv_tol, scenario key
 tol.inv) sits on top of that accuracy and cannot meaningfully be set below
-it.
+it.  That stop rule is in the model chart's coordinates; the Newton
+damping is not: a halved step is accepted by the natural monotonicity
+test (Deuflhard 2004, sec. 3.3), which no linear change of the chart's
+coordinates alters.
 """
 
 import math
@@ -331,8 +334,17 @@ def _newton_polish(chart, frames, targets, states, cfg, events=None):
     states: (m, 4) rows (tau, x1, x2, x3); events: their forward images,
     if already mapped, else they are mapped here.  Returns (states,
     residual_norm, converged mask); members that leave the admissible
-    region, whose ray does not land, or that fail to reduce the residual
-    are dropped from the active set.
+    region, whose ray does not land, or that find no acceptable step in
+    25 halvings are dropped from the active set.
+
+    The full step dxi solves J dxi = -r in (c tau, x).  A trial point
+    xi + lam dxi is accepted, halving lam from 1, by the natural
+    monotonicity test |J^-1 r(trial)| < |dxi|, with the J of this step
+    (Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 3.3).
+    The test does not change under a linear change of the chart's
+    coordinates, so the chart's mix of units (metres with radians in
+    Schwarzschild) does not shorten the steps.  The stop rule |r| <=
+    inv_tol (1 + max|target|) stays in chart coordinates.
     """
     c = frames.curve.c
     tau_lo, tau_hi = _tau_bounds(frames)
@@ -372,15 +384,15 @@ def _newton_polish(chart, frames, targets, states, cfg, events=None):
         steps = np.zeros((len(active), 4))
         if np.any(ok):
             steps[ok] = np.linalg.solve(jacs[ok], -resid[active][ok][:, :, None])[:, :, 0]
+        step_norm = np.linalg.norm(steps, axis=1)
         steps[:, 0] /= c  # first slot of the state is tau, not c*tau
-        steps[~ok] = 0.0
 
         lam = np.ones(len(active))
         improved = np.zeros(len(active), dtype=bool)
         trial_states = states[active].copy()
         trial_resid = resid[active].copy()
         for _halve in range(25):
-            todo = ~improved & (np.abs(lam) > 1e-12) & ok
+            todo = ~improved & ok
             if not np.any(todo):
                 break
             cand = states[active][todo] + lam[todo, None] * steps[todo]
@@ -389,7 +401,10 @@ def _newton_polish(chart, frames, targets, states, cfg, events=None):
             if np.any(cand_ok):
                 sub = rows[cand_ok]
                 rr = forward(cand[cand_ok], active[sub])
-                better = np.linalg.norm(rr, axis=1) < np.linalg.norm(resid[active][sub], axis=1)
+                # natural monotonicity test: the trial residual carried back
+                # through this step's Jacobian is shorter than the full step
+                z = np.linalg.solve(jacs[sub], rr[:, :, None])[:, :, 0]
+                better = np.linalg.norm(z, axis=1) < step_norm[sub]
                 good = sub[better]
                 trial_states[good] = cand[cand_ok][better]
                 trial_resid[good] = rr[better]

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -741,3 +742,103 @@ def test_horizon_bound_jacobian_raises_after_bounded_work(faller):
         observer_map_jacobian(dataclasses.replace(chart, ray_chart=rays), frames,
                               ObservedEvent(0.0, HOLE_POINT[0, 1:]))
     assert 0 < len(calls) <= 1000  # one per right-hand side (485 at REL_TOL)
+
+
+# -- Newton's acceptance test ----------------------------------------------------
+
+# the invert-schw benchmark's search box
+FALLER_BOX = MultistartConfig(tau_range=(-2.5, 2.5), x_halfwidth=3.0, n_tau=5, n_x=5,
+                              top_k=8, inv_tol=1e-10)
+
+
+def _faller_targets(chart, frames, sites):
+    return np.array([kinematic_observer_map(chart, frames, ObservedEvent(tau, np.array(x))).coords
+                     for tau, x in sites])
+
+
+def test_newton_is_invariant_under_a_linear_change_of_chart(monkeypatch):
+    # a smooth synthetic map F and the same map in a badly scaled, sheared
+    # chart, A F: Newton's steps and its damping must not see A, so both
+    # runs take the same path to the same root; only the stop rule, in
+    # chart coordinates, may end one of them an iteration sooner
+    mix = np.array([[1.0, 0.3, 0.0, 0.1], [0.0, 1.0, 0.2, 0.0],
+                    [0.1, 0.0, 1.0, 0.3], [0.2, 0.0, 0.0, 1.0]])
+
+    def fmap(p):
+        return p @ mix.T + 0.9 * np.sin(np.roll(p, 1, axis=1)) + 0.05 * p ** 3
+
+    def fjac(p):
+        jac = np.tile(mix, (len(p), 1, 1))
+        for i in range(4):
+            jac[:, i, i - 1] += 0.9 * np.cos(p[:, i - 1])
+            jac[:, i, i] += 0.15 * p[:, i] ** 2
+        return jac
+
+    skew = np.diag([1.0, 1e3, 1.0, 1e-3]) @ (np.eye(4) + 2.0 * np.triu(np.ones((4, 4)), 1))
+    frames = SimpleNamespace(curve=SimpleNamespace(c=1.0), interval=(-50.0, 50.0))
+    root = np.array([0.5, 1.0, -0.8, 1.2])
+    seeds = root + np.random.default_rng(7).uniform(-6.0, 6.0, size=(20, 4))
+    cfg = MultistartConfig(tau_range=(-1.0, 1.0), x_halfwidth=1.0, inv_tol=1e-12)
+
+    def polish(a):
+        calls = []
+
+        def fake(chart, frames, pts, with_jacobian):
+            calls.append(with_jacobian)
+            return fmap(pts) @ a.T, a @ fjac(pts) if with_jacobian else None
+
+        monkeypatch.setattr(splitting, "_eval_batch", fake)
+        targets = np.tile(a @ fmap(root[None])[0], (len(seeds), 1))
+        states, _, converged = splitting._newton_polish(None, frames, targets, seeds, cfg)
+        return states, converged, sum(calls)
+
+    plain, plain_ok, plain_jacs = polish(np.eye(4))
+    skewed, skewed_ok, skewed_jacs = polish(skew)
+    assert plain_ok.all() and np.array_equal(plain_ok, skewed_ok)
+    assert abs(plain_jacs - skewed_jacs) <= 1
+    assert np.max(np.abs(plain - skewed)) <= 1e-9
+    assert np.max(np.abs(plain - root)) <= 1e-9
+
+
+def test_faller_inversion_batch_count(faller, monkeypatch):
+    # every damped step that halves makes one more sequential batch; the
+    # natural monotonicity test accepts the far seeds' steps whole
+    chart, frames = faller
+    sites = [(-1.8, (1.2, 1.2, 1.2)), (1.3, (-0.8, 0.8, -0.8)),
+             (0.4, (-1.2, -1.2, 1.2)), (-0.6, (0.8, -0.8, -0.8))]
+    targets = _faller_targets(chart, frames, sites)
+    calls = []
+    real = splitting._eval_batch
+
+    def counted(chart, frames, pts, with_jacobian):
+        calls.append(with_jacobian)
+        return real(chart, frames, pts, with_jacobian)
+
+    monkeypatch.setattr(splitting, "_eval_batch", counted)
+    results = invert_many(chart, frames, targets, FALLER_BOX)
+    for (tau, x), res in zip(sites, results):
+        assert len(res) == 1
+        assert np.max(np.abs(np.array([res.preimages[0].tau, *res.preimages[0].x])
+                             - np.array([tau, *x]))) <= 1e-8
+    # 13: the start grid, 11 Newton batches (6 with the Jacobian) and the
+    # grading; 27 when a step is accepted by the chart-coordinate residual
+    assert len(calls) <= 16
+
+
+def test_inversion_agrees_between_the_ray_charts(faller):
+    # the benchmark's eight targets, one per octant of directions, inverted
+    # with the rays in Eddington-Finkelstein and in Schwarzschild coordinates
+    chart, frames = faller
+    order = np.linspace(-1.8, 1.8, 8)[[3, 6, 0, 5, 2, 7, 1, 4]]
+    tilt = np.array([[0.8, -0.36, 0.48], [0.6, 0.48, -0.64], [0.0, 0.8, 0.6]])
+    sites = []
+    for i, tau in enumerate(order):
+        d = tilt @ np.array([1 if i & 1 else -1, 1 if i & 2 else -1, 1 if i & 4 else -1])
+        sites.append((tau, (1.4 if i % 2 else 2.1) * d / np.linalg.norm(d)))
+    targets = _faller_targets(chart, frames, sites)
+    ef = invert_many(chart, frames, targets, FALLER_BOX)
+    sw = invert_many(dataclasses.replace(chart, ray_chart=None), frames, targets, FALLER_BOX)
+    for a, b in zip(ef, sw):
+        assert len(a) == len(b) >= 1
+        for p, q in zip(a.preimages, b.preimages):
+            assert abs(p.tau - q.tau) <= 1e-10 and np.max(np.abs(p.x - q.x)) <= 1e-10
