@@ -26,6 +26,14 @@ it.  That stop rule is in the model chart's coordinates; the Newton
 damping is not: a halved step is accepted by the natural monotonicity
 test (Deuflhard 2004, sec. 3.3), which no linear change of the chart's
 coordinates alters.
+
+Which batch serves which Jacobian: Newton maps every trial point with its
+Jacobian, so the J of an accepted trial is the next step's J, the root
+grade of invert_many (its condition number) and, in observe_curve, the
+Jacobian behind tau' and dx/ds.  Only seeds that come without one (the
+inversion's start grid picks, a cold start's preimage) and the force
+stencils (p and its 8 neighbours, one batch per force) are mapped with
+the Jacobian outside a Newton trial.
 """
 
 import math
@@ -328,14 +336,17 @@ def _tau_bounds(frames):
     return lo + pad, hi - pad
 
 
-def _newton_polish(chart, frames, targets, states, cfg, events=None):
+def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
     """Damped Newton on a batch of (target, state) pairs.
 
-    states: (m, 4) rows (tau, x1, x2, x3); events: their forward images,
-    if already mapped, else they are mapped here.  Returns (states,
-    residual_norm, converged mask); members that leave the admissible
-    region, whose ray does not land, or that find no acceptable step in
-    25 halvings are dropped from the active set.
+    states: (m, 4) rows (tau, x1, x2, x3); seeds: their forward images and
+    Jacobians, (images (m, 4), jacobians (m, 4, 4)), if already mapped,
+    else they are mapped here in one map+Jacobian batch.  Returns (states,
+    residual_norm, converged mask, images, jacobians), the last two at the
+    returned states (NaN rows where a state was never admissible or its ray
+    did not land); members that leave the admissible region, whose ray
+    does not land, or that find no acceptable step in 25 halvings are
+    dropped from the active set.
 
     The full step dxi solves J dxi = -r in (c tau, x).  A trial point
     xi + lam dxi is accepted, halving lam from 1, by the natural
@@ -345,6 +356,10 @@ def _newton_polish(chart, frames, targets, states, cfg, events=None):
     coordinates, so the chart's mix of units (metres with radians in
     Schwarzschild) does not shorten the steps.  The stop rule |r| <=
     inv_tol (1 + max|target|) stays in chart coordinates.
+
+    Every trial is mapped together with its Jacobian, so an accepted
+    trial's J is the next iteration's J: past the seeds, each halving is
+    one batch and no iteration makes a Jacobian batch of its own.
     """
     c = frames.curve.c
     tau_lo, tau_hi = _tau_bounds(frames)
@@ -360,17 +375,15 @@ def _newton_polish(chart, frames, targets, states, cfg, events=None):
             & (np.linalg.norm(st[:, 1:], axis=1) > guard)
         )
 
-    def forward(st, idx):
-        ev, _ = _eval_batch(chart, frames, st, False)
-        return ev - targets[idx]
-
     active = np.flatnonzero(admissible(states))
-    resid = np.full((m, 4), np.inf)
-    if events is not None:
-        resid[active] = events[active] - targets[active]
+    images = np.full((m, 4), np.nan)
+    jacs = np.full((m, 4, 4), np.nan)
+    if seeds is not None:
+        images[active], jacs[active] = seeds[0][active], seeds[1][active]
     elif len(active):
-        resid[active] = forward(states[active], active)
-    resid[np.isnan(resid).any(axis=1)] = np.inf  # the ray did not land
+        images[active], jacs[active] = _eval_batch(chart, frames, states[active], True)
+    resid = images - targets
+    resid[np.isnan(resid).any(axis=1)] = np.inf  # not admissible, or the ray did not land
     rnorm = np.linalg.norm(resid, axis=1)
     converged = rnorm <= cfg.inv_tol * scale
     active = active[~converged[active] & np.isfinite(rnorm[active])]
@@ -378,19 +391,20 @@ def _newton_polish(chart, frames, targets, states, cfg, events=None):
     for _ in range(cfg.max_iter):
         if len(active) == 0:
             break
-        _, jacs = _eval_batch(chart, frames, states[active], True)
+        jac = jacs[active]
         # solve J dxi = -r in (c tau, x) variables
-        ok = np.abs(np.linalg.det(jacs)) > 1e-300
+        ok = np.abs(np.linalg.det(jac)) > 1e-300
         steps = np.zeros((len(active), 4))
         if np.any(ok):
-            steps[ok] = np.linalg.solve(jacs[ok], -resid[active][ok][:, :, None])[:, :, 0]
+            steps[ok] = np.linalg.solve(jac[ok], -resid[active][ok][:, :, None])[:, :, 0]
         step_norm = np.linalg.norm(steps, axis=1)
         steps[:, 0] /= c  # first slot of the state is tau, not c*tau
 
         lam = np.ones(len(active))
         improved = np.zeros(len(active), dtype=bool)
         trial_states = states[active].copy()
-        trial_resid = resid[active].copy()
+        trial_images = images[active].copy()
+        trial_jacs = jac.copy()
         for _halve in range(25):
             todo = ~improved & ok
             if not np.any(todo):
@@ -400,28 +414,32 @@ def _newton_polish(chart, frames, targets, states, cfg, events=None):
             rows = np.flatnonzero(todo)
             if np.any(cand_ok):
                 sub = rows[cand_ok]
-                rr = forward(cand[cand_ok], active[sub])
+                ev, jj = _eval_batch(chart, frames, cand[cand_ok], True)
+                rr = ev - targets[active[sub]]
                 # natural monotonicity test: the trial residual carried back
                 # through this step's Jacobian is shorter than the full step
-                z = np.linalg.solve(jacs[sub], rr[:, :, None])[:, :, 0]
+                z = np.linalg.solve(jac[sub], rr[:, :, None])[:, :, 0]
                 better = np.linalg.norm(z, axis=1) < step_norm[sub]
                 good = sub[better]
                 trial_states[good] = cand[cand_ok][better]
-                trial_resid[good] = rr[better]
+                trial_images[good] = ev[better]
+                trial_jacs[good] = jj[better]
                 improved[good] = True
             lam[~improved] *= 0.5
 
         if not np.any(improved):
             break
         keep = np.flatnonzero(improved)
-        states[active[keep]] = trial_states[keep]
-        resid[active[keep]] = trial_resid[keep]
+        moved = active[keep]
+        states[moved] = trial_states[keep]
+        images[moved] = trial_images[keep]
+        jacs[moved] = trial_jacs[keep]
+        resid[moved] = images[moved] - targets[moved]
         rnorm = np.linalg.norm(resid, axis=1)
         converged = rnorm <= cfg.inv_tol * scale
-        active = active[keep]
-        active = active[~converged[active]]
+        active = moved[~converged[moved]]
 
-    return states, rnorm, converged
+    return states, rnorm, converged, images, jacs
 
 
 def _near_worldline(frames, target, tol):
@@ -452,10 +470,10 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
     land are never seeds.  Each target keeps the seeds_per_target >= 1
     starts (default search.top_k, at most the landed starts) with the
     smallest forward residual, and damped Newton runs on all
-    targets' seeds as batches of _CHUNK targets, starting from the grid's
-    forward images.  Converged roots are deduplicated and sorted by
-    coordinates, so a target's outcome does not depend on start order;
-    the distinct roots of a chunk are graded in one Jacobian batch.
+    targets' seeds as batches of _CHUNK targets.  Converged roots are
+    deduplicated and sorted by coordinates, so a target's outcome does not
+    depend on start order; each root is graded by the condition number of
+    the Jacobian Newton returned with it.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1, 4)
     if seeds_per_target is None:
@@ -475,57 +493,50 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
 
     k = min(seeds_per_target, len(starts))
     results: List[InversionResult] = []
-    no_roots = (np.empty((0, 4)), np.empty(0), False)
+    no_roots = (np.empty((0, 4)), np.empty(0), np.empty((0, 4, 4)), False)
     if k == 0:
-        return _grade_roots(chart, frames, targets, [no_roots] * len(targets), search,
-                            n_starts)
+        return _grade_roots(frames, targets, [no_roots] * len(targets), search, n_starts)
     for base in range(0, len(targets), _CHUNK):
         tgt_chunk = targets[base:base + _CHUNK]
         # per-target seed selection by forward residual
         d = np.linalg.norm(ev[None, :, :] - tgt_chunk[:, None, :], axis=2)
         picks = np.argsort(d, axis=1, kind="stable")[:, :k].ravel()
         flat_targets = np.repeat(tgt_chunk, k, axis=0)
-        states, rnorm, converged = _newton_polish(
-            chart, frames, flat_targets, starts[picks], search, ev[picks]
+        states, rnorm, converged, _, jacs = _newton_polish(
+            chart, frames, flat_targets, starts[picks], search
         )
         found = []
         for i in range(len(tgt_chunk)):
             rows = slice(i * k, (i + 1) * k)
             ok = converged[rows]
-            found.append(_distinct_roots(states[rows][ok], rnorm[rows][ok], search))
-        results += _grade_roots(chart, frames, tgt_chunk, found, search, n_starts)
+            found.append(_distinct_roots(states[rows][ok], rnorm[rows][ok], jacs[rows][ok],
+                                         search))
+        results += _grade_roots(frames, tgt_chunk, found, search, n_starts)
     return results
 
 
-def _distinct_roots(roots, rres, search):
+def _distinct_roots(roots, rres, jacs, search):
     """Converged roots off the origin, sorted by coordinates and deduplicated.
 
-    Returns (roots, residuals, whether a root at the origin was dropped).
+    Returns (roots, residuals, Jacobians, whether a root at the origin was
+    dropped).
     """
     at_origin = np.linalg.norm(roots[:, 1:], axis=1) <= search.merge_tol
-    roots, rres = roots[~at_origin], rres[~at_origin]
+    roots, rres, jacs = roots[~at_origin], rres[~at_origin], jacs[~at_origin]
     order = np.lexsort((roots[:, 3], roots[:, 2], roots[:, 1], roots[:, 0]))
-    roots, rres = roots[order], rres[order]
+    roots, rres, jacs = roots[order], rres[order], jacs[order]
     keep = []
     for i, row in enumerate(roots):
         if not any(np.max(np.abs(row - roots[j])) <= search.merge_tol for j in keep):
             keep.append(i)
-    return roots[keep], rres[keep], bool(np.any(at_origin))
+    return roots[keep], rres[keep], jacs[keep], bool(np.any(at_origin))
 
 
-def _grade_roots(chart, frames, targets, found, search, n_starts):
-    """One InversionResult per target from its _distinct_roots triple.
-
-    The Jacobian condition numbers of all targets' roots come from one
-    map+Jacobian batch.
-    """
-    every = np.concatenate([f[0] for f in found])
-    conds = (np.linalg.cond(_eval_batch(chart, frames, every, True)[1]) if len(every)
-             else np.empty(0))
-    results, base = [], 0
-    for tgt, (roots, rres, origin) in zip(targets, found):
-        cond = conds[base:base + len(roots)]
-        base += len(roots)
+def _grade_roots(frames, targets, found, search, n_starts):
+    """One InversionResult per target from its _distinct_roots quadruple."""
+    results = []
+    for tgt, (roots, rres, jacs, origin) in zip(targets, found):
+        cond = np.linalg.cond(jacs) if len(roots) else np.empty(0)
         if len(roots) == 0:
             origin = origin or _near_worldline(frames, tgt, 1e-6 * (1.0 + np.max(np.abs(tgt))))
         preimages = [ObservedEvent(row[0], row[1:]) for row in roots]
@@ -584,31 +595,35 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     tracked coordinates to relative velocity and acceleration.  Branch
     loss truncates the report rather than failing.
 
-    A sample starts from the previous state by Newton; the first sample,
-    and any whose warm start fails, inverts cold over the search box and
+    Each sample makes one Newton batch of five rows: the four stencil
+    targets at s +- h, s +- 2h, and the next sample's target, all seeded at
+    this sample's state with its image and Jacobian.  The fifth row is the
+    next sample's warm start; the first sample, and any whose warm start
+    fails, inverts cold over the search box through invert_observer_map,
     takes the first preimage (first sample) or the one nearest the
-    previous state.
+    previous state, and maps it with its Jacobian as a batch of one ray.
 
     tau' and dx/ds come from the inverse Jacobian applied to the
-    worldline tangent; the second derivatives use a five-point stencil of
-    half-width stencil_h on the tracked functions.
+    worldline tangent, with the Jacobians that Newton returned, so no
+    Jacobian batch is made outside Newton for a warm sample; the second
+    derivatives use a five-point stencil of half-width stencil_h on the
+    tracked functions.
     """
     s_samples = np.asarray(s_samples, dtype=float)
     if stencil_h is None:
         span = s_samples[-1] - s_samples[0] if len(s_samples) > 1 else 1.0
         stencil_h = max(1e-4, 0.02 * span / max(1, len(s_samples) - 1) * 5)
+    c = frames.curve.c
 
     samples: List[RelativeMotionSample] = []
-    prev = None
-    for s in s_samples:
-        target = np.asarray(worldline.position(s), dtype=float)
+    prev = None   # the previous sample's state
+    warm = None   # this sample's (state, image, Jacobian) from the previous batch
+    target = np.asarray(worldline.position(s_samples[0]), dtype=float) if len(s_samples) else None
+    for i, s in enumerate(s_samples):
         ambiguous = False
-        warm_ok = False
-        if prev is not None:
-            warm, _, conv = _newton_polish(chart, frames, target[None, :], prev[None, :],
-                                           search)
-            state, warm_ok = warm[0], conv[0]
-        if not warm_ok:
+        if warm is not None:
+            state, image, jac = warm
+        else:
             res = invert_observer_map(chart, frames, Event(chart.name, target), search)
             if len(res) == 0:
                 break
@@ -621,23 +636,31 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
                 near = np.sum(dists <= dists[best] + search.merge_tol)
             ambiguous = near > 1
             state = rows[best]
+            ev, jacobian = _eval_landed(chart, frames, state[None, :], True)
+            image, jac = ev[0], jacobian[0]
         prev = state
+        g = metric_at(chart, target)
 
-        # five-point stencil: the four warm inversions form one Newton batch,
-        # and the sample's Jacobian shares one batch with the stencil's
+        # five-point stencil and the next sample's target: one Newton batch
         s_pts = s + stencil_h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])
-        tk = np.asarray(worldline.position(s_pts[1:]), dtype=float)
-        stk, _, conv = _newton_polish(chart, frames, tk, np.tile(state, (4, 1)), search)
-        stencil_ok = bool(np.all(conv))
-        states = np.vstack([state, stk]) if stencil_ok else state[None, :]
-        lam = np.asarray(worldline.velocity(s_pts[:len(states)]), dtype=float)
-        tds, dx_ds = _first_derivatives(chart, frames, states, lam)
+        tk = np.asarray(worldline.position(np.concatenate([s_pts[1:], s_samples[i + 1:i + 2]])),
+                        dtype=float)
+        n = len(tk)
+        stk, _, conv, ek, jk = _newton_polish(
+            chart, frames, tk, np.tile(state, (n, 1)), search,
+            (np.tile(image, (n, 1)), np.tile(jac, (n, 1, 1))))
+        if n == 5:
+            warm = (stk[4], ek[4], jk[4]) if conv[4] else None
+        stencil_ok = bool(np.all(conv[:4]))
+        jacs = np.concatenate([jac[None], jk[:4]]) if stencil_ok else jac[None]
+        lam = np.asarray(worldline.velocity(s_pts[:len(jacs)]), dtype=float)
+        xi_dot = np.linalg.solve(jacs, lam[:, :, None])[:, :, 0]  # d(c tau, x)/ds
+        tds, dx_ds = xi_dot[:, 0] / c, xi_dot[:, 1:]
         tau_dot = tds[0]
         vs = np.full_like(dx_ds, np.nan)  # dx/dtau, undefined where tau' = 0
         moving = tds != 0.0
         vs[moving] = dx_ds[moving] / tds[moving, None]
         v = vs[0]
-        g = metric_at(chart, target)
         char = causal_character(g, lam[0], tol=1e-9 * max(1.0, float(np.max(np.abs(lam[0])))**2))
 
         if stencil_ok and tau_dot != 0.0:
@@ -659,18 +682,8 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
             tau_dot=float(tau_dot), v=v, dv_dtau=dv_dtau, tau_ddot=tau_ddot,
             character=char.value, not_an_observer=not_obs, ambiguous=ambiguous,
         ))
+        target = tk[-1]  # the next sample's, when there is one
     return samples
-
-
-def _first_derivatives(chart, frames, states, tangents):
-    """(tau', dx/ds) at tracked states from one map+Jacobian batch.
-
-    states: (m, 4) rows (tau, x); tangents: (m, 4) worldline tangents
-    there.  Applies each inverse Jacobian to its tangent.
-    """
-    _, jac = _eval_landed(chart, frames, states, True)
-    xi_dot = np.linalg.solve(jac, tangents[:, :, None])[:, :, 0]  # d(c tau, x)/ds
-    return xi_dot[:, 0] / frames.curve.c, xi_dot[:, 1:]
 
 
 # -- pulled-back metric and forces --------------------------------------------
@@ -729,19 +742,15 @@ def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent,
     method="jacobian" transforms the chart coefficients with the map
     Jacobian plus a finite-difference Hessian of the map; "pullback"
     differentiates the pulled-back metric directly.  Both differentiate in
-    (x^0 = c*tau, x^a) with central step fd_step.
+    (x^0 = c*tau, x^a) with central step fd_step, and both map p and its 8
+    stencil points as one map+Jacobian batch.
     """
     if method == "pullback":
-        alpha0 = pullback_metric(chart, frames, p)
-        shifted = [ObservedEvent(row[0], row[1:])
-                   for row in _stencil_points(frames.curve.c, p, fd_step)]
-        dal = np.empty((4, 4, 4))
-        for l in range(4):
-            ap = pullback_metric(chart, frames, shifted[l])
-            am = pullback_metric(chart, frames, shifted[4 + l])
-            dal[:, :, l] = (ap - am) / (2.0 * fd_step)
+        ev, jac = _stencil_maps(chart, frames, p, fd_step)
+        alpha = np.array([j.T @ metric_at(chart, e) @ j for e, j in zip(ev, jac)])
+        dal = np.stack((alpha[1:5] - alpha[5:9]) / (2.0 * fd_step), axis=-1)
         try:
-            ainv = np.linalg.inv(alpha0)
+            ainv = np.linalg.inv(alpha[0])
         except np.linalg.LinAlgError as exc:
             raise CriticalPointError("pulled-back metric is singular here") from exc
         term = dal + np.einsum("lji->lij", dal) - np.einsum("ijl->lij", dal)
@@ -763,15 +772,19 @@ def _stencil_points(c, p, fd_step):
     return shifted
 
 
+def _stencil_maps(chart, frames, p, fd_step):
+    """Events and Jacobians at p and its 8 stencil points, as one map+Jacobian batch."""
+    pts = np.vstack([_point(p.tau, p.x), _stencil_points(frames.curve.c, p, fd_step)])
+    return _eval_landed(chart, frames, pts, True)
+
+
 def _map_derivatives(chart, frames, p, fd_step):
     """Event, Jacobian and finite-difference Hessian of the map at p.
 
-    One map+Jacobian batch holds p and its 8 stencil points;
     hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the central difference of
-    the Jacobian columns, symmetrized.
+    the Jacobian columns at the stencil points, symmetrized.
     """
-    pts = np.vstack([_point(p.tau, p.x), _stencil_points(frames.curve.c, p, fd_step)])
-    ev, jac = _eval_landed(chart, frames, pts, True)
+    ev, jac = _stencil_maps(chart, frames, p, fd_step)
     hess = ((jac[1:5] - jac[5:9]) / (2.0 * fd_step)).transpose(1, 0, 2)
     return ev[0], jac[0], 0.5 * (hess + hess.transpose(0, 2, 1))
 

@@ -1,6 +1,8 @@
 """Observer mappings, inversion, relative motion and force decomposition."""
 
 import dataclasses
+import importlib.util
+import itertools
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -612,6 +614,28 @@ class TestOneBatchPerSample:
         assert calls == [(9, 4)] * len(samples)
         assert newton == []
 
+    def test_pullback_christoffels_single_batch(self, accel_rot, faller, monkeypatch):
+        # p and its 8 stencil points are one map+Jacobian batch, with the
+        # bits of the nine single-point pullback_metric calls it replaced
+        h = splitting._FD_STEP
+        cases = [(MK, accel_rot[1], ObservedEvent(0.3, [0.8, 0.5, -0.3])),
+                 (*faller, ObservedEvent(0.4, [1.2, -0.8, 0.6]))]
+        want = []
+        for chart, ff, p in cases:
+            shifted = [ObservedEvent(r[0], r[1:])
+                       for r in splitting._stencil_points(ff.curve.c, p, h)]
+            al = [pullback_metric(chart, ff, q) for q in [p, *shifted]]
+            dal = np.empty((4, 4, 4))
+            for l in range(4):
+                dal[:, :, l] = (al[1 + l] - al[5 + l]) / (2.0 * h)
+            term = dal + np.einsum("lji->lij", dal) - np.einsum("ijl->lij", dal)
+            want.append(0.5 * np.einsum("cl,lij->cij", np.linalg.inv(al[0]), term))
+        calls, newton = self.count_batches(monkeypatch)
+        for (chart, ff, p), ups in zip(cases, want):
+            assert np.array_equal(transformed_christoffels(chart, ff, p, "pullback"), ups)
+        assert calls == [(9, 4)] * len(cases)
+        assert newton == []
+
     def test_observe_stencil_single_newton_and_jacobian(self, inertial, monkeypatch):
         _, ff = inertial
         cur2 = make_inertial_observer(MK, Event("minkowski", np.array([0.0, 4, 0, 0])),
@@ -621,10 +645,35 @@ class TestOneBatchPerSample:
         monkeypatch.setattr(splitting, "invert_observer_map", lambda *a, **k: res)
         calls, newton = self.count_batches(monkeypatch)
         (smp,) = observe_curve(MK, ff, cur2, [1.0], search_box())
-        assert newton == [4]           # the four stencil inversions
-        assert calls == [(5, 4)]       # sample and stencil Jacobians
+        assert newton == [4]           # the four stencil inversions, with their Jacobians
+        assert calls == [(1, 4)]       # the cold start's preimage, with its Jacobian
         assert smp.v[0] == pytest.approx(0.1 / 1.1, abs=1e-9)
         assert np.max(np.abs(smp.dv_dtau)) <= 1e-8
+
+    def test_observe_track_one_newton_batch_per_sample(self, inertial, monkeypatch):
+        # each sample's batch holds its four stencil targets and the next
+        # sample's, whose row is that sample's warm start; only the cold
+        # start maps outside Newton
+        _, ff = inertial
+        cur2 = make_inertial_observer(MK, Event("minkowski", np.array([0.0, 4, 0, 0])),
+                                      [1, 0.1, 0, 0], interval=(-30, 30))
+        s = [1.0, 1.5, 2.0]
+        want = observe_curve(MK, ff, cur2, s, search_box())
+        res = invert_observer_map(MK, ff, Event("minkowski", cur2.position(1.0)), search_box())
+        cold = []
+        monkeypatch.setattr(splitting, "invert_observer_map",
+                            lambda *a, **k: cold.append(1) or res)
+        calls, newton = self.count_batches(monkeypatch)
+        got = observe_curve(MK, ff, cur2, s, search_box())
+        assert cold == [1]
+        assert newton == [5, 5, 4]
+        assert calls == [(1, 4)]
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert (a.tau, a.tau_dot, a.tau_ddot) == (b.tau, b.tau_dot, b.tau_ddot)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
+            assert np.array_equal(a.dv_dtau, b.dv_dtau)
+            assert a.v[0] == pytest.approx(0.1 / 1.1, abs=1e-9)
 
 
 def test_mapped_curve_array_rows_are_scalar_calls():
@@ -708,6 +757,44 @@ def test_ray_chart_results_match_the_model_chart(faller):
     assert np.max(_rel(jacs.reshape(-1, 16), want.reshape(-1, 16))) <= 1e-10
 
 
+def _bench_references():
+    """bench/references.py, which imports no lightcone code, loaded read-only."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "references.py"
+    spec = importlib.util.spec_from_file_location("bench_references", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_observer_rays_match_the_orbital_plane_reference(faller):
+    # an independent oracle: each seen ray integrated in its orbital plane
+    # with conserved E and L, from the faller's closed-form position and
+    # Fermi-Walker frame; 26 directions at two instants and three radii,
+    # the ray toward the hole clipping at the outer radius
+    ref = _bench_references()
+    chart, frames = faller
+    reference_faller = ref.Faller(10.0, 1.0)
+    dirs = np.array([d for d in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(d)])
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    pts = np.array([(tau, *(r * d)) for tau in (-2.0, 2.2) for r in (2.0, 6.0, 12.5)
+                    for d in dirs])
+    rays = splitting.observer_rays(chart, frames, pts)
+    worst = {LANDED: 0.0, CLIPPED: 0.0}
+    for p, outcome, end in zip(pts, rays.outcome, rays.states[:, :4]):
+        tau, x = p[0], p[1:]
+        reached, _, want = ref.null_ray(1.0, reference_faller.position(tau),
+                                        reference_faller.cone_vector(tau, x))
+        assert outcome == (LANDED if reached else CLIPPED)
+        if not reached:
+            assert np.allclose(x / np.linalg.norm(x), [-1.0, 0.0, 0.0]) and x[0] < -12.0
+        dev = max(abs(end[0] - want[0]) / (1.0 + abs(want[0])), abs(end[1] - want[1]) / want[1],
+                  abs(end[2] - want[2]), abs(math.remainder(end[3] - want[3], 2.0 * math.pi)))
+        worst[outcome] = max(worst[outcome], dev)
+    assert np.sum(rays.outcome == CLIPPED) == 2
+    # measured: 2.4e-11 landed, 3.2e-11 at the clip points
+    assert worst[LANDED] <= 1e-9 and worst[CLIPPED] <= 1e-9
+
+
 def test_hole_cone_ray_clips_in_few_steps(faller, monkeypatch):
     # 116 accepted steps in Schwarzschild coordinates, where t diverges
     chart, frames = faller
@@ -789,7 +876,7 @@ def test_newton_is_invariant_under_a_linear_change_of_chart(monkeypatch):
 
         monkeypatch.setattr(splitting, "_eval_batch", fake)
         targets = np.tile(a @ fmap(root[None])[0], (len(seeds), 1))
-        states, _, converged = splitting._newton_polish(None, frames, targets, seeds, cfg)
+        states, _, converged, _, _ = splitting._newton_polish(None, frames, targets, seeds, cfg)
         return states, converged, sum(calls)
 
     plain, plain_ok, plain_jacs = polish(np.eye(4))
@@ -798,6 +885,58 @@ def test_newton_is_invariant_under_a_linear_change_of_chart(monkeypatch):
     assert abs(plain_jacs - skewed_jacs) <= 1
     assert np.max(np.abs(plain - skewed)) <= 1e-9
     assert np.max(np.abs(plain - root)) <= 1e-9
+
+
+def _newton_case(request, name):
+    """(chart, frames) of the inertial or accel_rot fixture on flat space, or of the faller."""
+    chart, frames = request.getfixturevalue(name)
+    return (chart, frames) if name == "faller" else (MK, frames)
+
+
+NEWTON_CASES = ["inertial", "accel_rot", "faller"]  # the faller's rays run in EF coordinates
+NEWTON_SITES = np.array([[0.3, 1.2, -0.8, 0.6], [-0.5, -1.0, 0.4, 1.1], [0.8, 0.5, 1.3, -0.7]])
+
+
+@pytest.mark.parametrize("case", NEWTON_CASES)
+def test_newton_returns_the_images_and_jacobians_of_its_states(case, request):
+    # an accepted trial's Jacobian serves the next step, the grading and the
+    # tracker, so it must be the one a fresh batch gives at the final state
+    chart, frames = _newton_case(request, case)
+    targets, _ = splitting._eval_batch(chart, frames, NEWTON_SITES, False)
+    seeds = NEWTON_SITES + np.array([0.15, -0.2, 0.1, 0.25])
+    out = splitting._newton_polish(chart, frames, targets, seeds, FALLER_BOX)
+    states, _, converged, images, jacs = out
+    assert converged.all() and np.max(np.abs(states - NEWTON_SITES)) <= 1e-8
+    fresh = splitting._eval_batch(chart, frames, states, True)
+    assert np.array_equal(images, fresh[0]) and np.array_equal(jacs, fresh[1])
+    # seeded with the seeds' own images and Jacobians, Newton takes the same path
+    again = splitting._newton_polish(chart, frames, targets, seeds, FALLER_BOX,
+                                     splitting._eval_batch(chart, frames, seeds, True))
+    for a, b in zip(out, again):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", NEWTON_CASES)
+def test_newton_row_does_not_depend_on_its_batch(case, request):
+    # the tracker's batch: four stencil targets around a sample and the
+    # next sample's target, all seeded at the sample; polished together or
+    # one at a time, every row gets the same bits
+    chart, frames = _newton_case(request, case)
+    tau, x, w = 0.4, np.array([1.2, -0.8, 0.6]), np.array([0.1, 0.05, -0.08])
+    d = np.array([-0.1, -0.05, 0.05, 0.1, 0.5])
+    pts = np.column_stack([tau + d, x + d[:, None] * w])
+    targets, _ = splitting._eval_batch(chart, frames, pts, False)
+    seed = np.array([[tau, *x]])
+    image, jac = splitting._eval_batch(chart, frames, seed, True)
+    together = splitting._newton_polish(chart, frames, targets, np.repeat(seed, 5, axis=0),
+                                        FALLER_BOX, (np.repeat(image, 5, axis=0),
+                                                     np.repeat(jac, 5, axis=0)))
+    assert together[2].all()
+    for i in range(5):
+        alone = splitting._newton_polish(chart, frames, targets[i:i + 1], seed, FALLER_BOX,
+                                         (image, jac))
+        for a, b in zip(together, alone):
+            assert np.array_equal(a[i], b[0])
 
 
 def test_faller_inversion_batch_count(faller, monkeypatch):
@@ -820,9 +959,11 @@ def test_faller_inversion_batch_count(faller, monkeypatch):
         assert len(res) == 1
         assert np.max(np.abs(np.array([res.preimages[0].tau, *res.preimages[0].x])
                              - np.array([tau, *x]))) <= 1e-8
-    # 13: the start grid, 11 Newton batches (6 with the Jacobian) and the
-    # grading; 27 when a step is accepted by the chart-coordinate residual
-    assert len(calls) <= 16
+    # 8: the start grid, the seeds' Jacobians and 6 trial batches, each
+    # trial mapped with its Jacobian, which serves the next step and the
+    # grading; 13 when Newton and the grading make Jacobian batches of
+    # their own, 27 when a step is accepted by the chart-coordinate residual
+    assert len(calls) <= 10
 
 
 def test_inversion_agrees_between_the_ray_charts(faller):
