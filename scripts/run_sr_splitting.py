@@ -34,8 +34,8 @@ def main():
                        for t, x in pts])
 
     cfg = MultistartConfig(tau_range=(-10, 10), x_halfwidth=4.0,
-                           n_tau=5, n_x=5, top_k=8)
-    results = invert_many(chart, frames, events, cfg, seeds_per_target=4)
+                           n_tau=5, n_x=5, top_k=4)
+    results = invert_many(chart, frames, events, cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

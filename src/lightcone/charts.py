@@ -36,7 +36,13 @@ import numpy as np
 from .errors import DegenerateMetricError, InvalidInputError, OutOfChartError
 from .lorentz import ETA
 
-_DERIV_STEP = 1e-3  # central-difference step of a metric-only chart's connection
+# Central-difference steps of a metric-only chart (one without christoffel_fn):
+# the metric step of its connection; the larger metric step of the connection
+# inside its derivatives (see Chart.christoffel_derivs); and the step of
+# those derivatives, taken on that connection
+_METRIC_STEP = 1e-5
+_DERIV_METRIC_STEP = 1e-4
+_DERIV_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -69,21 +75,26 @@ class Chart:
     def reference_frame(self, coords):
         return self.reference_frame_fn(np.asarray(coords, dtype=float))
 
-    def christoffels(self, coords, fd_step=1e-5):
-        if self.christoffel_fn is not None:
-            return self.christoffel_fn(np.asarray(coords, dtype=float))
-        return _fd_christoffels(self, np.asarray(coords, dtype=float), fd_step)
+    def christoffels(self, coords):
+        """Gamma^k_ij: christoffel_fn, else differences of the metric at _METRIC_STEP."""
+        return self._connection(np.asarray(coords, dtype=float), _METRIC_STEP)
 
-    def christoffel_derivs(self, coords, fd_step=1e-4):
+    def _connection(self, coords, metric_step):
+        if self.christoffel_fn is not None:
+            return self.christoffel_fn(coords)
+        return _fd_christoffels(self, coords, metric_step)
+
+    def christoffel_derivs(self, coords):
         """dgam[..., k, i, j, m] = d_m Gamma^k_ij, closed form if the chart has one.
 
-        Otherwise central differences of step _DERIV_STEP of the connection,
-        taken at metric step fd_step.  The outer step is the larger: the
-        connection's rounding noise, about eps / fd_step, is divided by the
-        outer step once more.  On the faller's rays one step of 1e-5 for
-        both left errors of about 2e-5 of the largest component, and its
-        noise drove a Jacobian ray to hundreds of steps; these steps leave
-        about 7e-7.
+        Otherwise central differences of step _DERIV_STEP of the connection:
+        christoffel_fn when the chart has it, else the metric's differences
+        at _DERIV_METRIC_STEP.  The outer step is the larger: the
+        connection's rounding noise, about eps / metric step, is divided by
+        the outer step once more.  On the faller's rays one step of 1e-5
+        for both left errors of about 2e-5 of the largest component, and
+        its noise drove a Jacobian ray to hundreds of steps; these steps
+        leave about 7e-7.
         """
         coords = np.asarray(coords, dtype=float)
         if self.christoffel_deriv_fn is not None:
@@ -93,7 +104,8 @@ class Chart:
             h = np.zeros(4)
             h[m] = _DERIV_STEP
             dgam[..., m] = (
-                self.christoffels(coords + h, fd_step) - self.christoffels(coords - h, fd_step)
+                self._connection(coords + h, _DERIV_METRIC_STEP)
+                - self._connection(coords - h, _DERIV_METRIC_STEP)
             ) / (2.0 * _DERIV_STEP)
         return dgam
 
@@ -443,18 +455,19 @@ def _fd_christoffels(chart: Chart, coords, fd_step):
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
 
 
-def christoffels_at(chart: Chart, coords, fd_step=1e-5) -> np.ndarray:
+def christoffels_at(chart: Chart, coords) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if not chart.contains(coords):
         raise OutOfChartError(f"{coords} lies outside the {chart.name} chart domain")
-    return chart.christoffels(coords, fd_step)
+    return chart.christoffels(coords)
 
 
-def riemann_ricci_at(chart: Chart, coords, fd_step=1e-5) -> CurvatureSample:
+def riemann_ricci_at(chart: Chart, coords) -> CurvatureSample:
     """Curvature components from the connection and its derivatives.
 
-    The derivatives come from Chart.christoffel_derivs: closed form when
-    the chart has christoffel_deriv_fn, else central differences.
+    The connection comes from Chart.christoffels and the derivatives from
+    Chart.christoffel_derivs: closed form when the chart has them, else
+    central differences at the module's fixed steps.
 
     riemann[k, l, i, j] are the components of R(e_i, e_j) e_l in the
     commutator convention nabla_i nabla_j - nabla_j nabla_i - nabla_[i,j];
@@ -464,8 +477,8 @@ def riemann_ricci_at(chart: Chart, coords, fd_step=1e-5) -> CurvatureSample:
     coords = np.asarray(coords, dtype=float)
     if not chart.contains(coords):
         raise OutOfChartError(f"{coords} lies outside the {chart.name} chart domain")
-    gamma = chart.christoffels(coords, fd_step)
-    dgam = chart.christoffel_derivs(coords, fd_step)
+    gamma = chart.christoffels(coords)
+    dgam = chart.christoffel_derivs(coords)
     # R^k_{l ij} = d_i gamma^k_jl - d_j gamma^k_il
     #             + gamma^k_im gamma^m_jl - gamma^k_jm gamma^m_il
     riem = (

@@ -207,25 +207,22 @@ class BatchSolution:
 
     states: (n, width) state at s1 in the (J, W) layout; s1: (n,) the
     parameter each ray ended at; outcome: (n,) LANDED, CLIPPED or FAILED;
-    reasons: why each failed ray failed ("" for the others).  Calling it
-    at s_end gives the states there: NaN rows for rays that did not land.
+    reasons: why each failed ray failed ("" for the others).  ends gives
+    the states at s = 1: NaN rows for rays that did not land.
     """
 
-    def __init__(self, states, s1, outcome, reasons, s_end):
+    def __init__(self, states, s1, outcome, reasons):
         self.states = states
         self.s1 = s1
         self.outcome = outcome
         self.reasons = reasons
-        self.s_end = float(s_end)
 
     @property
     def landed(self):
         return self.outcome == LANDED
 
-    def __call__(self, s):
-        if s != self.s_end:
-            raise InvalidInputError(f"a ray batch keeps its endpoints only; evaluate it at "
-                                    f"s_end = {self.s_end}, not {s}")
+    @property
+    def ends(self):
         out = self.states.copy()
         out[~self.landed] = np.nan
         return out
@@ -677,8 +674,7 @@ def exp_differential(chart: Chart, q: Event, tangent, base_dir, fiber_dir) -> np
         q.coords, np.asarray(tangent, dtype=float),
         np.asarray(base_dir, dtype=float), np.asarray(fiber_dir, dtype=float),
     ])[None, :]
-    interp, _ = integrate_batch(chart, y0, n_jac=1, s_end=1.0)
-    return interp(1.0)[0, 8:12]
+    return integrate_batch(chart, y0, n_jac=1)[0].ends[0, 8:12]
 
 
 @dataclass(frozen=True)
@@ -716,9 +712,10 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n) -> Conjugat
     zeros of det([J^N, J^1, J^2, J^3]) / s^3: the normalization removes
     the trivial triple zero at the start, and the transversal keeps the
     determinant honest when the orthogonal complement is degenerate
-    (lightlike rays).  Sign changes are refined by bisection on the dense
-    output; the scan is a detector, not a proof, so an empty result only
-    means none found at this resolution.
+    (lightlike rays).  Sign changes are refined by brentq on the dense
+    output, to 4 eps as the chart-exit crossings are; the scan is a
+    detector, not a proof, so an empty result only means none found at
+    this resolution.
     """
     tangent = np.asarray(tangent, dtype=float)
     g0 = chart.metric(q.coords)
@@ -747,24 +744,12 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n) -> Conjugat
             zeros.append(grid[i])
             continue
         if vals[i] * vals[i + 1] < 0.0:
-            lo, hi = grid[i], grid[i + 1]
-            flo = vals[i]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = det_at(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(0.5 * (lo + hi))
+            zeros.append(brentq(det_at, grid[i], grid[i + 1], xtol=4 * _EPS, rtol=4 * _EPS))
     return ConjugateScan(tuple(zeros), False, s1)
 
 
-def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0):
-    """Integrate n rays, each with n_jac Jacobi columns, from s = 0 to s_end.
+def integrate_batch(chart: Chart, y0, n_jac=0):
+    """Integrate n rays, each with n_jac Jacobi columns, to the map's unit parameter s = 1.
 
     y0: (n, 8 + 8*n_jac) initial states, each column (J, W).  Each row is
     its own problem, with its own steps and chart-exit event, and ends
@@ -778,7 +763,7 @@ def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0):
         raise InvalidInputError("batch state width does not match n_jac")
     # a ray that starts outside the chart fails there, untraced
     inside = np.asarray(chart.contains(y0[:, :4]), dtype=bool).reshape(n)
-    run = _rays(chart, _convert_columns(chart, y0[inside], -1), s_end)
+    run = _rays(chart, _convert_columns(chart, y0[inside], -1), 1.0)
     states, s1 = y0.copy(), np.zeros(n)
     outcome = np.full(n, FAILED)
     reasons = ["start outside the chart domain"] * n
@@ -787,4 +772,4 @@ def integrate_batch(chart: Chart, y0, n_jac=0, s_end=1.0):
     for i, reason in zip(np.flatnonzero(inside), run.reasons):
         reasons[i] = reason
     steps = int(run.steps.max()) if len(run.steps) else 0
-    return BatchSolution(states, s1, outcome, reasons, s_end), steps
+    return BatchSolution(states, s1, outcome, reasons), steps

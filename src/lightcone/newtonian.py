@@ -123,15 +123,25 @@ def general_tau_dot_series(alpha, v) -> Series2:
     return Series2(a00**-0.5, first, second)
 
 
-def limit_case_pseudo_forces(alpha_field: Callable, tau, x, v, m=1.0,
-                             fd_step=1e-5, condition_tol=1e-8):
+# Central-difference step in (tau, x) of the metric field in
+# limit_case_pseudo_forces, and the largest residual of its finiteness
+# conditions taken as zero: well above the differences' own error (h^2
+# truncation and eps/h rounding, near 1e-10 for a field of unit scale)
+_LIMIT_FD_STEP = 1e-5
+_LIMIT_CONDITION_TOL = 1e-8
+
+# Fitted residuals at or below this are rounding noise, not a trend in c
+_NOISE_FLOOR = 1e-13
+
+
+def limit_case_pseudo_forces(alpha_field: Callable, tau, x, v, m=1.0):
     """Zeroth-order pseudo-force for a c-independent metric field.
 
     alpha_field(tau, x) must return the pulled-back metric written in the
     (tau, x) variables with alpha_00 = 1.  Two finiteness conditions must
     hold for the force not to diverge as 1/c -> 0: the time derivative of
-    the mixed components and their spatial curl must vanish.  Violations
-    raise with the measured residuals attached.
+    the mixed components and their spatial curl must vanish, to
+    _LIMIT_CONDITION_TOL.  Violations raise with the measured residuals attached.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -142,21 +152,21 @@ def limit_case_pseudo_forces(alpha_field: Callable, tau, x, v, m=1.0,
         )
     ainv = np.linalg.inv(alpha0)
 
-    dtau = (np.asarray(alpha_field(tau + fd_step, x)) -
-            np.asarray(alpha_field(tau - fd_step, x))) / (2.0 * fd_step)
+    dtau = (np.asarray(alpha_field(tau + _LIMIT_FD_STEP, x)) -
+            np.asarray(alpha_field(tau - _LIMIT_FD_STEP, x))) / (2.0 * _LIMIT_FD_STEP)
     dx = np.empty((4, 4, 3))
     for b in range(3):
         h = np.zeros(3)
-        h[b] = fd_step
+        h[b] = _LIMIT_FD_STEP
         dx[:, :, b] = (np.asarray(alpha_field(tau, x + h)) -
-                       np.asarray(alpha_field(tau, x - h))) / (2.0 * fd_step)
+                       np.asarray(alpha_field(tau, x - h))) / (2.0 * _LIMIT_FD_STEP)
 
     # finiteness conditions: time drift of the mixed row and its curl
     cond1 = np.einsum("ca,a->c", ainv[1:, 1:], dtau[1:, 0])
     curl = dx[1:, 0, :] - dx[0, 1:, :].T  # alpha_{b0,a} - alpha_{0a,b} at [b, a]
     cond2 = np.einsum("cb,ba->ca", ainv[1:, 1:], curl)
     worst = max(float(np.max(np.abs(cond1))), float(np.max(np.abs(cond2))))
-    if worst > condition_tol:
+    if worst > _LIMIT_CONDITION_TOL:
         raise NewtonianLimitObstruction(
             f"limit-existence conditions violated (residual {worst:.3e})",
             residuals={"time_drift": cond1, "mixed_curl": cond2},
@@ -190,17 +200,11 @@ class LimitReport:
     newton_law_residual: float    # max |m dv/dtau - total force| / scale
     below_noise: bool
 
-    def row_for(self, c):
-        for row in self.rows:
-            if row.c == c:
-                return row
-        raise KeyError(c)
 
-
-def _fit_slope(cs, residuals, noise_floor=1e-13):
+def _fit_slope(cs, residuals):
     cs = np.asarray(cs, dtype=float)
     res = np.asarray(residuals, dtype=float)
-    good = res > noise_floor
+    good = res > _NOISE_FLOOR
     if np.sum(good) < 2:
         return float("nan"), True
     slope = np.polyfit(np.log(1.0 / cs[good]), np.log(res[good]), 1)[0]

@@ -302,18 +302,25 @@ def proper_acceleration(curve: ObserverCurve, tau):
     return acc, math.sqrt(max(0.0, -q))
 
 
-def fermi_walker_derivative(curve: ObserverCurve, field, tau, field_deriv=None, h=1e-6):
+# Central-difference step in tau of a field given without field_deriv: near
+# eps^(1/3), where the difference's h^2 truncation and eps/h rounding balance
+_FW_STEP = 1e-6
+
+
+def fermi_walker_derivative(curve: ObserverCurve, field, tau, field_deriv=None):
     """Fermi-Walker derivative of a vector field along the observer.
 
     field(tau) gives chart components of Y; field_deriv(tau), when known
-    analytically, gives dY/dtau and avoids the central-difference fallback.
+    analytically, gives dY/dtau and avoids the central-difference fallback
+    of step _FW_STEP.
     """
     c = curve.c
     y = np.asarray(field(tau), dtype=float)
     if field_deriv is not None:
         ydot = np.asarray(field_deriv(tau), dtype=float)
     else:
-        ydot = (np.asarray(field(tau + h)) - np.asarray(field(tau - h))) / (2.0 * h)
+        ydot = (np.asarray(field(tau + _FW_STEP))
+                - np.asarray(field(tau - _FW_STEP))) / (2.0 * _FW_STEP)
     pos = curve.position(tau)
     vel = curve.velocity(tau)
     acc = curve.acceleration(tau)
@@ -324,23 +331,21 @@ def fermi_walker_derivative(curve: ObserverCurve, field, tau, field_deriv=None, 
 
 
 def fermi_walker_derivative_projector_form(curve: ObserverCurve, field, tau,
-                                           field_deriv=None, h=1e-6):
+                                           field_deriv=None):
     """Same derivative through the parallel/orthogonal projector split.
 
     Kept as an independent oracle: it evaluates the defining projector
-    formula numerically instead of the observer-adapted expression.
+    formula numerically instead of the observer-adapted expression, with
+    central differences of step _FW_STEP.
     """
     pos = curve.position(tau)
     vel = curve.velocity(tau)
     g = metric_at(curve.chart, pos)
     gam = curve.chart.christoffels(pos)
 
-    def nabla(fn, dfn):
+    def nabla(fn):
         y = np.asarray(fn(tau), dtype=float)
-        if dfn is not None:
-            ydot = np.asarray(dfn(tau), dtype=float)
-        else:
-            ydot = (np.asarray(fn(tau + h)) - np.asarray(fn(tau - h))) / (2.0 * h)
+        ydot = (np.asarray(fn(tau + _FW_STEP)) - np.asarray(fn(tau - _FW_STEP))) / (2.0 * _FW_STEP)
         return ydot + np.einsum("kij,i,j->k", gam, vel, y)
 
     def project(which):
@@ -353,7 +358,7 @@ def fermi_walker_derivative_projector_form(curve: ObserverCurve, field, tau,
         return fn
 
     p_par, p_perp = projectors(g, vel)
-    return p_par @ nabla(project("par"), None) + p_perp @ nabla(project("perp"), None)
+    return p_par @ nabla(project("par")) + p_perp @ nabla(project("perp"))
 
 
 def _fw_field(curve: ObserverCurve, matrix_fn, tau_range=None) -> FrameField:

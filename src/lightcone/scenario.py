@@ -123,11 +123,6 @@ class Scenario:
             return schwarzschild(radius, c)
         raise ConfigError(f"unknown spacetime {name!r}")
 
-    def build_observer_frames(self, chart: Chart) -> tuple:
-        """The observer's worldline and its frame field, as (curve, frames)."""
-        curve = self.build_observer(chart)
-        return curve, self.build_frames(chart, curve)
-
     def build_observer(self, chart: Chart) -> ObserverCurve:
         """The worldline, which carries its own Fermi-Walker basis."""
         kind = self.get("observer.kind", "inertial", kind=str)

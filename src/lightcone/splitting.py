@@ -30,10 +30,11 @@ coordinates alters.
 Which batch serves which Jacobian: Newton maps every trial point with its
 Jacobian, so the J of an accepted trial is the next step's J, the root
 grade of invert_many (its condition number) and, in observe_curve, the
-Jacobian behind tau' and dx/ds.  Only seeds that come without one (the
-inversion's start grid picks, a cold start's preimage) and the force
-stencils (p and its 8 neighbours, one batch per force) are mapped with
-the Jacobian outside a Newton trial.
+Jacobian behind tau' and dx/ds; an InversionResult carries it, so a cold
+start in observe_curve maps nothing again.  Only seeds that come without
+one (the inversion's start grid picks) and the force stencils (p and its
+8 neighbours, one batch per force) are mapped with the Jacobian outside a
+Newton trial.
 """
 
 import math
@@ -81,6 +82,8 @@ class InversionResult:
     regular: np.ndarray
     n_starts: int
     n_converged: int
+    images: np.ndarray     # (n, 4) the map at the preimages, as Newton returned it
+    jacobians: np.ndarray  # (n, 4, 4) its Jacobian there
     origin_excluded: bool = False
 
     def __len__(self):
@@ -280,7 +283,7 @@ def _eval_batch(chart, frames, pts, with_jacobian):
     ray that does not land (it clips at the chart boundary or fails) are
     NaN.
     """
-    out = _trace(chart, _map_states(frames, pts, with_jacobian), 4 if with_jacobian else 0)(1.0)
+    out = _trace(chart, _map_states(frames, pts, with_jacobian), 4 if with_jacobian else 0).ends
     events = out[:, 0:4]
     if not with_jacobian:
         return events, None
@@ -462,24 +465,19 @@ def invert_observer_map(chart: Chart, frames: FrameField, target: Event,
     return invert_many(chart, frames, target.coords[None, :], search)[0]
 
 
-def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartConfig,
-                seeds_per_target=None) -> List[InversionResult]:
+def invert_many(chart: Chart, frames: FrameField, targets,
+                search: MultistartConfig) -> List[InversionResult]:
     """Invert the observer map for many targets sharing one start grid.
 
     The start grid is mapped forward once, and starts whose ray does not
-    land are never seeds.  Each target keeps the seeds_per_target >= 1
-    starts (default search.top_k, at most the landed starts) with the
-    smallest forward residual, and damped Newton runs on all
-    targets' seeds as batches of _CHUNK targets.  Converged roots are
-    deduplicated and sorted by coordinates, so a target's outcome does not
-    depend on start order; each root is graded by the condition number of
-    the Jacobian Newton returned with it.
+    land are never seeds.  Each target keeps the search.top_k starts (at
+    most the landed starts) with the smallest forward residual, and damped
+    Newton runs on all targets' seeds as batches of _CHUNK targets.
+    Converged roots are deduplicated and sorted by coordinates, so a
+    target's outcome does not depend on start order; each root is graded
+    by the condition number of the Jacobian Newton returned with it.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1, 4)
-    if seeds_per_target is None:
-        seeds_per_target = search.top_k
-    if seeds_per_target < 1:
-        raise InvalidInputError("seeds_per_target must be at least 1")
     if len(targets) == 0:
         return []
     starts = _start_grid(search)
@@ -491,9 +489,9 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
     landed = ~np.isnan(ev).any(axis=1)
     starts, ev = starts[landed], ev[landed]
 
-    k = min(seeds_per_target, len(starts))
+    k = min(search.top_k, len(starts))
     results: List[InversionResult] = []
-    no_roots = (np.empty((0, 4)), np.empty(0), np.empty((0, 4, 4)), False)
+    no_roots = (np.empty((0, 4)), np.empty(0), np.empty((0, 4)), np.empty((0, 4, 4)), False)
     if k == 0:
         return _grade_roots(frames, targets, [no_roots] * len(targets), search, n_starts)
     for base in range(0, len(targets), _CHUNK):
@@ -502,46 +500,46 @@ def invert_many(chart: Chart, frames: FrameField, targets, search: MultistartCon
         d = np.linalg.norm(ev[None, :, :] - tgt_chunk[:, None, :], axis=2)
         picks = np.argsort(d, axis=1, kind="stable")[:, :k].ravel()
         flat_targets = np.repeat(tgt_chunk, k, axis=0)
-        states, rnorm, converged, _, jacs = _newton_polish(
+        states, rnorm, converged, images, jacs = _newton_polish(
             chart, frames, flat_targets, starts[picks], search
         )
         found = []
         for i in range(len(tgt_chunk)):
             rows = slice(i * k, (i + 1) * k)
             ok = converged[rows]
-            found.append(_distinct_roots(states[rows][ok], rnorm[rows][ok], jacs[rows][ok],
-                                         search))
+            found.append(_distinct_roots(states[rows][ok], rnorm[rows][ok], images[rows][ok],
+                                         jacs[rows][ok], search))
         results += _grade_roots(frames, tgt_chunk, found, search, n_starts)
     return results
 
 
-def _distinct_roots(roots, rres, jacs, search):
+def _distinct_roots(roots, rres, images, jacs, search):
     """Converged roots off the origin, sorted by coordinates and deduplicated.
 
-    Returns (roots, residuals, Jacobians, whether a root at the origin was
-    dropped).
+    Returns (roots, residuals, images, Jacobians, whether a root at the
+    origin was dropped).
     """
     at_origin = np.linalg.norm(roots[:, 1:], axis=1) <= search.merge_tol
-    roots, rres, jacs = roots[~at_origin], rres[~at_origin], jacs[~at_origin]
-    order = np.lexsort((roots[:, 3], roots[:, 2], roots[:, 1], roots[:, 0]))
-    roots, rres, jacs = roots[order], rres[order], jacs[order]
+    rows = np.flatnonzero(~at_origin)
+    rows = rows[np.lexsort((roots[rows, 3], roots[rows, 2], roots[rows, 1], roots[rows, 0]))]
     keep = []
-    for i, row in enumerate(roots):
-        if not any(np.max(np.abs(row - roots[j])) <= search.merge_tol for j in keep):
+    for i in rows:
+        if not any(np.max(np.abs(roots[i] - roots[j])) <= search.merge_tol for j in keep):
             keep.append(i)
-    return roots[keep], rres[keep], jacs[keep], bool(np.any(at_origin))
+    return roots[keep], rres[keep], images[keep], jacs[keep], bool(np.any(at_origin))
 
 
 def _grade_roots(frames, targets, found, search, n_starts):
-    """One InversionResult per target from its _distinct_roots quadruple."""
+    """One InversionResult per target from its _distinct_roots tuple."""
     results = []
-    for tgt, (roots, rres, jacs, origin) in zip(targets, found):
+    for tgt, (roots, rres, images, jacs, origin) in zip(targets, found):
         cond = np.linalg.cond(jacs) if len(roots) else np.empty(0)
         if len(roots) == 0:
             origin = origin or _near_worldline(frames, tgt, 1e-6 * (1.0 + np.max(np.abs(tgt))))
         preimages = [ObservedEvent(row[0], row[1:]) for row in roots]
         results.append(InversionResult(preimages, rres, cond, cond < search.cond_max,
-                                       n_starts, len(roots), origin_excluded=origin))
+                                       n_starts, len(roots), images, jacs,
+                                       origin_excluded=origin))
     return results
 
 
@@ -585,7 +583,7 @@ def comoving_worldline(chart: Chart, frames: FrameField, x) -> MappedCurve:
 
 
 def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
-                  search: MultistartConfig, stencil_h=None) -> List[RelativeMotionSample]:
+                  search: MultistartConfig) -> List[RelativeMotionSample]:
     """Track a worldline through the observer's eyes.
 
     Inverts the observer map at every sample of the worldline parameter,
@@ -599,20 +597,19 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     targets at s +- h, s +- 2h, and the next sample's target, all seeded at
     this sample's state with its image and Jacobian.  The fifth row is the
     next sample's warm start; the first sample, and any whose warm start
-    fails, inverts cold over the search box through invert_observer_map,
-    takes the first preimage (first sample) or the one nearest the
-    previous state, and maps it with its Jacobian as a batch of one ray.
+    fails, inverts cold over the search box through invert_observer_map
+    and takes the first preimage (first sample) or the one nearest the
+    previous state, with the image and Jacobian Newton returned there.
 
     tau' and dx/ds come from the inverse Jacobian applied to the
     worldline tangent, with the Jacobians that Newton returned, so no
-    Jacobian batch is made outside Newton for a warm sample; the second
-    derivatives use a five-point stencil of half-width stencil_h on the
-    tracked functions.
+    Jacobian batch is made outside Newton; the second derivatives use a
+    five-point stencil on the tracked functions, of half-width h a tenth
+    of the sample spacing and at least 1e-4.
     """
     s_samples = np.asarray(s_samples, dtype=float)
-    if stencil_h is None:
-        span = s_samples[-1] - s_samples[0] if len(s_samples) > 1 else 1.0
-        stencil_h = max(1e-4, 0.02 * span / max(1, len(s_samples) - 1) * 5)
+    span = s_samples[-1] - s_samples[0] if len(s_samples) > 1 else 1.0
+    stencil_h = max(1e-4, 0.02 * span / max(1, len(s_samples) - 1) * 5)
     c = frames.curve.c
 
     samples: List[RelativeMotionSample] = []
@@ -635,9 +632,7 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
                 best = np.argmin(dists)
                 near = np.sum(dists <= dists[best] + search.merge_tol)
             ambiguous = near > 1
-            state = rows[best]
-            ev, jacobian = _eval_landed(chart, frames, state[None, :], True)
-            image, jac = ev[0], jacobian[0]
+            state, image, jac = rows[best], res.images[best], res.jacobians[best]
         prev = state
         g = metric_at(chart, target)
 
@@ -735,57 +730,55 @@ def force_zero_component(alpha, v, c, inv_jacobian, f_spatial) -> float:
 _FD_STEP = 1e-4  # central step in (c*tau, x) for derivatives of the map
 
 
-def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent,
-                             method="jacobian", fd_step=_FD_STEP) -> np.ndarray:
+def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent) -> np.ndarray:
     """Connection coefficients of the spacetime metric in observer coordinates.
 
-    method="jacobian" transforms the chart coefficients with the map
-    Jacobian plus a finite-difference Hessian of the map; "pullback"
-    differentiates the pulled-back metric directly.  Both differentiate in
-    (x^0 = c*tau, x^a) with central step fd_step, and both map p and its 8
-    stencil points as one map+Jacobian batch.
+    The chart coefficients transformed with the map Jacobian, plus the
+    map's Hessian from central differences of step _FD_STEP of the
+    Jacobian in (x^0 = c*tau, x^a): p and its 8 stencil points are one
+    map+Jacobian batch.  This is the connection relative_force uses.
     """
-    if method == "pullback":
-        ev, jac = _stencil_maps(chart, frames, p, fd_step)
-        alpha = np.array([j.T @ metric_at(chart, e) @ j for e, j in zip(ev, jac)])
-        dal = np.stack((alpha[1:5] - alpha[5:9]) / (2.0 * fd_step), axis=-1)
-        try:
-            ainv = np.linalg.inv(alpha[0])
-        except np.linalg.LinAlgError as exc:
-            raise CriticalPointError("pulled-back metric is singular here") from exc
-        term = dal + np.einsum("lji->lij", dal) - np.einsum("ijl->lij", dal)
-        return 0.5 * np.einsum("cl,lij->cij", ainv, term)
-
-    if method != "jacobian":
-        raise InvalidInputError(f"unknown method {method!r}")
-    return _jacobian_christoffels(chart, *_map_derivatives(chart, frames, p, fd_step))[0]
+    return _jacobian_christoffels(chart, *_map_derivatives(chart, frames, p))[0]
 
 
-def _stencil_points(c, p, fd_step):
-    """The 8 rows p + fd_step e_i, then p - fd_step e_i, as (tau, x).
+def _pullback_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent) -> np.ndarray:
+    """transformed_christoffels's reference: the pulled-back metric, differentiated."""
+    ev, jac = _stencil_maps(chart, frames, p)
+    alpha = np.array([j.T @ metric_at(chart, e) @ j for e, j in zip(ev, jac)])
+    dal = np.stack((alpha[1:5] - alpha[5:9]) / (2.0 * _FD_STEP), axis=-1)
+    try:
+        ainv = np.linalg.inv(alpha[0])
+    except np.linalg.LinAlgError as exc:
+        raise CriticalPointError("pulled-back metric is singular here") from exc
+    term = dal + np.einsum("lji->lij", dal) - np.einsum("ijl->lij", dal)
+    return 0.5 * np.einsum("cl,lij->cij", ainv, term)
+
+
+def _stencil_points(c, p):
+    """The 8 rows p + _FD_STEP e_i, then p - _FD_STEP e_i, as (tau, x).
 
     e_i are the unit vectors of (x^0 = c*tau, x^a).
     """
     base = np.array([c * p.tau, *p.x])
-    shifted = np.concatenate([base + fd_step * np.eye(4), base - fd_step * np.eye(4)])
+    shifted = np.concatenate([base + _FD_STEP * np.eye(4), base - _FD_STEP * np.eye(4)])
     shifted[:, 0] /= c
     return shifted
 
 
-def _stencil_maps(chart, frames, p, fd_step):
+def _stencil_maps(chart, frames, p):
     """Events and Jacobians at p and its 8 stencil points, as one map+Jacobian batch."""
-    pts = np.vstack([_point(p.tau, p.x), _stencil_points(frames.curve.c, p, fd_step)])
+    pts = np.vstack([_point(p.tau, p.x), _stencil_points(frames.curve.c, p)])
     return _eval_landed(chart, frames, pts, True)
 
 
-def _map_derivatives(chart, frames, p, fd_step):
+def _map_derivatives(chart, frames, p):
     """Event, Jacobian and finite-difference Hessian of the map at p.
 
     hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the central difference of
     the Jacobian columns at the stencil points, symmetrized.
     """
-    ev, jac = _stencil_maps(chart, frames, p, fd_step)
-    hess = ((jac[1:5] - jac[5:9]) / (2.0 * fd_step)).transpose(1, 0, 2)
+    ev, jac = _stencil_maps(chart, frames, p)
+    hess = ((jac[1:5] - jac[5:9]) / (2.0 * _FD_STEP)).transpose(1, 0, 2)
     return ev[0], jac[0], 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
@@ -800,22 +793,21 @@ def _jacobian_christoffels(chart, event, j, hess):
 
 
 def relative_force(m, chart: Chart, frames: FrameField, sample: RelativeMotionSample,
-                   f_spatial, tau_ddot=None) -> ForceBreakdown:
+                   f_spatial) -> ForceBreakdown:
     """Decompose the relative force on an observed point mass.
 
     Combines the actual force (mapped to observer coordinates and scaled
     by the clock rate) with the four geometric pseudo-force terms built
-    from the transformed connection, the clock-rate derivative and the
-    relative velocity.  The parts sum to total by construction.
+    from the transformed connection, the sample's clock-rate derivative
+    tau'' and the relative velocity.  The parts sum to total by construction.
     """
     c = frames.curve.c
     p = ObservedEvent(sample.tau, sample.x)
-    event, jac, hess = _map_derivatives(chart, frames, p, _FD_STEP)
+    event, jac, hess = _map_derivatives(chart, frames, p)
     alpha = jac.T @ metric_at(chart, event) @ jac
     ups, w = _jacobian_christoffels(chart, event, jac, hess)
     v = sample.v
     td = sample.tau_dot
-    tdd = sample.tau_ddot if tau_ddot is None else float(tau_ddot)
 
     f_spatial = np.asarray(f_spatial, dtype=float)
     f0 = force_zero_component(alpha, v, c, w, f_spatial)
@@ -823,7 +815,7 @@ def relative_force(m, chart: Chart, frames: FrameField, sample: RelativeMotionSa
 
     actual = (w[1:, :] @ f_full) / td**2
     pseudo_tt = -m * c**2 * ups[1:, 0, 0]
-    pseudo_clock = -m * (tdd / td**2) * v
+    pseudo_clock = -m * (sample.tau_ddot / td**2) * v
     pseudo_mixed = -2.0 * m * c * (ups[1:, 0, 1:] @ v)
     pseudo_quad = -m * np.einsum("cab,a,b->c", ups[1:, 1:, 1:], v, v)
     total = actual + pseudo_tt + pseudo_clock + pseudo_mixed + pseudo_quad

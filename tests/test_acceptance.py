@@ -77,8 +77,8 @@ def test_criterion_1_sr_splitting_closed_form(sr_frames):
     assert fwd_dev <= 1e-9
 
     cfg = MultistartConfig(tau_range=(-12, 12), x_halfwidth=5.0,
-                           n_tau=5, n_x=5, top_k=8)
-    results = invert_many(MK, ff, events, cfg, seeds_per_target=4)
+                           n_tau=5, n_x=5, top_k=4)
+    results = invert_many(MK, ff, events, cfg)
     inv_dev = 0.0
     for (t, x), res in zip(pts, results):
         assert len(res) >= 1
@@ -172,7 +172,7 @@ def _limit_scenario(c):
                                   np.concatenate([[c], w]), interval=(-60, 60))
     cfg = MultistartConfig(tau_range=(-30, 30), x_halfwidth=4.0, x_center=(2, 1, 0),
                            n_tau=5, n_x=5, top_k=8)
-    samples = observe_curve(mk, ff, cur2, np.linspace(0.0, 2.0, 3), cfg, stencil_h=0.2)
+    samples = observe_curve(mk, ff, cur2, np.linspace(0.0, 2.0, 3), cfg)
     return samples, [relative_force(1.0, mk, ff, smp, np.zeros(3)) for smp in samples]
 
 

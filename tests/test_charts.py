@@ -100,9 +100,8 @@ def test_metric_only_chart_batched(sw):
     obs = np.array([[0.0, 0.5, 0.25, -0.15], [0.5, -0.4, 0.6, 0.2]])
     y0 = _map_states(frames, obs, True)
     cols = np.r_[8:12, 16:20, 24:28, 32:36]  # the J of each Jacobian column
-    out = integrate_batch(chart, y0, 4, 1.0)[0](1.0)
-    out_mo = integrate_batch(dataclasses.replace(chart, christoffel_fn=None),
-                             y0, 4, 1.0)[0](1.0)
+    out = integrate_batch(chart, y0, 4)[0].ends
+    out_mo = integrate_batch(dataclasses.replace(chart, christoffel_fn=None), y0, 4)[0].ends
     ev, jac, ev_mo, jac_mo = out[:, :4], out[:, cols], out_mo[:, :4], out_mo[:, cols]
     assert np.max(np.abs(ev_mo - ev)) <= 1e-9
     assert np.max(np.abs(jac_mo - jac)) <= 1e-7 * max(1.0, np.max(np.abs(jac)))
@@ -122,7 +121,7 @@ def test_metric_only_chart_jacobian_steps():
     mo = dataclasses.replace(chart, christoffel_fn=None, christoffel_deriv_fn=None)
     interp_mo, steps_mo = integrate_batch(mo, y0, n_jac=4)
     assert steps_mo <= 2 * steps
-    out, out_mo = interp(1.0), interp_mo(1.0)
+    out, out_mo = interp.ends, interp_mo.ends
     cols = np.r_[8:12, 16:20, 24:28, 32:36]  # the J of each column
     assert (np.max(np.abs(out_mo[:, cols] - out[:, cols]))
             <= 1e-7 * np.max(np.abs(out[:, cols])))
@@ -230,7 +229,7 @@ def test_fd_path_on_metric_only_chart():
     )
     coords = np.array([0.0, 3.0, 1.3, 0.2])
     assert np.max(np.abs(bare.christoffels(coords) - sw.christoffels(coords))) <= 1e-6
-    sample = riemann_ricci_at(bare, coords, fd_step=1e-4)
+    sample = riemann_ricci_at(bare, coords)
     assert np.max(np.abs(sample.ricci)) <= 1e-4
 
 

@@ -369,6 +369,18 @@ class TestValidate:
         assert "frame_gram_eta" in text
         assert "FAIL" in text
 
+    def test_corrupted_frame_keeps_an_orthonormal_basis(self, tmp_path):
+        # the explicit frame is corrupted, the observer's own Fermi-Walker
+        # basis is not: the two Gram checks measure different frames
+        rc = main(["--scenario", str(SCN_DIR / "corrupted_frame.scn"),
+                   "--out", str(tmp_path), "validate"])
+        lines = dict(line.split(":", 1) for line in
+                     (tmp_path / "validate.txt").read_text().splitlines())
+        assert lines["frame_gram_eta"].endswith("FAIL")
+        assert lines["fw_gram_drift"].endswith("PASS")
+        assert "checks_failed = 2" in (tmp_path / "manifest.txt").read_text()
+        assert rc == 1
+
     def test_tol_override(self, tmp_path):
         # loosening the Gram bound past the corruption makes it pass
         rc = main(["--scenario", str(SCN_DIR / "corrupted_frame.scn"),
@@ -463,7 +475,7 @@ class TestProgrammedObserver:
         chart = scn_a.build_chart()
         curve = scn_b.build_observer(chart)
         frames = scn_a.build_frames(chart, curve)
-        _, want = scn_b.build_observer_frames(chart)
+        want = scn_b.build_frames(chart, scn_b.build_observer(chart))
         taus = np.linspace(-2, 2, 5)
         assert np.array_equal(frames.matrix(taus), want.matrix(taus))
         assert np.array_equal(frames.curve.position(taus), curve.position(taus))

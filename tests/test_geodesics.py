@@ -1,5 +1,7 @@
 """Geodesic integration, transport, Jacobi fields, exponential map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,8 +278,8 @@ def test_batch_matches_single():
     sol = integrate_geodesic(SW, GeodesicIVP(q, vel), 1.0)
     jac = integrate_jacobi(SW, sol, np.zeros(4), dj0)
     y0 = np.concatenate([q.coords, vel, np.zeros(4), dj0])[None, :]
-    interp, _ = integrate_batch(SW, y0, n_jac=1, s_end=1.0)
-    state = interp(1.0)[0]
+    interp, _ = integrate_batch(SW, y0, n_jac=1)
+    state = interp.ends[0]
     assert np.max(np.abs(state[:4] - sol.position(1.0))) <= 1e-10
     assert np.max(np.abs(state[8:12] - jac.value(1.0))) <= 1e-9
 
@@ -290,8 +292,8 @@ def test_jacobi_is_the_batch_column():
     sol = integrate_geodesic(SW, GeodesicIVP(q, vel), 1.0)
     jac = integrate_jacobi(SW, sol, j0, dj0)
     y0 = np.concatenate([q.coords, vel, j0, dj0])[None, :]
-    interp, _ = integrate_batch(SW, y0, n_jac=1, s_end=1.0)
-    assert np.array_equal(jac.value(1.0), interp(1.0)[0, 8:12])
+    interp, _ = integrate_batch(SW, y0, n_jac=1)
+    assert np.array_equal(jac.value(1.0), interp.ends[0, 8:12])
 
 
 def test_batch_members_outside_the_domain_end_alone():
@@ -304,10 +306,10 @@ def test_batch_members_outside_the_domain_end_alone():
     alone, _ = integrate_batch(SW, inside[None, :])
     batch, _ = integrate_batch(SW, np.stack([fallen, inside, falling]))
     assert alone.outcome[0] == LANDED
-    assert np.array_equal(batch(1.0)[1], alone(1.0)[0])
+    assert np.array_equal(batch.ends[1], alone.ends[0])
     assert np.array_equal(batch.states[1], alone.states[0])
     assert list(batch.outcome) == [FAILED, LANDED, CLIPPED]
-    assert np.isnan(batch(1.0)[[0, 2]]).all()
+    assert np.isnan(batch.ends[[0, 2]]).all()
     assert 0.0 < batch.s1[2] < 1.0
     assert batch.states[2, 1] == pytest.approx(1.0 + 1e-6, abs=1e-9)
 
@@ -393,3 +395,25 @@ def test_attempt_budget_ends_a_runaway_ray():
     assert 0.0 < mixed.s1[1] < 1.0 and steps <= MAX_ATTEMPTS
     assert np.array_equal(mixed.states[[0, 2]], alone.states)
     assert np.array_equal(mixed.s1[[0, 2]], alone.s1)
+
+
+def test_a_ray_whose_step_underflows_fails_alone():
+    # a connection that is NaN inside r = 6 rejects every step that reaches
+    # there, so the inward ray's step shrinks below the spacing of s: it
+    # ends failed, and its outward batch mate lands with its solo bits
+    def christoffel_fn(coords):
+        inner = np.asarray(coords)[..., 1] < 6.0
+        return np.where(inner[..., None, None, None], np.nan, SW.christoffel_fn(coords))
+
+    chart = dataclasses.replace(SW, christoffel_fn=christoffel_fn)
+    f = 1.0 - 1.0 / 10.0
+    start = sw_event().coords
+    inward = np.concatenate([start, 8.0 * np.array([1.0 / f, -1.0, 0.0, 0.0])])
+    outward = np.concatenate([start, 8.0 * np.array([1.0 / f, 1.0, 0.0, 0.0])])
+    batch, _ = integrate_batch(chart, np.array([inward, outward]))
+    alone, _ = integrate_batch(chart, outward[None])
+    assert list(batch.outcome) == [FAILED, LANDED]
+    assert batch.reasons[0].startswith("required step size is less than spacing")
+    assert batch.reasons[1] == ""
+    assert 6.0 <= batch.states[0, 1] < 10.0 and 0.0 < batch.s1[0] < 1.0
+    assert np.array_equal(batch.states[1], alone.states[0])

@@ -136,7 +136,7 @@ class TestForceCorrectionSeries:
                                       np.concatenate([[1.0], w]), interval=(-60, 60))
         cfg = MultistartConfig(tau_range=(-20, 20), x_halfwidth=5.0,
                                x_center=(3, 1, 0), n_tau=5, n_x=5, top_k=8)
-        samples = observe_curve(mk, ff, cur2, np.linspace(0, 2, 3), cfg, stencil_h=0.2)
+        samples = observe_curve(mk, ff, cur2, np.linspace(0, 2, 3), cfg)
         smp = samples[1]
         xn = np.linalg.norm(smp.x)
         tdd, _ = sr_force_correction(smp.x / xn, smp.v, smp.dv_dtau, xn)
@@ -203,7 +203,7 @@ class TestLimitCasePseudoForces:
                                       np.array([c, *v]), interval=(-60, 60))
         cfg = MultistartConfig(tau_range=(-30, 30), x_halfwidth=3.0,
                                x_center=tuple(x), n_tau=5, n_x=5, top_k=8)
-        samples = observe_curve(mk, ff, cur2, np.linspace(0, 1, 3), cfg, stencil_h=0.2)
+        samples = observe_curve(mk, ff, cur2, np.linspace(0, 1, 3), cfg)
         fb = relative_force(1.0, mk, ff, samples[1], np.zeros(3))
         sight_scale = float(v @ v) / np.linalg.norm(x) * np.linalg.norm(v)
         assert np.linalg.norm(fb.total - out) <= 10.0 * sight_scale / c
@@ -230,8 +230,7 @@ class TestLimitReport:
                                       np.concatenate([[c], w]), interval=(-60, 60))
         cfg = MultistartConfig(tau_range=(-30, 30), x_halfwidth=4.0,
                                x_center=(2, 1, 0), n_tau=5, n_x=5, top_k=8)
-        samples = observe_curve(mk, ff, cur2, np.linspace(0.0, 2.0, 3), cfg,
-                                stencil_h=0.2)
+        samples = observe_curve(mk, ff, cur2, np.linspace(0.0, 2.0, 3), cfg)
         return samples, [relative_force(1.0, mk, ff, smp, np.zeros(3))
                          for smp in samples]
 

@@ -297,11 +297,6 @@ class TestInversion:
         with pytest.raises(InvalidInputError):
             MultistartConfig(**dict({"tau_range": (-1.0, 1.0), "x_halfwidth": 1.0}, **bad))
 
-    def test_zero_seeds_per_target_rejected(self, inertial):
-        _, ff = inertial
-        with pytest.raises(InvalidInputError):
-            invert_many(MK, ff, [[5.0, 3.0, 4.0, 0.0]], search_box(), seeds_per_target=0)
-
     def test_seed_count_clipped_to_start_grid(self, inertial):
         # top_k larger than the two-point start grid: every start seeds
         # each target, in the batched and in the single-target path
@@ -469,8 +464,8 @@ class TestTransformedChristoffels:
     def test_methods_agree_on_accel_rot(self, accel_rot):
         _, ff = accel_rot
         p = ObservedEvent(0.3, [0.8, 0.5, -0.3])
-        u1 = transformed_christoffels(MK, ff, p, "jacobian")
-        u2 = transformed_christoffels(MK, ff, p, "pullback")
+        u1 = transformed_christoffels(MK, ff, p)
+        u2 = splitting._pullback_christoffels(MK, ff, p)
         assert np.max(np.abs(u1 - u2)) <= 1e-5
 
     def test_lower_index_symmetry(self, accel_rot):
@@ -484,8 +479,7 @@ class TestRelativeForce:
         _, ff = inertial
         cur2 = make_inertial_observer(MK, Event("minkowski", np.array([0.0, 3, 1, 0])),
                                       [1, 0.02, 0.08, 0], interval=(-30, 30))
-        samples = observe_curve(MK, ff, cur2, np.linspace(0.0, 1.0, 3), search_box(),
-                                stencil_h=0.1)
+        samples = observe_curve(MK, ff, cur2, np.linspace(0.0, 1.0, 3), search_box())
         smp = samples[1]
         fb = relative_force(1.0, MK, ff, smp, np.zeros(3))
         assert np.max(np.abs(fb.actual_part)) <= 1e-10
@@ -518,7 +512,7 @@ def test_observe_truncates_on_branch_loss():
                                   [1, 0, 0, 0], interval=(-40, 40))
     cfg = MultistartConfig(tau_range=(-5.5, 5.5), x_halfwidth=4.0,
                            n_tau=5, n_x=5, top_k=8)
-    samples = observe_curve(MK, ff, cur2, np.linspace(0, 20, 9), cfg, stencil_h=0.05)
+    samples = observe_curve(MK, ff, cur2, np.linspace(0, 20, 9), cfg)
     assert 0 < len(samples) < 9
 
 
@@ -623,7 +617,7 @@ class TestOneBatchPerSample:
         want = []
         for chart, ff, p in cases:
             shifted = [ObservedEvent(r[0], r[1:])
-                       for r in splitting._stencil_points(ff.curve.c, p, h)]
+                       for r in splitting._stencil_points(ff.curve.c, p)]
             al = [pullback_metric(chart, ff, q) for q in [p, *shifted]]
             dal = np.empty((4, 4, 4))
             for l in range(4):
@@ -632,7 +626,7 @@ class TestOneBatchPerSample:
             want.append(0.5 * np.einsum("cl,lij->cij", np.linalg.inv(al[0]), term))
         calls, newton = self.count_batches(monkeypatch)
         for (chart, ff, p), ups in zip(cases, want):
-            assert np.array_equal(transformed_christoffels(chart, ff, p, "pullback"), ups)
+            assert np.array_equal(splitting._pullback_christoffels(chart, ff, p), ups)
         assert calls == [(9, 4)] * len(cases)
         assert newton == []
 
@@ -646,14 +640,14 @@ class TestOneBatchPerSample:
         calls, newton = self.count_batches(monkeypatch)
         (smp,) = observe_curve(MK, ff, cur2, [1.0], search_box())
         assert newton == [4]           # the four stencil inversions, with their Jacobians
-        assert calls == [(1, 4)]       # the cold start's preimage, with its Jacobian
+        assert calls == []             # the cold start's Jacobian comes from its inversion
         assert smp.v[0] == pytest.approx(0.1 / 1.1, abs=1e-9)
         assert np.max(np.abs(smp.dv_dtau)) <= 1e-8
 
     def test_observe_track_one_newton_batch_per_sample(self, inertial, monkeypatch):
         # each sample's batch holds its four stencil targets and the next
-        # sample's, whose row is that sample's warm start; only the cold
-        # start maps outside Newton
+        # sample's, whose row is that sample's warm start; nothing maps
+        # outside Newton
         _, ff = inertial
         cur2 = make_inertial_observer(MK, Event("minkowski", np.array([0.0, 4, 0, 0])),
                                       [1, 0.1, 0, 0], interval=(-30, 30))
@@ -667,13 +661,98 @@ class TestOneBatchPerSample:
         got = observe_curve(MK, ff, cur2, s, search_box())
         assert cold == [1]
         assert newton == [5, 5, 4]
-        assert calls == [(1, 4)]
+        assert calls == []
         assert len(got) == len(want) == 3
         for a, b in zip(got, want):
             assert (a.tau, a.tau_dot, a.tau_ddot) == (b.tau, b.tau_dot, b.tau_ddot)
             assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
             assert np.array_equal(a.dv_dtau, b.dv_dtau)
             assert a.v[0] == pytest.approx(0.1 / 1.1, abs=1e-9)
+
+
+class TestFailedWarmStart:
+    """A sample whose warm start does not converge inverts cold."""
+
+    S = [1.0, 1.5, 2.0]
+
+    @staticmethod
+    def worldline():
+        return make_inertial_observer(MK, Event("minkowski", np.array([0.0, 4, 0, 0])),
+                                      [1, 0.1, 0, 0], interval=(-30, 30))
+
+    def track(self, inertial, monkeypatch, decoy=None):
+        """Track with the first sample's warm-start row failed.
+
+        decoy(prev, root) gives a preimage added to the second cold
+        inversion, from the previous state and the true root.  Returns the
+        samples and the number of cold inversions.
+        """
+        _, ff = inertial
+        real_newton, real_invert = splitting._newton_polish, splitting.invert_observer_map
+        seeded, cold = [], []
+
+        def polish(*args, **kwargs):
+            out = real_newton(*args, **kwargs)
+            if len(args) > 5 or "seeds" in kwargs:  # a tracking batch, not an inversion
+                seeded.append(1)
+                if len(seeded) == 1:
+                    conv = out[2].copy()
+                    conv[4] = False
+                    out = (out[0], out[1], conv, out[3], out[4])
+            return out
+
+        def invert(*args, **kwargs):
+            res = real_invert(*args, **kwargs)
+            cold.append(res)
+            if decoy is None or len(cold) == 1:
+                return res
+            prev = np.array([cold[0].preimages[0].tau, *cold[0].preimages[0].x])
+            root = np.array([res.preimages[0].tau, *res.preimages[0].x])
+            extra = decoy(prev, root)
+            return dataclasses.replace(
+                res, preimages=res.preimages + [ObservedEvent(extra[0], extra[1:])],
+                images=np.concatenate([res.images, res.images[:1]]),
+                jacobians=np.concatenate([res.jacobians, res.jacobians[:1]]))
+
+        monkeypatch.setattr(splitting, "_newton_polish", polish)
+        monkeypatch.setattr(splitting, "invert_observer_map", invert)
+        got = observe_curve(MK, ff, self.worldline(), self.S, search_box())
+        return got, len(cold)
+
+    def assert_same_track(self, got, want):
+        assert len(got) == len(want) == len(self.S)
+        for a, b in zip(got, want):
+            assert (a.tau, a.tau_dot, a.tau_ddot) == (b.tau, b.tau_dot, b.tau_ddot)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
+            assert np.array_equal(a.dv_dtau, b.dv_dtau)
+
+    def test_next_sample_inverts_cold_on_the_same_track(self, inertial, monkeypatch):
+        want = observe_curve(MK, inertial[1], self.worldline(), self.S, search_box())
+        got, n_cold = self.track(inertial, monkeypatch)
+        assert n_cold == 2
+        self.assert_same_track(got, want)
+        assert not any(smp.ambiguous for smp in got)
+
+    def test_a_far_preimage_is_ignored(self, inertial, monkeypatch):
+        want = observe_curve(MK, inertial[1], self.worldline(), self.S, search_box())
+        got, n_cold = self.track(inertial, monkeypatch,
+                                 lambda prev, root: root + np.array([3.0, 2.0, -2.0, 1.0]))
+        assert n_cold == 2
+        self.assert_same_track(got, want)
+        assert not any(smp.ambiguous for smp in got)
+
+    def test_an_equally_near_preimage_is_ambiguous(self, inertial, monkeypatch):
+        # the decoy lies on the far side of the previous state, as far from
+        # it as the root up to half of merge_tol
+        def mirror(prev, root):
+            d = np.max(np.abs(root - prev))
+            return prev - (root - prev) * (d + 0.5 * search_box().merge_tol) / d
+
+        want = observe_curve(MK, inertial[1], self.worldline(), self.S, search_box())
+        got, n_cold = self.track(inertial, monkeypatch, mirror)
+        assert n_cold == 2
+        self.assert_same_track(got, want)  # the nearest preimage is still the root
+        assert [smp.ambiguous for smp in got] == [False, True, False]
 
 
 def test_mapped_curve_array_rows_are_scalar_calls():
