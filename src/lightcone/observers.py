@@ -330,8 +330,7 @@ def fermi_walker_derivative(curve: ObserverCurve, field, tau, field_deriv=None):
     return nabla_y - (float(vel @ g @ y) * acc - float(acc @ g @ y) * vel) / c**2
 
 
-def fermi_walker_derivative_projector_form(curve: ObserverCurve, field, tau,
-                                           field_deriv=None):
+def fermi_walker_derivative_projector_form(curve: ObserverCurve, field, tau):
     """Same derivative through the parallel/orthogonal projector split.
 
     Kept as an independent oracle: it evaluates the defining projector

@@ -102,6 +102,7 @@ class RelativeMotionSample:
     character: str
     not_an_observer: bool = False
     ambiguous: bool = False
+    start: str = "warm"   # where Newton found the state: "cold", "warm" or "continued"
 
 
 @dataclass(frozen=True)
@@ -469,8 +470,10 @@ def invert_many(chart: Chart, frames: FrameField, targets,
                 search: MultistartConfig) -> List[InversionResult]:
     """Invert the observer map for many targets sharing one start grid.
 
-    The start grid is mapped forward once, and starts whose ray does not
-    land are never seeds.  Each target keeps the search.top_k starts (at
+    The start grid is mapped forward once.  Starts outside the observer's
+    tau interval (where Newton could not move them either) and starts
+    whose ray does not land are never seeds; n_starts still counts the
+    whole grid.  Each target keeps the search.top_k starts (at
     most the landed starts) with the smallest forward residual, and damped
     Newton runs on all targets' seeds as batches of _CHUNK targets.
     Converged roots are deduplicated and sorted by coordinates, so a
@@ -485,7 +488,9 @@ def invert_many(chart: Chart, frames: FrameField, targets,
         raise InvalidInputError("the multistart grid is empty: its only point is the "
                                 "excluded observer position x = 0")
     n_starts = len(starts)
-    ev, _ = _eval_batch(chart, frames, starts, False)
+    tau_lo, tau_hi = _tau_bounds(frames)
+    starts = starts[(starts[:, 0] >= tau_lo) & (starts[:, 0] <= tau_hi)]
+    ev = _eval_batch(chart, frames, starts, False)[0] if len(starts) else np.empty((0, 4))
     landed = ~np.isnan(ev).any(axis=1)
     starts, ev = starts[landed], ev[landed]
 
@@ -583,7 +588,7 @@ def comoving_worldline(chart: Chart, frames: FrameField, x) -> MappedCurve:
 
 
 def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
-                  search: MultistartConfig) -> List[RelativeMotionSample]:
+                  search: MultistartConfig, start=None) -> List[RelativeMotionSample]:
     """Track a worldline through the observer's eyes.
 
     Inverts the observer map at every sample of the worldline parameter,
@@ -596,10 +601,20 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     Each sample makes one Newton batch of five rows: the four stencil
     targets at s +- h, s +- 2h, and the next sample's target, all seeded at
     this sample's state with its image and Jacobian.  The fifth row is the
-    next sample's warm start; the first sample, and any whose warm start
-    fails, inverts cold over the search box through invert_observer_map
-    and takes the first preimage (first sample) or the one nearest the
-    previous state, with the image and Jacobian Newton returned there.
+    next sample's warm start; a sample whose warm start fails inverts cold
+    over the search box through invert_observer_map and takes the
+    preimage nearest the previous state, with the image and Jacobian
+    Newton returned there.
+
+    The first sample's branch: with start, a (tau, x^1, x^2, x^3) row
+    such as the first state of the same worldline at a nearby speed of
+    light, Newton runs from that one row, and the root it reaches is the
+    first state (sample.start "continued"), not flagged ambiguous, as a
+    warm sample is not.  Without start, or when Newton from it does not
+    converge to a root off the origin, the first sample inverts cold and
+    takes the lexicographically first preimage (sample.start "cold"),
+    flagged ambiguous when the box holds more than one.  The two agree
+    whenever the root is unique.
 
     tau' and dx/ds come from the inverse Jacobian applied to the
     worldline tangent, with the Jacobians that Newton returned, so no
@@ -618,9 +633,13 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     target = np.asarray(worldline.position(s_samples[0]), dtype=float) if len(s_samples) else None
     for i, s in enumerate(s_samples):
         ambiguous = False
+        if i == 0 and start is not None:
+            warm = _continued(chart, frames, target, start, search)
+        how = "warm" if i else "continued"  # unless it inverts cold below
         if warm is not None:
             state, image, jac = warm
         else:
+            how = "cold"
             res = invert_observer_map(chart, frames, Event(chart.name, target), search)
             if len(res) == 0:
                 break
@@ -675,10 +694,23 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
         samples.append(RelativeMotionSample(
             s=float(s), tau=float(state[0]), x=state[1:].copy(),
             tau_dot=float(tau_dot), v=v, dv_dtau=dv_dtau, tau_ddot=tau_ddot,
-            character=char.value, not_an_observer=not_obs, ambiguous=ambiguous,
+            character=char.value, not_an_observer=not_obs, ambiguous=ambiguous, start=how,
         ))
         target = tk[-1]  # the next sample's, when there is one
     return samples
+
+
+def _continued(chart, frames, target, start, search):
+    """(state, image, Jacobian) Newton reaches from one start row, or None.
+
+    None when Newton does not converge, or converges onto the excluded
+    origin, so that the caller inverts cold.
+    """
+    states, _, conv, images, jacs = _newton_polish(
+        chart, frames, target[None], np.asarray(start, dtype=float).reshape(1, 4), search)
+    if conv[0] and np.linalg.norm(states[0, 1:]) > search.merge_tol:
+        return states[0], images[0], jacs[0]
+    return None
 
 
 # -- pulled-back metric and forces --------------------------------------------
@@ -739,19 +771,6 @@ def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent)
     map+Jacobian batch.  This is the connection relative_force uses.
     """
     return _jacobian_christoffels(chart, *_map_derivatives(chart, frames, p))[0]
-
-
-def _pullback_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent) -> np.ndarray:
-    """transformed_christoffels's reference: the pulled-back metric, differentiated."""
-    ev, jac = _stencil_maps(chart, frames, p)
-    alpha = np.array([j.T @ metric_at(chart, e) @ j for e, j in zip(ev, jac)])
-    dal = np.stack((alpha[1:5] - alpha[5:9]) / (2.0 * _FD_STEP), axis=-1)
-    try:
-        ainv = np.linalg.inv(alpha[0])
-    except np.linalg.LinAlgError as exc:
-        raise CriticalPointError("pulled-back metric is singular here") from exc
-    term = dal + np.einsum("lji->lij", dal) - np.einsum("ijl->lij", dal)
-    return 0.5 * np.einsum("cl,lij->cij", ainv, term)
 
 
 def _stencil_points(c, p):

@@ -1,5 +1,6 @@
 """Scenario parsing, command dispatch, output determinism, exit codes."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -335,6 +336,79 @@ class TestNewtonLimit:
         assert not (tmp_path / "limit_residuals.csv").exists()
 
 
+def _limit_bits(samples, breakdowns):
+    """Every number of a limit measurement, NaNs included, as one array."""
+    rows = [np.concatenate([[smp.s, smp.tau, smp.tau_dot, smp.tau_ddot],
+                            smp.x, smp.v, smp.dv_dtau]) for smp in samples]
+    rows += [np.concatenate([fb.total, fb.actual_part, *fb.pseudo_parts])
+             for fb in breakdowns if fb is not None]
+    return np.concatenate(rows)
+
+
+class TestLimitContinuation:
+    """newton-limit continues each c's first state into the next c."""
+
+    @staticmethod
+    def count_cold(monkeypatch):
+        from lightcone import splitting
+        calls = []
+        real = splitting.invert_observer_map
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, "invert_observer_map", counting)
+        return calls
+
+    @pytest.mark.parametrize("c_list", ["1,2,4,8", "8,1,4,2"])
+    def test_sweep_inverts_cold_once_with_the_cold_bits(self, tmp_path, monkeypatch, c_list):
+        from lightcone import cli
+        scn = load_scenario(SCN_DIR / "sr_limit_sweep.scn")
+        runs = []
+        real = cli.run_limit_scenario
+
+        def recording(scn_, c, start=None):
+            out = real(scn_, c, start)
+            runs.append((c, out))
+            return out
+
+        monkeypatch.setattr(cli, "run_limit_scenario", recording)
+        cold = self.count_cold(monkeypatch)
+        rc = main(["--scenario", str(SCN_DIR / "sr_limit_sweep.scn"), "--out", str(tmp_path),
+                   "newton-limit", "--c-list", c_list])
+        assert rc == 0
+        assert len(cold) == 1
+        manifest = dict(line.split(" = ") for line in
+                        (tmp_path / "manifest.txt").read_text().splitlines())
+        assert manifest["cold_starts"] == "1"
+        assert manifest["continued_starts"] == "3"
+
+        cs = [float(v) for v in c_list.split(",")]
+        assert [c for c, _ in runs] == cs  # in list order
+        for k, (c, (samples, breakdowns)) in enumerate(runs):
+            assert [smp.start for smp in samples] == [
+                "cold" if k == 0 else "continued", "warm", "warm"]
+            want = real(scn, c)
+            assert [smp.start for smp in want[0]] == ["cold", "warm", "warm"]
+            assert np.array_equal(_limit_bits(samples, breakdowns), _limit_bits(*want),
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("start", [[1e6, 2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+                             ids=["tau_outside_the_interval", "at_the_origin"])
+    def test_a_start_newton_cannot_use_falls_back_to_the_cold_search(self, monkeypatch,
+                                                                      start):
+        from lightcone.cli import run_limit_scenario
+        scn = load_scenario(SCN_DIR / "sr_limit_sweep.scn")
+        want = run_limit_scenario(scn, 2.0)
+        cold = self.count_cold(monkeypatch)
+        samples, breakdowns = run_limit_scenario(scn, 2.0, start=np.array(start))
+        assert len(cold) == 1
+        assert [smp.start for smp in samples] == ["cold", "warm", "warm"]
+        assert np.array_equal(_limit_bits(samples, breakdowns), _limit_bits(*want),
+                              equal_nan=True)
+
+
 class TestValidate:
     def test_minkowski_preset_passes(self, tmp_path):
         rc = main(["--scenario", str(SCN_DIR / "minkowski_inertial.scn"),
@@ -580,6 +654,44 @@ def test_trace_cone_counts_rays_by_outcome(tmp_path):
     assert clipped >= 1
     hole = next(row for row in rows if float(row[1]) == -12.5 and float(row[8]) == 0.0)
     assert float(hole[5]) == pytest.approx(1.0 + 1e-6, abs=1e-9)  # r at the margin
+
+
+def test_invert_box_past_the_observers_interval(tmp_path):
+    # the box's tau in [-1, 5] runs past the faller's [-3, 3]: the starts
+    # outside are dropped, the grid still counts them, and the target
+    # inverts to the (tau, x) that made it
+    from lightcone import splitting
+    from lightcone.lorentz import Event
+    from lightcone.splitting import ObservedEvent, kinematic_observer_map
+
+    scn_file = tmp_path / "late.scn"
+    scn_file.write_text((SCN_DIR / "schwarzschild_faller.scn").read_text()
+                        + "invert.tau_min_s = -1\ninvert.tau_max_s = 5\n"
+                        + "invert.x_box_m = 3\ninvert.n_tau = 5\ninvert.n_x = 5\n"
+                        + "invert.top_k = 8\ntol.inv = 1e-10\n")
+    scn = load_scenario(scn_file)
+    chart = scn.build_chart()
+    curve = scn.build_observer(chart)
+    frames = scn.build_frames(chart, curve)
+    search = scn.build_search(curve)
+    tau, x = 0.7, np.array([1.2, -0.5, 0.8])
+    target = kinematic_observer_map(chart, frames, ObservedEvent(tau, x)).coords
+    targets = tmp_path / "targets.txt"
+    targets.write_text(" ".join(format(float(c), ".17g") for c in target) + "\n")
+    rc = main(["--scenario", str(scn_file), "--out", str(tmp_path), "invert",
+               "--targets", str(targets)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "preimages.csv")
+    found = np.array([[float(v) for v in row[4:8]] for row in rows]).reshape(-1, 4)
+    assert np.min(np.max(np.abs(found - [tau, *x]), axis=1), initial=np.inf) <= 1e-7
+    res = splitting.invert_observer_map(chart, frames, Event(chart.name, target), search)
+    grid = splitting._start_grid(search)
+    assert res.n_starts == len(grid)
+    assert np.sum(grid[:, 0] > curve.interval[1]) == 2 * len(grid) // 5  # tau = 3.5 and 5
+    # a box wholly past the interval has no seeds: an empty result
+    late = dataclasses.replace(search, tau_range=(4.0, 5.0))
+    res = splitting.invert_observer_map(chart, frames, Event(chart.name, target), late)
+    assert len(res) == 0 and res.n_starts == len(grid)
 
 
 def test_invert_with_start_rays_into_the_hole(tmp_path):
