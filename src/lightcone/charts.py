@@ -24,8 +24,9 @@ u = ct - r*, r* = r + R ln(r/R - 1) (Finkelstein, Phys. Rev. 110, 965,
 regular on the past horizon that past-directed rays approach, where
 Schwarzschild t diverges like ln(r - R).
 
-All evaluators are vectorized over a leading batch axis: coords may be
-shaped (4,) or (n, 4).
+Every Chart evaluator takes coords shaped (4,) or (n, 4).  The model's
+*_fn callables see (n, 4) rows only: _per_row runs a point as a batch of
+one, so row i of a batch result has the bits of the call at coords[i].
 """
 
 from dataclasses import dataclass, field
@@ -67,13 +68,13 @@ class Chart:
     ray_chart: Optional["RayChart"] = None
 
     def metric(self, coords):
-        return self.metric_fn(np.asarray(coords, dtype=float))
+        return _per_row(self.metric_fn, coords)
 
     def contains(self, coords):
-        return self.domain_fn(np.asarray(coords, dtype=float))
+        return _per_row(self.domain_fn, coords)
 
     def reference_frame(self, coords):
-        return self.reference_frame_fn(np.asarray(coords, dtype=float))
+        return _per_row(self.reference_frame_fn, coords)
 
     def christoffels(self, coords):
         """Gamma^k_ij: christoffel_fn, else differences of the metric at _METRIC_STEP."""
@@ -81,7 +82,7 @@ class Chart:
 
     def _connection(self, coords, metric_step):
         if self.christoffel_fn is not None:
-            return self.christoffel_fn(coords)
+            return _per_row(self.christoffel_fn, coords)
         return _fd_christoffels(self, coords, metric_step)
 
     def christoffel_derivs(self, coords):
@@ -98,7 +99,7 @@ class Chart:
         """
         coords = np.asarray(coords, dtype=float)
         if self.christoffel_deriv_fn is not None:
-            return self.christoffel_deriv_fn(coords)
+            return _per_row(self.christoffel_deriv_fn, coords)
         dgam = np.empty(coords.shape[:-1] + (4, 4, 4, 4))
         for m in range(4):
             h = np.zeros(4)
@@ -113,7 +114,13 @@ class Chart:
         """Positive inside the domain, crossing zero at the boundary."""
         if self.boundary_fn is None:
             return None
-        return self.boundary_fn(np.asarray(coords, dtype=float))
+        return _per_row(self.boundary_fn, coords)
+
+
+def _per_row(fn, coords):
+    """fn, which maps (n, 4) rows to n results, at a (4,) point or at (n, 4) rows."""
+    coords = np.asarray(coords, dtype=float)
+    return fn(coords[None])[0] if coords.ndim == 1 else fn(coords)
 
 
 @dataclass(frozen=True)
@@ -142,11 +149,11 @@ class RayChart:
 def _move_states(transform, states):
     """The first 4-block of each row through the map, every other one by its Jacobian."""
     states = np.asarray(states, dtype=float)
-    n = len(states)
+    n, width = states.shape
     pos, lam = transform(states[:, :4])
-    out = states.reshape(n, -1, 4) @ lam.transpose(0, 2, 1)
+    out = states.reshape(n, width // 4, 4) @ lam.transpose(0, 2, 1)
     out[:, 0] = pos
-    return out.reshape(n, -1)
+    return out.reshape(n, width)
 
 
 @dataclass(frozen=True)
@@ -161,18 +168,16 @@ class CurvatureSample:
 def minkowski(c=1.0) -> Chart:
     """Flat spacetime in standard coordinates (ct, y1, y2, y3)."""
 
-    def metric_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        out = np.empty(coords.shape[:-1] + (4, 4))
+    def metric_fn(pts):
+        out = np.empty((len(pts), 4, 4))
         out[...] = ETA
         return out
 
-    def domain_fn(coords):
-        coords = np.asarray(coords)
-        return np.all(np.isfinite(coords), axis=-1)
+    def domain_fn(pts):
+        return np.all(np.isfinite(pts), axis=-1)
 
-    def frame_fn(coords):
-        return np.eye(4)
+    def frame_fn(pts):
+        return np.tile(np.eye(4), (len(pts), 1, 1))
 
     return Chart(
         name="minkowski",
@@ -180,11 +185,11 @@ def minkowski(c=1.0) -> Chart:
         metric_fn=metric_fn,
         domain_fn=domain_fn,
         reference_frame_fn=frame_fn,
-        christoffel_fn=lambda coords: np.zeros(np.asarray(coords).shape[:-1] + (4, 4, 4)),
+        christoffel_fn=lambda pts: np.zeros((len(pts), 4, 4, 4)),
         boundary_fn=None,
         flat=True,
         params={"c": float(c)},
-        christoffel_deriv_fn=lambda coords: np.zeros(np.asarray(coords).shape[:-1] + (4,) * 4),
+        christoffel_deriv_fn=lambda pts: np.zeros((len(pts), 4, 4, 4, 4)),
     )
 
 
@@ -194,22 +199,16 @@ def _exterior(radius):
     Shared by the charts whose coordinates 1 and 2 are r and theta.
     """
 
-    def domain_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        pts = np.atleast_2d(coords)
-        ok = (
+    def domain_fn(pts):
+        return (
             np.all(np.isfinite(pts), axis=-1)
             & (pts[:, 1] > radius)
             & (pts[:, 2] > 0.0)
             & (pts[:, 2] < np.pi)
         )
-        return ok[0] if coords.ndim == 1 else ok
 
-    def boundary_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        pts = np.atleast_2d(coords)
-        d = np.minimum(pts[:, 1] - radius, np.minimum(pts[:, 2], np.pi - pts[:, 2]))
-        return d[0] if coords.ndim == 1 else d
+    def boundary_fn(pts):
+        return np.minimum(pts[:, 1] - radius, np.minimum(pts[:, 2], np.pi - pts[:, 2]))
 
     return domain_fn, boundary_fn
 
@@ -228,34 +227,25 @@ def schwarzschild(radius, c=1.0) -> Chart:
         raise InvalidInputError("Schwarzschild radius must be positive")
     domain_fn, boundary_fn = _exterior(radius)
 
-    def metric_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
-        pts = np.atleast_2d(coords)
+    def metric_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
         f = 1.0 - radius / r
-        g = np.zeros((pts.shape[0], 4, 4))
+        g = np.zeros((len(pts), 4, 4))
         g[:, 0, 0] = f
         g[:, 1, 1] = -1.0 / f
         g[:, 2, 2] = -(r**2)
         g[:, 3, 3] = -(r**2) * np.sin(th) ** 2
-        return g[0] if single else g
+        return g
 
-    def frame_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        r, th = coords[1], coords[2]
-        f = 1.0 - radius / r
-        return np.diag([f**-0.5, f**0.5, 1.0 / r, 1.0 / (r * np.sin(th))])
+    def frame_fn(pts):
+        return _static_frame(radius, pts)
 
-    def christoffel_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
-        pts = np.atleast_2d(coords)
+    def christoffel_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
         f = 1.0 - radius / r
         fp = radius / r**2  # df/dr
         sin, cos = np.sin(th), np.cos(th)
-        gam = np.zeros((pts.shape[0], 4, 4, 4))
+        gam = np.zeros((len(pts), 4, 4, 4))
         # a value and its negative share one evaluation: -a / b == -(a / b)
         # and (-a) * b == -(a * b) in floating point
         ratio, minus_fr, inv_r = fp / (2.0 * f), -f * r, 1.0 / r
@@ -267,19 +257,16 @@ def schwarzschild(radius, c=1.0) -> Chart:
         gam[:, 2, 1, 2] = gam[:, 2, 2, 1] = gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = inv_r
         gam[:, 2, 3, 3] = -sin * cos
         gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
-        return gam[0] if single else gam
+        return gam
 
-    def christoffel_deriv_fn(coords):
+    def christoffel_deriv_fn(pts):
         # only d_r (m = 1) and d_theta (m = 2) are nonzero
-        coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
-        pts = np.atleast_2d(coords)
         r, th = pts[:, 1], pts[:, 2]
         f = 1.0 - radius / r
         fp = radius / r**2  # df/dr
         fpp = -2.0 * radius / r**3
         sin, cos = np.sin(th), np.cos(th)
-        dgam = np.zeros((pts.shape[0], 4, 4, 4, 4))
+        dgam = np.zeros((len(pts), 4, 4, 4, 4))
         d_ratio = (fpp * f - fp**2) / (2.0 * f**2)  # d/dr of fp / (2 f)
         fp2, sin2, minus = fp**2, sin**2, -(fp * r + f)
         dgam[:, 0, 0, 1, 1] = dgam[:, 0, 1, 0, 1] = d_ratio
@@ -292,7 +279,7 @@ def schwarzschild(radius, c=1.0) -> Chart:
         dgam[:, 3, 1, 3, 1] = dgam[:, 3, 3, 1, 1] = dgam[:, 2, 1, 2, 1]
         dgam[:, 2, 3, 3, 2] = sin2 - cos**2
         dgam[:, 3, 2, 3, 2] = dgam[:, 3, 3, 2, 2] = -1.0 / sin2
-        return dgam[0] if single else dgam
+        return dgam
 
     return Chart(
         name="schwarzschild",
@@ -307,6 +294,16 @@ def schwarzschild(radius, c=1.0) -> Chart:
         christoffel_deriv_fn=christoffel_deriv_fn,
         ray_chart=_eddington_finkelstein_rays(radius, c),
     )
+
+
+def _static_frame(radius, pts):
+    """The static observers' orthonormal frame diag(f^-1/2, f^1/2, 1/r, 1/(r sin theta))."""
+    r, th = pts[:, 1], pts[:, 2]
+    f = 1.0 - radius / r
+    m = np.zeros((len(pts), 4, 4))
+    m[:, 0, 0], m[:, 1, 1] = f**-0.5, f**0.5
+    m[:, 2, 2], m[:, 3, 3] = 1.0 / r, 1.0 / (r * np.sin(th))
+    return m
 
 
 def _eddington_finkelstein_rays(radius, c):
@@ -346,37 +343,28 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         raise InvalidInputError("Schwarzschild radius must be positive")
     domain_fn, boundary_fn = _exterior(radius)
 
-    def metric_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
-        pts = np.atleast_2d(coords)
+    def metric_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
-        g = np.zeros((pts.shape[0], 4, 4))
+        g = np.zeros((len(pts), 4, 4))
         g[:, 0, 0] = 1.0 - radius / r
         g[:, 0, 1] = g[:, 1, 0] = 1.0
         g[:, 2, 2] = -(r**2)
         g[:, 3, 3] = -(r**2) * np.sin(th) ** 2
-        return g[0] if single else g
+        return g
 
-    def frame_fn(coords):
+    def frame_fn(pts):
         # Schwarzschild's static frame, pushed forward: e_1 = f^1/2 (d_r - d_u / f)
-        coords = np.asarray(coords, dtype=float)
-        r, th = coords[1], coords[2]
-        f = 1.0 - radius / r
-        m = np.diag([f**-0.5, f**0.5, 1.0 / r, 1.0 / (r * np.sin(th))])
-        m[0, 1] = -(f**-0.5)
+        m = _static_frame(radius, pts)
+        m[:, 0, 1] = -m[:, 0, 0]
         return m
 
-    def christoffel_fn(coords):
-        coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
-        pts = np.atleast_2d(coords)
+    def christoffel_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
         f = 1.0 - radius / r
         half_fp = radius / (2.0 * r**2)  # df/dr / 2
         sin, cos = np.sin(th), np.cos(th)
         sin2, fr = sin**2, f * r
-        gam = np.zeros((pts.shape[0], 4, 4, 4))
+        gam = np.zeros((len(pts), 4, 4, 4))
         gam[:, 0, 0, 0] = -half_fp
         gam[:, 0, 2, 2] = r
         gam[:, 0, 3, 3] = r * sin2
@@ -387,18 +375,15 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         gam[:, 2, 1, 2] = gam[:, 2, 2, 1] = gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = 1.0 / r
         gam[:, 2, 3, 3] = -sin * cos
         gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
-        return gam[0] if single else gam
+        return gam
 
-    def christoffel_deriv_fn(coords):
+    def christoffel_deriv_fn(pts):
         # only d_r (m = 1) and d_theta (m = 2) are nonzero
-        coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
-        pts = np.atleast_2d(coords)
         r, th = pts[:, 1], pts[:, 2]
         f = 1.0 - radius / r
         sin, cos = np.sin(th), np.cos(th)
         sin2, sin_cos, r3 = sin**2, sin * cos, r**3
-        dgam = np.zeros((pts.shape[0], 4, 4, 4, 4))
+        dgam = np.zeros((len(pts), 4, 4, 4, 4))
         dgam[:, 0, 0, 0, 1] = radius / r3
         dgam[:, 0, 2, 2, 1] = 1.0
         dgam[:, 0, 3, 3, 1] = sin2
@@ -412,7 +397,7 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         dgam[:, 3, 1, 3, 1] = dgam[:, 3, 3, 1, 1] = dgam[:, 2, 1, 2, 1]
         dgam[:, 2, 3, 3, 2] = sin2 - cos**2
         dgam[:, 3, 2, 3, 2] = dgam[:, 3, 3, 2, 2] = -1.0 / sin2
-        return dgam[0] if single else dgam
+        return dgam
 
     return Chart(
         name="eddington-finkelstein",

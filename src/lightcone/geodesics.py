@@ -34,11 +34,12 @@ ray's end state.
 On a flat chart a ray is exact and takes no steps: it is (x + s v, v),
 and each Jacobi column (J + s W, W).
 
-Every curved ray runs one right-hand side, _ray_rhs: a stack of rays,
-each with n_jac Jacobi columns.  integrate_geodesic (n_jac = 0),
-integrate_jacobi (1), detect_conjugate (4) and integrate_batch (any) all
-go through _rays; parallel_transport runs its own (different) equation
-through the same stepper.
+Two right-hand sides run through that stepper.  _ray_rhs, a stack of
+rays with n_jac Jacobi columns each, serves integrate_batch and the
+single-ray solves, which go through one entry, _ray, that checks the
+start event and makes one _rays run.  _transport_rhs, a position with
+Fermi-Walker-transported columns, serves parallel_transport and the
+observers' worldlines and frames.
 
 A Jacobi column is integrated as the coordinate variation (dx, dv) of the
 ray, whose variational equation needs the connection and its first
@@ -127,7 +128,6 @@ class DenseSolution:
         self.y1 = np.asarray(y1, dtype=float)
         self.steps = int(steps)
         self.clipped = bool(clipped)
-        self.n_state = int(y_old.shape[1])
         # the step holding s, as scipy's OdeSolution picks it: searchsorted
         # on the inner step ends, counted from the end when running backward
         self._backward = self.s1 < self.s0
@@ -144,7 +144,7 @@ class DenseSolution:
         return np.minimum(np.maximum(s, lo), hi)
 
     def state(self, s):
-        """(n_state,) for scalar s, (n_state, len(s)) for a 1-D array."""
+        """(width,) for scalar s, (width, len(s)) for a 1-D array."""
         s = self._clipped(s)
         if s.ndim == 0:
             return self._rows(s.reshape(1))[0]
@@ -161,7 +161,7 @@ class DenseSolution:
 
 class GeodesicSolution(DenseSolution):
     def position(self, s):
-        st = self.state(s)  # (n_state,) scalar s, (n_state, len(s)) array s
+        st = self.state(s)  # (width,) scalar s, (width, len(s)) array s
         return st[:4] if st.ndim == 1 else st[:4].T
 
     def velocity(self, s):
@@ -170,14 +170,14 @@ class GeodesicSolution(DenseSolution):
 
 
 class TransportSolution(DenseSolution):
-    """Vector (or stacked vectors) carried along a stored path."""
+    """A vector parallel transported along a stored geodesic; the state is (kappa, kappa', v)."""
 
     def __init__(self, ts, h, q, y_old, y1, steps, clipped, along):
         super().__init__(ts, h, q, y_old, y1, steps, clipped)
         self.along = along
 
     def vector(self, s):
-        return self.state(s)[:4]
+        return self.state(s)[8:12]
 
 
 class JacobiSolution(DenseSolution):
@@ -532,7 +532,33 @@ def _ray_rhs(chart: Chart, n_jac: int):
             ], axis=-1)[:, :, 0]
             cols = m[:, 1:]
             out[:, 1:, 1] = -np.matmul(cols.reshape(n, n_jac, 8), coef.transpose(0, 2, 1))
-        return out.reshape(n, -1)
+        return out.reshape(y.shape)
+
+    return rhs
+
+
+def _transport_rhs(chart: Chart, k, reading=None):
+    """Right-hand side for a position with k Fermi-Walker-transported columns.
+
+    The state holds (n, 4 + 4k) rows: the position x, then the columns
+    M = [M_0, ..., M_{k-1}], M_0 being the tangent x':
+        x' = M_0,   M' = -Gamma(M_0, M) + (A g(M_0, M) - M_0 g(A, M)) / c^2,
+    with the acceleration A = [M_1 ... M_{k-1}] reading(s), (n, k - 1) at
+    (n,) s; without a reading A = 0, and x is a geodesic along which M is
+    parallel transported.
+    """
+    c = chart.c
+
+    def rhs(s, y):
+        n = len(y)
+        pos, m = y[:, :4], y[:, 4:].reshape(n, k, 4).transpose(0, 2, 1)
+        vel = m[:, :, 0]
+        comps = np.zeros((n, k - 1)) if reading is None else reading(s)
+        acc = m[:, :, 1:] @ comps[:, :, None]
+        g = chart.metric(pos)
+        dm = acc * (vel[:, None] @ g @ m) - vel[:, :, None] * (acc.transpose(0, 2, 1) @ g @ m)
+        dm = dm / c**2 - np.einsum("nkij,ni,njm->nkm", chart.christoffels(pos), vel, m)
+        return np.concatenate([vel, dm.transpose(0, 2, 1).reshape(n, 4 * k)], axis=1)
 
     return rhs
 
@@ -585,13 +611,46 @@ def _rays(chart: Chart, y0, s_end, stop_at_exit=True, dense=False):
     return _dopri(_ray_rhs(chart, n_jac), y0, s_end, event, dense)
 
 
-def _single(chart, run, s_end, cls, *extra):
-    """Row 0 of a dense run as a cls solution; a failed or empty ray raises."""
+def _ray(chart: Chart, ivp: GeodesicIVP, s_end, columns=None, stop_at_exit=True, dense=True):
+    """The one single-ray solve: check the start, then one _rays run.
+
+    The start event must be the chart's, inside its domain and more than
+    1e-12 max(1, R) from its boundary.  columns, given the metric there,
+    lists the Jacobi columns' J(0), W(0), ...; they run as (dx, dv).
+    """
+    q0, chart_id = ivp.start.coords, ivp.start.chart_id
+    if chart_id != chart.name:
+        raise InvalidInputError(f"event belongs to chart {chart_id!r}, not {chart.name!r}")
+    if not chart.contains(q0):
+        raise OutOfChartError(f"start {q0} outside {chart.name} domain")
+    bd = chart.boundary_distance(q0)
+    if bd is not None and bd <= 1e-12 * max(1.0, abs(chart.params.get("R", 1.0))):
+        raise EmptySolutionError("start point touches the chart boundary")
+    cols = columns(chart.metric(q0)) if columns else []
+    y0 = _convert_columns(chart, np.concatenate([q0, ivp.velocity, *cols])[None, :], -1)
+    return _rays(chart, y0, s_end, stop_at_exit, dense)
+
+
+def _ended(chart, run, s_end):
+    """Raise if the ray of a one-ray run failed, or left the chart at once."""
     if run.outcome[0] == FAILED:
         raise IntegrationError(f"integrator failed on {chart.name}: {run.reasons[0]}")
     if run.outcome[0] == CLIPPED and abs(run.s1[0]) <= 1e-14 * max(1.0, abs(s_end)):
         raise EmptySolutionError("trajectory leaves the chart domain immediately")
+
+
+def _single(chart, run, s_end, cls, *extra):
+    """Row 0 of a dense run as a cls solution; a failed or empty ray raises."""
+    _ended(chart, run, s_end)
     return cls(*run.segments[0], run.steps[0], run.outcome[0] == CLIPPED, *extra)
+
+
+def _landed_end(chart, run):
+    """The end state at s = 1 of a one-ray run; a ray that does not land raises."""
+    _ended(chart, run, 1.0)
+    if run.outcome[0] == CLIPPED:
+        raise NotInExpDomainError(f"geodesic leaves {chart.name} at parameter {run.s1[0]:.6g} < 1")
+    return run.y[0]
 
 
 def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end) -> GeodesicSolution:
@@ -601,49 +660,31 @@ def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end) -> GeodesicSolutio
     with adaptive step control.  If the trajectory exits the chart the
     partial solution up to the boundary is returned with clipped=True.
     """
-    if ivp.start.chart_id != chart.name:
-        raise InvalidInputError(f"event belongs to chart {ivp.start.chart_id!r}, not {chart.name!r}")
-    q0 = ivp.start.coords
-    if not chart.contains(q0):
-        raise OutOfChartError(f"start {q0} outside {chart.name} domain")
-    bd = chart.boundary_distance(q0)
-    if bd is not None and bd <= 1e-12 * max(1.0, abs(chart.params.get("R", 1.0))):
-        raise EmptySolutionError("start point touches the chart boundary")
-
-    y0 = np.concatenate([q0, ivp.velocity])[None, :]
-    run = _rays(chart, y0, s_end, dense=True)
-    return _single(chart, run, s_end, GeodesicSolution)
+    return _single(chart, _ray(chart, ivp, s_end), s_end, GeodesicSolution)
 
 
 def exp_map(chart: Chart, q: Event, tangent) -> Event:
     """Endpoint of the geodesic with initial velocity `tangent` at unit parameter."""
-    sol = integrate_geodesic(chart, GeodesicIVP(q, tangent), 1.0)
-    if sol.clipped:
-        raise NotInExpDomainError(
-            f"geodesic leaves {chart.name} at parameter {sol.s1:.6g} < 1"
-        )
-    return Event(chart.name, sol.position(1.0))
+    run = _ray(chart, GeodesicIVP(q, tangent), 1.0, dense=False)
+    return Event(chart.name, _landed_end(chart, run)[:4])
 
 
 def parallel_transport(chart: Chart, along: GeodesicSolution, v0) -> TransportSolution:
-    """Transport v0 along the stored path: v'^k + Gamma^k_ij kappa'^i v^j = 0.
+    """Transport v0 along the stored geodesic: v'^k + Gamma^k_ij kappa'^i v^j = 0.
 
-    The path's stored velocity is reused instead of re-differentiating the
-    position interpolant.  On a flat chart v stays v0 exactly.
+    The geodesic is integrated again together with v, from its stored
+    initial data to its end parameter, by the transport equation with the
+    columns (kappa', v) and no acceleration (_transport_rhs).  The stored
+    solution is kept as `along`.  On a flat chart v stays v0 exactly.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (4,) or not np.all(np.isfinite(v0)):
         raise InvalidInputError("transported vector must be 4 finite reals")
-
+    y0 = np.concatenate([along.position(0.0), along.velocity(0.0), v0])[None, :]
     if chart.flat or along.s1 == 0.0:
-        run = _linear_run(v0[None, :], np.zeros((1, 4)), along.s1, dense=True)
+        run = _linear_run(y0, np.pad(y0[:, 4:8], ((0, 0), (0, 8))), along.s1, dense=True)
     else:
-        def rhs(s, v):
-            state = along.state(s).T  # (m, 8) at each row's own s
-            gam = chart.christoffels(state[:, :4])
-            return -np.einsum("nkij,ni,nj->nk", gam, state[:, 4:8], v)
-
-        run = _dopri(rhs, v0[None, :], along.s1, dense=True)
+        run = _dopri(_transport_rhs(chart, 2), y0, along.s1, dense=True)
     return _single(chart, run, along.s1, TransportSolution, along)
 
 
@@ -655,10 +696,8 @@ def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0) -> Jacob
     column: j0 = J(0) and dj0 = W(0), the covariant derivative of J.  The
     stored solution is kept as `along`.
     """
-    y0 = np.concatenate([geodesic.position(0.0), geodesic.velocity(0.0),
-                         np.asarray(j0, dtype=float), np.asarray(dj0, dtype=float)])
-    y0 = _convert_columns(chart, y0[None, :], -1)
-    run = _rays(chart, y0, geodesic.s1, stop_at_exit=False, dense=True)
+    ivp = GeodesicIVP(Event(chart.name, geodesic.position(0.0)), geodesic.velocity(0.0))
+    run = _ray(chart, ivp, geodesic.s1, lambda g0: [j0, dj0], stop_at_exit=False)
     return _single(chart, run, geodesic.s1, JacobiSolution, geodesic, chart)
 
 
@@ -667,14 +706,11 @@ def exp_differential(chart: Chart, q: Event, tangent, base_dir, fiber_dir) -> np
 
     Returns J(1) for the Jacobi field along s -> exp(s*tangent) whose
     initial value is the base-point direction and whose initial covariant
-    derivative is the fiber direction; linear in both.
+    derivative is the fiber direction; linear in both.  A ray that does not
+    reach s = 1 raises NotInExpDomainError, as exp_map does.
     """
-    exp_map(chart, q, tangent)  # validates reachability
-    y0 = np.concatenate([
-        q.coords, np.asarray(tangent, dtype=float),
-        np.asarray(base_dir, dtype=float), np.asarray(fiber_dir, dtype=float),
-    ])[None, :]
-    return integrate_batch(chart, y0, n_jac=1)[0].ends[0, 8:12]
+    run = _ray(chart, GeodesicIVP(q, tangent), 1.0, lambda g0: [base_dir, fiber_dir], dense=False)
+    return _landed_end(chart, run)[8:12]  # J = dx
 
 
 @dataclass(frozen=True)
@@ -717,16 +753,16 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n) -> Conjugat
     detector, not a proof, so an empty result only means none found at
     this resolution.
     """
-    tangent = np.asarray(tangent, dtype=float)
-    g0 = chart.metric(q.coords)
-    dirs = _orthogonal_triple(g0, tangent)
-    n0 = np.zeros(4)
-    n0[int(np.argmax(np.abs(g0 @ tangent)))] = 1.0
+    ivp = GeodesicIVP(q, tangent)
 
-    y0 = np.concatenate([q.coords, tangent, n0, np.zeros(4)]
-                        + [np.concatenate([np.zeros(4), d]) for d in dirs])
-    y0 = _convert_columns(chart, y0[None, :], -1)  # transversal: dv(0) = -Gamma(K, N)
-    sol = _single(chart, _rays(chart, y0, s_max, dense=True), s_max, DenseSolution)
+    def columns(g0):
+        # the transversal N with W(0) = 0, then J(0) = 0 with W(0) along each direction
+        n0 = np.zeros(4)
+        n0[int(np.argmax(np.abs(g0 @ ivp.velocity)))] = 1.0
+        return [n0, np.zeros(4)] + [v for d in _orthogonal_triple(g0, ivp.velocity)
+                                    for v in (np.zeros(4), d)]
+
+    sol = _single(chart, _ray(chart, ivp, s_max, columns), s_max, DenseSolution)
     s1 = sol.s1
 
     if grid_n < 2:

@@ -10,7 +10,9 @@ fw_basis(tau), made the way the curve itself is made:
   flat inertial            the constant orthonormal completion of gamma'/c;
   uniformly accelerated    the boost frame, in closed form;
   curved inertial and      one coupled integration of the worldline and the
-  programmed               frame from tau = 0 (_integrated_curve; the
+  programmed               frame from tau = 0 (_integrated_curve) by
+                           geodesics' transport equation, the one that
+                           geodesics.parallel_transport also runs (the
                            inertial observer is the programmed system with
                            no program), on geodesics' stepper at
                            geodesics.REL_TOL and ABS_TOL.
@@ -39,7 +41,7 @@ from .charts import Chart, metric_at, minkowski
 from .errors import CausalDomainError, IntegrationError, InvalidInputError, OutOfChartError
 from .lorentz import (ETA, Event, Frame4, causal_character, CausalCharacter, gram_matrix,
                       projectors)
-from .geodesics import CLIPPED, FAILED, DenseSolution, _dopri, _exit_event
+from .geodesics import CLIPPED, FAILED, DenseSolution, _dopri, _exit_event, _transport_rhs
 
 
 def _over_taus(fn, tau, interval, what):
@@ -94,9 +96,6 @@ class ObserverCurve:
         """Its Fermi-Walker basis: orthonormal frames, column 0 = gamma'/c."""
         return _over_taus(self.fw_basis_fn, tau, self.interval, "observer interval")
 
-    def event(self, tau) -> Event:
-        return Event(self.chart.name, self.position(tau))
-
 
 @dataclass(frozen=True)
 class FrameField:
@@ -128,9 +127,6 @@ class FrameField:
 
     def cov_deriv(self, tau):
         return _over_taus(self.cov_deriv_fn, tau, self.interval, "frame interval")
-
-    def frame(self, tau) -> Frame4:
-        return Frame4(self.curve.event(tau), self.matrix(tau))
 
 
 def normalize_observer_velocity(chart: Chart, coords, u0):
@@ -242,11 +238,9 @@ def _integrated_curve(chart: Chart, q0: Event, m0, program, interval, kind) -> O
     """Worldline and Fermi-Walker basis from one integration, from tau = 0.
 
     The state is the position and the four columns M = [gamma', spatial
-    frame columns], all Fermi-Walker transported,
-        x' = gamma',   M' = -Gamma(gamma', M) + (A g(gamma', M) - gamma' g(A, M)) / c^2,
-    with the acceleration A = M[:, 1:] program(tau), which is zero without
-    a program (then gamma' is a geodesic and M is parallel transported).
-    m0 is M at q0.
+    frame columns] of geodesics' transport equation (_transport_rhs), with
+    the acceleration A = M[:, 1:] program(tau); without a program gamma' is
+    a geodesic and M is parallel transported.  m0 is M at q0.
     """
     if q0.chart_id != chart.name:
         raise InvalidInputError(f"event belongs to chart {q0.chart_id!r}, not {chart.name!r}")
@@ -254,19 +248,9 @@ def _integrated_curve(chart: Chart, q0: Event, m0, program, interval, kind) -> O
     y0 = np.concatenate([q0.coords, np.asarray(m0, dtype=float).T.ravel()])
 
     def reading(taus):
-        if program is None:
-            return np.zeros((len(taus), 3))
         return np.array([program(tau) for tau in taus], dtype=float).reshape(len(taus), 3)
 
-    def rhs(s, y):
-        pos, m = y[:, :4], y[:, 4:].reshape(-1, 4, 4).transpose(0, 2, 1)
-        vel = m[:, :, 0]
-        acc = m[:, :, 1:] @ reading(s)[:, :, None]
-        g = chart.metric(pos)
-        dm = acc * (vel[:, None] @ g @ m) - vel[:, :, None] * (acc.transpose(0, 2, 1) @ g @ m)
-        dm = dm / c**2 - np.einsum("nkij,ni,njm->nkm", chart.christoffels(pos), vel, m)
-        return np.concatenate([vel, dm.transpose(0, 2, 1).reshape(-1, 16)], axis=1)
-
+    rhs = _transport_rhs(chart, 4, reading if program is not None else None)
     state = _two_sided(chart, rhs, y0, float(interval[0]), float(interval[1]))
 
     def frames(taus):

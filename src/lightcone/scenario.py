@@ -212,7 +212,6 @@ class Scenario:
             n_tau=self.get("invert.n_tau", 9, kind=int),
             n_x=self.get("invert.n_x", 9, kind=int),
             top_k=self.get("invert.top_k", 16, kind=int),
-            max_iter=self.get("invert.max_newton", 50, kind=int),
             inv_tol=self.get("tol.inv", 1e-10),
             merge_tol=self.get("tol.merge", 1e-6),
             cond_max=self.get("tol.cond_max", 1e8),

@@ -137,7 +137,6 @@ class MultistartConfig:
     n_tau: int = 9
     n_x: int = 9
     top_k: int = 16
-    max_iter: int = 50
     inv_tol: float = 1e-10
     merge_tol: float = 1e-6
     cond_max: float = 1e8
@@ -322,6 +321,8 @@ def observer_map_jacobian(chart: Chart, frames: FrameField, p: ObservedEvent) ->
 # -- inversion ---------------------------------------------------------------
 
 _CHUNK = 512  # targets per Newton batch in invert_many
+_MAX_NEWTON = 50  # Newton iterations of a member before it is given up
+_MAX_HALVINGS = 25  # step halvings within one iteration before a member is dropped
 
 
 def _start_grid(cfg: MultistartConfig):
@@ -349,8 +350,9 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
     residual_norm, converged mask, images, jacobians), the last two at the
     returned states (NaN rows where a state was never admissible or its ray
     did not land); members that leave the admissible region, whose ray
-    does not land, or that find no acceptable step in 25 halvings are
-    dropped from the active set.
+    does not land, or that find no acceptable step in _MAX_HALVINGS
+    halvings are dropped from the active set, and none runs more than
+    _MAX_NEWTON iterations.
 
     The full step dxi solves J dxi = -r in (c tau, x).  A trial point
     xi + lam dxi is accepted, halving lam from 1, by the natural
@@ -392,10 +394,10 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
     converged = rnorm <= cfg.inv_tol * scale
     active = active[~converged[active] & np.isfinite(rnorm[active])]
 
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_NEWTON):
         if len(active) == 0:
             break
-        jac = jacs[active]
+        jac = jacs[active]  # this step's J, kept while accepted trials overwrite jacs
         # solve J dxi = -r in (c tau, x) variables
         ok = np.abs(np.linalg.det(jac)) > 1e-300
         steps = np.zeros((len(active), 4))
@@ -406,16 +408,12 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
 
         lam = np.ones(len(active))
         improved = np.zeros(len(active), dtype=bool)
-        trial_states = states[active].copy()
-        trial_images = images[active].copy()
-        trial_jacs = jac.copy()
-        for _halve in range(25):
-            todo = ~improved & ok
-            if not np.any(todo):
+        for _halve in range(_MAX_HALVINGS):
+            rows = np.flatnonzero(~improved & ok)
+            if len(rows) == 0:
                 break
-            cand = states[active][todo] + lam[todo, None] * steps[todo]
+            cand = states[active[rows]] + lam[rows, None] * steps[rows]
             cand_ok = admissible(cand)
-            rows = np.flatnonzero(todo)
             if np.any(cand_ok):
                 sub = rows[cand_ok]
                 ev, jj = _eval_batch(chart, frames, cand[cand_ok], True)
@@ -424,20 +422,15 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
                 # through this step's Jacobian is shorter than the full step
                 z = np.linalg.solve(jac[sub], rr[:, :, None])[:, :, 0]
                 better = np.linalg.norm(z, axis=1) < step_norm[sub]
-                good = sub[better]
-                trial_states[good] = cand[cand_ok][better]
-                trial_images[good] = ev[better]
-                trial_jacs[good] = jj[better]
-                improved[good] = True
+                good = active[sub[better]]  # accepted: written straight back
+                states[good], images[good] = cand[cand_ok][better], ev[better]
+                jacs[good] = jj[better]
+                improved[sub[better]] = True
             lam[~improved] *= 0.5
 
         if not np.any(improved):
             break
-        keep = np.flatnonzero(improved)
-        moved = active[keep]
-        states[moved] = trial_states[keep]
-        images[moved] = trial_images[keep]
-        jacs[moved] = trial_jacs[keep]
+        moved = active[improved]
         resid[moved] = images[moved] - targets[moved]
         rnorm = np.linalg.norm(resid, axis=1)
         converged = rnorm <= cfg.inv_tol * scale

@@ -307,3 +307,28 @@ def test_ray_chart_pulls_back_the_metric(sw):
         validate_metric(g)
         frame = sw.ray_chart.chart.reference_frame(p)  # orthonormal in the ray chart
         assert np.max(np.abs(frame.T @ g @ frame - ETA)) <= 1e-12
+
+
+EVALUATORS = ("metric", "contains", "reference_frame", "christoffels", "christoffel_derivs",
+              "boundary_distance")
+
+
+@pytest.mark.parametrize("chart", [minkowski(), schwarzschild(1.0), eddington_finkelstein(1.0)],
+                         ids=lambda ch: ch.name)
+def test_each_row_of_a_batch_is_the_point_call(chart):
+    # every evaluator takes (4,) or (n, 4); row i of a batch has the bits
+    # of the call at point i, for two rows as for many
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 7):
+        pts = np.column_stack([rng.normal(size=n), rng.uniform(1.5, 30.0, n),
+                               rng.uniform(0.2, 2.9, n), rng.uniform(-4.0, 4.0, n)])
+        for name in EVALUATORS:
+            batch = getattr(chart, name)(pts)
+            if batch is None:  # a chart without a boundary
+                assert name == "boundary_distance" and chart.boundary_fn is None
+                continue
+            assert len(batch) == n
+            for p, row in zip(pts, batch):
+                one = getattr(chart, name)(p)
+                assert np.shape(one) == np.shape(row)
+                assert np.array_equal(one, row)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from lightcone import geodesics
 from lightcone.charts import metric_at, minkowski, schwarzschild
 from lightcone.errors import (
     EmptySolutionError,
@@ -117,6 +118,15 @@ class TestExpMap:
         k = 20.0 * np.array([1.0 / f, -1.0, 0.0, 0.0])
         with pytest.raises(NotInExpDomainError):
             exp_map(SW, sw_event(), k)
+
+    @pytest.mark.parametrize("chart,q,k", [
+        (MK, ORIGIN, np.array([-2.0, 1.0, 1.0, 0.0])),
+        (SW, sw_event(), np.array([-1.1, -0.9, 0.0, 0.02])),
+    ])
+    def test_endpoint_is_the_geodesics(self, chart, q, k):
+        # without dense output the end state is the dense run's, bit for bit
+        sol = integrate_geodesic(chart, GeodesicIVP(q, k), 1.0)
+        assert np.array_equal(exp_map(chart, q, k).coords, sol.position(1.0))
 
 
 class TestParallelTransport:
@@ -235,6 +245,20 @@ class TestExpDifferential:
         out = exp_differential(SW, q, k, k, np.zeros(4))
         assert np.max(np.abs(out - sol.velocity(1.0))) <= 1e-8
 
+    def test_one_ray_run(self, monkeypatch):
+        # the ray and its Jacobi column run once; no separate run checks the endpoint
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return rays(*args, **kwargs)
+
+        rays = geodesics._rays
+        monkeypatch.setattr(geodesics, "_rays", counted)
+        exp_differential(SW, sw_event(), np.array([-1.1, -0.9, 0.0, 0.02]), np.zeros(4),
+                         np.array([0.1, -0.2, 0.05, 0.3]))
+        assert len(runs) == 1
+
     def test_linearity(self):
         q, k = sw_event(), np.array([-1.1, -0.9, 0.0, 0.02])
         rng = np.random.default_rng(8)
@@ -257,6 +281,15 @@ class TestConjugateDetection:
         scan = detect_conjugate(MK, ORIGIN, np.array([-1.0, 0.6, 0.5, 0.0]), 10.0, 1)
         assert scan.values == ()
         assert scan.low_resolution
+
+    def test_start_on_another_chart_rejected(self):
+        with pytest.raises(InvalidInputError):
+            detect_conjugate(SW, ORIGIN, np.array([-1.0, 0.6, 0.5, 0.0]), 10.0, 50)
+
+    def test_start_inside_the_horizon_rejected(self):
+        k = np.array([-1.0, 0.3, 0.0, 0.0])
+        with pytest.raises(OutOfChartError):
+            detect_conjugate(SW, sw_event(0.5), k, 10.0, 50)
 
     def test_near_photon_sphere_caustic_stable(self):
         # null ray with impact parameter slightly above critical: it winds

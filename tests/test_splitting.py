@@ -819,6 +819,22 @@ def faller():
 HOLE_POINT = np.array([[0.0, -12.5, 0.0, 0.0]])  # the seen ray runs into the horizon margin
 
 
+@pytest.mark.parametrize("preset", ["schwarzschild_faller", "minkowski_inertial"])
+def test_an_empty_batch_gives_empty_results(preset):
+    # the faller's rays go through its ray chart; no points are no rays there too
+    scn = load_scenario(SCN_DIR / f"{preset}.scn")
+    chart = scn.build_chart()
+    frames = scn.build_frames(chart, scn.build_observer(chart))
+    none = np.empty((0, 4))
+    rays = splitting.observer_rays(chart, frames, none)
+    assert rays.states.shape == (0, 8)
+    assert rays.s1.shape == rays.outcome.shape == (0,) and rays.reasons == []
+    events, jacs = splitting._eval_batch(chart, frames, none, True)
+    assert events.shape == (0, 4) and jacs.shape == (0, 4, 4)
+    events, jacs = splitting._eval_batch(chart, frames, none, False)
+    assert events.shape == (0, 4) and jacs is None
+
+
 def _rel(a, b):
     """Each row's largest deviation, relative to max(1, its largest entry)."""
     return np.max(np.abs(a - b), axis=1) / np.maximum(1.0, np.max(np.abs(b), axis=1))
