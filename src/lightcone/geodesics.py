@@ -1,13 +1,14 @@
 """Geodesics, parallel transport, Jacobi fields and the exponential map.
 
 Every integration here runs one stepper, _dopri: the Dormand-Prince
-8(5,3) pair with scipy's DOP853 tableau, error estimator, initial step
-and step control (Hairer-Norsett-Wanner, Solving ODEs I, sec. II.10),
-over an (n, width) array of rays.  Each row is its own initial-value
-problem: it keeps its own parameter s, step size, rejected flag and
-error norm, each step evaluates only the rows still running, and no
-row's arithmetic reads another's.  So a ray gives the same bits alone
-and in any batch.
+8(5,3) pair (Hairer-Norsett-Wanner, Solving ODEs I, sec. II.10), with
+its tableau written out here, and the error estimator, initial step and
+step control of scipy's DOP853, over an (n, width) array of rays.  Each
+row is its own initial-value problem: it keeps its own parameter s,
+step size, rejected flag and error norm, each step evaluates only the
+rows still running, and no row's arithmetic reads another's.  So a ray
+gives the same bits alone and in any batch.  The module needs numpy
+only.
 
 What the tolerances mean for each ray (REL_TOL = 1e-10, ABS_TOL =
 1e-12, the one accuracy setting): every accepted step keeps that ray's
@@ -19,9 +20,10 @@ state, in the chart it is given (the splitting layer gives a model's ray
 chart, see charts.RayChart).  A ray ends in one of three outcomes:
   landed   it reached s_end; its end state is its last step's end state;
   clipped  it met its chart-exit event, a hair inside the boundary (see
-           _exit_event); the crossing is located to 4 eps by brentq on
-           that ray's own step interpolant, as scipy's ODE solvers locate events,
-           and its end state is the interpolant there;
+           _exit_event); the crossing is located to 4 eps by _brent
+           (Brent's method, as scipy's brentq runs it) on that ray's own
+           step interpolant, as scipy's ODE solvers locate events, and
+           its end state is the interpolant there;
   failed   its step size fell below 10 ulp of s, or it spent MAX_ATTEMPTS
            step attempts, accepted or rejected, without ending.
 A batch reports the outcome of each row and never raises for one ray.
@@ -53,8 +55,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .charts import Chart
 from .errors import (
@@ -232,16 +232,155 @@ class BatchSolution:
 # The stepper
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince 8(5,3): scipy's DOP853 tableau (12 stages, then f at the
-# step's end), its two error estimators, the three extra stages and the
-# matrix D of its dense output, and its step-size control
-_A, _B, _C = DOP853.A, DOP853.B, DOP853.C
-_E3, _E5, _D = DOP853.E3, DOP853.E5, DOP853.D
-_A_EXTRA, _C_EXTRA = DOP853.A_EXTRA, DOP853.C_EXTRA
+# Dormand-Prince 8(5,3) (Hairer-Norsett-Wanner, Solving ODEs I, sec. II.10):
+# 12 stages, then f at the step's end; the two error estimators E3 and E5;
+# the three extra stages and the matrix D of the 7th-order dense output;
+# and the step-size control.  Each value is the shortest repr that reads
+# back as scipy's DOP853 float64 (tests/test_geodesics.py checks them).
+
+
+def _padded(rows, width):
+    """A (len(rows), width) array whose row i starts with rows[i], zeros after."""
+    m = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        m[i, :len(row)] = row
+    return m
+
+
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+_A = _padded([
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+], 12)
+_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259])
+_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0.0])
+_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0.0])
+_D = _padded([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+], 16)
+_C_EXTRA = np.array([
+    0.1, 0.2, 0.7777777777777778])
+_A_EXTRA = _padded([
+    [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298],
+    [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987],
+], 16)
 _STAGES = len(_B)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_EXPONENT = -1 / (7 + 1)  # the error estimator's order is 7
 _EPS = np.finfo(float).eps
+
+# Brent's method as scipy's brentq runs it: a bracket is converged once its
+# half-width is below (xtol + rtol |x|) / 2, here with xtol = rtol = 4 eps;
+# after 100 iterations it raises
+_BRENT_TOL = float(4 * _EPS)
+_BRENT_ITER = 100
+
+
+def _brent(f, a, b):
+    """The zero of f in [a, b], f(a) and f(b) of opposite signs, located as scipy's brentq does.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4,
+    step for step as scipy's C brentq takes it, so it returns the same
+    float: keep the zero bracketed by [xcur, xblk] with |f(xcur)| the
+    smaller; try inverse linear interpolation (two points) or inverse
+    quadratic extrapolation (three), take that step if it is short
+    enough, else bisect; never step by less than the tolerance.
+    """
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x:f} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_BRENT_TOL + _BRENT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        good = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # inverse linear interpolation
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # where den is 0, C's quotient is infinite or NaN and fails the test
+            stry = num / den if den != 0 else np.inf
+            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        if good:  # a good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
 
 
 def _power_basis():
@@ -462,8 +601,8 @@ def _dopri(rhs, y0, s_end, event=None, dense=False):
                     ends = s_acc.copy()
                     for i, jj in enumerate(j):
                         one = tuple(a[i:i + 1] for a in crossing)
-                        ends[jj] = brentq(lambda t: event(_interpolate(*one, np.array([t])))[0],
-                                          t_old[jj], s_acc[jj], xtol=4 * _EPS, rtol=4 * _EPS)
+                        ends[jj] = _brent(lambda t: event(_interpolate(*one, np.array([t])))[0],
+                                          t_old[jj], s_acc[jj])
                         out.outcome[rows[acc[jj]]] = CLIPPED
                     y_end = y_acc.copy()
                     y_end[j] = _interpolate(*crossing, ends[j])
@@ -748,7 +887,7 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n) -> Conjugat
     zeros of det([J^N, J^1, J^2, J^3]) / s^3: the normalization removes
     the trivial triple zero at the start, and the transversal keeps the
     determinant honest when the orthogonal complement is degenerate
-    (lightlike rays).  Sign changes are refined by brentq on the dense
+    (lightlike rays).  Sign changes are refined by _brent on the dense
     output, to 4 eps as the chart-exit crossings are; the scan is a
     detector, not a proof, so an empty result only means none found at
     this resolution.
@@ -780,7 +919,7 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n) -> Conjugat
             zeros.append(grid[i])
             continue
         if vals[i] * vals[i + 1] < 0.0:
-            zeros.append(brentq(det_at, grid[i], grid[i + 1], xtol=4 * _EPS, rtol=4 * _EPS))
+            zeros.append(_brent(det_at, grid[i], grid[i + 1]))
     return ConjugateScan(tuple(zeros), False, s1)
 
 

@@ -127,8 +127,10 @@ class MultistartConfig:
     """Start grid and Newton controls for observer-map inversion.
 
     The box tau_range x (x_center +- x_halfwidth) must be finite with
-    x_halfwidth >= 0, and the grid and seed counts n_tau, n_x and top_k
-    at least 1; anything else raises InvalidInputError.
+    x_halfwidth >= 0, the grid and seed counts n_tau, n_x and top_k at
+    least 1, inv_tol finite and > 0, merge_tol finite and >= 0, and
+    cond_max > 0 (inf flags no root); anything else raises
+    InvalidInputError.
     """
 
     tau_range: tuple
@@ -147,6 +149,12 @@ class MultistartConfig:
             raise InvalidInputError("the search box must be finite, with x_halfwidth >= 0")
         if min(self.n_tau, self.n_x, self.top_k) < 1:
             raise InvalidInputError("n_tau, n_x and top_k must each be at least 1")
+        if not (np.isfinite(self.inv_tol) and self.inv_tol > 0):
+            raise InvalidInputError(f"inv_tol must be finite and > 0, not {self.inv_tol}")
+        if not (np.isfinite(self.merge_tol) and self.merge_tol >= 0):
+            raise InvalidInputError(f"merge_tol must be finite and >= 0, not {self.merge_tol}")
+        if not self.cond_max > 0:
+            raise InvalidInputError(f"cond_max must be > 0, not {self.cond_max}")
 
 
 # -- map evaluation ----------------------------------------------------------
@@ -245,8 +253,8 @@ def _trace(chart, y0, n_jac):
 def _onto_exit(chart, sol):
     """Move the clipped ends of a batch along their rays onto the exit event's zero.
 
-    brentq puts each crossing within 4 eps (1 + |s1|) of the event's zero
-    in s, and the end read off the step's interpolant is a few ulps off
+    Brent's method (geodesics._brent) puts each crossing within
+    4 eps (1 + |s1|) of the event's zero in s, and the end read off the step's interpolant is a few ulps off
     the exit surface; the map back to the model chart can multiply that
     (by 1/f, about 1e6, in Schwarzschild t at the horizon margin).  One
     Newton step along the ray's velocity, held inside that bracket, puts

@@ -1,7 +1,11 @@
 """Scenario parsing, command dispatch, output determinism, exit codes."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +241,22 @@ class TestInvert:
         rc = main(["--scenario", str(scn_file), "--out", str(tmp_path),
                    "invert", "--targets", str(targets)])
         assert rc == 2
+        assert not (tmp_path / "preimages.csv").exists()
+
+    @pytest.mark.parametrize("setting,value", [
+        ("tol.inv", "-1"), ("tol.inv", "0"), ("tol.inv", "nan"), ("tol.inv", "inf"),
+        ("tol.merge", "-1"), ("tol.merge", "nan"), ("tol.merge", "inf"),
+        ("tol.cond_max", "-1"), ("tol.cond_max", "0"), ("tol.cond_max", "nan"),
+    ])
+    def test_bad_search_tolerance_rejected(self, tmp_path, capsys, setting, value):
+        # at these values invert used to exit 0 with no, false or repeated preimages
+        field = {"tol.inv": "inv_tol", "tol.merge": "merge_tol", "tol.cond_max": "cond_max"}
+        targets = tmp_path / "targets.txt"
+        targets.write_text("-5 3 0 0\n")
+        rc = main(["--scenario", str(SCN_DIR / "minkowski_inertial.scn"), "--out", str(tmp_path),
+                   "--tol-override", f"{setting}={value}", "invert", "--targets", str(targets)])
+        assert rc == 2
+        assert field[setting] in capsys.readouterr().err
         assert not (tmp_path / "preimages.csv").exists()
 
     def test_empty_start_grid_is_a_numerical_failure(self, tmp_path):
@@ -723,3 +743,65 @@ def test_invert_with_start_rays_into_the_hole(tmp_path):
     assert np.min(np.max(np.abs(found - [tau, *x]), axis=1), initial=np.inf) <= 1e-7
     grid = splitting._start_grid(scn.build_search(curve))
     assert geodesics.CLIPPED in splitting.observer_rays(chart, frames, grid).outcome
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"no scipy here: {name}")
+
+sys.meta_path.insert(0, NoScipy())
+out, faller, sweep = sys.argv[1:4]
+
+import numpy as np
+from lightcone.charts import schwarzschild
+from lightcone.cli import main
+from lightcone.geodesics import detect_conjugate
+from lightcone.lorentz import Event
+
+codes = [main(["--scenario", faller, "--out", out + "/cone", "trace-cone"])]
+rows = [line.split(",") for line in open(out + "/cone/cone.csv").read().splitlines()[1:]]
+with open(out + "/targets.txt", "w") as fh:
+    fh.write(" ".join(rows[0][4:8]) + "\\n")
+codes.append(main(["--scenario", faller, "--out", out + "/invert", "invert",
+                   "--targets", out + "/targets.txt"]))
+codes.append(main(["--scenario", sweep, "--out", out + "/limit", "newton-limit",
+                   "--c-list", "1,2"]))
+r0, b = 20.0, 2.73
+f = 1.0 - 1.0 / r0
+k = np.array([1.0 / f, -np.sqrt(1.0 - f * b**2 / r0**2), 0.0, b / r0**2])
+q = Event("schwarzschild", np.array([0.0, r0, np.pi / 2, 0.0]))
+scan = detect_conjugate(schwarzschild(1.0), q, k, 80.0, 200)
+print(json.dumps({"codes": codes, "values": list(scan.values),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # a process in which any scipy import fails runs every kind of
+    # integration: a cone with a clipped ray, an inversion, the c sweep and
+    # a conjugate scan, and imports no scipy module
+    import json
+    import os
+    import subprocess
+    import sys
+
+    faller = tmp_path / "faller.scn"
+    faller.write_text((SCN_DIR / "schwarzschild_faller.scn").read_text()
+                      .replace("cone.radii_m = 0.5, 1", "cone.radii_m = 12.5"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path), str(faller),
+                          str(SCN_DIR / "sr_limit_sweep.scn")],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["values"] == [21.746188382332047]
+    assert result["scipy"] == []
+    assert "rays_clipped = 1" in (tmp_path / "cone" / "manifest.txt").read_text()
+    _, rows = read_csv(tmp_path / "invert" / "preimages.csv")
+    assert len(rows) >= 1

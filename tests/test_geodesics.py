@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from lightcone import geodesics
 from lightcone.charts import metric_at, minkowski, schwarzschild
@@ -388,6 +389,69 @@ def test_single_ray_follows_scipy_dop853():
         inner = np.linspace(0.0, sol.s1, 23)[1:-1]
         assert rel(sol.state(inner), ref.sol(inner)) <= 1e-10
     assert sol.clipped
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"])
+def test_tableau_is_scipys_dop853(name):
+    mine = getattr(geodesics, "_" + name)
+    assert mine.dtype == np.float64
+    assert np.array_equal(mine, getattr(DOP853, name))
+    assert geodesics._EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+
+
+def _brentq_or_raise(solver, f, a, b):
+    try:
+        return solver(f, a, b)
+    except RuntimeError:
+        return "no convergence"
+
+
+def test_brent_returns_scipys_brentq_float():
+    # the same float as scipy's brentq at xtol = rtol = 4 eps on seeded
+    # brackets; at the triple root both fail to converge in 100 iterations
+    tol = 4 * np.finfo(float).eps
+
+    def scipy_brentq(f, a, b):
+        return brentq(f, a, b, xtol=tol, rtol=tol)
+
+    funcs = [lambda x: x**3 - 2.0 * x - 5.0, lambda x: x**5 - 0.3 * x + 0.01,
+             lambda x: np.sin(x) - 0.3, lambda x: np.cos(3.0 * x) + 0.1 * x,
+             lambda x: np.exp(x) - 2.5, lambda x: np.expm1(-4.0 * x) + 0.5,
+             lambda x: (x - 0.7) ** 3]
+    rng = np.random.default_rng(18)
+    outcomes = []
+    for f in funcs:
+        for a, b in np.sort(rng.uniform(-3.0, 3.0, (300, 2)), axis=1):
+            if f(a) * f(b) >= 0.0:
+                continue
+            want = _brentq_or_raise(scipy_brentq, f, a, b)
+            got = _brentq_or_raise(geodesics._brent, f, a, b)
+            assert got == want and type(got) is type(want), (a, b)
+            outcomes.append(got)
+    assert len(outcomes) > 900 and outcomes.count("no convergence") > 100
+    # a zero at either end is returned at once
+    for a, b in [(0.7, 2.0), (-1.0, 0.7), (2.0, 0.7)]:
+        assert geodesics._brent(funcs[-1], a, b) == scipy_brentq(funcs[-1], a, b) == 0.7
+    with pytest.raises(ValueError):
+        geodesics._brent(funcs[0], 3.0, 4.0)
+
+
+def test_brent_locates_a_clipped_rays_exit_as_brentq():
+    # the exit event of the ray aimed at the hole, on its own last step's
+    # interpolant: the crossing is brentq's, and it is where the ray ends
+    y0 = faller_ray(HOLE)
+    sol = integrate_geodesic(SW, GeodesicIVP(Event("schwarzschild", y0[:4]), y0[4:]), 1.0)
+    assert sol.clipped
+    event = geodesics._exit_event(SW)
+    step = tuple(a[-1:] for a in (sol._t_old, sol._h, sol._q, sol._y_old))
+
+    def g(t):
+        return event(geodesics._interpolate(*step, np.array([t])))[0]
+
+    a, b = sol._t_old[-1], sol._t_old[-1] + sol._h[-1]
+    tol = 4 * np.finfo(float).eps
+    assert g(a) > 0.0 > g(b)
+    assert geodesics._brent(g, a, b) == brentq(g, a, b, xtol=tol, rtol=tol) == sol.s1
 
 
 @settings(max_examples=10, deadline=None)
