@@ -1,9 +1,11 @@
 """Command-line interface: scenario-driven runs with plot-ready CSV output.
 
-Subcommands: trace-cone, invert, observe, newton-limit, validate.  Every
-run writes its data files plus a manifest into --out.  Output is
+Subcommands: trace-cone, invert, observe, newton-limit, validate, each
+reading the one splitting (chart, curve, frames) that _splitting builds.
+Every run writes its data files plus a manifest into --out.  Output is
 deterministic: floats are printed with 17 significant digits, and every
-command runs in one thread (--threads is accepted and unused).
+command runs in one thread (--threads is accepted and unused).  The only
+tolerance a scenario or --tol-override sets is tol.inv.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
 failure.
@@ -27,6 +29,14 @@ from .lorentz import ETA, Event, gram_matrix, validate_frame_of_reference
 from .observers import make_inertial_observer
 from .scenario import TOOL_VERSION, Scenario, apply_overrides, load_scenario
 
+# validate's bound on each invariant check
+_FRAME_GRAM_TOL = 1e-8       # |Gram(frame) - eta| of the scenario's frames
+_NORM_DRIFT_TOL = 1e-9       # drift of g(k, k) along a cone ray, relative to 1 + |g(k, k)|
+_FW_GRAM_TOL = 1e-8          # |Gram(basis) - eta| of the observer's Fermi-Walker basis
+_JACOBI_AFFINITY_TOL = 1e-7  # g(J, k) off its affine law along a ray
+_RICCI_TOL = 1e-5            # largest Ricci component of the Schwarzschild chart
+_CHRISTOFFEL_FD_TOL = 1e-6   # differentiated-metric connection against the analytic one
+
 
 def _fmt(x):
     return format(float(x), ".17g")
@@ -39,16 +49,14 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
 
 
-def _write_manifest(out_dir, scn, command, outputs, started, extra=None):
+def _write_manifest(out_dir, scn, command, outputs, started, extra):
     lines = [
         f"scenario_hash = {scn.hash}",
         f"tool_version = {TOOL_VERSION}",
         f"command = {command}",
     ]
-    for name in outputs:
-        lines.append(f"output = {name}")
-    for key, val in (extra or {}).items():
-        lines.append(f"{key} = {val}")
+    lines += [f"output = {name}" for name in outputs]
+    lines += [f"{key} = {val}" for key, val in extra.items()]
     lines.append(f"wall_clock_s = {time.monotonic() - started:.3f}")
     (Path(out_dir) / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -68,6 +76,13 @@ def _direction_grid(n_polar, n_azimuth):
     return dirs
 
 
+def _splitting(scn: Scenario):
+    """(chart, observer curve, frame field): the splitting the scenario sets up."""
+    chart = scn.build_chart()
+    curve = scn.build_observer(chart)
+    return chart, curve, scn.build_frames(chart, curve)
+
+
 def cmd_trace_cone(scn: Scenario, out_dir):
     """Sample the past light cone of the observer at configured instants.
 
@@ -75,9 +90,7 @@ def cmd_trace_cone(scn: Scenario, out_dir):
     gets reach_flag 1; one that clips at the chart boundary or fails
     gets 0, with the point where it stopped.
     """
-    chart = scn.build_chart()
-    curve = scn.build_observer(chart)
-    frames = scn.build_frames(chart, curve)
+    chart, _, frames = _splitting(scn)
     taus = scn.get("cone.tau_s", [0.0], kind=list)
     radii = scn.get("cone.radii_m", [1.0], kind=list)
     n_polar = scn.get("cone.n_polar", 4, kind=int)
@@ -132,9 +145,7 @@ def cmd_invert(scn: Scenario, targets_path, out_dir):
     All targets go through one invert_many call, so the multistart grid
     is mapped forward once per file.
     """
-    chart = scn.build_chart()
-    curve = scn.build_observer(chart)
-    frames = scn.build_frames(chart, curve)
+    chart, curve, frames = _splitting(scn)
     search = scn.build_search(curve)
     targets = _read_targets(targets_path)
     results = sp.invert_many(chart, frames, targets, search)
@@ -152,32 +163,36 @@ def cmd_invert(scn: Scenario, targets_path, out_dir):
                                "targets_without_preimage": misses}
 
 
-def _build_worldline(scn: Scenario, chart, frames):
+def _track(scn: Scenario, n_samples, start=None):
+    """The observed worldline tracked through the scenario's splitting.
+
+    observe_curve at observe.n_samples (default n_samples) values of s,
+    from start; returns (chart, frames, samples, number of samples asked for).
+    """
+    chart, curve, frames = _splitting(scn)
+    search = scn.build_search(curve)
     kind = scn.get("observe.kind", "inertial", kind=str)
     if kind == "inertial":
         q0 = np.array(scn.get("observe.q0_m", kind=list))
         w = np.array(scn.get("observe.w_m_per_s", [0, 0, 0], kind=list))
-        u0 = np.concatenate([[chart.c], w])
-        lo, hi = frames.curve.interval
-        return make_inertial_observer(chart, Event(chart.name, q0), u0,
-                                      (lo - 1.0, hi + 1.0))
-    if kind == "comoving":
+        lo, hi = curve.interval
+        worldline = make_inertial_observer(chart, Event(chart.name, q0),
+                                           np.concatenate([[chart.c], w]), (lo - 1.0, hi + 1.0))
+    elif kind == "comoving":
         x = np.array(scn.get("observe.x_m", kind=list))
-        return sp.comoving_worldline(chart, frames, x)
-    raise ConfigError(f"unknown observed worldline kind {kind!r}")
+        worldline = sp.comoving_worldline(chart, frames, x)
+    else:
+        raise ConfigError(f"unknown observed worldline kind {kind!r}")
+    s_lo = scn.get("observe.s_min_s", 0.0)
+    s_hi = scn.get("observe.s_max_s", 1.0)
+    n = scn.get("observe.n_samples", n_samples, kind=int)
+    samples = sp.observe_curve(chart, frames, worldline, np.linspace(s_lo, s_hi, n), search, start)
+    return chart, frames, samples, n
 
 
 def cmd_observe(scn: Scenario, out_dir):
     """Track an observed worldline: relative position, velocity, acceleration."""
-    chart = scn.build_chart()
-    curve = scn.build_observer(chart)
-    frames = scn.build_frames(chart, curve)
-    search = scn.build_search(curve)
-    worldline = _build_worldline(scn, chart, frames)
-    s_lo = scn.get("observe.s_min_s", 0.0)
-    s_hi = scn.get("observe.s_max_s", 1.0)
-    n = scn.get("observe.n_samples", 11, kind=int)
-    samples = sp.observe_curve(chart, frames, worldline, np.linspace(s_lo, s_hi, n), search)
+    _, _, samples, n = _track(scn, 11)
 
     rows = [
         (smp.s, smp.tau, *smp.x, smp.tau_dot, *smp.v, *smp.dv_dtau,
@@ -189,8 +204,7 @@ def cmd_observe(scn: Scenario, out_dir):
               "a1_m_per_s2", "a2_m_per_s2", "a3_m_per_s2",
               "character", "not_an_observer", "ambiguous"]
     _write_csv(Path(out_dir) / "observed.csv", header, rows)
-    truncated = len(samples) < n
-    return ["observed.csv"], {"samples": len(samples), "branch_lost": int(truncated)}
+    return ["observed.csv"], {"samples": len(samples), "branch_lost": int(len(samples) < n)}
 
 
 def run_limit_scenario(scn: Scenario, c, start=None):
@@ -205,24 +219,11 @@ def run_limit_scenario(scn: Scenario, c, start=None):
     values = dict(scn.values)
     values["spacetime.c_m_per_s"] = repr(float(c))
     scn_c = Scenario(values=values, source_text=scn.source_text)
-    chart = scn_c.build_chart()
-    curve = scn_c.build_observer(chart)
-    frames = scn_c.build_frames(chart, curve)
-    search = scn_c.build_search(curve)
-    worldline = _build_worldline(scn_c, chart, frames)
-    s_lo = scn_c.get("observe.s_min_s", 0.0)
-    s_hi = scn_c.get("observe.s_max_s", 1.0)
-    n = scn_c.get("observe.n_samples", 5, kind=int)
+    chart, frames, samples, _ = _track(scn_c, 5, start)
     mass = scn_c.get("mass_kg", 1.0)
-    samples = sp.observe_curve(chart, frames, worldline,
-                               np.linspace(s_lo, s_hi, n), search, start)
-    breakdowns = []
-    for smp in samples:
-        if smp.not_an_observer or not np.all(np.isfinite(smp.dv_dtau)):
-            breakdowns.append(None)
-            continue
-        breakdowns.append(sp.relative_force(mass, chart, frames, smp, np.zeros(3)))
-    return samples, breakdowns
+    return samples, [None if smp.not_an_observer or not np.all(np.isfinite(smp.dv_dtau))
+                     else sp.relative_force(mass, chart, frames, smp, np.zeros(3))
+                     for smp in samples]
 
 
 def cmd_newton_limit(scn: Scenario, c_values, out_dir):
@@ -283,9 +284,7 @@ def cmd_newton_limit(scn: Scenario, c_values, out_dir):
 
 def _validate_checks(scn: Scenario, rng):
     """Yield (name, measured, bound) for every invariant check."""
-    chart = scn.build_chart()
-    curve = scn.build_observer(chart)
-    frames = scn.build_frames(chart, curve)
+    chart, curve, frames = _splitting(scn)
     lo, hi = curve.interval
     taus = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 7)
 
@@ -299,7 +298,7 @@ def _validate_checks(scn: Scenario, rng):
         worst = max(worst, float(np.max(np.abs(gram_matrix(g, m) - ETA))))
         ok = ok and validate_frame_of_reference(
             g, curve.velocity(tau), chart.reference_frame(pos), m)
-    yield "frame_gram_eta", worst, scn.get("tol.frame_gram", 1e-8)
+    yield "frame_gram_eta", worst, _FRAME_GRAM_TOL
     yield "frame_admissible", 0.0 if ok else 1.0, 0.5
 
     # geodesic norm conservation on random cone rays
@@ -320,14 +319,14 @@ def _validate_checks(scn: Scenario, rng):
             gs = chart.metric(sol.position(s))
             ns = float(sol.velocity(s) @ gs @ sol.velocity(s))
             drift = max(drift, abs(ns - n0) / (1.0 + abs(n0)))
-    yield "geodesic_norm_drift", drift, scn.get("tol.norm_drift", 1e-9)
+    yield "geodesic_norm_drift", drift, _NORM_DRIFT_TOL
 
     # Gram drift of the Fermi-Walker basis the observer carries
     gram_drift = 0.0
     for tau, basis in zip(taus, curve.fw_basis(taus)):
         g = metric_at(chart, curve.position(tau))
         gram_drift = max(gram_drift, float(np.max(np.abs(gram_matrix(g, basis) - ETA))))
-    yield "fw_gram_drift", gram_drift, scn.get("tol.fw_gram", 1e-8)
+    yield "fw_gram_drift", gram_drift, _FW_GRAM_TOL
 
     # Jacobi pairing affinity on a random ray
     tau = float(taus[len(taus) // 2])
@@ -343,7 +342,7 @@ def _validate_checks(scn: Scenario, rng):
     for s in np.linspace(0, sol.s1, 9):
         gs = chart.metric(sol.position(s))
         res = max(res, abs(float(jac.value(s) @ gs @ sol.velocity(s)) - (a * s + b)))
-    yield "jacobi_pairing_affinity", res, scn.get("tol.jacobi_affinity", 1e-7)
+    yield "jacobi_pairing_affinity", res, _JACOBI_AFFINITY_TOL
 
     if chart.name == "schwarzschild":
         radius = chart.params["R"]
@@ -359,12 +358,12 @@ def _validate_checks(scn: Scenario, rng):
             ricci = max(ricci, float(np.max(np.abs(riemann_ricci_at(chart, coords).ricci))))
             gam_dev = max(gam_dev, float(np.max(np.abs(
                 fd_chart.christoffels(coords) - chart.christoffels(coords)))))
-        yield "schwarzschild_ricci_flat", ricci, scn.get("tol.ricci", 1e-5)
-        yield "christoffel_fd_vs_analytic", gam_dev, scn.get("tol.christoffel_fd", 1e-6)
+        yield "schwarzschild_ricci_flat", ricci, _RICCI_TOL
+        yield "christoffel_fd_vs_analytic", gam_dev, _CHRISTOFFEL_FD_TOL
 
 
 def cmd_validate(scn: Scenario, out_dir, seed=0):
-    """Run the invariant suite; nonzero exit iff any check fails."""
+    """Run the invariant suite; the manifest's checks_failed counts the failed checks."""
     rng = np.random.default_rng(seed)
     lines = []
     failed = 0
@@ -376,7 +375,7 @@ def cmd_validate(scn: Scenario, out_dir, seed=0):
     text = "\n".join(lines) + "\n"
     (Path(out_dir) / "validate.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    return ["validate.txt"], {"checks_failed": failed}, failed == 0
+    return ["validate.txt"], {"checks_failed": failed}
 
 
 def build_parser():
@@ -388,7 +387,7 @@ def build_parser():
     parser.add_argument("--scenario", required=True, help="scenario file path")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--tol-override", action="append", default=[],
-                        metavar="KEY=VAL", help="override a tol.* setting")
+                        metavar="tol.inv=VAL", help="override tol.inv, Newton's residual bound")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; no command uses it")
     parser.add_argument("--seed", type=int, default=0,
@@ -427,13 +426,11 @@ def main(argv=None):
                                   f"got {args.c_list!r}") from None
             outputs, extra = cmd_newton_limit(scn, c_values, out_dir)
         elif args.command == "validate":
-            outputs, extra, ok = cmd_validate(scn, out_dir, args.seed)
-            _write_manifest(out_dir, scn, args.command, outputs, started, extra)
-            return 0 if ok else 1
+            outputs, extra = cmd_validate(scn, out_dir, args.seed)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
         _write_manifest(out_dir, scn, args.command, outputs, started, extra)
-        return 0
+        return 1 if extra.get("checks_failed") else 0
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

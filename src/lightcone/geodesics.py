@@ -24,8 +24,8 @@ chart, see charts.RayChart).  A ray ends in one of three outcomes:
            (Brent's method, as scipy's brentq runs it) on that ray's own
            step interpolant, as scipy's ODE solvers locate events, and
            its end state is the interpolant there;
-  failed   its step size fell below 10 ulp of s, or it spent MAX_ATTEMPTS
-           step attempts, accepted or rejected, without ending.
+  failed   its step size fell below 10 ulp of s, it spent MAX_ATTEMPTS
+           step attempts, or _brent did not locate its exit crossing.
 A batch reports the outcome of each row and never raises for one ray.
 Dense solutions keep each step's interpolant (DOP853's 7th-order dense
 output, whose three extra stages are evaluated only for steps that are
@@ -601,9 +601,14 @@ def _dopri(rhs, y0, s_end, event=None, dense=False):
                     ends = s_acc.copy()
                     for i, jj in enumerate(j):
                         one = tuple(a[i:i + 1] for a in crossing)
-                        ends[jj] = _brent(lambda t: event(_interpolate(*one, np.array([t])))[0],
-                                          t_old[jj], s_acc[jj])
-                        out.outcome[rows[acc[jj]]] = CLIPPED
+                        try:
+                            ends[jj] = _brent(lambda t: event(_interpolate(*one, np.array([t])))[0],
+                                              t_old[jj], s_acc[jj])
+                            out.outcome[rows[acc[jj]]] = CLIPPED
+                        except (RuntimeError, ValueError) as exc:  # ends at the step's start
+                            ends[jj] = t_old[jj]
+                            out.outcome[rows[acc[jj]]] = FAILED
+                            out.reasons[rows[acc[jj]]] = f"exit crossing not located: {exc}"
                     y_end = y_acc.copy()
                     y_end[j] = _interpolate(*crossing, ends[j])
                     stop = stop | cross
@@ -888,9 +893,9 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n) -> Conjugat
     the trivial triple zero at the start, and the transversal keeps the
     determinant honest when the orthogonal complement is degenerate
     (lightlike rays).  Sign changes are refined by _brent on the dense
-    output, to 4 eps as the chart-exit crossings are; the scan is a
-    detector, not a proof, so an empty result only means none found at
-    this resolution.
+    output, to 4 eps as the chart-exit crossings are; a sign change _brent
+    cannot locate raises IntegrationError.  The scan is a detector, not a
+    proof, so an empty result only means none found at this resolution.
     """
     ivp = GeodesicIVP(q, tangent)
 
@@ -919,7 +924,10 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n) -> Conjugat
             zeros.append(grid[i])
             continue
         if vals[i] * vals[i + 1] < 0.0:
-            zeros.append(_brent(det_at, grid[i], grid[i + 1]))
+            try:
+                zeros.append(_brent(det_at, grid[i], grid[i + 1]))
+            except (RuntimeError, ValueError) as exc:
+                raise IntegrationError(f"conjugate value not located: {exc}") from exc
     return ConjugateScan(tuple(zeros), False, s1)
 
 

@@ -16,7 +16,7 @@ that leaves the chart inside its interval raises IntegrationError.
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .lorentz import Event
 from .observers import (
     FrameField,
     ObserverCurve,
+    _fw_field,
     complete_orthonormal,
-    fermi_walker_transport,
     make_inertial_observer,
     make_programmed_observer,
     make_uniformly_accelerated_observer,
@@ -37,10 +37,17 @@ from .splitting import MultistartConfig
 
 TOOL_VERSION = "0.1.0"
 
-_KNOWN_PREFIXES = (
-    "spacetime.", "observer.", "frame.", "cone.", "invert.", "observe.",
-    "newton.", "tol.", "validate.", "mass_kg",
-)
+# every key a builder here or a command in cli reads; any other is an error
+_KEYS = frozenset((
+    "spacetime.name", "spacetime.c_m_per_s", "spacetime.R_m", "mass_kg", "tol.inv",
+    "observer.kind", "observer.q0_m", "observer.u0", "observer.tau_min_s", "observer.tau_max_s",
+    "observer.a_m_per_s2", "observer.accel_m_per_s2", "newton.first_order_bound",
+    "frame.kind", "frame.columns", "frame.omega_rad_per_s", "frame.axis",
+    "cone.tau_s", "cone.radii_m", "cone.n_polar", "cone.n_azimuth",
+    "invert.tau_min_s", "invert.tau_max_s", "invert.x_box_m", "invert.x_center_m",
+    "invert.n_tau", "invert.n_x", "invert.top_k", "observe.kind", "observe.q0_m",
+    "observe.w_m_per_s", "observe.x_m", "observe.s_min_s", "observe.s_max_s", "observe.n_samples",
+))
 
 
 def parse_scenario_text(text):
@@ -56,7 +63,7 @@ def parse_scenario_text(text):
         key, val = key.strip(), val.strip()
         if not key or not val:
             raise ConfigError(f"empty key or value in {raw.strip()!r}", line=lineno)
-        if not key.startswith(_KNOWN_PREFIXES):
+        if key not in _KEYS:
             raise ConfigError(f"unknown setting {key!r}", line=lineno)
         if key in values:
             raise ConfigError(f"duplicate setting {key!r}", line=lineno)
@@ -160,8 +167,7 @@ class Scenario:
                               matrix_fn=lambda taus: cols[None].repeat(len(taus), axis=0),
                               cov_deriv_fn=lambda taus: np.zeros((len(taus), 4, 4)),
                               kind="explicit")
-        lo, hi = curve.interval
-        base = fermi_walker_transport(curve, curve.fw_basis(0.0 if lo <= 0.0 <= hi else lo))
+        base = _fw_field(curve, curve.fw_basis_fn)
         if kind == "fermi_walker":
             return base
         if kind == "rotating":
@@ -213,8 +219,6 @@ class Scenario:
             n_x=self.get("invert.n_x", 9, kind=int),
             top_k=self.get("invert.top_k", 16, kind=int),
             inv_tol=self.get("tol.inv", 1e-10),
-            merge_tol=self.get("tol.merge", 1e-6),
-            cond_max=self.get("tol.cond_max", 1e8),
         )
         try:
             return MultistartConfig(**settings)
@@ -238,13 +242,10 @@ def load_scenario(path) -> Scenario:
 
 
 def apply_overrides(scn: Scenario, overrides):
-    """CLI overrides KEY=VAL; only tolerance keys may be overridden."""
+    """CLI overrides tol.inv=VAL: Newton's residual bound is the one key they may set."""
     for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not KEY=VAL")
-        key, _, val = item.partition("=")
-        key, val = key.strip(), val.strip()
-        if not key.startswith("tol."):
-            raise ConfigError(f"only tol.* settings may be overridden, not {key!r}")
-        scn.values[key] = val
+        key, eq, val = item.partition("=")
+        if key.strip() != "tol.inv" or not eq:
+            raise ConfigError(f"only tol.inv=VAL may be overridden, not {item!r}")
+        scn.values["tol.inv"] = val.strip()
     return scn

@@ -128,9 +128,9 @@ class MultistartConfig:
 
     The box tau_range x (x_center +- x_halfwidth) must be finite with
     x_halfwidth >= 0, the grid and seed counts n_tau, n_x and top_k at
-    least 1, inv_tol finite and > 0, merge_tol finite and >= 0, and
-    cond_max > 0 (inf flags no root); anything else raises
-    InvalidInputError.
+    least 1, and inv_tol finite and > 0; anything else raises
+    InvalidInputError.  Roots are merged within _MERGE_TOL and graded
+    regular below _COND_MAX, both fixed.
     """
 
     tau_range: tuple
@@ -140,8 +140,6 @@ class MultistartConfig:
     n_x: int = 9
     top_k: int = 16
     inv_tol: float = 1e-10
-    merge_tol: float = 1e-6
-    cond_max: float = 1e8
 
     def __post_init__(self):
         box = np.asarray([*self.tau_range, self.x_halfwidth, *self.x_center], dtype=float)
@@ -151,10 +149,6 @@ class MultistartConfig:
             raise InvalidInputError("n_tau, n_x and top_k must each be at least 1")
         if not (np.isfinite(self.inv_tol) and self.inv_tol > 0):
             raise InvalidInputError(f"inv_tol must be finite and > 0, not {self.inv_tol}")
-        if not (np.isfinite(self.merge_tol) and self.merge_tol >= 0):
-            raise InvalidInputError(f"merge_tol must be finite and >= 0, not {self.merge_tol}")
-        if not self.cond_max > 0:
-            raise InvalidInputError(f"cond_max must be > 0, not {self.cond_max}")
 
 
 # -- map evaluation ----------------------------------------------------------
@@ -331,6 +325,8 @@ def observer_map_jacobian(chart: Chart, frames: FrameField, p: ObservedEvent) ->
 _CHUNK = 512  # targets per Newton batch in invert_many
 _MAX_NEWTON = 50  # Newton iterations of a member before it is given up
 _MAX_HALVINGS = 25  # step halvings within one iteration before a member is dropped
+_MERGE_TOL = 1e-6  # roots this close (max norm) are one; a root this near x = 0 is the origin
+_COND_MAX = 1e8  # a root is regular when cond(J) is below this
 
 
 def _start_grid(cfg: MultistartConfig):
@@ -381,7 +377,7 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
     states = np.array(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
     scale = 1.0 + np.max(np.abs(targets), axis=1)
-    guard = 1e-13 * max(1.0, float(np.max(scale)))
+    guard = 1e-13 * float(np.max(scale, initial=1.0))
 
     def admissible(st):
         return (
@@ -491,15 +487,12 @@ def invert_many(chart: Chart, frames: FrameField, targets,
     n_starts = len(starts)
     tau_lo, tau_hi = _tau_bounds(frames)
     starts = starts[(starts[:, 0] >= tau_lo) & (starts[:, 0] <= tau_hi)]
-    ev = _eval_batch(chart, frames, starts, False)[0] if len(starts) else np.empty((0, 4))
+    ev = _eval_batch(chart, frames, starts, False)[0]
     landed = ~np.isnan(ev).any(axis=1)
     starts, ev = starts[landed], ev[landed]
 
     k = min(search.top_k, len(starts))
     results: List[InversionResult] = []
-    no_roots = (np.empty((0, 4)), np.empty(0), np.empty((0, 4)), np.empty((0, 4, 4)), False)
-    if k == 0:
-        return _grade_roots(frames, targets, [no_roots] * len(targets), search, n_starts)
     for base in range(0, len(targets), _CHUNK):
         tgt_chunk = targets[base:base + _CHUNK]
         # per-target seed selection by forward residual
@@ -514,28 +507,28 @@ def invert_many(chart: Chart, frames: FrameField, targets,
             rows = slice(i * k, (i + 1) * k)
             ok = converged[rows]
             found.append(_distinct_roots(states[rows][ok], rnorm[rows][ok], images[rows][ok],
-                                         jacs[rows][ok], search))
-        results += _grade_roots(frames, tgt_chunk, found, search, n_starts)
+                                         jacs[rows][ok]))
+        results += _grade_roots(frames, tgt_chunk, found, n_starts)
     return results
 
 
-def _distinct_roots(roots, rres, images, jacs, search):
+def _distinct_roots(roots, rres, images, jacs):
     """Converged roots off the origin, sorted by coordinates and deduplicated.
 
     Returns (roots, residuals, images, Jacobians, whether a root at the
     origin was dropped).
     """
-    at_origin = np.linalg.norm(roots[:, 1:], axis=1) <= search.merge_tol
+    at_origin = np.linalg.norm(roots[:, 1:], axis=1) <= _MERGE_TOL
     rows = np.flatnonzero(~at_origin)
     rows = rows[np.lexsort((roots[rows, 3], roots[rows, 2], roots[rows, 1], roots[rows, 0]))]
     keep = []
     for i in rows:
-        if not any(np.max(np.abs(roots[i] - roots[j])) <= search.merge_tol for j in keep):
+        if not any(np.max(np.abs(roots[i] - roots[j])) <= _MERGE_TOL for j in keep):
             keep.append(i)
     return roots[keep], rres[keep], images[keep], jacs[keep], bool(np.any(at_origin))
 
 
-def _grade_roots(frames, targets, found, search, n_starts):
+def _grade_roots(frames, targets, found, n_starts):
     """One InversionResult per target from its _distinct_roots tuple."""
     results = []
     for tgt, (roots, rres, images, jacs, origin) in zip(targets, found):
@@ -543,7 +536,7 @@ def _grade_roots(frames, targets, found, search, n_starts):
         if len(roots) == 0:
             origin = origin or _near_worldline(frames, tgt, 1e-6 * (1.0 + np.max(np.abs(tgt))))
         preimages = [ObservedEvent(row[0], row[1:]) for row in roots]
-        results.append(InversionResult(preimages, rres, cond, cond < search.cond_max,
+        results.append(InversionResult(preimages, rres, cond, cond < _COND_MAX,
                                        n_starts, len(roots), images, jacs,
                                        origin_excluded=origin))
     return results
@@ -594,7 +587,7 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
 
     Inverts the observer map at every sample of the worldline parameter,
     follows the preimage branch that stays closest to the previous sample
-    (ties within merge_tol are flagged ambiguous, never silently picked:
+    (ties within _MERGE_TOL are flagged ambiguous, never silently picked:
     lensing makes multiple branches physical), and differentiates the
     tracked coordinates to relative velocity and acceleration.  Branch
     loss truncates the report rather than failing.
@@ -650,7 +643,7 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
             else:
                 dists = np.max(np.abs(rows - prev), axis=1)
                 best = np.argmin(dists)
-                near = np.sum(dists <= dists[best] + search.merge_tol)
+                near = np.sum(dists <= dists[best] + _MERGE_TOL)
             ambiguous = near > 1
             state, image, jac = rows[best], res.images[best], res.jacobians[best]
         prev = state
@@ -709,7 +702,7 @@ def _continued(chart, frames, target, start, search):
     """
     states, _, conv, images, jacs = _newton_polish(
         chart, frames, target[None], np.asarray(start, dtype=float).reshape(1, 4), search)
-    if conv[0] and np.linalg.norm(states[0, 1:]) > search.merge_tol:
+    if conv[0] and np.linalg.norm(states[0, 1:]) > _MERGE_TOL:
         return states[0], images[0], jacs[0]
     return None
 

@@ -55,9 +55,15 @@ class TestScenarioParsing:
         assert scenario_hash(a) != scenario_hash(b)
 
     def test_unknown_key_rejected_with_line(self):
-        with pytest.raises(ConfigError) as err:
-            parse_scenario_text("spacetime.name = minkowski\nbogus.key = 1\n")
-        assert err.value.line == 2
+        # keys are checked by full name: a known section is not enough, and
+        # the tolerances that are constants are no longer settings
+        for key in ("bogus.key", "invert.n_tua", "validate.anything", "tol.merge",
+                    "tol.cond_max", "tol.frame_gram", "tol.norm_drift", "tol.fw_gram",
+                    "tol.jacobi_affinity", "tol.ricci", "tol.christoffel_fd"):
+            with pytest.raises(ConfigError) as err:
+                parse_scenario_text(f"spacetime.name = minkowski\n{key} = 1\n")
+            assert err.value.line == 2
+            assert repr(key) in str(err.value)
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError):
@@ -249,14 +255,15 @@ class TestInvert:
         ("tol.cond_max", "-1"), ("tol.cond_max", "0"), ("tol.cond_max", "nan"),
     ])
     def test_bad_search_tolerance_rejected(self, tmp_path, capsys, setting, value):
-        # at these values invert used to exit 0 with no, false or repeated preimages
-        field = {"tol.inv": "inv_tol", "tol.merge": "merge_tol", "tol.cond_max": "cond_max"}
+        # at these values invert used to exit 0 with no, false or repeated
+        # preimages; tol.merge and tol.cond_max are constants now, not settings
+        want = "inv_tol" if setting == "tol.inv" else "only tol.inv=VAL may be overridden"
         targets = tmp_path / "targets.txt"
         targets.write_text("-5 3 0 0\n")
         rc = main(["--scenario", str(SCN_DIR / "minkowski_inertial.scn"), "--out", str(tmp_path),
                    "--tol-override", f"{setting}={value}", "invert", "--targets", str(targets)])
         assert rc == 2
-        assert field[setting] in capsys.readouterr().err
+        assert want in capsys.readouterr().err
         assert not (tmp_path / "preimages.csv").exists()
 
     def test_empty_start_grid_is_a_numerical_failure(self, tmp_path):
@@ -475,16 +482,14 @@ class TestValidate:
         assert "checks_failed = 2" in (tmp_path / "manifest.txt").read_text()
         assert rc == 1
 
-    def test_tol_override(self, tmp_path):
-        # loosening the Gram bound past the corruption makes it pass
+    def test_tol_override(self, tmp_path, capsys):
+        # validate's bounds are constants: overriding one is a config error
         rc = main(["--scenario", str(SCN_DIR / "corrupted_frame.scn"),
                    "--out", str(tmp_path), "--tol-override", "tol.frame_gram=1.0",
                    "validate"])
-        text = (tmp_path / "validate.txt").read_text()
-        assert "frame_gram_eta" in text.splitlines()[0]
-        assert "PASS" in text.splitlines()[0]
-        # the admissibility check still fails .. orientation-orthonormality
-        assert rc == 1
+        assert rc == 2
+        assert "only tol.inv=VAL may be overridden" in capsys.readouterr().err
+        assert not (tmp_path / "validate.txt").exists()
 
     def test_non_tol_override_rejected(self, tmp_path):
         rc = main(["--scenario", str(SCN_DIR / "minkowski_inertial.scn"),
@@ -674,6 +679,23 @@ def test_trace_cone_counts_rays_by_outcome(tmp_path):
     assert clipped >= 1
     hole = next(row for row in rows if float(row[1]) == -12.5 and float(row[8]) == 0.0)
     assert float(hole[5]) == pytest.approx(1.0 + 1e-6, abs=1e-9)  # r at the margin
+
+
+def test_an_unlocated_exit_fails_its_ray_not_the_command(tmp_path, monkeypatch):
+    # with no Brent iterations no exit crossing is located: the ray aimed
+    # at the hole ends failed outside the horizon, and trace-cone still
+    # writes every row
+    scn_text = (SCN_DIR / "schwarzschild_faller.scn").read_text()
+    scn_file = tmp_path / "hole.scn"
+    scn_file.write_text(scn_text.replace("cone.radii_m = 0.5, 1", "cone.radii_m = 1, 12.5"))
+    monkeypatch.setattr(geodesics, "_BRENT_ITER", 0)
+    rc = main(["--scenario", str(scn_file), "--out", str(tmp_path), "trace-cone"])
+    assert rc == 0
+    manifest = _manifest(tmp_path / "manifest.txt")
+    assert manifest["rays_clipped"] == "0" and int(manifest["rays_failed"]) >= 1
+    _, rows = read_csv(tmp_path / "cone.csv")
+    hole = next(row for row in rows if float(row[1]) == -12.5)
+    assert len(rows) == 36 and float(hole[8]) == 0.0 and float(hole[5]) > 1.0
 
 
 def test_invert_box_past_the_observers_interval(tmp_path):

@@ -12,6 +12,7 @@ from lightcone import geodesics
 from lightcone.charts import metric_at, minkowski, schwarzschild
 from lightcone.errors import (
     EmptySolutionError,
+    IntegrationError,
     InvalidInputError,
     NotInExpDomainError,
     OutOfChartError,
@@ -305,6 +306,15 @@ class TestConjugateDetection:
         for v1, v2 in zip(scan1.values, scan2.values):
             assert abs(v1 - v2) < 1e-4
 
+    def test_a_value_brent_cannot_locate_raises(self, monkeypatch):
+        # with no iterations Brent's method locates no sign change
+        r0, b = 20.0, 2.73
+        f = 1.0 - 1.0 / r0
+        k = np.array([1.0 / f, -np.sqrt(1.0 - f * b**2 / r0**2), 0.0, b / r0**2])
+        monkeypatch.setattr(geodesics, "_BRENT_ITER", 0)
+        with pytest.raises(IntegrationError, match="conjugate value not located"):
+            detect_conjugate(SW, sw_event(r0), k, 80.0, 100)
+
 
 def test_batch_matches_single():
     q, vel = sw_event(), np.array([1.2, 0.0, 0.0, 0.04])
@@ -492,6 +502,25 @@ def test_attempt_budget_ends_a_runaway_ray():
     assert 0.0 < mixed.s1[1] < 1.0 and steps <= MAX_ATTEMPTS
     assert np.array_equal(mixed.states[[0, 2]], alone.states)
     assert np.array_equal(mixed.s1[[0, 2]], alone.s1)
+
+
+def test_an_exit_brent_cannot_locate_fails_that_ray_alone(monkeypatch):
+    # with no iterations Brent's method locates no exit crossing: the ray
+    # aimed at the hole ends failed where its crossing step began, outside
+    # the exit margin, and its batch mates keep their bits
+    rng = np.random.default_rng(11)
+    rays = np.array([faller_ray(rng.uniform(-2.8, 2.8, 3)), faller_ray(HOLE),
+                     faller_ray(rng.uniform(-2.8, 2.8, 3))])
+    want, _ = integrate_batch(SW, rays)
+    monkeypatch.setattr(geodesics, "_BRENT_ITER", 0)
+    got, _ = integrate_batch(SW, rays)
+    assert list(want.outcome) == [LANDED, CLIPPED, LANDED]
+    assert list(got.outcome) == [LANDED, FAILED, LANDED]
+    assert got.reasons[1].startswith("exit crossing not located: Failed to converge")
+    assert 0.0 < got.s1[1] < want.s1[1] and got.states[1, 1] > 1.0 + 1e-6
+    assert got.reasons[0] == got.reasons[2] == ""
+    assert np.array_equal(got.states[[0, 2]], want.states[[0, 2]])
+    assert np.array_equal(got.s1[[0, 2]], want.s1[[0, 2]])
 
 
 def test_a_ray_whose_step_underflows_fails_alone():

@@ -756,10 +756,10 @@ class TestFailedWarmStart:
 
     def test_an_equally_near_preimage_is_ambiguous(self, inertial, monkeypatch):
         # the decoy lies on the far side of the previous state, as far from
-        # it as the root up to half of merge_tol
+        # it as the root up to half of _MERGE_TOL
         def mirror(prev, root):
             d = np.max(np.abs(root - prev))
-            return prev - (root - prev) * (d + 0.5 * search_box().merge_tol) / d
+            return prev - (root - prev) * (d + 0.5 * splitting._MERGE_TOL) / d
 
         want = observe_curve(MK, inertial[1], self.worldline(), self.S, search_box())
         got, n_cold = self.track(inertial, monkeypatch, mirror)
@@ -1045,6 +1045,16 @@ def test_newton_row_does_not_depend_on_its_batch(case, request):
                                          (image, jac))
         for a, b in zip(together, alone):
             assert np.array_equal(a[i], b[0])
+
+
+def test_newton_takes_an_empty_batch(faller):
+    # invert_many polishes no rows when none of its start rays lands
+    chart, frames = faller
+    none = np.empty((0, 4))
+    states, rnorm, converged, images, jacs = splitting._newton_polish(
+        chart, frames, none, none, FALLER_BOX)
+    assert states.shape == images.shape == (0, 4) and jacs.shape == (0, 4, 4)
+    assert rnorm.shape == converged.shape == (0,)
 
 
 def test_faller_inversion_batch_count(faller, monkeypatch):
