@@ -4,8 +4,8 @@ Subcommands: trace-cone, invert, observe, newton-limit, validate, each
 reading the one splitting (chart, curve, frames) that _splitting builds.
 Every run writes its data files plus a manifest into --out.  Output is
 deterministic: floats are printed with 17 significant digits, and every
-command runs in one thread (--threads is accepted and unused).  The only
-tolerance a scenario or --tol-override sets is tol.inv.
+command runs in one thread.  The only tolerance a scenario or
+--tol-override sets is tol.inv.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
 failure.
@@ -173,19 +173,21 @@ def _track(scn: Scenario, n_samples, start=None):
     search = scn.build_search(curve)
     kind = scn.get("observe.kind", "inertial", kind=str)
     if kind == "inertial":
-        q0 = np.array(scn.get("observe.q0_m", kind=list))
-        w = np.array(scn.get("observe.w_m_per_s", [0, 0, 0], kind=list))
+        q0 = np.array(scn.get("observe.q0_m", kind=list, count=4))
+        w = np.array(scn.get("observe.w_m_per_s", [0, 0, 0], kind=list, count=3))
         lo, hi = curve.interval
         worldline = make_inertial_observer(chart, Event(chart.name, q0),
                                            np.concatenate([[chart.c], w]), (lo - 1.0, hi + 1.0))
     elif kind == "comoving":
-        x = np.array(scn.get("observe.x_m", kind=list))
+        x = np.array(scn.get("observe.x_m", kind=list, count=3))
         worldline = sp.comoving_worldline(chart, frames, x)
     else:
         raise ConfigError(f"unknown observed worldline kind {kind!r}")
     s_lo = scn.get("observe.s_min_s", 0.0)
     s_hi = scn.get("observe.s_max_s", 1.0)
     n = scn.get("observe.n_samples", n_samples, kind=int)
+    if n < 1:
+        raise ConfigError(f"setting 'observe.n_samples' must be at least 1, got {n}")
     samples = sp.observe_curve(chart, frames, worldline, np.linspace(s_lo, s_hi, n), search, start)
     return chart, frames, samples, n
 
@@ -218,7 +220,7 @@ def run_limit_scenario(scn: Scenario, c, start=None):
     """
     values = dict(scn.values)
     values["spacetime.c_m_per_s"] = repr(float(c))
-    scn_c = Scenario(values=values, source_text=scn.source_text)
+    scn_c = Scenario(values=values)
     chart, frames, samples, _ = _track(scn_c, 5, start)
     mass = scn_c.get("mass_kg", 1.0)
     return samples, [None if smp.not_an_observer or not np.all(np.isfinite(smp.dv_dtau))
@@ -388,8 +390,6 @@ def build_parser():
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--tol-override", action="append", default=[],
                         metavar="tol.inv=VAL", help="override tol.inv, Newton's residual bound")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; no command uses it")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for random invariant sampling")
     sub = parser.add_subparsers(dest="command", required=True)

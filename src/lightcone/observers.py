@@ -1,25 +1,28 @@
 """Observer worldlines and moving frames of reference.
 
-An ObserverCurve is a proper-time parametrized, future-directed timelike
-worldline with g(gamma', gamma') = c^2.  A FrameField attaches an
-orthonormal, right-handed frame to every instant, with the zeroth column
-pinned to gamma'/c.
-
-Every curve carries its own Fermi-Walker (non-rotating) basis,
-fw_basis(tau), made the way the curve itself is made:
-  flat inertial            the constant orthonormal completion of gamma'/c;
-  uniformly accelerated    the boost frame, in closed form;
-  curved inertial and      one coupled integration of the worldline and the
-  programmed               frame from tau = 0 (_integrated_curve) by
-                           geodesics' transport equation, the one that
+An observer is one proper-time parametrized, future-directed timelike
+worldline, g(gamma', gamma') = c^2, carrying an accelerometer and a
+non-rotating (Fermi-Walker) frame.  An ObserverCurve holds its position
+and the state its transport law carries, M = [gamma', e1, e2, e3], with
+the accelerometer reading in e1..e3 (none for a geodesic).  Everything
+else is read off M: the velocity is its column 0, the proper acceleration
+its spatial columns times the reading, and the Fermi-Walker basis
+fw_basis(tau) is M with column 0 divided by c.  Each maker supplies M:
+  flat inertial            the constant [gamma', orthonormal completion];
+  uniformly accelerated    the boost frame in closed form, reading (a, 0, 0);
+  curved inertial and      one coupled integration of the worldline and M
+  programmed               from tau = 0 (_integrated_curve) by geodesics'
+                           transport equation, the one that
                            geodesics.parallel_transport also runs (the
                            inertial observer is the programmed system with
                            no program), on geodesics' stepper at
                            geodesics.REL_TOL and ABS_TOL.
-Fermi-Walker transport is linear, so every Fermi-Walker frame along a
-curve is its basis times one constant Lorentz matrix, and
-fermi_walker_transport integrates nothing.  Rotating variants
-post-multiply the spatial columns by a time-dependent rotation.
+A FrameField attaches an orthonormal, right-handed frame to every
+instant, with the zeroth column pinned to gamma'/c.  Fermi-Walker
+transport is linear, so every Fermi-Walker frame along a curve is its
+basis times one constant Lorentz matrix, and fermi_walker_transport
+integrates nothing.  Rotating variants post-multiply the spatial columns
+by a time-dependent rotation.
 
 An integrated worldline stops at the chart-exit margin the rays stop at
 (geodesics._exit_event): one that leaves the chart inside its interval
@@ -31,6 +34,7 @@ A scalar is run as an array of one, so row i of an array result has the
 bits of the scalar call at tau[i].
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -62,35 +66,52 @@ def _over_taus(fn, tau, interval, what):
 
 @dataclass(frozen=True)
 class ObserverCurve:
-    """Worldline parametrized by proper time on a fixed chart.
+    """Worldline parametrized by proper time on a fixed chart, with its frame.
 
-    position, velocity and acceleration take a scalar tau, giving (4,),
-    or a 1-D array of n values, giving (n, 4), and fw_basis gives (4, 4)
-    or (n, 4, 4); any tau outside interval raises InvalidInputError.  The
-    *_fn evaluators map an (n,) array of tau to the rows.
+    frame_fn maps an (n,) array of tau to M = [gamma', e1, e2, e3],
+    (n, 4, 4), and reading_fn to the (n, 3) accelerometer reading in
+    e1..e3; reading_fn None marks a geodesic.  position, velocity and
+    acceleration take a scalar tau, giving (4,), or a 1-D array of n
+    values, giving (n, 4), and fw_basis gives (4, 4) or (n, 4, 4); any tau
+    outside interval raises InvalidInputError.
     """
 
     chart: Chart
     interval: tuple
     position_fn: Callable[[np.ndarray], np.ndarray]
-    velocity_fn: Callable[[np.ndarray], np.ndarray]       # gamma' components
-    acceleration_fn: Callable[[np.ndarray], np.ndarray]   # covariant acceleration
-    fw_basis_fn: Callable[[np.ndarray], np.ndarray]       # (n, 4, 4) frames
-    kind: str = "generic"  # "inertial" marks a geodesic
+    frame_fn: Callable[[np.ndarray], np.ndarray]
+    reading_fn: Callable[[np.ndarray], np.ndarray] = None
 
     @property
     def c(self):
         return self.chart.c
 
+    @functools.cached_property
+    def _column_scale(self):
+        """(c, 1, 1, 1): divides column 0 of M by c; dividing by 1 is exact."""
+        return np.array([self.c, 1.0, 1.0, 1.0])
+
+    def fw_basis_fn(self, taus):
+        """Fermi-Walker bases at an (n,) array of tau: M with column 0 = gamma'/c."""
+        return self.frame_fn(taus) / self._column_scale
+
+    def _velocity_fn(self, taus):
+        return self.frame_fn(taus)[:, :, 0]
+
+    def _acceleration_fn(self, taus):
+        if self.reading_fn is None:
+            return np.zeros((len(taus), 4))
+        return (self.frame_fn(taus)[:, :, 1:] @ self.reading_fn(taus)[:, :, None])[:, :, 0]
+
     def position(self, tau):
         return _over_taus(self.position_fn, tau, self.interval, "observer interval")
 
     def velocity(self, tau):
-        return _over_taus(self.velocity_fn, tau, self.interval, "observer interval")
+        return _over_taus(self._velocity_fn, tau, self.interval, "observer interval")
 
     def acceleration(self, tau):
-        """Covariant acceleration (the proper acceleration vector)."""
-        return _over_taus(self.acceleration_fn, tau, self.interval, "observer interval")
+        """Covariant (proper) acceleration: the reading carried by e1..e3."""
+        return _over_taus(self._acceleration_fn, tau, self.interval, "observer interval")
 
     def fw_basis(self, tau):
         """Its Fermi-Walker basis: orthonormal frames, column 0 = gamma'/c."""
@@ -115,7 +136,6 @@ class FrameField:
     curve: ObserverCurve
     matrix_fn: Callable[[np.ndarray], np.ndarray]
     cov_deriv_fn: Callable[[np.ndarray], np.ndarray]
-    kind: str = "fermi-walker"
     tau_range: tuple = None
 
     @property
@@ -151,20 +171,17 @@ def make_inertial_observer(chart: Chart, q0: Event, u0,
     program (see make_programmed_observer).
     """
     u = normalize_observer_velocity(chart, q0.coords, u0)
-    frame0 = complete_orthonormal(chart.metric(q0.coords), u / chart.c)
+    m0 = complete_orthonormal(chart.metric(q0.coords), u / chart.c)
+    m0[:, 0] = u
     if not chart.flat:
-        return _integrated_curve(chart, q0, np.column_stack([u, frame0[:, 1:]]), None,
-                                 interval, "inertial")
+        return _integrated_curve(chart, q0, m0, None, interval)
     p0 = q0.coords.copy()
 
     return ObserverCurve(
         chart=chart,
         interval=(float(interval[0]), float(interval[1])),
         position_fn=lambda taus: p0 + taus[:, None] * u,
-        velocity_fn=lambda taus: u[None].repeat(len(taus), axis=0),
-        acceleration_fn=lambda taus: np.zeros((len(taus), 4)),
-        fw_basis_fn=lambda taus: frame0[None].repeat(len(taus), axis=0),
-        kind="inertial",
+        frame_fn=lambda taus: m0[None].repeat(len(taus), axis=0),
     )
 
 
@@ -180,30 +197,20 @@ def make_uniformly_accelerated_observer(a, c=1.0, interval=(-10.0, 10.0)) -> Obs
         raise CausalDomainError("proper acceleration must be positive")
     chart = minkowski(c)
     c = float(c)
-
-    def rows(taus, col0, col1):
-        out = np.zeros((len(taus), 4))
-        out[:, 0], out[:, 1] = col0, col1
-        return out
+    reading = np.array([a, 0.0, 0.0])
 
     def position_fn(taus):
         w = a * taus / c
-        return rows(taus, c**2 / a * np.sinh(w), c**2 / a * (np.cosh(w) - 1.0))
+        out = np.zeros((len(taus), 4))
+        out[:, 0], out[:, 1] = c**2 / a * np.sinh(w), c**2 / a * (np.cosh(w) - 1.0)
+        return out
 
-    def velocity_fn(taus):
-        w = a * taus / c
-        return rows(taus, c * np.cosh(w), c * np.sinh(w))
-
-    def acceleration_fn(taus):
-        w = a * taus / c
-        return rows(taus, a * np.sinh(w), a * np.cosh(w))
-
-    def fw_basis_fn(taus):
-        """The boost frame: gamma'/c, the direction of acceleration, axes 2 and 3."""
+    def frame_fn(taus):
+        """The boost frame, column 0 scaled by c: gamma', the thrust axis, axes 2 and 3."""
         w = a * taus / c
         m = np.zeros((len(taus), 4, 4))
-        m[:, 0, 0] = m[:, 1, 1] = np.cosh(w)
-        m[:, 0, 1] = m[:, 1, 0] = np.sinh(w)
+        m[:, 0, 0], m[:, 1, 0] = c * np.cosh(w), c * np.sinh(w)
+        m[:, 0, 1], m[:, 1, 1] = np.sinh(w), np.cosh(w)
         m[:, 2, 2] = m[:, 3, 3] = 1.0
         return m
 
@@ -211,10 +218,8 @@ def make_uniformly_accelerated_observer(a, c=1.0, interval=(-10.0, 10.0)) -> Obs
         chart=chart,
         interval=(float(interval[0]), float(interval[1])),
         position_fn=position_fn,
-        velocity_fn=velocity_fn,
-        acceleration_fn=acceleration_fn,
-        fw_basis_fn=fw_basis_fn,
-        kind="uniformly-accelerated",
+        frame_fn=frame_fn,
+        reading_fn=lambda taus: reading[None].repeat(len(taus), axis=0),
     )
 
 
@@ -230,51 +235,36 @@ def make_programmed_observer(chart: Chart, q0: Event, frame0, accel_program,
     """
     x0 = np.asarray(frame0.matrix if isinstance(frame0, Frame4) else frame0, dtype=float)
     curve = _integrated_curve(chart, q0, np.column_stack([chart.c * x0[:, 0], x0[:, 1:]]),
-                              accel_program, interval, "programmed")
+                              accel_program, interval)
     return curve, _fw_field(curve, curve.fw_basis_fn)
 
 
-def _integrated_curve(chart: Chart, q0: Event, m0, program, interval, kind) -> ObserverCurve:
-    """Worldline and Fermi-Walker basis from one integration, from tau = 0.
+def _integrated_curve(chart: Chart, q0: Event, m0, program, interval) -> ObserverCurve:
+    """Worldline and its M from one integration, from tau = 0.
 
-    The state is the position and the four columns M = [gamma', spatial
-    frame columns] of geodesics' transport equation (_transport_rhs), with
-    the acceleration A = M[:, 1:] program(tau); without a program gamma' is
-    a geodesic and M is parallel transported.  m0 is M at q0.
+    The state is the position and the four columns M = [gamma', e1, e2,
+    e3] of geodesics' transport equation (_transport_rhs), with the
+    acceleration A = M[:, 1:] program(tau); without a program gamma' is a
+    geodesic and M is parallel transported.  m0 is M at q0.
     """
     if q0.chart_id != chart.name:
         raise InvalidInputError(f"event belongs to chart {q0.chart_id!r}, not {chart.name!r}")
-    c = chart.c
     y0 = np.concatenate([q0.coords, np.asarray(m0, dtype=float).T.ravel()])
+    reading = None if program is None else (
+        lambda taus: np.array([program(tau) for tau in taus], dtype=float).reshape(len(taus), 3))
+    state = _two_sided(chart, _transport_rhs(chart, 4, reading), y0,
+                       float(interval[0]), float(interval[1]))
 
-    def reading(taus):
-        return np.array([program(tau) for tau in taus], dtype=float).reshape(len(taus), 3)
-
-    rhs = _transport_rhs(chart, 4, reading if program is not None else None)
-    state = _two_sided(chart, rhs, y0, float(interval[0]), float(interval[1]))
-
-    def frames(taus):
+    def frame_fn(taus):
         """M at each tau, (n, 4, 4), C-contiguous as every other frame is."""
         return np.ascontiguousarray(state(taus)[:, 4:].reshape(-1, 4, 4).transpose(0, 2, 1))
-
-    def fw_basis_fn(taus):
-        m = frames(taus)
-        m[:, :, 0] /= c
-        return m
-
-    def acceleration_fn(taus):
-        """The program's reading carried by the spatial frame columns."""
-        return (frames(taus)[:, :, 1:] @ reading(taus)[:, :, None])[:, :, 0]
 
     return ObserverCurve(
         chart=chart,
         interval=(float(interval[0]), float(interval[1])),
         position_fn=lambda taus: state(taus)[:, :4],
-        velocity_fn=lambda taus: state(taus)[:, 4:8],
-        acceleration_fn=(acceleration_fn if program is not None
-                         else lambda taus: np.zeros((len(taus), 4))),
-        fw_basis_fn=fw_basis_fn,
-        kind=kind,
+        frame_fn=frame_fn,
+        reading_fn=reading,
     )
 
 
@@ -348,12 +338,12 @@ def _fw_field(curve: ObserverCurve, matrix_fn, tau_range=None) -> FrameField:
     """Fermi-Walker frame field with the columns of matrix_fn along curve.
 
     Its covariant derivatives are the transport law's, (n, 4, 4): zero
-    along an inertial observer, whose frame is parallel.
+    along a geodesic (no reading), whose frame is parallel.
     """
     c = curve.c
 
     def cov_deriv_fn(taus):
-        if curve.kind == "inertial":
+        if curve.reading_fn is None:
             return np.zeros((len(taus), 4, 4))
         acc = curve.acceleration(taus)[:, :, None]
         pos = curve.position(taus)
@@ -369,7 +359,7 @@ def _fw_field(curve: ObserverCurve, matrix_fn, tau_range=None) -> FrameField:
         return (acc * gv - vel * ga) / c**2
 
     return FrameField(curve=curve, matrix_fn=matrix_fn, cov_deriv_fn=cov_deriv_fn,
-                      kind="fermi-walker", tau_range=tau_range)
+                      tau_range=tau_range)
 
 
 def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None) -> FrameField:
@@ -444,8 +434,7 @@ def rotating_frame(base: FrameField, omega, axis=1) -> FrameField:
         return np.concatenate([base_d[:, :, :1], base_d[:, :, 1:] @ rot + base_m[:, :, 1:] @ drot],
                               axis=2)
 
-    return FrameField(curve=base.curve, matrix_fn=matrix_fn,
-                      cov_deriv_fn=cov_deriv_fn, kind=f"rotating(axis={axis})",
+    return FrameField(curve=base.curve, matrix_fn=matrix_fn, cov_deriv_fn=cov_deriv_fn,
                       tau_range=base.tau_range)
 
 

@@ -126,11 +126,11 @@ class ForceBreakdown:
 class MultistartConfig:
     """Start grid and Newton controls for observer-map inversion.
 
-    The box tau_range x (x_center +- x_halfwidth) must be finite with
-    x_halfwidth >= 0, the grid and seed counts n_tau, n_x and top_k at
-    least 1, and inv_tol finite and > 0; anything else raises
-    InvalidInputError.  Roots are merged within _MERGE_TOL and graded
-    regular below _COND_MAX, both fixed.
+    The box tau_range x (x_center +- x_halfwidth) must be finite with 3
+    entries in x_center and x_halfwidth >= 0, the grid and seed counts
+    n_tau, n_x and top_k at least 1, and inv_tol finite and > 0; anything
+    else raises InvalidInputError.  Roots are merged within _MERGE_TOL and
+    graded regular below _COND_MAX, both fixed.
     """
 
     tau_range: tuple
@@ -142,6 +142,8 @@ class MultistartConfig:
     inv_tol: float = 1e-10
 
     def __post_init__(self):
+        if len(self.x_center) != 3:
+            raise InvalidInputError(f"x_center needs 3 entries, not {len(self.x_center)}")
         box = np.asarray([*self.tau_range, self.x_halfwidth, *self.x_center], dtype=float)
         if not (np.all(np.isfinite(box)) and self.x_halfwidth >= 0):
             raise InvalidInputError("the search box must be finite, with x_halfwidth >= 0")

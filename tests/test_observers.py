@@ -255,7 +255,9 @@ def test_basis_is_fermi_walker_transported(kind):
         m = cur.fw_basis(tau)
         g = metric_at(cur.chart, cur.position(tau))
         assert np.max(np.abs(gram_matrix(g, m) - ETA)) <= 1e-9
-        assert np.max(np.abs(m[:, 0] - cur.velocity(tau) / cur.c)) <= 1e-12
+        assert np.array_equal(m[:, 0], cur.velocity(tau) / cur.c)
+        reading = np.zeros(3) if cur.reading_fn is None else cur.reading_fn(np.array([tau]))[0]
+        assert np.array_equal(cur.acceleration(tau), m[:, 1:] @ reading)
         assert np.linalg.det(m) > 0
         for i in range(4):
             column = lambda t, i=i: cur.fw_basis(t)[:, i]

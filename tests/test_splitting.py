@@ -292,6 +292,7 @@ class TestInversion:
         {"top_k": 0}, {"n_tau": 0}, {"n_x": 0}, {"x_halfwidth": -1.0},
         {"x_halfwidth": float("nan")}, {"x_halfwidth": float("inf")},
         {"tau_range": (-1.0, float("inf"))}, {"x_center": (0.0, float("nan"), 0.0)},
+        {"x_center": (1.0, 2.0)}, {"x_center": (0.0, 0.0, 0.0, 0.0)},
     ])
     def test_search_config_validated(self, bad):
         with pytest.raises(InvalidInputError):
