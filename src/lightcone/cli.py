@@ -13,6 +13,7 @@ failure.
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from collections import Counter
@@ -23,7 +24,7 @@ import numpy as np
 from . import newtonian as nl
 from . import splitting as sp
 from .charts import metric_at, riemann_ricci_at
-from .errors import ConfigError, LightconeError
+from .errors import CausalDomainError, ConfigError, LightconeError
 from .geodesics import CLIPPED, FAILED, LANDED, GeodesicIVP, integrate_geodesic, integrate_jacobi
 from .lorentz import ETA, Event, gram_matrix, validate_frame_of_reference
 from .observers import make_inertial_observer
@@ -176,8 +177,13 @@ def _track(scn: Scenario, n_samples, start=None):
         q0 = np.array(scn.get("observe.q0_m", kind=list, count=4))
         w = np.array(scn.get("observe.w_m_per_s", [0, 0, 0], kind=list, count=3))
         lo, hi = curve.interval
-        worldline = make_inertial_observer(chart, Event(chart.name, q0),
-                                           np.concatenate([[chart.c], w]), (lo - 1.0, hi + 1.0))
+        try:
+            worldline = make_inertial_observer(chart, Event(chart.name, q0),
+                                               np.concatenate([[chart.c], w]),
+                                               (lo - 1.0, hi + 1.0))
+        except CausalDomainError as exc:
+            raise ConfigError(f"setting 'observe.w_m_per_s' makes the observed velocity (c, w) "
+                              f"not timelike at observe.q0_m, with c = {chart.c:g}") from exc
     elif kind == "comoving":
         x = np.array(scn.get("observe.x_m", kind=list, count=3))
         worldline = sp.comoving_worldline(chart, frames, x)
@@ -185,6 +191,9 @@ def _track(scn: Scenario, n_samples, start=None):
         raise ConfigError(f"unknown observed worldline kind {kind!r}")
     s_lo = scn.get("observe.s_min_s", 0.0)
     s_hi = scn.get("observe.s_max_s", 1.0)
+    for key, val in (("observe.s_min_s", s_lo), ("observe.s_max_s", s_hi)):
+        if not math.isfinite(val):
+            raise ConfigError(f"setting {key!r} must be finite, got {val}")
     n = scn.get("observe.n_samples", n_samples, kind=int)
     if n < 1:
         raise ConfigError(f"setting 'observe.n_samples' must be at least 1, got {n}")

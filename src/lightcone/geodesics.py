@@ -5,10 +5,11 @@ Every integration here runs one stepper, _dopri: the Dormand-Prince
 its tableau written out here, and the error estimator, initial step and
 step control of scipy's DOP853, over an (n, width) array of rays.  Each
 row is its own initial-value problem: it keeps its own parameter s,
-step size, rejected flag and error norm, each step evaluates only the
-rows still running, and no row's arithmetic reads another's.  So a ray
-gives the same bits alone and in any batch.  The module needs numpy
-only.
+end parameter s_end (one for the batch, or one per row, forward or
+backward), step size, rejected flag and error norm, each step evaluates
+only the rows still running, and no row's arithmetic reads another's.
+So a ray gives the same bits alone and in any batch.  The module needs
+numpy only.
 
 What the tolerances mean for each ray (REL_TOL = 1e-10, ABS_TOL =
 1e-12, the one accuracy setting): every accepted step keeps that ray's
@@ -41,7 +42,9 @@ rays with n_jac Jacobi columns each, serves integrate_batch and the
 single-ray solves, which go through one entry, _ray, that checks the
 start event and makes one _rays run.  _transport_rhs, a position with
 Fermi-Walker-transported columns, serves parallel_transport and the
-observers' worldlines and frames.
+observers' worldlines and frames (both sides of tau = 0 as two rows of
+one run); without an accelerometer reading it is parallel transport and
+evaluates no thrust term.
 
 A Jacobi column is integrated as the coordinate variation (dx, dv) of the
 ray, whose variational equation needs the connection and its first
@@ -412,8 +415,8 @@ def _rms(x):
 
 
 def _initial_step(rhs, y, f, s_end, direction):
-    """scipy's select_initial_step for each row, from s = 0."""
-    length = abs(s_end)
+    """scipy's select_initial_step for each row, from s = 0 towards its own s_end."""
+    length = np.abs(s_end)
     scale = ABS_TOL + np.abs(y) * REL_TOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -468,17 +471,20 @@ class _Run:
 def _dopri(rhs, y0, s_end, event=None, dense=False):
     """Integrate y' = rhs(s, y) from s = 0 to s_end != 0 for each row of y0.
 
-    rhs maps (m,) s and (m, width) states of the running rows to their
-    (m, width) derivatives, row by row.  event maps (m, width) states to
-    (m,) values; a row stops, clipped, where its value falls through zero
-    (scipy's terminal event with direction -1).  See the module
-    docstring for the step control and the outcomes.
+    s_end is one end for every row, or an (n,) array of each row's own end,
+    so that rows of one run may go forward and backward.  rhs maps (m,) s
+    and (m, width) states of the running rows to their (m, width)
+    derivatives, row by row.  event maps (m, width) states to (m,) values;
+    a row stops, clipped, where its value falls through zero (scipy's
+    terminal event with direction -1).  See the module docstring for the
+    step control and the outcomes.
     """
     y0 = np.array(y0, dtype=float)
     n, width = y0.shape
-    direction = 1.0 if s_end > 0 else -1.0
-    clamp = np.minimum if s_end > 0 else np.maximum  # a step ends at s_end at the latest
-    floor = 10 * np.spacing(abs(s_end))  # no row's min_step is larger
+    s_end = np.broadcast_to(np.asarray(s_end, dtype=float), (n,))
+    direction = np.where(s_end > 0, 1.0, -1.0)
+    reach = np.abs(s_end)
+    floor = 10 * np.spacing(reach.max(initial=0.0))  # no row's min_step is larger
     out = _Run(np.empty((n, width)), np.empty(n), np.full(n, LANDED),
                np.zeros(n, dtype=int), [""] * n)
     record = []  # with dense output: per iteration (rows, t_old, h, q, y_old)
@@ -499,12 +505,13 @@ def _dopri(rhs, y0, s_end, event=None, dense=False):
 
     def finish(i, y_end, s1):
         """Record the running rows i as ended, and drop them."""
-        nonlocal rows, s, y, f, h_abs, rejected, steps, g
+        nonlocal rows, s, y, f, h_abs, rejected, steps, g, s_end, direction, reach
         out.y[rows[i]], out.s1[rows[i]], out.steps[rows[i]] = y_end, s1, steps[i]
         live = np.ones(len(rows), dtype=bool)
         live[i] = False
         rows, s, y, f = rows[live], s[live], y[live], f[live]
         h_abs, rejected, steps = h_abs[live], rejected[live], steps[live]
+        s_end, direction, reach = s_end[live], direction[live], reach[live]
         g = g[live] if g is not None else None
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -532,7 +539,9 @@ def _dopri(rhs, y0, s_end, event=None, dense=False):
                 continue
             attempts += 1
 
-            s_new = clamp(s + h_abs * direction, s_end)
+            # a step ends at its row's s_end at the latest: min(|s| + h, |s_end|)
+            # in the distance gone, |s| = direction * s (negating is exact)
+            s_new = direction * np.minimum(direction * s + h_abs, reach)
             h = s_new - s
             h_abs = np.abs(h)
             hc = h[:, None]
@@ -572,7 +581,7 @@ def _dopri(rhs, y0, s_end, event=None, dense=False):
             acc = np.arange(len(rows)) if every else np.flatnonzero(ok)
             pick = (lambda a: a) if every else (lambda a: a[acc])
             t_old, y_old, h_acc, s_acc, y_acc = pick(s), pick(y), pick(h), pick(s_new), pick(y_new)
-            stop = s_acc == s_end  # landed, at the step's end state
+            stop = s_acc == pick(s_end)  # landed, at the step's end state
             ends, y_end = s_acc, y_acc
             q = None
             if dense:
@@ -689,7 +698,8 @@ def _transport_rhs(chart: Chart, k, reading=None):
         x' = M_0,   M' = -Gamma(M_0, M) + (A g(M_0, M) - M_0 g(A, M)) / c^2,
     with the acceleration A = [M_1 ... M_{k-1}] reading(s), (n, k - 1) at
     (n,) s; without a reading A = 0, and x is a geodesic along which M is
-    parallel transported.
+    parallel transported: the thrust terms and the metric they need are
+    skipped.
     """
     c = chart.c
 
@@ -697,11 +707,12 @@ def _transport_rhs(chart: Chart, k, reading=None):
         n = len(y)
         pos, m = y[:, :4], y[:, 4:].reshape(n, k, 4).transpose(0, 2, 1)
         vel = m[:, :, 0]
-        comps = np.zeros((n, k - 1)) if reading is None else reading(s)
-        acc = m[:, :, 1:] @ comps[:, :, None]
-        g = chart.metric(pos)
-        dm = acc * (vel[:, None] @ g @ m) - vel[:, :, None] * (acc.transpose(0, 2, 1) @ g @ m)
-        dm = dm / c**2 - np.einsum("nkij,ni,njm->nkm", chart.christoffels(pos), vel, m)
+        dm = -np.einsum("nkij,ni,njm->nkm", chart.christoffels(pos), vel, m)
+        if reading is not None:
+            acc = m[:, :, 1:] @ reading(s)[:, :, None]
+            g = chart.metric(pos)
+            fw = acc * (vel[:, None] @ g @ m) - vel[:, :, None] * (acc.transpose(0, 2, 1) @ g @ m)
+            dm = fw / c**2 + dm
         return np.concatenate([vel, dm.transpose(0, 2, 1).reshape(n, 4 * k)], axis=1)
 
     return rhs

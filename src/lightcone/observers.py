@@ -16,7 +16,8 @@ fw_basis(tau) is M with column 0 divided by c.  Each maker supplies M:
                            geodesics.parallel_transport also runs (the
                            inertial observer is the programmed system with
                            no program), on geodesics' stepper at
-                           geodesics.REL_TOL and ABS_TOL.
+                           geodesics.REL_TOL and ABS_TOL: one run, one row
+                           per side of tau = 0 (_two_sided).
 A FrameField attaches an orthonormal, right-handed frame to every
 instant, with the zeroth column pinned to gamma'/c.  Fermi-Walker
 transport is linear, so every Fermi-Walker frame along a curve is its
@@ -441,23 +442,25 @@ def rotating_frame(base: FrameField, omega, axis=1) -> FrameField:
 def _two_sided(chart: Chart, rhs, y0, lo, hi):
     """Integrate y' = rhs(tau, y) from y0 at tau = 0 out to lo and to hi.
 
-    One geodesics._dopri run with dense output for each side of 0 that
-    [lo, hi] reaches, stopped by the chart-exit event the rays stop at; a
-    run that leaves the chart or fails raises IntegrationError.  Returns
-    state(taus): the rows (n, len(y0)) at an (n,) array of tau, one
-    interpolant call per side.
+    One geodesics._dopri run with dense output, one row per side of 0
+    that [lo, hi] reaches: y0 towards lo and y0 towards hi.  Each row is
+    stopped by the chart-exit event the rays stop at, and keeps the bits
+    it would have alone; a row that leaves the chart or fails raises
+    IntegrationError.  Returns state(taus): the rows (n, len(y0)) at an
+    (n,) array of tau, one interpolant call per side.
     """
+    ends = [end for end in (min(lo, 0.0), max(hi, 0.0)) if end != 0.0]
     sides = {}
-    for ahead, end in ((False, min(lo, 0.0)), (True, max(hi, 0.0))):
-        if end == 0.0:
-            continue
-        run = _dopri(rhs, y0[None], end, _exit_event(chart), dense=True)
-        if run.outcome[0] == FAILED:
-            raise IntegrationError(f"observer worldline integration failed: {run.reasons[0]}")
-        if run.outcome[0] == CLIPPED:
-            raise IntegrationError(
-                f"observer worldline exits the chart at tau={run.s1[0]:.6g} (wanted {end})")
-        sides[ahead] = DenseSolution(*run.segments[0], run.steps[0], False)
+    if ends:
+        run = _dopri(rhs, y0[None].repeat(len(ends), axis=0), np.array(ends),
+                     _exit_event(chart), dense=True)
+        for i, end in enumerate(ends):
+            if run.outcome[i] == FAILED:
+                raise IntegrationError(f"observer worldline integration failed: {run.reasons[i]}")
+            if run.outcome[i] == CLIPPED:
+                raise IntegrationError(
+                    f"observer worldline exits the chart at tau={run.s1[i]:.6g} (wanted {end})")
+            sides[end > 0.0] = DenseSolution(*run.segments[i], run.steps[i], False)
 
     def state(taus):
         rows = y0[None].repeat(len(taus), axis=0)

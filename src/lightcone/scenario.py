@@ -96,7 +96,7 @@ class Scenario:
     values: dict
 
     def get(self, key, default=None, kind=float, count=None):
-        """The setting as kind; a list with a count must hold that many finite numbers."""
+        """The setting as kind; a list holds finite numbers, as many as count if given."""
         if key not in self.values:
             if default is None:
                 raise ConfigError(f"missing required setting {key!r}")
@@ -111,8 +111,9 @@ class Scenario:
             return raw
         if kind is list:
             vals = _floats(raw)
-            if count is not None and not (len(vals) == count and all(map(math.isfinite, vals))):
-                raise ConfigError(f"setting {key!r} expects {count} finite numbers, got {raw!r}")
+            if not all(map(math.isfinite, vals)) or count not in (None, len(vals)):
+                many = "" if count is None else f"{count} "
+                raise ConfigError(f"setting {key!r} expects {many}finite numbers, got {raw!r}")
             return vals
         raise ConfigError(f"unsupported kind for {key!r}")
 

@@ -89,11 +89,16 @@ class TestScenarioParsing:
         ("sr_limit_sweep", "invert.x_center_m", "1, 2", "observe"),
         ("minkowski_inertial", "observe.n_samples", "-1", "observe"),
         ("minkowski_inertial", "observe.n_samples", "0", "observe"),
+        ("minkowski_inertial", "cone.tau_s", "nan", "trace-cone"),
+        ("minkowski_inertial", "cone.radii_m", "1, inf", "trace-cone"),
+        ("minkowski_inertial", "observe.s_max_s", "nan", "observe"),
+        ("minkowski_inertial", "observe.s_min_s", "-inf", "observe"),
     ])
     def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, preset, key, value,
                                                  command):
-        # each used to end in a ValueError traceback or a numerical failure,
-        # and n_samples = 0 in a run that wrote no sample
+        # each used to end in a ValueError traceback or a numerical failure
+        # whose message named no key, and n_samples = 0 in a run that
+        # wrote no sample
         text = (SCN_DIR / f"{preset}.scn").read_text()
         old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
         scn_file = tmp_path / "bad.scn"
@@ -362,6 +367,16 @@ class TestNewtonLimit:
         assert fields["first_order_bound_satisfied"] == "1"
         assert float(fields["first_order_max"]) <= 6.5e-6
 
+    def test_superluminal_observed_mass_is_a_config_error(self, tmp_path, capsys):
+        # at c = 1 the jet fighter's 1.94 m/s is faster than light: the
+        # fault is the observed mass's setting, not the observer
+        rc = main(["--scenario", str(SCN_DIR / "jet_fighter.scn"),
+                   "--out", str(tmp_path), "newton-limit", "--c-list", "1,2,4,8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'observe.w_m_per_s'" in err and "observer velocity" not in err
+        assert not (tmp_path / "limit_report.txt").exists()
+
     def test_comoving_residuals_tiny(self, tmp_path):
         scn_text = (SCN_DIR / "sr_limit_sweep.scn").read_text()
         scn_text = scn_text.replace("observe.kind = inertial", "observe.kind = comoving")
@@ -616,16 +631,16 @@ class TestProgrammedObserver:
         runs, dopri = [], geodesics._dopri
 
         def counted(*args, **kwargs):
-            runs.append(args[2])
+            runs.append(np.asarray(args[2]).tolist())
             return dopri(*args, **kwargs)
 
         monkeypatch.setattr(geodesics, "_dopri", counted)
         monkeypatch.setattr(observers, "_dopri", counted)
         curve = scn.build_observer(chart)
-        assert runs == [-2.0, 2.0]
+        assert runs == [[-2.0, 2.0]]  # one run, one row per side of tau = 0
         frames = scn.build_frames(chart, curve)
         frames.matrix(np.linspace(-2, 2, 5))
-        assert runs == [-2.0, 2.0]
+        assert runs == [[-2.0, 2.0]]
 
     def test_validate_passes_for_programmed(self, tmp_path):
         scn_file = tmp_path / "prog.scn"

@@ -543,3 +543,71 @@ def test_a_ray_whose_step_underflows_fails_alone():
     assert batch.reasons[1] == ""
     assert 6.0 <= batch.states[0, 1] < 10.0 and 0.0 < batch.s1[0] < 1.0
     assert np.array_equal(batch.states[1], alone.states[0])
+
+
+def _rows_keep_their_solo_bits(rhs, y0, ends, event):
+    """Run the rows of y0 to their own ends in one run; each has its solo run's bits."""
+    run = geodesics._dopri(rhs, y0, np.array(ends), event, dense=True)
+    for i, end in enumerate(ends):
+        solo = geodesics._dopri(rhs, y0[i:i + 1], end, event, dense=True)
+        assert np.array_equal(run.y[i], solo.y[0])
+        assert run.s1[i] == solo.s1[0]
+        assert run.steps[i] == solo.steps[0]
+        assert run.outcome[i] == solo.outcome[0]
+        assert run.reasons[i] == solo.reasons[0]
+        for got, want in zip(run.segments[i], solo.segments[0]):
+            assert np.array_equal(got, want)
+    return run
+
+
+def test_rays_to_their_own_ends_keep_their_solo_bits():
+    # rows ending at -3 and at 2 in one run, with the chart-exit event; the
+    # ray aimed at the hole clips forward and lands backward
+    rng = np.random.default_rng(3)
+    a, b = faller_ray(rng.uniform(-2.8, 2.8, 3)), faller_ray(rng.uniform(-2.8, 2.8, 3))
+    hole = faller_ray(HOLE)
+    y0 = np.array([a, b, hole, hole, a])
+    run = _rows_keep_their_solo_bits(_ray_rhs(SW, 0), y0, [-3.0, 2.0, 2.0, -3.0, 2.0],
+                                     geodesics._exit_event(SW))
+    assert list(run.outcome) == [LANDED, LANDED, CLIPPED, LANDED, LANDED]
+    assert list(run.s1[[0, 1, 3, 4]]) == [-3.0, 2.0, -3.0, 2.0]
+    assert 0.0 < run.s1[2] < 1.0
+
+
+def test_transport_to_its_own_ends_keeps_the_solo_bits():
+    # the transport law with an accelerometer reading: a frame at r = 10 R
+    # to -3 and to 2, and one released at r = 1.5 R, which meets the
+    # horizon margin at |tau| ~ 2 both ways and clips
+    def reading(s):
+        return np.column_stack([0.05 * np.sin(s), np.full(len(s), 0.02), 0.01 * s])
+
+    rhs = geodesics._transport_rhs(SW, 4, reading)
+
+    def start(r):
+        q0 = np.array([0.0, r, np.pi / 2, 0.0])
+        m0 = SW.reference_frame(q0)
+        m0[:, 0] *= SW.c
+        return np.concatenate([q0, m0.T.ravel()])
+
+    y0 = np.array([start(10.0), start(10.0), start(1.5), start(1.5)])
+    run = _rows_keep_their_solo_bits(rhs, y0, [-3.0, 2.0, -3.0, 3.0], geodesics._exit_event(SW))
+    assert list(run.outcome) == [LANDED, LANDED, CLIPPED, CLIPPED]
+    assert -3.0 < run.s1[2] < -1.0 and 1.0 < run.s1[3] < 3.0
+
+
+def test_a_failing_row_ends_alone_among_rows_to_other_ends():
+    # a connection that is NaN inside r = 6: the inward ray fails forward,
+    # and the same ray run backward (outward) and an outward ray land
+    def christoffel_fn(coords):
+        inner = np.asarray(coords)[..., 1] < 6.0
+        return np.where(inner[..., None, None, None], np.nan, SW.christoffel_fn(coords))
+
+    chart = dataclasses.replace(SW, christoffel_fn=christoffel_fn)
+    f = 1.0 - 1.0 / 10.0
+    start = sw_event().coords
+    inward = np.concatenate([start, 8.0 * np.array([1.0 / f, -1.0, 0.0, 0.0])])
+    outward = np.concatenate([start, 8.0 * np.array([1.0 / f, 1.0, 0.0, 0.0])])
+    run = _rows_keep_their_solo_bits(_ray_rhs(chart, 0), np.array([inward, inward, outward]),
+                                     [1.0, -0.5, 1.0], None)
+    assert list(run.outcome) == [FAILED, LANDED, LANDED]
+    assert run.reasons[0].startswith("required step size is less than spacing")

@@ -282,20 +282,50 @@ def test_worldline_leaving_the_chart_raises(make):
     assert time.perf_counter() - start <= 2.0
 
 
-def test_curved_inertial_worldline_is_one_integration(monkeypatch):
+def _counted_runs(monkeypatch):
+    """The row ends of every _dopri run the observers module makes, as lists."""
     runs, dopri = [], geodesics._dopri
 
     def counted(*args, **kwargs):
-        runs.append(args[2])
+        runs.append(np.asarray(args[2]).tolist())
         return dopri(*args, **kwargs)
 
     monkeypatch.setattr(observers, "_dopri", counted)
+    return runs
+
+
+def test_curved_inertial_worldline_is_one_integration(monkeypatch):
+    runs = _counted_runs(monkeypatch)
     monkeypatch.setattr(geodesics, "integrate_geodesic", _no_call)
     q0 = Event("schwarzschild", np.array([0.0, 10.0, math.pi / 2, 0.0]))
     cur = make_inertial_observer(SW, q0, [1.0, 0.0, 0.0, 0.0], interval=(-3, 2))
-    assert runs == [-3.0, 2.0]  # one run per side of tau = 0
+    assert runs == [[-3.0, 2.0]]  # one run, one row per side of tau = 0
     fermi_walker_transport(cur, SW.reference_frame(q0.coords)).matrix(np.linspace(-3, 2, 5))
-    assert len(runs) == 2
+    assert runs == [[-3.0, 2.0]]
+
+
+@pytest.mark.parametrize("interval, ends", [((0, 3), [3.0]), ((-3, 0), [-3.0])])
+def test_a_one_sided_worldline_is_a_one_row_run(monkeypatch, interval, ends):
+    runs = _counted_runs(monkeypatch)
+    q0 = Event("schwarzschild", np.array([0.0, 10.0, math.pi / 2, 0.0]))
+    cur = make_inertial_observer(SW, q0, [1.0, 0.0, 0.0, 0.0], interval=interval)
+    assert runs == [ends]
+    assert np.array_equal(cur.position(0.0), q0.coords)
+    assert cur.position(ends[0])[1] < 10.0  # it falls either way from rest
+
+
+def test_each_side_keeps_its_one_sided_bits():
+    # the two rows of one run have the bits of a worldline built on each
+    # side alone
+    q0 = Event("schwarzschild", np.array([0.0, 10.0, math.pi / 2, 0.0]))
+    program = lambda tau: np.array([0.05 * math.sin(tau), 0.02, -0.01])
+    frame0 = SW.reference_frame(q0.coords)
+    both = make_programmed_observer(SW, q0, frame0, program, interval=(-2, 1.5))[0]
+    for interval in ((-2, 0), (0, 1.5)):
+        one = make_programmed_observer(SW, q0, frame0, program, interval=interval)[0]
+        taus = np.linspace(*interval, 9)
+        assert np.array_equal(both.position(taus), one.position(taus))
+        assert np.array_equal(both.fw_basis(taus), one.fw_basis(taus))
 
 
 class TestRotatingFrame:

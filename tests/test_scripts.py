@@ -1,5 +1,6 @@
 """The experiment scripts run end to end from a fresh interpreter."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -33,3 +34,42 @@ def test_script_runs(tmp_path, name, output):
         found = re.search(r"conjugate values along the b=2.73 ray: ([0-9.]+)", proc.stdout)
         assert found, proc.stdout
         assert abs(float(found.group(1)) - 21.746188) <= 1e-6
+
+
+def _bench_compare():
+    spec = importlib.util.spec_from_file_location("bench_compare",
+                                                  ROOT / "scripts" / "bench_compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_compare_summary_on_fixed_numbers():
+    end_to_end = [{"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.2},
+                  {"name": "p50", "unit": "s", "better": "lower", "bound": 0.25}]
+    base_rate = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
+    head_rate = [120.0, 125.0, 118.0, 121.0, 119.0, 124.0, 122.0, 95.0, 123.0, 120.0]
+    base_p50 = [1.0, 1.1, 0.9, 1.0, 1.0, 1.2, 1.0, 1.0, 0.8, 1.0]
+    head_p50 = [1.1, 1.3, 1.2, 1.0, 1.3, 1.4, 1.2, 1.2, 1.3, 1.2]
+    pairs = [({"rate": br, "p50": bp}, {"rate": hr, "p50": hp})
+             for br, hr, bp, hp in zip(base_rate, head_rate, base_p50, head_p50)]
+    out = _bench_compare().summarize(pairs, end_to_end)
+
+    rate = out["rate"]
+    assert rate["base"] == {"median": 100.0, "q1": 99.25, "q3": 100.75}
+    assert rate["head"] == {"median": 120.5, "q1": 119.25, "q3": 122.75}
+    assert rate["change"] == pytest.approx(0.205)
+    assert rate["wins"] == 9 and rate["pairs"] == 10  # pair 7 is lost
+    assert rate["gain"] and rate["within_bound"]
+
+    p50 = out["p50"]  # lower is better: the head is 20 % slower, inside 25 %
+    assert p50["base"]["median"] == 1.0 and p50["head"]["median"] == 1.2
+    assert p50["wins"] == 0  # pair 3 is a tie, which counts for neither side
+    assert not p50["gain"] and p50["within_bound"]
+
+    # one more lost pair and the gain cannot be claimed; beyond the bound is a regression
+    pairs[0][1]["rate"] = 99.0
+    assert not _bench_compare().summarize(pairs, end_to_end)["rate"]["gain"]
+    worse = [({"rate": 100.0, "p50": 1.0}, {"rate": 79.0, "p50": 1.3})] * 4
+    out = _bench_compare().summarize(worse, end_to_end)
+    assert not out["rate"]["within_bound"] and not out["p50"]["within_bound"]
