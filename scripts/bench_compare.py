@@ -2,8 +2,7 @@
 """A/B benchmark of two commits: alternating pairs of bench/run.py runs.
 
 Usage:
-    python3 scripts/bench_compare.py --base REV --workload W --pairs N
-                                     [--seconds S] [--seed K]
+    python3 scripts/bench_compare.py --base REV --workload W --pairs N [--seed K]
 
 Extracts the committed files of REV (the base) and of HEAD (the head)
 into two fresh temporary directories, as the benchmark runs a commit:
@@ -12,16 +11,16 @@ measure uncommitted edits.  Then runs `bench/run.py --workload W --trace
 0` in each checkout N times, in pairs.  Pair i uses seed K + i (K
 defaults to 1) on both sides, and the side that runs first alternates
 from pair to pair, so a drift of the machine's speed falls on both sides
-alike.  Every run takes --seconds (default: run_seconds in
-BENCHMARK.json).
+alike.  Every run takes run_seconds of BENCHMARK.json.
 
 Writes BENCH_<workload>.json at the repository root: both commits, the
 machine, every run, and for each end-to-end metric of BENCHMARK.json its
 two medians and quartiles, the change of the median, the pairs the head
 wins (ties count for neither side), whether the head is worse than the
 base by more than the metric's bound, and whether a gain may be claimed:
-the head wins at least nine tenths of the pairs and its median beats the
-base's by more than the base's interquartile range.
+there are at least ten pairs, the head wins at least nine tenths of them
+and its median beats the base's by more than the base's interquartile
+range.
 """
 
 import argparse
@@ -36,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_GAIN_PAIRS = 10  # fewer pairs than this never support a claimed gain
 
 
 def _spread(values):
@@ -68,7 +68,8 @@ def summarize(pairs, end_to_end):
             "wins": wins,
             "pairs": len(pairs),
             "within_bound": -gain <= spec["bound"] * abs(b["median"]),
-            "gain": 10 * wins >= 9 * len(pairs) and gain > b["q3"] - b["q1"],
+            "gain": (len(pairs) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(pairs)
+                     and gain > b["q3"] - b["q1"]),
         }
     return out
 
@@ -105,13 +106,12 @@ def main(argv=None):
     parser.add_argument("--workload", required=True,
                         choices=("cone-schw", "invert-schw", "limit-flat"))
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     commits = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
                for side, rev in (("base", args.base), ("head", "HEAD"))}
 

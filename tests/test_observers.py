@@ -295,23 +295,19 @@ def _counted_runs(monkeypatch):
 
 
 def test_curved_inertial_worldline_is_one_integration(monkeypatch):
+    # one run, one row per side of tau = 0 that has length
     runs = _counted_runs(monkeypatch)
     monkeypatch.setattr(geodesics, "integrate_geodesic", _no_call)
     q0 = Event("schwarzschild", np.array([0.0, 10.0, math.pi / 2, 0.0]))
-    cur = make_inertial_observer(SW, q0, [1.0, 0.0, 0.0, 0.0], interval=(-3, 2))
-    assert runs == [[-3.0, 2.0]]  # one run, one row per side of tau = 0
-    fermi_walker_transport(cur, SW.reference_frame(q0.coords)).matrix(np.linspace(-3, 2, 5))
-    assert runs == [[-3.0, 2.0]]
-
-
-@pytest.mark.parametrize("interval, ends", [((0, 3), [3.0]), ((-3, 0), [-3.0])])
-def test_a_one_sided_worldline_is_a_one_row_run(monkeypatch, interval, ends):
-    runs = _counted_runs(monkeypatch)
-    q0 = Event("schwarzschild", np.array([0.0, 10.0, math.pi / 2, 0.0]))
-    cur = make_inertial_observer(SW, q0, [1.0, 0.0, 0.0, 0.0], interval=interval)
-    assert runs == [ends]
-    assert np.array_equal(cur.position(0.0), q0.coords)
-    assert cur.position(ends[0])[1] < 10.0  # it falls either way from rest
+    for interval, ends in (((-3, 2), [-3.0, 2.0]), ((0, 3), [3.0]), ((-3, 0), [-3.0])):
+        runs.clear()
+        cur = make_inertial_observer(SW, q0, [1.0, 0.0, 0.0, 0.0], interval=interval)
+        assert runs == [ends]
+        assert np.array_equal(cur.position(0.0), q0.coords)
+        assert cur.position(ends[0])[1] < 10.0  # it falls either way from rest
+        fermi_walker_transport(cur, SW.reference_frame(q0.coords)).matrix(
+            np.linspace(*interval, 5))
+        assert runs == [ends]
 
 
 def test_each_side_keeps_its_one_sided_bits():

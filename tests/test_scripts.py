@@ -73,3 +73,9 @@ def test_bench_compare_summary_on_fixed_numbers():
     worse = [({"rate": 100.0, "p50": 1.0}, {"rate": 79.0, "p50": 1.3})] * 4
     out = _bench_compare().summarize(worse, end_to_end)
     assert not out["rate"]["within_bound"] and not out["p50"]["within_bound"]
+
+    # fewer than ten pairs claim no gain, even when the head wins every one
+    few = [({"rate": 100.0, "p50": 1.0}, {"rate": 130.0, "p50": 0.7})] * 9
+    out = _bench_compare().summarize(few, end_to_end)
+    assert out["rate"]["wins"] == 9 and not out["rate"]["gain"] and not out["p50"]["gain"]
+    assert _bench_compare().summarize(few + few[:1], end_to_end)["rate"]["gain"]
