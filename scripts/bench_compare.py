@@ -18,9 +18,10 @@ machine, every run, and for each end-to-end metric of BENCHMARK.json its
 two medians and quartiles, the change of the median, the pairs the head
 wins (ties count for neither side), whether the head is worse than the
 base by more than the metric's bound, and whether a gain may be claimed:
-there are at least ten pairs, the head wins at least nine tenths of them
-and its median beats the base's by more than the base's interquartile
-range.
+every run passed its checks, the head failed no larger share of its
+operations than the base, there are at least ten pairs, the head wins at
+least nine tenths of them and its median beats the base's by more than
+the base's interquartile range.
 """
 
 import argparse
@@ -44,17 +45,26 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs, end_to_end):
-    """Each end-to-end metric compared over pairs of (base, head) {name: value} dicts.
+def _failed_share(runs):
+    return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
 
-    end_to_end lists BENCHMARK.json's metrics: name, unit, better
-    ("higher" or "lower") and bound (the relative worsening allowed).
+
+def summarize(pairs, end_to_end):
+    """Each end-to-end metric compared over pairs of (base, head) runs.
+
+    A run is a dict as _run returns it: correct, attempted, failed and
+    metrics ({name: value}).  end_to_end lists BENCHMARK.json's metrics:
+    name, unit, better ("higher" or "lower") and bound (the relative
+    worsening allowed).
     """
+    runs = [r for pair in pairs for r in pair]
+    clean = (all(r["correct"] for r in runs)
+             and _failed_share([h for _, h in pairs]) <= _failed_share([b for b, _ in pairs]))
     out = {}
     for spec in end_to_end:
         name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
-        base = [b[name] for b, _ in pairs]
-        head = [h[name] for _, h in pairs]
+        base = [b["metrics"][name] for b, _ in pairs]
+        head = [h["metrics"][name] for _, h in pairs]
         b, h = _spread(base), _spread(head)
         gain = sign * (h["median"] - b["median"])  # > 0: the head's median is better
         wins = sum(sign * (y - x) > 0 for x, y in zip(base, head))
@@ -68,7 +78,7 @@ def summarize(pairs, end_to_end):
             "wins": wins,
             "pairs": len(pairs),
             "within_bound": -gain <= spec["bound"] * abs(b["median"]),
-            "gain": (len(pairs) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(pairs)
+            "gain": (clean and len(pairs) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(pairs)
                      and gain > b["q3"] - b["q1"]),
         }
     return out
@@ -133,8 +143,7 @@ def main(argv=None):
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    by_pair = [{r["side"]: r["metrics"] for r in runs if r["pair"] == i}
-               for i in range(args.pairs)]
+    by_pair = [{r["side"]: r for r in runs if r["pair"] == i} for i in range(args.pairs)]
     summary = summarize([(p["base"], p["head"]) for p in by_pair], spec["end_to_end"])
     report = {
         "workload": args.workload,
@@ -145,6 +154,8 @@ def main(argv=None):
         "seeds": [args.seed, args.seed + args.pairs - 1],
         "machine": {"python": platform.python_version(), "machine": platform.machine(),
                     "cpus": os.cpu_count()},
+        "attempted": {side: sum(r["attempted"] for r in runs if r["side"] == side)
+                      for side in commits},
         "failed": {side: sum(r["failed"] for r in runs if r["side"] == side)
                    for side in commits},
         "correct": all(r["correct"] for r in runs),

@@ -13,7 +13,6 @@ failure.
 
 import argparse
 import dataclasses
-import math
 import sys
 import time
 from collections import Counter
@@ -77,6 +76,14 @@ def _direction_grid(n_polar, n_azimuth):
     return dirs
 
 
+def _count(scn: Scenario, key, default):
+    """An integer setting that must be at least 1."""
+    n = scn.get(key, default, kind=int)
+    if n < 1:
+        raise ConfigError(f"setting {key!r} must be at least 1, got {n}")
+    return n
+
+
 def _splitting(scn: Scenario):
     """(chart, observer curve, frame field): the splitting the scenario sets up."""
     chart = scn.build_chart()
@@ -94,9 +101,7 @@ def cmd_trace_cone(scn: Scenario, out_dir):
     chart, _, frames = _splitting(scn)
     taus = scn.get("cone.tau_s", [0.0], kind=list)
     radii = scn.get("cone.radii_m", [1.0], kind=list)
-    n_polar = scn.get("cone.n_polar", 4, kind=int)
-    n_azimuth = scn.get("cone.n_azimuth", 8, kind=int)
-    dirs = _direction_grid(n_polar, n_azimuth)
+    dirs = _direction_grid(_count(scn, "cone.n_polar", 4), _count(scn, "cone.n_azimuth", 8))
 
     jobs = [(tau, r, d) for tau in taus for r in radii for d in dirs]
     pts = np.array([(tau, *(r * d)) for tau, r, d in jobs], dtype=float).reshape(-1, 4)
@@ -191,12 +196,7 @@ def _track(scn: Scenario, n_samples, start=None):
         raise ConfigError(f"unknown observed worldline kind {kind!r}")
     s_lo = scn.get("observe.s_min_s", 0.0)
     s_hi = scn.get("observe.s_max_s", 1.0)
-    for key, val in (("observe.s_min_s", s_lo), ("observe.s_max_s", s_hi)):
-        if not math.isfinite(val):
-            raise ConfigError(f"setting {key!r} must be finite, got {val}")
-    n = scn.get("observe.n_samples", n_samples, kind=int)
-    if n < 1:
-        raise ConfigError(f"setting 'observe.n_samples' must be at least 1, got {n}")
+    n = _count(scn, "observe.n_samples", n_samples)
     samples = sp.observe_curve(chart, frames, worldline, np.linspace(s_lo, s_hi, n), search, start)
     return chart, frames, samples, n
 

@@ -96,7 +96,7 @@ class Scenario:
     values: dict
 
     def get(self, key, default=None, kind=float, count=None):
-        """The setting as kind; a list holds finite numbers, as many as count if given."""
+        """The setting as kind; a number is finite, a list holds finite numbers (count if given)."""
         if key not in self.values:
             if default is None:
                 raise ConfigError(f"missing required setting {key!r}")
@@ -104,9 +104,12 @@ class Scenario:
         raw = self.values[key]
         if kind in (float, int):
             try:
-                return kind(raw)
+                val = kind(raw)
             except ValueError as exc:
                 raise ConfigError(f"setting {key!r} expects {kind.__name__}, got {raw!r}") from exc
+            if not math.isfinite(val):
+                raise ConfigError(f"setting {key!r} expects a finite number, got {raw!r}")
+            return val
         if kind is str:
             return raw
         if kind is list:
@@ -126,8 +129,8 @@ class Scenario:
     def build_chart(self) -> Chart:
         name = self.get("spacetime.name", kind=str)
         c = self.get("spacetime.c_m_per_s", 1.0)
-        if not (math.isfinite(c) and c > 0):
-            raise ConfigError("spacetime.c_m_per_s must be a positive finite number")
+        if not c > 0:
+            raise ConfigError(f"setting 'spacetime.c_m_per_s' must be positive, got {c}")
         if name == "minkowski":
             return minkowski(c)
         if name == "schwarzschild":
@@ -182,9 +185,6 @@ class Scenario:
     def _interval(self):
         lo = self.get("observer.tau_min_s", -10.0)
         hi = self.get("observer.tau_max_s", 10.0)
-        for key, val in (("observer.tau_min_s", lo), ("observer.tau_max_s", hi)):
-            if not math.isfinite(val):
-                raise ConfigError(f"setting {key!r} must be finite, got {val}")
         if hi <= lo:
             raise ConfigError("observer.tau_max_s must exceed observer.tau_min_s")
         return lo, hi

@@ -347,6 +347,12 @@ def _tau_bounds(frames):
     return lo + pad, hi - pad
 
 
+def _cone_bend(x, dx):
+    """|x + dx| - |x| - (x/|x|).dx per row: how far |x| bends off its tangent along dx."""
+    r = np.linalg.norm(x, axis=1)
+    return np.linalg.norm(x + dx, axis=1) - r - np.sum(x * dx, axis=1) / r
+
+
 def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
     """Damped Newton on a batch of (target, state) pairs.
 
@@ -360,10 +366,17 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
     halvings are dropped from the active set, and none runs more than
     _MAX_NEWTON iterations.
 
-    The full step dxi solves J dxi = -r in (c tau, x).  A trial point
-    xi + lam dxi is accepted, halving lam from 1, by the natural
-    monotonicity test |J^-1 r(trial)| < |dxi|, with the J of this step
-    (Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 3.3).
+    The full step dxi solves J dxi = -r in (c tau, x).  The trial at step
+    factor lam is xi + lam dxi, except for a member whose frame is
+    parallel along its seen ray (cov_deriv(tau) takes the cone vector
+    (-|x|, x) to exactly zero): there the retarded time sigma = c tau - |x|
+    moves linearly in lam, so c tau also gets the cone's second-order term
+    |x + lam dx| - |x| - x.lam dx/|x| (_cone_bend).  The map of an inertial
+    observer in flat space is affine in (sigma, x), so one step lands on
+    its root, and a free faller's trials are off by curvature only.  A
+    trial is accepted, halving lam from 1, by the natural monotonicity
+    test |J^-1 r(trial)| < |dxi|, with the J of this step (Deuflhard,
+    Newton Methods for Nonlinear Problems, 2004, sec. 3.3).
     The test does not change under a linear change of the chart's
     coordinates, so the chart's mix of units (metres with radians in
     Schwarzschild) does not shorten the steps.  The stop rule |r| <=
@@ -411,6 +424,11 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
             steps[ok] = np.linalg.solve(jac[ok], -resid[active][ok][:, :, None])[:, :, 0]
         step_norm = np.linalg.norm(steps, axis=1)
         steps[:, 0] /= c  # first slot of the state is tau, not c*tau
+        # members whose frame is parallel along the seen ray: their trials move
+        # the retarded time sigma = c tau - |x|, not tau, linearly in lam
+        now = states[active]
+        drift = frames.cov_deriv(now[:, 0]) @ _cone_components(now[:, 1:])[:, :, None]
+        parallel = ~np.any(drift, axis=(1, 2))
 
         lam = np.ones(len(active))
         improved = np.zeros(len(active), dtype=bool)
@@ -419,6 +437,10 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
             if len(rows) == 0:
                 break
             cand = states[active[rows]] + lam[rows, None] * steps[rows]
+            cone = parallel[rows]
+            if np.any(cone):
+                on = rows[cone]
+                cand[cone, 0] += _cone_bend(now[on, 1:], lam[on, None] * steps[on, 1:]) / c
             cand_ok = admissible(cand)
             if np.any(cand_ok):
                 sub = rows[cand_ok]

@@ -93,12 +93,17 @@ class TestScenarioParsing:
         ("minkowski_inertial", "cone.radii_m", "1, inf", "trace-cone"),
         ("minkowski_inertial", "observe.s_max_s", "nan", "observe"),
         ("minkowski_inertial", "observe.s_min_s", "-inf", "observe"),
+        ("accel_rotating", "frame.omega_rad_per_s", "nan", "trace-cone"),
+        ("schwarzschild_faller", "spacetime.R_m", "inf", "trace-cone"),
+        ("minkowski_inertial", "cone.n_polar", "0", "trace-cone"),
+        ("minkowski_inertial", "cone.n_azimuth", "0", "trace-cone"),
     ])
     def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, preset, key, value,
                                                  command):
         # each used to end in a ValueError traceback or a numerical failure
-        # whose message named no key, and n_samples = 0 in a run that
-        # wrote no sample
+        # whose message named no key, n_samples = 0 in a run that wrote no
+        # sample, a NaN angular velocity in NaN rows counted as landed, and
+        # an empty direction grid in a header-only cone.csv
         text = (SCN_DIR / f"{preset}.scn").read_text()
         old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
         scn_file = tmp_path / "bad.scn"
@@ -283,8 +288,12 @@ class TestInvert:
     ])
     def test_bad_search_tolerance_rejected(self, tmp_path, capsys, setting, value):
         # at these values invert used to exit 0 with no, false or repeated
-        # preimages; tol.merge and tol.cond_max are constants now, not settings
-        want = "inv_tol" if setting == "tol.inv" else "only tol.inv=VAL may be overridden"
+        # preimages; tol.merge and tol.cond_max are constants now, not settings;
+        # a non-finite value is rejected where it is read, naming the key
+        if setting != "tol.inv":
+            want = "only tol.inv=VAL may be overridden"
+        else:
+            want = "'tol.inv' expects a finite number" if value in ("nan", "inf") else "inv_tol"
         targets = tmp_path / "targets.txt"
         targets.write_text("-5 3 0 0\n")
         rc = main(["--scenario", str(SCN_DIR / "minkowski_inertial.scn"), "--out", str(tmp_path),

@@ -44,6 +44,11 @@ def _bench_compare():
     return module
 
 
+def _run(metrics, correct=True, attempted=10, failed=0):
+    """One bench_compare run record around a {name: value} dict of metrics."""
+    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
+
+
 def test_bench_compare_summary_on_fixed_numbers():
     end_to_end = [{"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.2},
                   {"name": "p50", "unit": "s", "better": "lower", "bound": 0.25}]
@@ -51,9 +56,10 @@ def test_bench_compare_summary_on_fixed_numbers():
     head_rate = [120.0, 125.0, 118.0, 121.0, 119.0, 124.0, 122.0, 95.0, 123.0, 120.0]
     base_p50 = [1.0, 1.1, 0.9, 1.0, 1.0, 1.2, 1.0, 1.0, 0.8, 1.0]
     head_p50 = [1.1, 1.3, 1.2, 1.0, 1.3, 1.4, 1.2, 1.2, 1.3, 1.2]
-    pairs = [({"rate": br, "p50": bp}, {"rate": hr, "p50": hp})
+    pairs = [(_run({"rate": br, "p50": bp}), _run({"rate": hr, "p50": hp}))
              for br, hr, bp, hp in zip(base_rate, head_rate, base_p50, head_p50)]
-    out = _bench_compare().summarize(pairs, end_to_end)
+    summarize = _bench_compare().summarize
+    out = summarize(pairs, end_to_end)
 
     rate = out["rate"]
     assert rate["base"] == {"median": 100.0, "q1": 99.25, "q3": 100.75}
@@ -67,15 +73,28 @@ def test_bench_compare_summary_on_fixed_numbers():
     assert p50["wins"] == 0  # pair 3 is a tie, which counts for neither side
     assert not p50["gain"] and p50["within_bound"]
 
+    # the same numbers claim no gain when one run failed its checks, or when
+    # the head failed a larger share of its operations than the base; an
+    # equal share does not stand in the way
+    for side in (0, 1):
+        bad = [list(p) for p in pairs]
+        bad[4][side] = _run(bad[4][side]["metrics"], correct=False)
+        assert not summarize(bad, end_to_end)["rate"]["gain"]
+    failing = [(b, _run(h["metrics"], failed=1 if i == 2 else 0))
+               for i, (b, h) in enumerate(pairs)]
+    assert not summarize(failing, end_to_end)["rate"]["gain"]
+    both = [(_run(b["metrics"], failed=1 if i == 5 else 0), h) for i, (b, h) in enumerate(failing)]
+    assert summarize(both, end_to_end)["rate"]["gain"]
+
     # one more lost pair and the gain cannot be claimed; beyond the bound is a regression
-    pairs[0][1]["rate"] = 99.0
-    assert not _bench_compare().summarize(pairs, end_to_end)["rate"]["gain"]
-    worse = [({"rate": 100.0, "p50": 1.0}, {"rate": 79.0, "p50": 1.3})] * 4
-    out = _bench_compare().summarize(worse, end_to_end)
+    pairs[0][1]["metrics"]["rate"] = 99.0
+    assert not summarize(pairs, end_to_end)["rate"]["gain"]
+    worse = [(_run({"rate": 100.0, "p50": 1.0}), _run({"rate": 79.0, "p50": 1.3}))] * 4
+    out = summarize(worse, end_to_end)
     assert not out["rate"]["within_bound"] and not out["p50"]["within_bound"]
 
     # fewer than ten pairs claim no gain, even when the head wins every one
-    few = [({"rate": 100.0, "p50": 1.0}, {"rate": 130.0, "p50": 0.7})] * 9
-    out = _bench_compare().summarize(few, end_to_end)
+    few = [(_run({"rate": 100.0, "p50": 1.0}), _run({"rate": 130.0, "p50": 0.7}))] * 9
+    out = summarize(few, end_to_end)
     assert out["rate"]["wins"] == 9 and not out["rate"]["gain"] and not out["p50"]["gain"]
-    assert _bench_compare().summarize(few + few[:1], end_to_end)["rate"]["gain"]
+    assert summarize(few + few[:1], end_to_end)["rate"]["gain"]

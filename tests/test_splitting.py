@@ -1,6 +1,7 @@
 """Observer mappings, inversion, relative motion and force decomposition."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import itertools
 import math
@@ -10,8 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lightcone import splitting
+from lightcone import geodesics, splitting
 from lightcone.charts import metric_at, minkowski, schwarzschild
+from lightcone.cli import main
 from lightcone.errors import InvalidInputError, SuperluminalError, UnreachableDirectionError
 from lightcone.geodesics import CLIPPED, LANDED, integrate_batch
 from lightcone.lorentz import ETA, Event, Frame4
@@ -841,15 +843,19 @@ def _rel(a, b):
     return np.max(np.abs(a - b), axis=1) / np.maximum(1.0, np.max(np.abs(b), axis=1))
 
 
+# six directions at two instants and three radii; toward the hole the outer rays clip
+RAY_CHART_POINTS = np.array([
+    (tau, *(r * np.array(d))) for tau in (-2.0, 1.0) for r in (2.0, 6.0, 12.5)
+    for d in ([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [-0.6, 0.0, 0.8],
+              [-0.8, -0.6, 0.0], [0.36, -0.48, 0.8])])
+
+
 def test_ray_chart_results_match_the_model_chart(faller):
     # the rays run in Eddington-Finkelstein coordinates; read back, they
     # agree with the same rays integrated in Schwarzschild coordinates
     chart, frames = faller
     assert chart.ray_chart is not None
-    dirs = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [-0.6, 0.0, 0.8],
-                     [-0.8, -0.6, 0.0], [0.36, -0.48, 0.8]])
-    pts = np.array([(tau, *(r * d)) for tau in (-2.0, 1.0) for r in (2.0, 6.0, 12.5)
-                    for d in dirs])
+    pts = RAY_CHART_POINTS
     rays = splitting.observer_rays(chart, frames, pts)
     ref, _ = integrate_batch(chart, splitting._map_states(frames, pts, False))
     assert np.array_equal(rays.outcome, ref.outcome)
@@ -863,6 +869,20 @@ def test_ray_chart_results_match_the_model_chart(faller):
     ref, _ = integrate_batch(chart, splitting._map_states(frames, pts[landed], True), 4)
     want = ref.states.reshape(-1, 5, 8)[:, 1:, :4].transpose(0, 2, 1)
     assert np.max(_rel(events, ref.states[:, :4])) <= 1e-10
+    assert np.max(_rel(jacs.reshape(-1, 16), want.reshape(-1, 16))) <= 1e-10
+
+
+def test_map_jacobian_matches_a_tight_tolerance_run(faller, monkeypatch):
+    # the Jacobi columns ride the ray's steps in the ray chart; at the
+    # landed points above they must hold the accuracy of the map itself
+    chart, frames = faller
+    pts = RAY_CHART_POINTS[splitting.observer_rays(chart, frames, RAY_CHART_POINTS).outcome
+                           == LANDED]
+    _, jacs = splitting._eval_batch(chart, frames, pts, True)
+    monkeypatch.setattr(geodesics, "REL_TOL", 1e-13)
+    monkeypatch.setattr(geodesics, "ABS_TOL", 1e-15)
+    _, want = splitting._eval_batch(chart, frames, pts, True)
+    # measured: 1.3e-11
     assert np.max(_rel(jacs.reshape(-1, 16), want.reshape(-1, 16))) <= 1e-10
 
 
@@ -952,7 +972,14 @@ def _faller_targets(chart, frames, sites):
                      for tau, x in sites])
 
 
-def test_newton_is_invariant_under_a_linear_change_of_chart(monkeypatch):
+# the fake frame's covariant derivatives: zero (a parallel frame, whose
+# trials keep the retarded time linear) or a boost generator, which moves
+# every cone vector (plain trials)
+BOOST_1 = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4])
+
+
+@pytest.mark.parametrize("generator", [np.zeros((4, 4)), BOOST_1], ids=["parallel", "boosting"])
+def test_newton_is_invariant_under_a_linear_change_of_chart(monkeypatch, generator):
     # a smooth synthetic map F and the same map in a badly scaled, sheared
     # chart, A F: Newton's steps and its damping must not see A, so both
     # runs take the same path to the same root; only the stop rule, in
@@ -971,7 +998,8 @@ def test_newton_is_invariant_under_a_linear_change_of_chart(monkeypatch):
         return jac
 
     skew = np.diag([1.0, 1e3, 1.0, 1e-3]) @ (np.eye(4) + 2.0 * np.triu(np.ones((4, 4)), 1))
-    frames = SimpleNamespace(curve=SimpleNamespace(c=1.0), interval=(-50.0, 50.0))
+    frames = SimpleNamespace(curve=SimpleNamespace(c=1.0), interval=(-50.0, 50.0),
+                             cov_deriv=lambda taus: np.tile(generator, (len(taus), 1, 1)))
     root = np.array([0.5, 1.0, -0.8, 1.2])
     seeds = root + np.random.default_rng(7).uniform(-6.0, 6.0, size=(20, 4))
     cfg = MultistartConfig(tau_range=(-1.0, 1.0), x_halfwidth=1.0, inv_tol=1e-12)
@@ -1085,16 +1113,22 @@ def test_faller_inversion_batch_count(faller, monkeypatch):
     assert len(calls) <= 10
 
 
-def test_inversion_agrees_between_the_ray_charts(faller):
-    # the benchmark's eight targets, one per octant of directions, inverted
-    # with the rays in Eddington-Finkelstein and in Schwarzschild coordinates
-    chart, frames = faller
+def _bench_sites():
+    """The invert-schw benchmark's eight (tau, x), one per octant of directions, unjittered."""
     order = np.linspace(-1.8, 1.8, 8)[[3, 6, 0, 5, 2, 7, 1, 4]]
     tilt = np.array([[0.8, -0.36, 0.48], [0.6, 0.48, -0.64], [0.0, 0.8, 0.6]])
     sites = []
     for i, tau in enumerate(order):
         d = tilt @ np.array([1 if i & 1 else -1, 1 if i & 2 else -1, 1 if i & 4 else -1])
         sites.append((tau, (1.4 if i % 2 else 2.1) * d / np.linalg.norm(d)))
+    return sites
+
+
+def test_inversion_agrees_between_the_ray_charts(faller):
+    # the benchmark's eight targets inverted with the rays in
+    # Eddington-Finkelstein and in Schwarzschild coordinates
+    chart, frames = faller
+    sites = _bench_sites()
     targets = _faller_targets(chart, frames, sites)
     ef = invert_many(chart, frames, targets, FALLER_BOX)
     sw = invert_many(dataclasses.replace(chart, ray_chart=None), frames, targets, FALLER_BOX)
@@ -1102,3 +1136,80 @@ def test_inversion_agrees_between_the_ray_charts(faller):
         assert len(a) == len(b) >= 1
         for p, q in zip(a.preimages, b.preimages):
             assert abs(p.tau - q.tau) <= 1e-10 and np.max(np.abs(p.x - q.x)) <= 1e-10
+
+
+# -- Newton's trials along the light cone --------------------------------------
+
+def _count_batches(monkeypatch):
+    """Record with_jacobian of every _eval_batch call from here on."""
+    calls = []
+    real = splitting._eval_batch
+
+    def counted(chart, frames, pts, with_jacobian):
+        calls.append(with_jacobian)
+        return real(chart, frames, pts, with_jacobian)
+
+    monkeypatch.setattr(splitting, "_eval_batch", counted)
+    return calls
+
+
+def test_parallel_frame_in_flat_space_converges_in_one_trial(monkeypatch):
+    # the map of an inertial observer in Minkowski space is affine in the
+    # retarded time c tau - |x| and in x, so a trial that moves those
+    # linearly lands on the root in one step from anywhere (a straight
+    # step in (c tau, x) needs a second)
+    scn = load_scenario(SCN_DIR / "minkowski_inertial.scn")
+    chart = scn.build_chart()
+    frames = scn.build_frames(chart, scn.build_observer(chart))
+    rng = np.random.default_rng(3)
+    sites = np.column_stack([rng.uniform(-3.0, 3.0, 12), rng.uniform(-4.0, 4.0, (12, 3))])
+    seeds = sites + rng.uniform(-1.0, 1.0, (12, 4))
+    targets, _ = splitting._eval_batch(chart, frames, sites, False)
+    seeded = splitting._eval_batch(chart, frames, seeds, True)
+    assert np.all(np.linalg.norm(seeded[0] - targets, axis=1) > 0.1)  # every seed off its root
+    calls = _count_batches(monkeypatch)
+    states, _, converged, _, _ = splitting._newton_polish(
+        chart, frames, targets, seeds, scn.build_search(frames.curve), seeded)
+    assert converged.all() and calls == [True]
+    assert np.max(np.abs(states - sites)) <= 1e-12
+
+
+def test_faller_inversion_jacobian_batches(faller, monkeypatch):
+    # the invert-schw call: the benchmark's box and eight targets in one
+    # invert_many; along the faller's parallel frame the trials are off the
+    # root by curvature only (11 Jacobian batches with straight trials)
+    chart, frames = faller
+    sites = _bench_sites()
+    targets = _faller_targets(chart, frames, sites)
+    calls = _count_batches(monkeypatch)
+    results = invert_many(chart, frames, targets, FALLER_BOX)
+    assert sum(calls) == 6 and len(calls) == 7
+    for (tau, x), target, res in zip(sites, targets, results):
+        assert len(res) == 1
+        # a root within tol.inv of the target in the chart, carried back
+        # to (c tau, x) through the inverse Jacobian, plus the map's error
+        reach = np.linalg.norm(np.linalg.inv(res.jacobians[0]), 2) * FALLER_BOX.inv_tol * (
+            1.0 + np.max(np.abs(target)))
+        p = res.preimages[0]
+        assert np.linalg.norm(np.array([p.tau, *p.x]) - np.array([tau, *x])) <= reach + 1e-10
+
+
+def test_rotating_frame_inversion_keeps_straight_trials(tmp_path, monkeypatch):
+    # the accelerated, spinning frame is not parallel along its rays, so its
+    # trials stay straight in (c tau, x): the same Jacobian batches and the
+    # same preimages.csv bytes as before trials followed the light cone
+    scn = load_scenario(SCN_DIR / "accel_rotating.scn")
+    chart = scn.build_chart()
+    frames = scn.build_frames(chart, scn.build_observer(chart))
+    pts = [(0.5, [1.0, 0.5, 0.0]), (-1.0, [0.0, 1.2, 0.4]), (1.5, [-0.6, -0.3, 0.9])]
+    targets = [kinematic_observer_map(chart, frames, ObservedEvent(t, np.array(x))).coords
+               for t, x in pts]
+    targets.append(np.array([500.0, 3.0, 4.0, 0.0]))  # not seen in the box
+    path = tmp_path / "targets.txt"
+    path.write_text("".join(" ".join(format(float(v), ".17g") for v in t) + "\n" for t in targets))
+    calls = _count_batches(monkeypatch)
+    rc = main(["--scenario", str(SCN_DIR / "accel_rotating.scn"), "--out", str(tmp_path),
+               "invert", "--targets", str(path)])
+    assert rc == 0 and sum(calls) == 29 and len(calls) == 30
+    digest = hashlib.sha256((tmp_path / "preimages.csv").read_bytes()).hexdigest()
+    assert digest == "4315079cb8040fb1715ba4871b7fce7fe4d7a7c4fb17cd65a47f51b4c8799001"
