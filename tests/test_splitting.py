@@ -1086,13 +1086,8 @@ def test_newton_takes_an_empty_batch(faller):
     assert rnorm.shape == converged.shape == (0,)
 
 
-def test_faller_inversion_batch_count(faller, monkeypatch):
-    # every damped step that halves makes one more sequential batch; the
-    # natural monotonicity test accepts the far seeds' steps whole
-    chart, frames = faller
-    sites = [(-1.8, (1.2, 1.2, 1.2)), (1.3, (-0.8, 0.8, -0.8)),
-             (0.4, (-1.2, -1.2, 1.2)), (-0.6, (0.8, -0.8, -0.8))]
-    targets = _faller_targets(chart, frames, sites)
+def _count_batches(monkeypatch):
+    """Record with_jacobian of every _eval_batch call from here on."""
     calls = []
     real = splitting._eval_batch
 
@@ -1101,15 +1096,27 @@ def test_faller_inversion_batch_count(faller, monkeypatch):
         return real(chart, frames, pts, with_jacobian)
 
     monkeypatch.setattr(splitting, "_eval_batch", counted)
+    return calls
+
+
+def test_faller_inversion_batch_count(faller, monkeypatch):
+    # every damped step that halves makes one more sequential batch; the
+    # natural monotonicity test accepts the far seeds' steps whole
+    chart, frames = faller
+    sites = [(-1.8, (1.2, 1.2, 1.2)), (1.3, (-0.8, 0.8, -0.8)),
+             (0.4, (-1.2, -1.2, 1.2)), (-0.6, (0.8, -0.8, -0.8))]
+    targets = _faller_targets(chart, frames, sites)
+    calls = _count_batches(monkeypatch)
     results = invert_many(chart, frames, targets, FALLER_BOX)
     for (tau, x), res in zip(sites, results):
         assert len(res) == 1
         assert np.max(np.abs(np.array([res.preimages[0].tau, *res.preimages[0].x])
                              - np.array([tau, *x]))) <= 1e-8
-    # 8: the start grid, the seeds' Jacobians and 6 trial batches, each
-    # trial mapped with its Jacobian, which serves the next step and the
-    # grading; 13 when Newton and the grading make Jacobian batches of
-    # their own, 27 when a step is accepted by the chart-coordinate residual
+    # 6: the start grid, the seeds' Jacobians and 4 trial batches (6 with
+    # trials straight in (c tau, x)), each trial mapped with its Jacobian,
+    # which serves the next step and the grading; 13 when Newton and the
+    # grading make Jacobian batches of their own, 27 when a step is
+    # accepted by the chart-coordinate residual
     assert len(calls) <= 10
 
 
@@ -1139,19 +1146,6 @@ def test_inversion_agrees_between_the_ray_charts(faller):
 
 
 # -- Newton's trials along the light cone --------------------------------------
-
-def _count_batches(monkeypatch):
-    """Record with_jacobian of every _eval_batch call from here on."""
-    calls = []
-    real = splitting._eval_batch
-
-    def counted(chart, frames, pts, with_jacobian):
-        calls.append(with_jacobian)
-        return real(chart, frames, pts, with_jacobian)
-
-    monkeypatch.setattr(splitting, "_eval_batch", counted)
-    return calls
-
 
 def test_parallel_frame_in_flat_space_converges_in_one_trial(monkeypatch):
     # the map of an inertial observer in Minkowski space is affine in the
