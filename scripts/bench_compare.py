@@ -57,8 +57,7 @@ def summarize(pairs, end_to_end):
     name, unit, better ("higher" or "lower") and bound (the relative
     worsening allowed).
     """
-    runs = [r for pair in pairs for r in pair]
-    clean = (all(r["correct"] for r in runs)
+    clean = (all(r["correct"] for pair in pairs for r in pair)
              and _failed_share([h for _, h in pairs]) <= _failed_share([b for b, _ in pairs]))
     out = {}
     for spec in end_to_end:
