@@ -21,7 +21,10 @@ base by more than the metric's bound, and whether a gain may be claimed:
 every run passed its checks, the head failed no larger share of its
 operations than the base, there are at least ten pairs, the head wins at
 least nine tenths of them and its median beats the base's by more than
-the base's interquartile range.
+the base's interquartile range.  A metric is unresolved when either
+side's interquartile range is wider than the bound (relative to the base's
+median) and not every head run beats every base run: its spread cannot
+tell a change within the bound from one beyond it.
 """
 
 import argparse
@@ -67,6 +70,8 @@ def summarize(pairs, end_to_end):
         b, h = _spread(base), _spread(head)
         gain = sign * (h["median"] - b["median"])  # > 0: the head's median is better
         wins = sum(sign * (y - x) > 0 for x, y in zip(base, head))
+        apart = min(sign * y for y in head) > max(sign * x for x in base)
+        spread = max(b["q3"] - b["q1"], h["q3"] - h["q1"])
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -77,6 +82,7 @@ def summarize(pairs, end_to_end):
             "wins": wins,
             "pairs": len(pairs),
             "within_bound": -gain <= spec["bound"] * abs(b["median"]),
+            "unresolved": spread > spec["bound"] * abs(b["median"]) and not apart,
             "gain": (clean and len(pairs) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(pairs)
                      and gain > b["q3"] - b["q1"]),
         }
@@ -167,7 +173,8 @@ def main(argv=None):
         print(f"{name:12s} base {m['base']['median']:.6g} head {m['head']['median']:.6g} "
               f"({m['change']:+.2%}), head wins {m['wins']}/{m['pairs']}, "
               f"gain {'yes' if m['gain'] else 'no'}, within bound "
-              f"{'yes' if m['within_bound'] else 'NO'}")
+              f"{'yes' if m['within_bound'] else 'NO'}"
+              f"{', UNRESOLVED' if m['unresolved'] else ''}")
     print(f"wrote {path}")
     return 0
 

@@ -6,6 +6,11 @@ designated right-handed orthonormal reference frame used for orientation
 checks.  Two analytic models ship built in (flat Minkowski and exterior
 Schwarzschild); anything else goes through the finite-difference path.
 
+A chart may also supply its geodesic spray in closed form as spray_fn,
+Gamma^k_ij v^i v^j per row: the acceleration of a ray without Jacobi
+columns, four numbers a row where the connection has 64.  Without it
+Chart.spray contracts Chart.christoffels with the velocity.
+
 Connection derivatives dgam[..., k, i, j, m] = d_m Gamma^k_ij drive the
 Jacobi columns of the ray integrator and the curvature checks.  A chart
 may supply them in closed form as christoffel_deriv_fn, a model
@@ -53,6 +58,10 @@ class Chart:
     Coordinates are stored as lengths (coordinate 0 is c*t), so the speed
     of light c enters only when converting to and from seconds.  Chart
     exit is an error condition, not a transition: there is no atlas.
+    christoffel_fn, christoffel_deriv_fn and spray_fn are optional closed
+    forms of the connection, its derivatives and the geodesic spray;
+    without one, the connection comes from differences of the metric and
+    the other two from the connection.
     """
 
     name: str
@@ -66,6 +75,7 @@ class Chart:
     params: dict = field(default_factory=dict)
     christoffel_deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ray_chart: Optional["RayChart"] = None
+    spray_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def metric(self, coords):
         return _per_row(self.metric_fn, coords)
@@ -84,6 +94,15 @@ class Chart:
         if self.christoffel_fn is not None:
             return _per_row(self.christoffel_fn, coords)
         return _fd_christoffels(self, coords, metric_step)
+
+    def spray(self, coords, vel):
+        """Gamma^k_ij vel^i vel^j: spray_fn, else the connection contracted with vel."""
+        coords, vel = np.asarray(coords, dtype=float), np.asarray(vel, dtype=float)
+        if coords.ndim == 1:
+            return self.spray(coords[None], vel[None])[0]
+        if self.spray_fn is not None:
+            return self.spray_fn(coords, vel)
+        return np.einsum("nkij,ni,nj->nk", self.christoffels(coords), vel, vel)
 
     def christoffel_derivs(self, coords):
         """dgam[..., k, i, j, m] = d_m Gamma^k_ij, closed form if the chart has one.
@@ -377,6 +396,23 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
         return gam
 
+    def spray_fn(pts, vel):
+        # christoffel_fn's nonzero components contracted with vel twice, with
+        # w = v2^2 + sin^2 v3^2 the angular part
+        r, th = pts[:, 1], pts[:, 2]
+        f = 1.0 - radius / r
+        half_fp = radius / (2.0 * r**2)
+        sin, cos = np.sin(th), np.cos(th)
+        v0, v1, v2, v3 = vel.T
+        w = v2 * v2 + sin * sin * (v3 * v3)
+        two_v1_r = 2.0 * v1 / r
+        out = np.empty((len(pts), 4))
+        out[:, 0] = r * w - half_fp * (v0 * v0)
+        out[:, 1] = half_fp * v0 * (f * v0 + 2.0 * v1) - f * r * w
+        out[:, 2] = two_v1_r * v2 - sin * cos * (v3 * v3)
+        out[:, 3] = (two_v1_r + 2.0 * cos / sin * v2) * v3
+        return out
+
     def christoffel_deriv_fn(pts):
         # only d_r (m = 1) and d_theta (m = 2) are nonzero
         r, th = pts[:, 1], pts[:, 2]
@@ -410,6 +446,7 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         flat=False,
         params={"c": float(c), "R": radius},
         christoffel_deriv_fn=christoffel_deriv_fn,
+        spray_fn=spray_fn,
     )
 
 

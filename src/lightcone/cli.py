@@ -76,14 +76,6 @@ def _direction_grid(n_polar, n_azimuth):
     return dirs
 
 
-def _count(scn: Scenario, key, default):
-    """An integer setting that must be at least 1."""
-    n = scn.get(key, default, kind=int)
-    if n < 1:
-        raise ConfigError(f"setting {key!r} must be at least 1, got {n}")
-    return n
-
-
 def _splitting(scn: Scenario):
     """(chart, observer curve, frame field): the splitting the scenario sets up."""
     chart = scn.build_chart()
@@ -101,7 +93,7 @@ def cmd_trace_cone(scn: Scenario, out_dir):
     chart, _, frames = _splitting(scn)
     taus = scn.get("cone.tau_s", [0.0], kind=list)
     radii = scn.get("cone.radii_m", [1.0], kind=list)
-    dirs = _direction_grid(_count(scn, "cone.n_polar", 4), _count(scn, "cone.n_azimuth", 8))
+    dirs = _direction_grid(scn.count("cone.n_polar", 4), scn.count("cone.n_azimuth", 8))
 
     jobs = [(tau, r, d) for tau in taus for r in radii for d in dirs]
     pts = np.array([(tau, *(r * d)) for tau, r, d in jobs], dtype=float).reshape(-1, 4)
@@ -196,7 +188,7 @@ def _track(scn: Scenario, n_samples, start=None):
         raise ConfigError(f"unknown observed worldline kind {kind!r}")
     s_lo = scn.get("observe.s_min_s", 0.0)
     s_hi = scn.get("observe.s_max_s", 1.0)
-    n = _count(scn, "observe.n_samples", n_samples)
+    n = scn.count("observe.n_samples", n_samples)
     samples = sp.observe_curve(chart, frames, worldline, np.linspace(s_lo, s_hi, n), search, start)
     return chart, frames, samples, n
 

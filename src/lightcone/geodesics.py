@@ -40,7 +40,9 @@ and each Jacobi column (J + s W, W).
 Two right-hand sides run through that stepper.  _ray_rhs, a stack of
 rays with n_jac Jacobi columns each, serves integrate_batch and the
 single-ray solves, which go through one entry, _ray, that checks the
-start event and makes one _rays run.  _transport_rhs, a position with
+start event and makes one _rays run; rays without columns take their
+acceleration from the chart's spray (Chart.spray), rays with columns
+from the dense connection.  _transport_rhs, a position with
 Fermi-Walker-transported columns, serves parallel_transport and the
 observers' worldlines and frames (both sides of tau = 0 as two rows of
 one run); without an accelerometer reading it is parallel transport and
@@ -663,7 +665,10 @@ def _ray_rhs(chart: Chart, n_jac: int):
         dv'^k = -d_m Gamma^k_ij kappa'^i kappa'^j dx^m - 2 Gamma^k_ij kappa'^i dv^j
     The Jacobi field is J = dx exactly; its covariant derivative is
     W = dv + Gamma(kappa', dx) (see _convert_columns).  No curvature
-    tensor is formed.
+    tensor is formed.  Rays without columns take kappa'' from
+    Chart.spray, the chart's closed-form spray where it has one; rays
+    with columns contract the dense connection, which their 2 Gamma(kappa', .)
+    needs anyway.  Both are computed row by row.
     """
 
     def rhs(s, y):
@@ -671,20 +676,22 @@ def _ray_rhs(chart: Chart, n_jac: int):
         m = y.reshape(n, 1 + n_jac, 2, 4)  # member, (ray, columns), (value, derivative)
         out = np.empty_like(m)
         pos, vel = m[:, 0, 0], m[:, 0, 1]
-        gam = chart.christoffels(pos)  # (n,4,4,4)
         out[:, :, 0] = m[:, :, 1]
+        if not n_jac:
+            out[:, 0, 1] = -chart.spray(pos, vel)
+            return out.reshape(y.shape)
+        gam = chart.christoffels(pos)  # (n,4,4,4)
         out[:, 0, 1] = -np.einsum("nkij,ni,nj->nk", gam, vel, vel)
-        if n_jac:
-            row = vel[:, None, None, :]
-            vv = (vel[:, :, None] * vel[:, None, :]).reshape(n, 1, 1, 16)
-            # coef[n, k] = (d_m Gamma^k(kappa', kappa'), 2 Gamma^k_ij kappa'^i), width 8;
-            # matmul over the flattened (i, j) pair beat einsum at n = 1, 20 and 400
-            coef = np.concatenate([
-                np.matmul(vv, chart.christoffel_derivs(pos).reshape(n, 4, 16, 4)),
-                2.0 * np.matmul(row, gam),
-            ], axis=-1)[:, :, 0]
-            cols = m[:, 1:]
-            out[:, 1:, 1] = -np.matmul(cols.reshape(n, n_jac, 8), coef.transpose(0, 2, 1))
+        row = vel[:, None, None, :]
+        vv = (vel[:, :, None] * vel[:, None, :]).reshape(n, 1, 1, 16)
+        # coef[n, k] = (d_m Gamma^k(kappa', kappa'), 2 Gamma^k_ij kappa'^i), width 8;
+        # matmul over the flattened (i, j) pair beat einsum at n = 1, 20 and 400
+        coef = np.concatenate([
+            np.matmul(vv, chart.christoffel_derivs(pos).reshape(n, 4, 16, 4)),
+            2.0 * np.matmul(row, gam),
+        ], axis=-1)[:, :, 0]
+        cols = m[:, 1:]
+        out[:, 1:, 1] = -np.matmul(cols.reshape(n, n_jac, 8), coef.transpose(0, 2, 1))
         return out.reshape(y.shape)
 
     return rhs

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, minkowski, schwarzschild
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError
 from .lorentz import Event
 from .observers import (
     FrameField,
@@ -120,6 +120,13 @@ class Scenario:
             return vals
         raise ConfigError(f"unsupported kind for {key!r}")
 
+    def count(self, key, default):
+        """An integer setting that must be at least 1."""
+        n = self.get(key, default, kind=int)
+        if n < 1:
+            raise ConfigError(f"setting {key!r} must be at least 1, got {n}")
+        return n
+
     @property
     def hash(self):
         return scenario_hash(self.values)
@@ -192,20 +199,25 @@ class Scenario:
     def build_search(self, curve: ObserverCurve) -> MultistartConfig:
         lo = self.get("invert.tau_min_s", curve.interval[0])
         hi = self.get("invert.tau_max_s", curve.interval[1])
+        if hi <= lo:
+            raise ConfigError(f"setting 'invert.tau_max_s' must exceed 'invert.tau_min_s', "
+                              f"got {hi} <= {lo}")
+        half = self.get("invert.x_box_m", 6.0)
+        if half < 0:
+            raise ConfigError(f"setting 'invert.x_box_m' must be at least 0, got {half}")
+        inv_tol = self.get("tol.inv", 1e-10)
+        if inv_tol <= 0:
+            raise ConfigError(f"setting 'tol.inv' must be positive, got {inv_tol}")
         center = self.get("invert.x_center_m", [0.0, 0.0, 0.0], kind=list, count=3)
-        settings = dict(
+        return MultistartConfig(
             tau_range=(lo, hi),
-            x_halfwidth=self.get("invert.x_box_m", 6.0),
+            x_halfwidth=half,
             x_center=tuple(center),
-            n_tau=self.get("invert.n_tau", 9, kind=int),
-            n_x=self.get("invert.n_x", 9, kind=int),
-            top_k=self.get("invert.top_k", 16, kind=int),
-            inv_tol=self.get("tol.inv", 1e-10),
+            n_tau=self.count("invert.n_tau", 9),
+            n_x=self.count("invert.n_x", 9),
+            top_k=self.count("invert.top_k", 16),
+            inv_tol=inv_tol,
         )
-        try:
-            return MultistartConfig(**settings)
-        except InvalidInputError as exc:
-            raise ConfigError(f"invert settings: {exc}") from exc
 
 
 def _initial_frame_at(chart, coords):

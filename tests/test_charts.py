@@ -265,6 +265,39 @@ def test_eddington_finkelstein_connection_matches_sympy():
         assert np.array_equal(got_dgam[1], ef.christoffel_derivs(pts[1]))
 
 
+def _ray_region(rng, n):
+    """n points where the faller's rays run, and a random velocity at each."""
+    pts = np.column_stack([rng.normal(size=n), rng.uniform(1.5, 30.0, n),
+                           rng.uniform(0.05, np.pi - 0.05, n), rng.uniform(-4.0, 4.0, n)])
+    return pts, rng.normal(size=(n, 4)) * rng.uniform(0.1, 10.0, (n, 1))
+
+
+def _contracted(chart, pts, vel):
+    return np.einsum("nkij,ni,nj->nk", chart.christoffels(pts), vel, vel)
+
+
+def test_eddington_finkelstein_spray_is_the_contracted_connection():
+    # the closed form is Gamma(v, v) to rounding, and row i of a batch is
+    # the call at point i
+    ef = eddington_finkelstein(1.0)
+    pts, vel = _ray_region(np.random.default_rng(11), 500)
+    got, want = ef.spray(pts, vel), _contracted(ef, pts, vel)
+    bound = 1e-14 * (1.0 + np.linalg.norm(want, axis=1))
+    assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
+    for p, v, row in zip(pts[:7], vel[:7], got):
+        assert np.array_equal(ef.spray(p, v), row)
+
+
+@pytest.mark.parametrize("metric_only", [False, True], ids=["schwarzschild", "metric-only"])
+def test_spray_without_a_closed_form_contracts_the_connection(sw, metric_only):
+    chart = dataclasses.replace(sw, christoffel_fn=None) if metric_only else sw
+    assert chart.spray_fn is None
+    pts, vel = _ray_region(np.random.default_rng(12), 40)
+    got = chart.spray(pts, vel)
+    assert np.array_equal(got, _contracted(chart, pts, vel))
+    assert np.array_equal(chart.spray(pts[3], vel[3]), got[3])
+
+
 def test_ray_chart_map_round_trips(sw):
     rays = sw.ray_chart
     model = EF_POINTS.copy()

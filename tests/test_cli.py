@@ -285,19 +285,34 @@ class TestInvert:
         ("tol.inv", "-1"), ("tol.inv", "0"), ("tol.inv", "nan"), ("tol.inv", "inf"),
         ("tol.merge", "-1"), ("tol.merge", "nan"), ("tol.merge", "inf"),
         ("tol.cond_max", "-1"), ("tol.cond_max", "0"), ("tol.cond_max", "nan"),
+        ("invert.n_tau", "0"), ("invert.n_x", "0"), ("invert.top_k", "0"),
+        ("invert.x_box_m", "-1"), ("invert.tau_min_s", "30"),
     ])
     def test_bad_search_tolerance_rejected(self, tmp_path, capsys, setting, value):
         # at these values invert used to exit 0 with no, false or repeated
-        # preimages; tol.merge and tol.cond_max are constants now, not settings;
-        # a non-finite value is rejected where it is read, naming the key
-        if setting != "tol.inv":
+        # preimages (a box whose tau_min_s passes tau_max_s found a root at
+        # tau = 10); tol.merge and tol.cond_max are constants now, not
+        # settings; any other bad value is rejected where it is read, naming
+        # its key.  tol.inv comes as an override, the box keys in the file
+        scenario = SCN_DIR / "minkowski_inertial.scn"
+        override = []
+        if setting in ("tol.merge", "tol.cond_max"):
             want = "only tol.inv=VAL may be overridden"
+        elif value in ("nan", "inf"):
+            want = f"{setting!r} expects a finite number"
         else:
-            want = "'tol.inv' expects a finite number" if value in ("nan", "inf") else "inv_tol"
+            want = repr(setting)
+        if setting.startswith("tol."):
+            override = ["--tol-override", f"{setting}={value}"]
+        else:
+            text = scenario.read_text()
+            old = next(line for line in text.splitlines() if line.startswith(f"{setting} = "))
+            scenario = tmp_path / "bad.scn"
+            scenario.write_text(text.replace(old, f"{setting} = {value}"))
         targets = tmp_path / "targets.txt"
         targets.write_text("-5 3 0 0\n")
-        rc = main(["--scenario", str(SCN_DIR / "minkowski_inertial.scn"), "--out", str(tmp_path),
-                   "--tol-override", f"{setting}={value}", "invert", "--targets", str(targets)])
+        rc = main(["--scenario", str(scenario), "--out", str(tmp_path), *override,
+                   "invert", "--targets", str(targets)])
         assert rc == 2
         assert want in capsys.readouterr().err
         assert not (tmp_path / "preimages.csv").exists()

@@ -486,6 +486,25 @@ def test_ray_bits_do_not_depend_on_its_batch(n_jac, seed, n_mates, where):
     assert np.array_equal(alone.states[0], mixed.states[i])
 
 
+def test_map_rays_in_the_ray_chart_take_its_spray():
+    # a map-only batch in the Eddington-Finkelstein ray chart never builds
+    # the connection, and each ray keeps the bits of its one-row run
+    def no_connection(pts):
+        raise AssertionError("map rays evaluated the connection")
+
+    rays = SW.ray_chart
+    ef = dataclasses.replace(rays.chart, christoffel_fn=no_connection)
+    rng = np.random.default_rng(21)
+    y0 = rays.states_to_ray(np.array([faller_ray(rng.uniform(-2.8, 2.8, 3)) for _ in range(6)]
+                                     + [faller_ray(HOLE)]))
+    batch, _ = integrate_batch(ef, y0)
+    assert list(batch.outcome) == [LANDED] * 6 + [CLIPPED]
+    for i, row in enumerate(y0):
+        alone, _ = integrate_batch(ef, row[None])
+        assert alone.outcome[0] == batch.outcome[i] and alone.s1[0] == batch.s1[i]
+        assert np.array_equal(alone.states[0], batch.states[i])
+
+
 def test_attempt_budget_ends_a_runaway_ray():
     # in Schwarzschild coordinates the Jacobi columns of the ray aimed at
     # the hole grow like 1/f and it never reaches the exit margin; it ends

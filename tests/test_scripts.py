@@ -66,7 +66,7 @@ def test_bench_compare_summary_on_fixed_numbers():
     assert rate["head"] == {"median": 120.5, "q1": 119.25, "q3": 122.75}
     assert rate["change"] == pytest.approx(0.205)
     assert rate["wins"] == 9 and rate["pairs"] == 10  # pair 7 is lost
-    assert rate["gain"] and rate["within_bound"]
+    assert rate["gain"] and rate["within_bound"] and not rate["unresolved"]
 
     p50 = out["p50"]  # lower is better: the head is 20 % slower, inside 25 %
     assert p50["base"]["median"] == 1.0 and p50["head"]["median"] == 1.2
@@ -98,3 +98,13 @@ def test_bench_compare_summary_on_fixed_numbers():
     out = summarize(few, end_to_end)
     assert out["rate"]["wins"] == 9 and not out["rate"]["gain"] and not out["p50"]["gain"]
     assert summarize(few + few[:1], end_to_end)["rate"]["gain"]
+
+    # a spread wider than the bound leaves a metric unresolved (base IQR 35 %
+    # of its median, bound 20 %), unless every head run beats every base run
+    wide = [60.0, 140.0, 80.0, 120.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0]
+    noisy = [(_run({"rate": r, "p50": 1.0}), _run({"rate": r + 1.0, "p50": 1.0})) for r in wide]
+    out = summarize(noisy, end_to_end)
+    assert out["rate"]["unresolved"] and out["rate"]["within_bound"]
+    assert not out["p50"]["unresolved"]
+    apart = [(_run({"rate": r, "p50": 1.0}), _run({"rate": r + 81.0, "p50": 1.0})) for r in wide]
+    assert not summarize(apart, end_to_end)["rate"]["unresolved"]
