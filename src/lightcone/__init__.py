@@ -2,73 +2,12 @@
 
 Past-light-cone observer mappings, moving frames of reference, relative
 kinematics and desk-scale Newtonian-limit verification on chart-based
-spacetime models.
+spacetime models.  The modules are the interface; the package re-exports
+only the names its scripts and the README's example import from it.
 """
 
-from .charts import Chart, CurvatureSample, christoffels_at, metric_at, minkowski, riemann_ricci_at, schwarzschild
-from .errors import LightconeError
-from .geodesics import (
-    DenseSolution,
-    GeodesicIVP,
-    GeodesicSolution,
-    JacobiSolution,
-    exp_map,
-    integrate_geodesic,
-    integrate_jacobi,
-    parallel_transport,
-)
-from .lorentz import (
-    ETA,
-    CausalCharacter,
-    Event,
-    Frame4,
-    causal_character,
-    co_factorize,
-    is_future_directed,
-    is_restricted_lorentz,
-    projectors,
-    validate_frame_of_reference,
-)
-from .newtonian import (
-    LimitReport,
-    Series2,
-    general_tau_dot_series,
-    limit_case_pseudo_forces,
-    newtonian_limit_report,
-    series_inv,
-    series_mul,
-    sr_force_correction,
-    sr_tau_dot_series,
-)
-from .observers import (
-    FrameField,
-    ObserverCurve,
-    fermi_walker_derivative,
-    fermi_walker_transport,
-    make_inertial_observer,
-    make_uniformly_accelerated_observer,
-    proper_acceleration,
-    rotating_frame,
-    standard_inertial_frame,
-)
-from .splitting import (
-    ForceBreakdown,
-    InversionResult,
-    MultistartConfig,
-    ObservedEvent,
-    RelativeMotionSample,
-    comoving_worldline,
-    force_zero_component,
-    invert_observer_map,
-    kinematic_observer_map,
-    observe_curve,
-    observer_map_jacobian,
-    pullback_metric,
-    relative_force,
-    static_distance,
-    static_observer_map,
-    tau_dot,
-    transformed_christoffels,
-)
+from .charts import minkowski, schwarzschild
+from .lorentz import Event
+from .splitting import MultistartConfig
 
 __version__ = "0.1.0"

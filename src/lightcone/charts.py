@@ -477,13 +477,6 @@ def _fd_christoffels(chart: Chart, coords, fd_step):
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
 
 
-def christoffels_at(chart: Chart, coords) -> np.ndarray:
-    coords = np.asarray(coords, dtype=float)
-    if not chart.contains(coords):
-        raise OutOfChartError(f"{coords} lies outside the {chart.name} chart domain")
-    return chart.christoffels(coords)
-
-
 def riemann_ricci_at(chart: Chart, coords) -> CurvatureSample:
     """Curvature components from the connection and its derivatives.
 

@@ -237,7 +237,16 @@ def cmd_newton_limit(scn: Scenario, c_values, out_dir):
     previous c, so only the first c inverts cold (and any c where Newton
     from that start fails).  The manifest counts the samples inverted cold
     (cold_starts, a failed warm start included) and the continued ones.
+    The report's series assume an inertial observer in flat spacetime with
+    a non-rotating frame; any other case is a config error, before any work.
     """
+    for key, want in (("spacetime.name", "minkowski"), ("observer.kind", "inertial")):
+        if scn.get(key, want, kind=str) != want:
+            raise ConfigError(f"newton-limit needs setting {key!r} = {want}, "
+                              f"got {scn.values[key]!r}")
+    if scn.get("frame.kind", "", kind=str) == "rotating" and scn.get("frame.omega_rad_per_s"):
+        raise ConfigError(f"newton-limit needs setting 'frame.omega_rad_per_s' = 0, "
+                          f"got {scn.values['frame.omega_rad_per_s']!r}")
     first = None  # the previous c's first state (tau, x)
     starts = Counter()
 

@@ -13,14 +13,6 @@ class CausalDomainError(LightconeError):
     """Operation applied to a vector of inadmissible causal character."""
 
 
-class SingularProjectorError(LightconeError):
-    """Projection along a lightlike or zero direction is undefined."""
-
-
-class NotInGroupError(LightconeError):
-    """Matrix is not a member of the required matrix group."""
-
-
 class OutOfChartError(LightconeError):
     """Coordinates lie outside the chart's domain."""
 
@@ -37,11 +29,7 @@ class EmptySolutionError(IntegrationError):
     """Trajectory left the chart domain immediately; no solution produced."""
 
 
-class NotInExpDomainError(LightconeError):
-    """Geodesic exits the chart before reaching unit parameter."""
-
-
-class UnreachableDirectionError(NotInExpDomainError):
+class UnreachableDirectionError(LightconeError):
     """Observer-map ray leaves the chart before landing."""
 
 

@@ -1,4 +1,4 @@
-"""Geodesics, parallel transport, Jacobi fields and the exponential map.
+"""Geodesics, Jacobi fields, conjugate-point scans and batches of rays.
 
 Every integration here runs one stepper, _dopri: the Dormand-Prince
 8(5,3) pair (Hairer-Norsett-Wanner, Solving ODEs I, sec. II.10), with
@@ -43,10 +43,10 @@ single-ray solves, which go through one entry, _ray, that checks the
 start event and makes one _rays run; rays without columns take their
 acceleration from the chart's spray (Chart.spray), rays with columns
 from the dense connection.  _transport_rhs, a position with
-Fermi-Walker-transported columns, serves parallel_transport and the
-observers' worldlines and frames (both sides of tau = 0 as two rows of
-one run); without an accelerometer reading it is parallel transport and
-evaluates no thrust term.
+Fermi-Walker-transported columns, serves the observers' worldlines and
+frames (both sides of tau = 0 as two rows of one run); without an
+accelerometer reading it is parallel transport and evaluates no thrust
+term.
 
 A Jacobi column is integrated as the coordinate variation (dx, dv) of the
 ray, whose variational equation needs the connection and its first
@@ -66,7 +66,6 @@ from .errors import (
     EmptySolutionError,
     IntegrationError,
     InvalidInputError,
-    NotInExpDomainError,
     OutOfChartError,
 )
 from .lorentz import Event
@@ -172,17 +171,6 @@ class GeodesicSolution(DenseSolution):
     def velocity(self, s):
         st = self.state(s)
         return st[4:8] if st.ndim == 1 else st[4:8].T
-
-
-class TransportSolution(DenseSolution):
-    """A vector parallel transported along a stored geodesic; the state is (kappa, kappa', v)."""
-
-    def __init__(self, ts, h, q, y_old, y1, steps, clipped, along):
-        super().__init__(ts, h, q, y_old, y1, steps, clipped)
-        self.along = along
-
-    def vector(self, s):
-        return self.state(s)[8:12]
 
 
 class JacobiSolution(DenseSolution):
@@ -773,8 +761,8 @@ def _rays(chart: Chart, y0, s_end, stop_at_exit=True, dense=False):
     return _dopri(_ray_rhs(chart, n_jac), y0, s_end, event, dense)
 
 
-def _ray(chart: Chart, ivp: GeodesicIVP, s_end, columns=None, stop_at_exit=True, dense=True):
-    """The one single-ray solve: check the start, then one _rays run.
+def _ray(chart: Chart, ivp: GeodesicIVP, s_end, columns=None, stop_at_exit=True):
+    """The one single-ray solve: check the start, then one dense _rays run.
 
     The start event must be the chart's, inside its domain and more than
     1e-12 max(1, R) from its boundary.  columns, given the metric there,
@@ -790,29 +778,16 @@ def _ray(chart: Chart, ivp: GeodesicIVP, s_end, columns=None, stop_at_exit=True,
         raise EmptySolutionError("start point touches the chart boundary")
     cols = columns(chart.metric(q0)) if columns else []
     y0 = _convert_columns(chart, np.concatenate([q0, ivp.velocity, *cols])[None, :], -1)
-    return _rays(chart, y0, s_end, stop_at_exit, dense)
+    return _rays(chart, y0, s_end, stop_at_exit, dense=True)
 
 
-def _ended(chart, run, s_end):
-    """Raise if the ray of a one-ray run failed, or left the chart at once."""
+def _single(chart, run, s_end, cls, *extra):
+    """Row 0 of a dense run as a cls solution; a ray that failed or left at once raises."""
     if run.outcome[0] == FAILED:
         raise IntegrationError(f"integrator failed on {chart.name}: {run.reasons[0]}")
     if run.outcome[0] == CLIPPED and abs(run.s1[0]) <= 1e-14 * max(1.0, abs(s_end)):
         raise EmptySolutionError("trajectory leaves the chart domain immediately")
-
-
-def _single(chart, run, s_end, cls, *extra):
-    """Row 0 of a dense run as a cls solution; a failed or empty ray raises."""
-    _ended(chart, run, s_end)
     return cls(*run.segments[0], run.steps[0], run.outcome[0] == CLIPPED, *extra)
-
-
-def _landed_end(chart, run):
-    """The end state at s = 1 of a one-ray run; a ray that does not land raises."""
-    _ended(chart, run, 1.0)
-    if run.outcome[0] == CLIPPED:
-        raise NotInExpDomainError(f"geodesic leaves {chart.name} at parameter {run.s1[0]:.6g} < 1")
-    return run.y[0]
 
 
 def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end) -> GeodesicSolution:
@@ -823,31 +798,6 @@ def integrate_geodesic(chart: Chart, ivp: GeodesicIVP, s_end) -> GeodesicSolutio
     partial solution up to the boundary is returned with clipped=True.
     """
     return _single(chart, _ray(chart, ivp, s_end), s_end, GeodesicSolution)
-
-
-def exp_map(chart: Chart, q: Event, tangent) -> Event:
-    """Endpoint of the geodesic with initial velocity `tangent` at unit parameter."""
-    run = _ray(chart, GeodesicIVP(q, tangent), 1.0, dense=False)
-    return Event(chart.name, _landed_end(chart, run)[:4])
-
-
-def parallel_transport(chart: Chart, along: GeodesicSolution, v0) -> TransportSolution:
-    """Transport v0 along the stored geodesic: v'^k + Gamma^k_ij kappa'^i v^j = 0.
-
-    The geodesic is integrated again together with v, from its stored
-    initial data to its end parameter, by the transport equation with the
-    columns (kappa', v) and no acceleration (_transport_rhs).  The stored
-    solution is kept as `along`.  On a flat chart v stays v0 exactly.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (4,) or not np.all(np.isfinite(v0)):
-        raise InvalidInputError("transported vector must be 4 finite reals")
-    y0 = np.concatenate([along.position(0.0), along.velocity(0.0), v0])[None, :]
-    if chart.flat or along.s1 == 0.0:
-        run = _linear_run(y0, np.pad(y0[:, 4:8], ((0, 0), (0, 8))), along.s1, dense=True)
-    else:
-        run = _dopri(_transport_rhs(chart, 2), y0, along.s1, dense=True)
-    return _single(chart, run, along.s1, TransportSolution, along)
 
 
 def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0) -> JacobiSolution:
@@ -861,18 +811,6 @@ def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0) -> Jacob
     ivp = GeodesicIVP(Event(chart.name, geodesic.position(0.0)), geodesic.velocity(0.0))
     run = _ray(chart, ivp, geodesic.s1, lambda g0: [j0, dj0], stop_at_exit=False)
     return _single(chart, run, geodesic.s1, JacobiSolution, geodesic, chart)
-
-
-def exp_differential(chart: Chart, q: Event, tangent, base_dir, fiber_dir) -> np.ndarray:
-    """Differential of the exponential map as a Jacobi endpoint value.
-
-    Returns J(1) for the Jacobi field along s -> exp(s*tangent) whose
-    initial value is the base-point direction and whose initial covariant
-    derivative is the fiber direction; linear in both.  A ray that does not
-    reach s = 1 raises NotInExpDomainError, as exp_map does.
-    """
-    run = _ray(chart, GeodesicIVP(q, tangent), 1.0, lambda g0: [base_dir, fiber_dir], dense=False)
-    return _landed_end(chart, run)[8:12]  # J = dx
 
 
 @dataclass(frozen=True)

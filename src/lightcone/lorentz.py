@@ -1,9 +1,8 @@
 """Closed-form linear algebra of Lorentz vector spaces.
 
 Everything here is exact 4x4 matrix arithmetic: causal classification of
-vectors, projections along a non-null direction, membership tests for the
-restricted Lorentz group, factorization of conformal matrices, and
-validation of orthonormal right-handed frames. No ODEs, no charts.
+vectors, Gram matrices, and validation of orthonormal right-handed
+frames. No ODEs, no charts.
 
 Conventions: metric signature (+, -, -, -); index 0 is the timelike slot.
 """
@@ -13,12 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    CausalDomainError,
-    InvalidInputError,
-    NotInGroupError,
-    SingularProjectorError,
-)
+from .errors import CausalDomainError, InvalidInputError
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -85,17 +79,6 @@ def _check_metric(g) -> np.ndarray:
     return g
 
 
-def validate_metric(g, sym_tol=1e-12) -> np.ndarray:
-    """Check symmetry and (+,-,-,-) signature; return the validated matrix."""
-    g = _check_metric(g)
-    if np.max(np.abs(g - g.T)) > sym_tol * max(1.0, np.max(np.abs(g))):
-        raise InvalidInputError("metric is not symmetric")
-    eig = np.linalg.eigvalsh(g)
-    if not (np.sum(eig > 0) == 1 and np.sum(eig < 0) == 3):
-        raise InvalidInputError(f"metric does not have Lorentz signature, eigenvalues {eig}")
-    return g
-
-
 def inner(g, v, w):
     """Lorentz product g(v, w)."""
     return float(np.asarray(v) @ np.asarray(g) @ np.asarray(w))
@@ -138,57 +121,6 @@ def is_future_directed(g, future_ref, v, tol=CLASSIFY_TOL) -> bool:
     if char in (CausalCharacter.SPACELIKE, CausalCharacter.ZERO):
         raise CausalDomainError(f"future-directedness undefined for {char.value} vectors")
     return inner(g, future_ref, v) > 0.0
-
-
-def projectors(g, z, tol=CLASSIFY_TOL):
-    """Parallel and orthogonal projection endomorphisms along z.
-
-    Returns (P_par, P_perp) with P_par = z (z.g) / g(z,z) and
-    P_perp = Id - P_par.  z must not be lightlike or zero.
-    """
-    g = _check_metric(g)
-    z = _check_vec(z)
-    q = inner(g, z, z)
-    if abs(q) <= tol:
-        raise SingularProjectorError("projection along a (near-)lightlike direction is singular")
-    p_par = np.outer(z, g @ z) / q
-    return p_par, np.eye(4) - p_par
-
-
-def is_restricted_lorentz(lam, tol=1e-10) -> bool:
-    """Membership test for the identity component of O(1,3).
-
-    Checks the defining relation Lam^T eta Lam = eta plus the two component
-    conditions: positive time-time entry and positive determinant of the
-    spatial 3x3 block.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (4, 4) or not np.all(np.isfinite(lam)):
-        raise InvalidInputError("expected a finite 4x4 matrix")
-    if np.max(np.abs(lam.T @ ETA @ lam - ETA)) > tol:
-        return False
-    return lam[0, 0] > 0.0 and np.linalg.det(lam[1:, 1:]) > 0.0
-
-
-def co_factorize(a, tol=1e-10):
-    """Split a conformal matrix into scale times Lorentz matrix.
-
-    Every member A of the linear conformal group factors uniquely as
-    A = lam * Lam with lam = |det A|**(1/4) > 0 and Lam in O(1,3).  Raises
-    NotInGroupError when the quotient fails the O(1,3) relation within tol.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (4, 4) or not np.all(np.isfinite(a)):
-        raise InvalidInputError("expected a finite 4x4 matrix")
-    det = np.linalg.det(a)
-    if det == 0.0:
-        raise NotInGroupError("singular matrix is not conformal")
-    scale = abs(det) ** 0.25
-    lam = a / scale
-    defect = np.max(np.abs(lam.T @ ETA @ lam - ETA))
-    if defect > tol:
-        raise NotInGroupError(f"matrix is not conformal: orthogonality defect {defect:.3e}")
-    return scale, lam
 
 
 def gram_matrix(g, frame_matrix):

@@ -1,13 +1,14 @@
-"""Second-order series machinery in 1/c and Newtonian-limit verification.
+"""Second-order series in 1/c and Newtonian-limit verification.
 
 Two ingredients decide whether observed relative dynamics reduces to
 Newtonian mechanics: all observed clocks must run at the observer's rate
 (tau' ~ 1) and the relative force must obey Newton's second law.  This
-module provides truncated power-series arithmetic in the perturbation
-parameter eps = 1/c, the closed-form second-order expansions of the
-clock rate and its force corrections for inertial flat-space splittings,
-the generic expansion for a c-independent pulled-back metric, and a sweep
-driver that measures how fast the residuals die off as c grows.
+module provides the closed-form second-order expansions, in the
+perturbation parameter eps = 1/c, of the clock rate and its force
+corrections for inertial flat-space splittings, the zeroth-order
+pseudo-force of a c-independent pulled-back metric with the two
+conditions for its limit to exist, and a sweep driver that measures how
+fast the residuals die off as c grows.
 
 Series are truncated at second order; the remainder is handled purely
 empirically through log-log scaling fits.
@@ -35,31 +36,8 @@ class Series2:
             if not math.isfinite(v):
                 raise InvalidInputError("series coefficients must be finite")
 
-    def coefficients(self):
-        return np.array([self.a0, self.a1, self.a2])
-
     def __call__(self, eps):
         return self.a0 + self.a1 * eps + self.a2 * eps**2
-
-
-def series_mul(f: Series2, g: Series2) -> Series2:
-    """Cauchy product truncated after the quadratic term."""
-    return Series2(
-        f.a0 * g.a0,
-        f.a0 * g.a1 + f.a1 * g.a0,
-        f.a0 * g.a2 + f.a1 * g.a1 + f.a2 * g.a0,
-    )
-
-
-def series_inv(f: Series2) -> Series2:
-    """Multiplicative inverse, defined when the constant term is nonzero."""
-    if f.a0 == 0.0:
-        raise InvalidInputError("series with vanishing constant term has no inverse")
-    return Series2(
-        1.0 / f.a0,
-        -f.a1 / f.a0**2,
-        f.a1**2 / f.a0**3 - f.a2 / f.a0**2,
-    )
 
 
 def sr_tau_dot_series(mu, v) -> Series2:
@@ -97,30 +75,6 @@ def sr_force_correction(xhat, v_vec, dv_dtau, x_norm):
     tau_dd = Series2(0.0, sight, float(v_vec @ a_vec) + mu * v * sight)
     inv_td2 = Series2(1.0, -2.0 * mu * v, (mu**2 - 1.0) * v**2)
     return tau_dd, inv_td2
-
-
-def general_tau_dot_series(alpha, v) -> Series2:
-    """Clock-rate expansion for a c-independent pulled-back metric.
-
-    Requires the time-time component to be exactly 1 (within 1e-12):
-    otherwise no Newtonian limit can exist for this splitting and the
-    obstruction is reported instead of computing coefficients.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a00 = float(alpha[0, 0])
-    if a00 <= 0.0:
-        raise InvalidInputError(f"time-time metric component {a00} must be positive")
-    if abs(a00 - 1.0) > 1e-12:
-        raise NewtonianLimitObstruction(
-            f"clock rates cannot approach 1: alpha_00 = {a00!r} != 1",
-            residuals={"alpha_00_minus_1": a00 - 1.0},
-        )
-    a0 = alpha[0, 1:]
-    s = alpha[1:, 1:]
-    first = -float(a0 @ v) / a00**1.5
-    second = float(v @ (3.0 * np.outer(a0, a0) - a00 * s) @ v) / (2.0 * a00**2.5)
-    return Series2(a00**-0.5, first, second)
 
 
 # Central-difference step in (tau, x) of the metric field in

@@ -12,12 +12,11 @@ fw_basis(tau) is M with column 0 divided by c.  Each maker supplies M:
   uniformly accelerated    the boost frame in closed form, reading (a, 0, 0);
   curved inertial and      one coupled integration of the worldline and M
   programmed               from tau = 0 (_integrated_curve) by geodesics'
-                           transport equation, the one that
-                           geodesics.parallel_transport also runs (the
-                           inertial observer is the programmed system with
-                           no program), on geodesics' stepper at
-                           geodesics.REL_TOL and ABS_TOL: one run, one row
-                           per side of tau = 0 (_two_sided).
+                           transport equation (the inertial observer is
+                           the programmed system with no program), on
+                           geodesics' stepper at geodesics.REL_TOL and
+                           ABS_TOL: one run, one row per side of tau = 0
+                           (_two_sided).
 A FrameField attaches an orthonormal, right-handed frame to every
 instant, with the zeroth column pinned to gamma'/c.  Fermi-Walker
 transport is linear, so every Fermi-Walker frame along a curve is its
@@ -44,8 +43,7 @@ import numpy as np
 
 from .charts import Chart, metric_at, minkowski
 from .errors import CausalDomainError, IntegrationError, InvalidInputError, OutOfChartError
-from .lorentz import (ETA, Event, Frame4, causal_character, CausalCharacter, gram_matrix,
-                      projectors)
+from .lorentz import ETA, Event, Frame4, causal_character, CausalCharacter, gram_matrix
 from .geodesics import CLIPPED, FAILED, DenseSolution, _dopri, _exit_event, _transport_rhs
 
 
@@ -267,72 +265,6 @@ def _integrated_curve(chart: Chart, q0: Event, m0, program, interval) -> Observe
         frame_fn=frame_fn,
         reading_fn=reading,
     )
-
-
-def proper_acceleration(curve: ObserverCurve, tau):
-    """(A, a): covariant acceleration vector and its magnitude."""
-    acc = curve.acceleration(tau)
-    g = metric_at(curve.chart, curve.position(tau))
-    q = float(acc @ g @ acc)
-    return acc, math.sqrt(max(0.0, -q))
-
-
-# Central-difference step in tau of a field given without field_deriv: near
-# eps^(1/3), where the difference's h^2 truncation and eps/h rounding balance
-_FW_STEP = 1e-6
-
-
-def fermi_walker_derivative(curve: ObserverCurve, field, tau, field_deriv=None):
-    """Fermi-Walker derivative of a vector field along the observer.
-
-    field(tau) gives chart components of Y; field_deriv(tau), when known
-    analytically, gives dY/dtau and avoids the central-difference fallback
-    of step _FW_STEP.
-    """
-    c = curve.c
-    y = np.asarray(field(tau), dtype=float)
-    if field_deriv is not None:
-        ydot = np.asarray(field_deriv(tau), dtype=float)
-    else:
-        ydot = (np.asarray(field(tau + _FW_STEP))
-                - np.asarray(field(tau - _FW_STEP))) / (2.0 * _FW_STEP)
-    pos = curve.position(tau)
-    vel = curve.velocity(tau)
-    acc = curve.acceleration(tau)
-    g = metric_at(curve.chart, pos)
-    gam = curve.chart.christoffels(pos)
-    nabla_y = ydot + np.einsum("kij,i,j->k", gam, vel, y)
-    return nabla_y - (float(vel @ g @ y) * acc - float(acc @ g @ y) * vel) / c**2
-
-
-def fermi_walker_derivative_projector_form(curve: ObserverCurve, field, tau):
-    """Same derivative through the parallel/orthogonal projector split.
-
-    Kept as an independent oracle: it evaluates the defining projector
-    formula numerically instead of the observer-adapted expression, with
-    central differences of step _FW_STEP.
-    """
-    pos = curve.position(tau)
-    vel = curve.velocity(tau)
-    g = metric_at(curve.chart, pos)
-    gam = curve.chart.christoffels(pos)
-
-    def nabla(fn):
-        y = np.asarray(fn(tau), dtype=float)
-        ydot = (np.asarray(fn(tau + _FW_STEP)) - np.asarray(fn(tau - _FW_STEP))) / (2.0 * _FW_STEP)
-        return ydot + np.einsum("kij,i,j->k", gam, vel, y)
-
-    def project(which):
-        def fn(t):
-            p_par, p_perp = projectors(metric_at(curve.chart, curve.position(t)),
-                                       curve.velocity(t))
-            p = p_par if which == "par" else p_perp
-            return p @ np.asarray(field(t), dtype=float)
-
-        return fn
-
-    p_par, p_perp = projectors(g, vel)
-    return p_par @ nabla(project("par")) + p_perp @ nabla(project("perp"))
 
 
 def _fw_field(curve: ObserverCurve, matrix_fn, tau_range=None) -> FrameField:

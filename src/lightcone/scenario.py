@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, minkowski, schwarzschild
-from .errors import ConfigError
+from .errors import CausalDomainError, ConfigError
 from .lorentz import Event
 from .observers import (
     FrameField,
@@ -127,6 +127,21 @@ class Scenario:
             raise ConfigError(f"setting {key!r} must be at least 1, got {n}")
         return n
 
+    def positive(self, key, default=None):
+        """A number setting that must be greater than 0."""
+        val = self.get(key, default)
+        if not val > 0:
+            raise ConfigError(f"setting {key!r} must be positive, got {val}")
+        return val
+
+    def event(self, key, chart: Chart) -> Event:
+        """A 4-vector setting (default the origin) as an event inside the chart's domain."""
+        coords = np.array(self.get(key, [0, 0, 0, 0], kind=list, count=4))
+        if not chart.contains(coords):
+            raise ConfigError(f"setting {key!r} lies outside the {chart.name} chart domain, "
+                              f"got {coords.tolist()}")
+        return Event(chart.name, coords)
+
     @property
     def hash(self):
         return scenario_hash(self.values)
@@ -135,14 +150,11 @@ class Scenario:
 
     def build_chart(self) -> Chart:
         name = self.get("spacetime.name", kind=str)
-        c = self.get("spacetime.c_m_per_s", 1.0)
-        if not c > 0:
-            raise ConfigError(f"setting 'spacetime.c_m_per_s' must be positive, got {c}")
+        c = self.positive("spacetime.c_m_per_s", 1.0)
         if name == "minkowski":
             return minkowski(c)
         if name == "schwarzschild":
-            radius = self.get("spacetime.R_m")
-            return schwarzschild(radius, c)
+            return schwarzschild(self.positive("spacetime.R_m"), c)
         raise ConfigError(f"unknown spacetime {name!r}")
 
     def build_observer(self, chart: Chart) -> ObserverCurve:
@@ -150,21 +162,24 @@ class Scenario:
         kind = self.get("observer.kind", "inertial", kind=str)
         interval = self._interval()
         if kind == "inertial":
-            q0 = np.array(self.get("observer.q0_m", [0, 0, 0, 0], kind=list, count=4))
+            q0 = self.event("observer.q0_m", chart)
             u0 = np.array(self.get("observer.u0", [1, 0, 0, 0], kind=list, count=4))
-            return make_inertial_observer(chart, Event(chart.name, q0), u0, interval)
+            try:
+                return make_inertial_observer(chart, q0, u0, interval)
+            except CausalDomainError as exc:
+                raise ConfigError(f"setting 'observer.u0' at observer.q0_m: {exc}") from exc
         if kind == "uniformly_accelerated":
             if chart.name != "minkowski":
                 raise ConfigError("uniformly accelerated observers need the flat chart")
-            a = self.get("observer.a_m_per_s2")
+            a = self.positive("observer.a_m_per_s2")
             return make_uniformly_accelerated_observer(a, chart.c, interval)
         if kind == "programmed":
             # a constant accelerometer reading in the curve's basis; arbitrary
             # programs are an API-level feature
-            q0 = np.array(self.get("observer.q0_m", [0, 0, 0, 0], kind=list, count=4))
+            q0 = self.event("observer.q0_m", chart)
             accel = np.array(self.get("observer.accel_m_per_s2", kind=list, count=3))
-            frame0 = _initial_frame_at(chart, q0)
-            return make_programmed_observer(chart, Event(chart.name, q0), frame0,
+            frame0 = _initial_frame_at(chart, q0.coords)
+            return make_programmed_observer(chart, q0, frame0,
                                             lambda tau: accel, interval=interval)[0]
         raise ConfigError(f"unknown observer kind {kind!r}")
 
@@ -186,6 +201,8 @@ class Scenario:
         if kind == "rotating":
             omega = self.get("frame.omega_rad_per_s")
             axis = self.get("frame.axis", 1, kind=int)
+            if axis not in (1, 2, 3):
+                raise ConfigError(f"setting 'frame.axis' must be 1, 2 or 3, got {axis}")
             return rotating_frame(base, omega, axis)
         raise ConfigError(f"unknown frame kind {kind!r}")
 
@@ -205,9 +222,7 @@ class Scenario:
         half = self.get("invert.x_box_m", 6.0)
         if half < 0:
             raise ConfigError(f"setting 'invert.x_box_m' must be at least 0, got {half}")
-        inv_tol = self.get("tol.inv", 1e-10)
-        if inv_tol <= 0:
-            raise ConfigError(f"setting 'tol.inv' must be positive, got {inv_tol}")
+        inv_tol = self.positive("tol.inv", 1e-10)
         center = self.get("invert.x_center_m", [0.0, 0.0, 0.0], kind=list, count=3)
         return MultistartConfig(
             tau_range=(lo, hi),

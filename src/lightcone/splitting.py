@@ -1,12 +1,13 @@
-"""Static and kinematic observer mappings and relative kinematics.
+"""The kinematic observer mapping and relative kinematics.
 
 The observer mapping sends observer coordinates (c*tau, x) to the
 spacetime event seen in direction x at proper time tau: the endpoint of
 the past-pointing lightlike geodesic with initial vector
 -|x| X_0 + x^a X_a.  This module computes the map, its differential
 through Jacobi fields, a multistart damped-Newton inverse, the tracked
-relative motion of observed worldlines, the pulled-back metric, and the
-relative-force decomposition into actual and pseudo parts.
+relative motion of observed worldlines, clock rates, and the
+relative-force decomposition into actual and pseudo parts, built from
+the pulled-back metric and the connection in observer coordinates.
 
 Observer coordinates carry x^0 = c*tau internally; reports expose tau in
 seconds.  The coordinate origin x = 0 (the observer itself) is excluded.
@@ -53,7 +54,7 @@ from .errors import (
     UnreachableDirectionError,
 )
 from .geodesics import CLIPPED, BatchSolution, _exit_event, integrate_batch
-from .lorentz import Event, Frame4, CausalCharacter, causal_character, projectors
+from .lorentz import Event, CausalCharacter, causal_character
 from .observers import FrameField
 
 
@@ -168,32 +169,6 @@ def _cone_components(x):
 def cone_vector(frames: FrameField, tau, x):
     """Past-lightlike initial vector -|x| X_0 + x^a X_a in chart components."""
     return frames.matrix(tau) @ _cone_components(np.asarray(x, dtype=float))
-
-
-def static_observer_map(chart: Chart, frame: Frame4, x) -> Event:
-    """World event seen in direction x by the frozen frame at one event."""
-    x = np.asarray(x, dtype=float)
-    if np.max(np.abs(x)) == 0.0:
-        raise InvalidInputError("x = 0 excluded from the observer mapping domain")
-    y0 = np.concatenate([frame.base.coords, frame.matrix @ _cone_components(x)])[None, :]
-    ray = _trace(chart, y0, 0)
-    if not ray.landed[0]:
-        raise UnreachableDirectionError(f"the ray in direction {x} leaves {chart.name} "
-                                        "before landing")
-    return Event(chart.name, ray.states[0, :4])
-
-
-def static_distance(g, x0_col, k, kprime):
-    """Spatial distance between two seen directions at one event.
-
-    Orthogonally projects k - k' away from the observer vector and takes
-    the (positive definite) spatial norm.  Equals |x - x'| in the
-    observer coordinates induced by any frame completing x0_col.
-    """
-    _, p_perp = projectors(g, np.asarray(x0_col, dtype=float))
-    d = p_perp @ (np.asarray(k, dtype=float) - np.asarray(kprime, dtype=float))
-    q = float(d @ np.asarray(g) @ d)
-    return math.sqrt(max(0.0, -q))
 
 
 def _point(tau, x):
@@ -731,15 +706,7 @@ def _continued(chart, frames, target, start, search):
     return None
 
 
-# -- pulled-back metric and forces --------------------------------------------
-
-def pullback_metric(chart: Chart, frames: FrameField, p: ObservedEvent) -> np.ndarray:
-    """Components of the pulled-back spacetime metric in observer coordinates."""
-    ev, jac = _eval_landed(chart, frames, _point(p.tau, p.x), True)
-    g = metric_at(chart, ev[0])
-    j = jac[0]
-    return j.T @ g @ j
-
+# -- clock rates and forces ---------------------------------------------------
 
 def tau_dot(alpha, v, c) -> float:
     """Clock rate of the observed clock against the observer's clock.
@@ -778,17 +745,6 @@ def force_zero_component(alpha, v, c, inv_jacobian, f_spatial) -> float:
 
 
 _FD_STEP = 1e-4  # central step in (c*tau, x) for derivatives of the map
-
-
-def transformed_christoffels(chart: Chart, frames: FrameField, p: ObservedEvent) -> np.ndarray:
-    """Connection coefficients of the spacetime metric in observer coordinates.
-
-    The chart coefficients transformed with the map Jacobian, plus the
-    map's Hessian from central differences of step _FD_STEP of the
-    Jacobian in (x^0 = c*tau, x^a): p and its 8 stencil points are one
-    map+Jacobian batch.  This is the connection relative_force uses.
-    """
-    return _jacobian_christoffels(chart, *_map_derivatives(chart, frames, p))[0]
 
 
 def _stencil_points(c, p):

@@ -8,7 +8,6 @@ import pytest
 
 from lightcone.charts import (
     _fd_christoffels,
-    christoffels_at,
     eddington_finkelstein,
     metric_at,
     minkowski,
@@ -17,7 +16,7 @@ from lightcone.charts import (
 )
 from lightcone.errors import InvalidInputError, OutOfChartError
 from lightcone.geodesics import integrate_batch
-from lightcone.lorentz import ETA, validate_metric
+from lightcone.lorentz import ETA, _check_metric
 from lightcone.scenario import load_scenario
 from lightcone.splitting import _map_states
 
@@ -28,6 +27,32 @@ def sw():
 
 
 EQ_POINT = np.array([0.0, 2.0, np.pi / 2, 0.0])
+
+
+def validate_metric(g, sym_tol=1e-12) -> np.ndarray:
+    """Check symmetry and (+,-,-,-) signature; return the validated matrix."""
+    g = _check_metric(g)
+    if np.max(np.abs(g - g.T)) > sym_tol * max(1.0, np.max(np.abs(g))):
+        raise InvalidInputError("metric is not symmetric")
+    eig = np.linalg.eigvalsh(g)
+    if not (np.sum(eig > 0) == 1 and np.sum(eig < 0) == 3):
+        raise InvalidInputError(f"metric does not have Lorentz signature, eigenvalues {eig}")
+    return g
+
+
+class TestMetricValidation:
+    def test_eta_ok(self):
+        validate_metric(ETA)
+
+    def test_wrong_signature(self):
+        with pytest.raises(InvalidInputError):
+            validate_metric(np.eye(4))
+
+    def test_asymmetric(self):
+        g = ETA.copy()
+        g[0, 1] = 1e-3
+        with pytest.raises(InvalidInputError):
+            validate_metric(g)
 
 
 def test_minkowski_metric_everywhere():
@@ -59,7 +84,7 @@ def test_out_of_chart(sw):
     with pytest.raises(OutOfChartError):
         metric_at(sw, np.array([0.0, 2.0, 0.0, 0.0]))
     with pytest.raises(OutOfChartError):
-        christoffels_at(sw, np.array([0.0, 1.0, np.pi / 2, 0.0]))
+        riemann_ricci_at(sw, np.array([0.0, 1.0, np.pi / 2, 0.0]))
 
 
 def test_bad_radius():
@@ -69,11 +94,11 @@ def test_bad_radius():
 
 def test_minkowski_christoffels_vanish():
     mk = minkowski()
-    assert np.array_equal(christoffels_at(mk, np.array([1.0, 2, 3, 4])), np.zeros((4, 4, 4)))
+    assert np.array_equal(mk.christoffels(np.array([1.0, 2, 3, 4])), np.zeros((4, 4, 4)))
 
 
 def test_schwarzschild_gamma_r_tt(sw):
-    gam = christoffels_at(sw, EQ_POINT)
+    gam = sw.christoffels(EQ_POINT)
     # (1 - R/r) * R / (2 r^2) at R=1, r=2
     assert gam[1, 0, 0] == pytest.approx(0.0625, abs=1e-12)
 
@@ -164,7 +189,7 @@ def test_minkowski_christoffel_derivs_vanish():
 
 
 def test_christoffel_symmetry(sw):
-    gam = christoffels_at(sw, np.array([0.0, 3.0, 1.0, 0.5]))
+    gam = sw.christoffels(np.array([0.0, 3.0, 1.0, 0.5]))
     assert np.max(np.abs(gam - gam.transpose(0, 2, 1))) <= 1e-10
 
 

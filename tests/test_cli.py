@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lightcone import geodesics, observers
+from lightcone import cli, geodesics, observers
 from lightcone.cli import main
 from lightcone.errors import ConfigError
 from lightcone.scenario import (
@@ -97,6 +97,12 @@ class TestScenarioParsing:
         ("schwarzschild_faller", "spacetime.R_m", "inf", "trace-cone"),
         ("minkowski_inertial", "cone.n_polar", "0", "trace-cone"),
         ("minkowski_inertial", "cone.n_azimuth", "0", "trace-cone"),
+        ("schwarzschild_faller", "spacetime.R_m", "-1", "trace-cone"),
+        ("schwarzschild_faller", "observer.q0_m", "0, 0.5, 1.5707963267948966, 0", "trace-cone"),
+        ("accel_rotating", "observer.a_m_per_s2", "0", "trace-cone"),
+        ("accel_rotating", "frame.axis", "4", "trace-cone"),
+        ("minkowski_inertial", "observer.u0", "0, 1, 0, 0", "trace-cone"),
+        ("minkowski_inertial", "observer.u0", "-1, 0, 0, 0", "trace-cone"),
     ])
     def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, preset, key, value,
                                                  command):
@@ -416,12 +422,36 @@ class TestNewtonLimit:
             assert float(row[1]) <= 1e-10  # max |tau_dot - 1|
 
 
+    @pytest.mark.parametrize("preset, old, new, key", [
+        ("schwarzschild_faller", None, None, "spacetime.name"),
+        ("accel_rotating", None, None, "observer.kind"),
+        ("sr_limit_sweep", "frame.kind = fermi_walker",
+         "frame.kind = rotating\nframe.omega_rad_per_s = 0.5", "frame.omega_rad_per_s"),
+    ])
+    def test_a_case_without_a_reference_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                           preset, old, new, key):
+        # the report's series hold for an inertial, non-rotating observer in
+        # flat spacetime; accel_rotating used to exit 0 with a residual of 5e11
+        text = (SCN_DIR / f"{preset}.scn").read_text()
+        scn_file = tmp_path / "case.scn"
+        scn_file.write_text(text if old is None else text.replace(old, new))
+        monkeypatch.setattr(cli, "run_limit_scenario", _no_work)
+        rc = main(["--scenario", str(scn_file), "--out", str(tmp_path / "out"),
+                   "newton-limit", "--c-list", "1,2,4"])
+        assert rc == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out" / "limit_residuals.csv").exists()
+
     @pytest.mark.parametrize("c_list", ["1,abc", "1,nan", "1,inf"])
     def test_bad_c_list_rejected(self, tmp_path, c_list):
         rc = main(["--scenario", str(SCN_DIR / "sr_limit_sweep.scn"),
                    "--out", str(tmp_path), "newton-limit", "--c-list", c_list])
         assert rc == 2
         assert not (tmp_path / "limit_residuals.csv").exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("measured a case the report cannot judge")
 
 
 def _limit_bits(samples, breakdowns):

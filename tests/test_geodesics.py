@@ -1,4 +1,4 @@
-"""Geodesic integration, transport, Jacobi fields, exponential map."""
+"""Geodesic integration, Jacobi fields, conjugate scans and ray batches."""
 
 import dataclasses
 
@@ -14,7 +14,6 @@ from lightcone.errors import (
     EmptySolutionError,
     IntegrationError,
     InvalidInputError,
-    NotInExpDomainError,
     OutOfChartError,
 )
 from lightcone.geodesics import (
@@ -27,12 +26,9 @@ from lightcone.geodesics import (
     GeodesicIVP,
     _ray_rhs,
     detect_conjugate,
-    exp_differential,
-    exp_map,
     integrate_batch,
     integrate_geodesic,
     integrate_jacobi,
-    parallel_transport,
 )
 from lightcone.lorentz import Event
 
@@ -97,14 +93,12 @@ class TestGeodesics:
         assert np.allclose(sol.position(-3.0), [-3, 0, 0, 0], atol=1e-12)
 
 
-class TestExpMap:
-    def test_flat_translation(self):
-        assert np.allclose(exp_map(MK, ORIGIN, [-1, 1, 0, 0]).coords, [-1, 1, 0, 0])
-
+class TestRayEnd:
     def test_small_vector_limit(self):
         eps = 1e-8
-        out = exp_map(SW, sw_event(), eps * np.array([1.0, 0.3, 0.0, 0.1]))
-        assert np.max(np.abs(out.coords - sw_event().coords)) <= 1e-7
+        sol = integrate_geodesic(SW, GeodesicIVP(sw_event(), eps * np.array([1.0, 0.3, 0.0, 0.1])),
+                                 1.0)
+        assert np.max(np.abs(sol.position(1.0) - sw_event().coords)) <= 1e-7
 
     def test_lightlike_norm_drift(self):
         f = 1.0 - 1.0 / 10.0
@@ -115,12 +109,6 @@ class TestExpMap:
         sol = integrate_geodesic(SW, GeodesicIVP(sw_event(), k), 1.0)
         assert abs(norm_along(SW, sol, 1.0)) <= 1e-8
 
-    def test_exit_raises(self):
-        f = 1.0 - 1.0 / 10.0
-        k = 20.0 * np.array([1.0 / f, -1.0, 0.0, 0.0])
-        with pytest.raises(NotInExpDomainError):
-            exp_map(SW, sw_event(), k)
-
     @pytest.mark.parametrize("chart,q,k", [
         (MK, ORIGIN, np.array([-2.0, 1.0, 1.0, 0.0])),
         (SW, sw_event(), np.array([-1.1, -0.9, 0.0, 0.02])),
@@ -128,46 +116,8 @@ class TestExpMap:
     def test_endpoint_is_the_geodesics(self, chart, q, k):
         # without dense output the end state is the dense run's, bit for bit
         sol = integrate_geodesic(chart, GeodesicIVP(q, k), 1.0)
-        assert np.array_equal(exp_map(chart, q, k).coords, sol.position(1.0))
-
-
-class TestParallelTransport:
-    def test_flat_constant(self):
-        sol = integrate_geodesic(MK, GeodesicIVP(ORIGIN, [1, 0.2, 0, 0]), 5.0)
-        tr = parallel_transport(MK, sol, [0.3, 1.0, -2.0, 0.7])
-        for s in np.linspace(0, 5, 7):
-            assert np.allclose(tr.vector(s), [0.3, 1.0, -2.0, 0.7], atol=1e-12)
-
-    def test_norm_preserved(self):
-        sol = integrate_geodesic(SW, GeodesicIVP(sw_event(), [1.2, 0.0, 0.0, 0.04]), 8.0)
-        v0 = np.array([0.5, 0.2, 0.01, -0.03])
-        tr = parallel_transport(SW, sol, v0)
-        g0 = metric_at(SW, sol.position(0.0))
-        n0 = float(v0 @ g0 @ v0)
-        for s in np.linspace(0, 8, 9):
-            g = metric_at(SW, sol.position(s))
-            v = tr.vector(s)
-            assert abs(float(v @ g @ v) - n0) <= 1e-9 * (1.0 + abs(n0))
-
-    def test_velocity_self_transport(self):
-        sol = integrate_geodesic(SW, GeodesicIVP(sw_event(), [1.2, 0.0, 0.0, 0.04]), 8.0)
-        tr = parallel_transport(SW, sol, sol.velocity(0.0))
-        for s in np.linspace(0, 8, 9):
-            assert np.max(np.abs(tr.vector(s) - sol.velocity(s))) <= 1e-8
-
-    def test_frame_products_preserved(self):
-        sol = integrate_geodesic(SW, GeodesicIVP(sw_event(), [1.2, 0.02, 0.0, 0.03]), 6.0)
-        rng = np.random.default_rng(5)
-        cols = [rng.normal(size=4) for _ in range(4)]
-        transported = [parallel_transport(SW, sol, v) for v in cols]
-        g0 = metric_at(SW, sol.position(0.0))
-        for s in (2.0, 6.0):
-            g = metric_at(SW, sol.position(s))
-            for a in range(4):
-                for b in range(4):
-                    before = float(cols[a] @ g0 @ cols[b])
-                    after = float(transported[a].vector(s) @ g @ transported[b].vector(s))
-                    assert abs(after - before) <= 1e-9 * (1.0 + abs(before))
+        batch, _ = integrate_batch(chart, np.concatenate([q.coords, k])[None, :])
+        assert np.array_equal(batch.ends[0, :4], sol.position(1.0))
 
 
 class TestJacobi:
@@ -221,12 +171,14 @@ class TestJacobi:
         assert np.allclose(stacked[:, 1], jac.derivative(svals[1]), rtol=0, atol=1e-14)
 
 
-class TestExpDifferential:
-    def test_vertical_lift_inverse(self):
-        for e in np.eye(4):
-            out = exp_differential(MK, ORIGIN, [-2, 1, 1, 0], np.zeros(4), e)
-            assert np.allclose(out, e, atol=1e-10)
+def landed_jacobi_end(chart, q, k, j0, dj0):
+    """J(1) along the ray from q with velocity k, which must land at s = 1."""
+    sol = integrate_geodesic(chart, GeodesicIVP(q, k), 1.0)
+    assert not sol.clipped
+    return integrate_jacobi(chart, sol, j0, dj0).value(1.0)
 
+
+class TestJacobiAtUnitParameter:
     @pytest.mark.parametrize("chart,q,k", [
         (MK, ORIGIN, np.array([-2.0, 1.0, 1.0, 0.0])),
         (SW, sw_event(), np.array([-1.1, -0.9, 0.0, 0.02])),
@@ -235,20 +187,22 @@ class TestExpDifferential:
         h = 1e-5
         rng = np.random.default_rng(2)
         fiber = rng.normal(size=4)
-        out = exp_differential(chart, q, k, np.zeros(4), fiber)
-        plus = exp_map(chart, q, k + h * fiber).coords
-        minus = exp_map(chart, q, k - h * fiber).coords
+        out = landed_jacobi_end(chart, q, k, np.zeros(4), fiber)
+        plus = integrate_geodesic(chart, GeodesicIVP(q, k + h * fiber), 1.0).position(1.0)
+        minus = integrate_geodesic(chart, GeodesicIVP(q, k - h * fiber), 1.0).position(1.0)
         fd = (plus - minus) / (2 * h)
         assert np.max(np.abs(out - fd)) <= 1e-5 * max(1.0, np.max(np.abs(out)))
 
     def test_base_direction_gives_transported_velocity(self):
         q, k = sw_event(), np.array([-1.1, -0.9, 0.0, 0.02])
         sol = integrate_geodesic(SW, GeodesicIVP(q, k), 1.0)
-        out = exp_differential(SW, q, k, k, np.zeros(4))
+        out = landed_jacobi_end(SW, q, k, k, np.zeros(4))
         assert np.max(np.abs(out - sol.velocity(1.0))) <= 1e-8
 
     def test_one_ray_run(self, monkeypatch):
-        # the ray and its Jacobi column run once; no separate run checks the endpoint
+        # the ray and its Jacobi column run once; nothing integrates the ray again
+        sol = integrate_geodesic(SW, GeodesicIVP(sw_event(), np.array([-1.1, -0.9, 0.0, 0.02])),
+                                 1.0)
         runs = []
 
         def counted(*args, **kwargs):
@@ -257,8 +211,7 @@ class TestExpDifferential:
 
         rays = geodesics._rays
         monkeypatch.setattr(geodesics, "_rays", counted)
-        exp_differential(SW, sw_event(), np.array([-1.1, -0.9, 0.0, 0.02]), np.zeros(4),
-                         np.array([0.1, -0.2, 0.05, 0.3]))
+        integrate_jacobi(SW, sol, np.zeros(4), np.array([0.1, -0.2, 0.05, 0.3]))
         assert len(runs) == 1
 
     def test_linearity(self):
@@ -267,9 +220,9 @@ class TestExpDifferential:
         for _ in range(3):
             b1, f1 = rng.normal(size=4), rng.normal(size=4)
             b2, f2 = rng.normal(size=4), rng.normal(size=4)
-            lhs = exp_differential(SW, q, k, b1 + 2.0 * b2, f1 + 2.0 * f2)
-            rhs = (exp_differential(SW, q, k, b1, f1)
-                   + 2.0 * exp_differential(SW, q, k, b2, f2))
+            lhs = landed_jacobi_end(SW, q, k, b1 + 2.0 * b2, f1 + 2.0 * f2)
+            rhs = (landed_jacobi_end(SW, q, k, b1, f1)
+                   + 2.0 * landed_jacobi_end(SW, q, k, b2, f2))
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(lhs)))
 
 

@@ -1,30 +1,20 @@
-"""Exact Lorentz linear algebra: classification, projectors, group tests."""
+"""Exact Lorentz linear algebra: causal classification and frame validation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from lightcone.errors import (
-    CausalDomainError,
-    InvalidInputError,
-    NotInGroupError,
-    SingularProjectorError,
-)
+from lightcone.errors import CausalDomainError, InvalidInputError
 from lightcone.lorentz import (
     ETA,
     CausalCharacter,
     Event,
     Frame4,
     causal_character,
-    co_factorize,
     gram_matrix,
     inner,
     is_future_directed,
-    is_restricted_lorentz,
-    projectors,
     validate_frame_of_reference,
-    validate_metric,
 )
 
 
@@ -107,89 +97,6 @@ class TestFutureDirected:
                     assert (inner(ETA, u, w) > 0) == same_half
 
 
-class TestProjectors:
-    def test_timelike_axis(self):
-        p_par, p_perp = projectors(ETA, [1, 0, 0, 0])
-        assert np.allclose(p_par, np.diag([1, 0, 0, 0]))
-        assert np.allclose(p_perp, np.diag([0, 1, 1, 1]))
-
-    def test_spacelike_axis(self):
-        p_par, _ = projectors(ETA, [0, 1, 0, 0])
-        assert np.allclose(p_par, np.diag([0, 1, 0, 0]))
-
-    def test_skew_timelike(self):
-        p_par, p_perp = projectors(ETA, [2, 1, 0, 0])
-        assert np.trace(p_par) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(p_par @ p_par - p_par)) < 1e-12
-        assert np.max(np.abs(p_perp @ p_perp - p_perp)) < 1e-12
-
-    def test_lightlike_rejected(self):
-        with pytest.raises(SingularProjectorError):
-            projectors(ETA, [1, 1, 0, 0])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4),
-           st.lists(st.floats(-3, 3), min_size=4, max_size=4))
-    def test_projection_identities(self, z, v):
-        z, v = np.array(z), np.array(v)
-        q = inner(ETA, z, z)
-        if abs(q) < 0.1:
-            return
-        p_par, p_perp = projectors(ETA, z)
-        # complementary by construction, up to one rounding of each entry
-        scale = 1.0 + np.max(np.abs(p_par))
-        assert np.max(np.abs(p_par + p_perp - np.eye(4))) <= 4e-16 * scale
-        assert np.max(np.abs(p_par @ p_perp)) < 1e-12 * scale
-        assert abs(inner(ETA, p_perp @ v, z)) < 1e-12 * (1.0 + np.max(np.abs(v))) * scale
-
-
-class TestRestrictedLorentz:
-    def test_identity(self):
-        assert is_restricted_lorentz(np.eye(4))
-
-    def test_time_inversion(self):
-        assert not is_restricted_lorentz(np.diag([-1.0, 1, 1, 1]))
-
-    def test_space_inversion(self):
-        assert not is_restricted_lorentz(np.diag([1.0, -1, 1, 1]))
-
-    def test_boost(self):
-        assert is_restricted_lorentz(boost_x(1.0))
-
-    def test_random_members(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            assert is_restricted_lorentz(random_restricted_lorentz(rng), tol=1e-8)
-
-
-class TestCoFactorize:
-    def test_scaled_identity(self):
-        lam, mat = co_factorize(2.0 * np.eye(4))
-        assert lam == pytest.approx(2.0)
-        assert np.allclose(mat, np.eye(4))
-
-    def test_identity(self):
-        lam, mat = co_factorize(np.eye(4))
-        assert lam == pytest.approx(1.0)
-
-    def test_scaled_boost(self):
-        lam, mat = co_factorize(3.0 * boost_x(1.0))
-        assert lam == pytest.approx(3.0)
-        assert np.max(np.abs(mat - boost_x(1.0))) < 1e-12
-
-    def test_not_conformal(self):
-        with pytest.raises(NotInGroupError):
-            co_factorize(np.diag([1.0, 2.0, 1.0, 1.0]))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
-    def test_roundtrip(self, scale, seed):
-        rng = np.random.default_rng(seed)
-        a = scale * random_restricted_lorentz(rng)
-        lam, mat = co_factorize(a, tol=1e-8)
-        assert np.max(np.abs(lam * mat - a)) < 1e-12 * max(1.0, scale)
-
-
 class TestFrameValidation:
     def _standard(self):
         return Frame4(Event("minkowski", np.zeros(4)), np.eye(4))
@@ -216,26 +123,11 @@ class TestFrameValidation:
         boosted = Frame4(std.base, boost_x(0.8))
         assert validate_frame_of_reference(ETA, [1, 0, 0, 0], std, boosted)
 
-    def test_non_orthonormal_rejected(self):
-        std = self._standard()
-        bad = Frame4(std.base, np.eye(4) + 0.01 * np.ones((4, 4)))
-        assert not validate_frame_of_reference(ETA, [1, 0, 0, 0], std, bad)
-
-
-class TestMetricValidation:
-    def test_eta_ok(self):
-        validate_metric(ETA)
-
     def test_gram(self):
         b = boost_x(0.5)
         assert np.max(np.abs(gram_matrix(ETA, b) - ETA)) < 1e-12
 
-    def test_wrong_signature(self):
-        with pytest.raises(InvalidInputError):
-            validate_metric(np.eye(4))
-
-    def test_asymmetric(self):
-        g = ETA.copy()
-        g[0, 1] = 1e-3
-        with pytest.raises(InvalidInputError):
-            validate_metric(g)
+    def test_non_orthonormal_rejected(self):
+        std = self._standard()
+        bad = Frame4(std.base, np.eye(4) + 0.01 * np.ones((4, 4)))
+        assert not validate_frame_of_reference(ETA, [1, 0, 0, 0], std, bad)

@@ -1,21 +1,17 @@
-"""Series arithmetic in 1/c and Newtonian-limit measurements."""
+"""Clock-rate and force series in 1/c, and Newtonian-limit measurements."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lightcone.charts import minkowski
-from lightcone.errors import InvalidInputError, NewtonianLimitObstruction
+from lightcone.errors import NewtonianLimitObstruction
 from lightcone.lorentz import Event
 from lightcone.newtonian import (
     Series2,
-    general_tau_dot_series,
     limit_case_pseudo_forces,
     newtonian_limit_report,
-    series_inv,
-    series_mul,
     sr_force_correction,
     sr_tau_dot_series,
 )
@@ -34,41 +30,6 @@ def sr_alpha(xhat):
     al[0, 1:] = al[1:, 0] = -np.asarray(xhat)
     al[1:, 1:] = np.outer(xhat, xhat) - np.eye(3)
     return al
-
-
-class TestSeriesAlgebra:
-    def test_identity(self):
-        f = Series2(1, 0, 0)
-        g = Series2(2.0, -1.0, 0.3)
-        assert series_mul(f, g) == g
-
-    def test_product(self):
-        assert series_mul(Series2(1, 1, 0), Series2(1, -1, 0)) == Series2(1, 0, -1)
-
-    def test_matches_numeric_product(self):
-        eps = 1e-3
-        f, g = Series2(1.0, 0.5, -0.2), Series2(2.0, -1.0, 0.1)
-        exact = f(eps) * g(eps)
-        assert abs(series_mul(f, g)(eps) - exact) <= 5 * eps**3
-
-    def test_inverse_of_constants(self):
-        assert series_inv(Series2(1, 0, 0)) == Series2(1, 0, 0)
-        assert series_inv(Series2(2, 0, 0)) == Series2(0.5, 0, 0)
-
-    def test_zero_constant_rejected(self):
-        with pytest.raises(InvalidInputError):
-            series_inv(Series2(0, 1, 0))
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.floats(0.5, 2.0), st.floats(-2, 2), st.floats(-2, 2),
-           st.booleans())
-    def test_two_sided_inverse(self, c0, c1, c2, negate):
-        f = Series2(-c0 if negate else c0, c1, c2)
-        one = Series2(1, 0, 0)
-        left = series_mul(series_inv(f), f)
-        right = series_mul(f, series_inv(f))
-        for got in (left, right):
-            assert np.max(np.abs(got.coefficients() - one.coefficients())) <= 1e-12
 
 
 class TestClockRateSeries:
@@ -143,38 +104,6 @@ class TestForceCorrectionSeries:
         measured = smp.tau_ddot / smp.tau_dot**2
         vc = np.linalg.norm(smp.v)
         assert abs(measured - tdd(1.0)) <= 50.0 * vc**3 + 1e-10
-
-
-class TestGeneralClockRateSeries:
-    def test_specializes_to_flat_inertial(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            xhat = rng.normal(size=3)
-            xhat /= np.linalg.norm(xhat)
-            v_vec = rng.uniform(-0.1, 0.1, size=3)
-            got = general_tau_dot_series(sr_alpha(xhat), v_vec)
-            v = np.linalg.norm(v_vec)
-            mu = float(xhat @ v_vec) / v
-            want = sr_tau_dot_series(mu, v)
-            assert np.max(np.abs(got.coefficients() - want.coefficients())) <= 1e-12
-
-    def test_euclidean_spatial_metric(self):
-        al = np.diag([1.0, -1.0, -1.0, -1.0])
-        v = np.array([0.3, 0.0, 0.4])
-        got = general_tau_dot_series(al, v)
-        assert got.a0 == 1.0
-        assert got.a1 == 0.0
-        assert got.a2 == pytest.approx(0.125)  # v^2 / 2
-
-    def test_obstruction_reported(self):
-        al = np.diag([2.0, -1.0, -1.0, -1.0])
-        with pytest.raises(NewtonianLimitObstruction) as err:
-            general_tau_dot_series(al, np.array([0.1, 0, 0]))
-        assert err.value.residuals["alpha_00_minus_1"] == pytest.approx(1.0)
-
-    def test_negative_time_component_rejected(self):
-        with pytest.raises(InvalidInputError):
-            general_tau_dot_series(np.diag([-1.0, -1, -1, -1]), np.zeros(3))
 
 
 class TestLimitCasePseudoForces:

@@ -9,19 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.integrate import solve_ivp
+
 from lightcone.charts import metric_at, minkowski, schwarzschild
 from lightcone import geodesics, observers
-from lightcone.errors import CausalDomainError, IntegrationError, InvalidInputError
-from lightcone.geodesics import GeodesicIVP, integrate_geodesic, parallel_transport
-from lightcone.lorentz import ETA, Event, gram_matrix, validate_frame_of_reference
+from lightcone.errors import CausalDomainError, IntegrationError, InvalidInputError, LightconeError
+from lightcone.lorentz import (CLASSIFY_TOL, ETA, Event, _check_metric, _check_vec, gram_matrix,
+                               inner, validate_frame_of_reference)
 from lightcone.observers import (
-    fermi_walker_derivative,
-    fermi_walker_derivative_projector_form,
+    ObserverCurve,
     fermi_walker_transport,
     make_inertial_observer,
     make_programmed_observer,
     make_uniformly_accelerated_observer,
-    proper_acceleration,
     rotating_frame,
     standard_inertial_frame,
 )
@@ -30,6 +30,121 @@ from lightcone.scenario import load_scenario
 MK = minkowski()
 SW = schwarzschild(1.0)
 SCN_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+# -- the Fermi-Walker derivative, two ways: the oracles of the frame tests ----
+
+class SingularProjectorError(LightconeError):
+    """Projection along a lightlike or zero direction is undefined."""
+
+
+def projectors(g, z, tol=CLASSIFY_TOL):
+    """Parallel and orthogonal projection endomorphisms along z.
+
+    Returns (P_par, P_perp) with P_par = z (z.g) / g(z,z) and
+    P_perp = Id - P_par.  z must not be lightlike or zero.
+    """
+    g = _check_metric(g)
+    z = _check_vec(z)
+    q = inner(g, z, z)
+    if abs(q) <= tol:
+        raise SingularProjectorError("projection along a (near-)lightlike direction is singular")
+    p_par = np.outer(z, g @ z) / q
+    return p_par, np.eye(4) - p_par
+
+
+# Central-difference step in tau of a field given without field_deriv: near
+# eps^(1/3), where the difference's h^2 truncation and eps/h rounding balance
+_FW_STEP = 1e-6
+
+
+def fermi_walker_derivative(curve: ObserverCurve, field, tau, field_deriv=None):
+    """Fermi-Walker derivative of a vector field along the observer.
+
+    field(tau) gives chart components of Y; field_deriv(tau), when known
+    analytically, gives dY/dtau and avoids the central-difference fallback
+    of step _FW_STEP.
+    """
+    c = curve.c
+    y = np.asarray(field(tau), dtype=float)
+    if field_deriv is not None:
+        ydot = np.asarray(field_deriv(tau), dtype=float)
+    else:
+        ydot = (np.asarray(field(tau + _FW_STEP))
+                - np.asarray(field(tau - _FW_STEP))) / (2.0 * _FW_STEP)
+    pos = curve.position(tau)
+    vel = curve.velocity(tau)
+    acc = curve.acceleration(tau)
+    g = metric_at(curve.chart, pos)
+    gam = curve.chart.christoffels(pos)
+    nabla_y = ydot + np.einsum("kij,i,j->k", gam, vel, y)
+    return nabla_y - (float(vel @ g @ y) * acc - float(acc @ g @ y) * vel) / c**2
+
+
+def fermi_walker_derivative_projector_form(curve: ObserverCurve, field, tau):
+    """Same derivative through the parallel/orthogonal projector split.
+
+    An independent oracle: it evaluates the defining projector formula
+    numerically instead of the observer-adapted expression, with central
+    differences of step _FW_STEP.
+    """
+    pos = curve.position(tau)
+    vel = curve.velocity(tau)
+    g = metric_at(curve.chart, pos)
+    gam = curve.chart.christoffels(pos)
+
+    def nabla(fn):
+        y = np.asarray(fn(tau), dtype=float)
+        ydot = (np.asarray(fn(tau + _FW_STEP)) - np.asarray(fn(tau - _FW_STEP))) / (2.0 * _FW_STEP)
+        return ydot + np.einsum("kij,i,j->k", gam, vel, y)
+
+    def project(which):
+        def fn(t):
+            p_par, p_perp = projectors(metric_at(curve.chart, curve.position(t)),
+                                       curve.velocity(t))
+            p = p_par if which == "par" else p_perp
+            return p @ np.asarray(field(t), dtype=float)
+
+        return fn
+
+    p_par, p_perp = projectors(g, vel)
+    return p_par @ nabla(project("par")) + p_perp @ nabla(project("perp"))
+
+
+class TestProjectors:
+    def test_timelike_axis(self):
+        p_par, p_perp = projectors(ETA, [1, 0, 0, 0])
+        assert np.allclose(p_par, np.diag([1, 0, 0, 0]))
+        assert np.allclose(p_perp, np.diag([0, 1, 1, 1]))
+
+    def test_spacelike_axis(self):
+        p_par, _ = projectors(ETA, [0, 1, 0, 0])
+        assert np.allclose(p_par, np.diag([0, 1, 0, 0]))
+
+    def test_skew_timelike(self):
+        p_par, p_perp = projectors(ETA, [2, 1, 0, 0])
+        assert np.trace(p_par) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(p_par @ p_par - p_par)) < 1e-12
+        assert np.max(np.abs(p_perp @ p_perp - p_perp)) < 1e-12
+
+    def test_lightlike_rejected(self):
+        with pytest.raises(SingularProjectorError):
+            projectors(ETA, [1, 1, 0, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4),
+           st.lists(st.floats(-3, 3), min_size=4, max_size=4))
+    def test_projection_identities(self, z, v):
+        z, v = np.array(z), np.array(v)
+        q = inner(ETA, z, z)
+        if abs(q) < 0.1:
+            return
+        p_par, p_perp = projectors(ETA, z)
+        # complementary by construction, up to one rounding of each entry
+        scale = 1.0 + np.max(np.abs(p_par))
+        assert np.max(np.abs(p_par + p_perp - np.eye(4))) <= 4e-16 * scale
+        assert np.max(np.abs(p_par @ p_perp)) < 1e-12 * scale
+        assert abs(inner(ETA, p_perp @ v, z)) < 1e-12 * (1.0 + np.max(np.abs(v))) * scale
 
 
 def boost_frame(tau):
@@ -93,8 +208,8 @@ class TestUniformAcceleration:
     def test_constant_magnitude(self):
         cur = make_uniformly_accelerated_observer(1.0, 1.0)
         for tau in np.linspace(-3, 3, 13):
-            _, mag = proper_acceleration(cur, tau)
-            assert mag == pytest.approx(1.0, abs=1e-10)
+            acc = cur.acceleration(tau)
+            assert math.sqrt(-(acc @ ETA @ acc)) == pytest.approx(1.0, abs=1e-10)
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(CausalDomainError):
@@ -105,22 +220,21 @@ class TestUniformAcceleration:
         g = MK.metric(cur.position(0.7))
         u = cur.velocity(0.7)
         assert float(u @ g @ u) == pytest.approx(9.0, abs=1e-12)
-        _, mag = proper_acceleration(cur, 0.7)
-        assert mag == pytest.approx(2.0, abs=1e-10)
+        acc = cur.acceleration(0.7)
+        assert math.sqrt(-(acc @ g @ acc)) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestProperAcceleration:
     def test_inertial_vanishes(self):
         cur = make_inertial_observer(MK, Event("minkowski", np.zeros(4)), [1, 0.3, 0, 0])
-        acc, mag = proper_acceleration(cur, 1.0)
-        assert np.allclose(acc, 0.0)
-        assert mag == 0.0
+        acc = cur.acceleration(1.0)
+        assert not acc.any()
 
     def test_finite_difference_cross_check(self):
         cur = make_uniformly_accelerated_observer(1.3, 1.0)
         h = 1e-5
         for tau in (-1.0, 0.4):
-            acc, _ = proper_acceleration(cur, tau)
+            acc = cur.acceleration(tau)
             fd = (cur.velocity(tau + h) - cur.velocity(tau - h)) / (2 * h)
             # flat chart: covariant acceleration is the plain derivative
             assert np.max(np.abs(acc - fd)) <= 1e-6 * max(1.0, np.max(np.abs(acc)))
@@ -128,7 +242,8 @@ class TestProperAcceleration:
     def test_orthogonal_to_velocity(self):
         cur = make_uniformly_accelerated_observer(2.0, 1.0)
         for tau in (-0.8, 1.7):
-            acc, mag = proper_acceleration(cur, tau)
+            acc = cur.acceleration(tau)
+            mag = math.sqrt(-(acc @ ETA @ acc))
             u = cur.velocity(tau)
             assert abs(float(acc @ ETA @ u)) <= 1e-8 * cur.c * max(mag, 1.0)
 
@@ -191,11 +306,19 @@ class TestFermiWalkerTransport:
         cur = make_inertial_observer(SW, q0, [1.0 / math.sqrt(f), 0, 0, 0], interval=(0, 4))
         x0 = SW.reference_frame(q0.coords)
         ff = fermi_walker_transport(cur, x0, (0, 4))
-        geo = integrate_geodesic(SW, GeodesicIVP(q0, cur.velocity(0.0)), 4.0)
-        cols = [parallel_transport(SW, geo, x0[:, i]) for i in range(4)]
-        for tau in (1.0, 3.0):
-            for i in range(4):
-                assert np.max(np.abs(ff.matrix(tau)[:, i] - cols[i].vector(tau))) <= 1e-8
+
+        # reference: the geodesic and v' = -Gamma(x', v) for each column, by scipy
+        def rhs(s, y):
+            x, u, v = y[:4], y[4:8], y[8:].reshape(4, 4)  # v: one transported column a row
+            gam = SW.christoffels(x)
+            return np.concatenate([u, -np.einsum("kij,i,j->k", gam, u, u),
+                                   -np.einsum("kij,i,cj->ck", gam, u, v).ravel()])
+
+        y0 = np.concatenate([q0.coords, cur.velocity(0.0), x0.T.ravel()])
+        ref = solve_ivp(rhs, (0.0, 4.0), y0, method="DOP853", t_eval=[1.0, 3.0],
+                        rtol=1e-12, atol=1e-12)
+        for tau, y in zip((1.0, 3.0), ref.y.T):
+            assert np.max(np.abs(ff.matrix(tau) - y[8:].reshape(4, 4).T)) <= 1e-8
 
     def test_frames_admissible_everywhere(self):
         cur = make_uniformly_accelerated_observer(1.0, 1.0, interval=(-4, 4))
@@ -364,8 +487,8 @@ class TestProgrammedObserver:
         ref = make_uniformly_accelerated_observer(a, 1.0)
         for tau in np.linspace(-2.5, 2.5, 7):
             assert np.max(np.abs(cur.position(tau) - ref.position(tau))) <= 1e-8
-        _, mag = proper_acceleration(cur, 1.3)
-        assert mag == pytest.approx(a, abs=1e-8)
+        acc = cur.acceleration(1.3)
+        assert math.sqrt(-(acc @ ETA @ acc)) == pytest.approx(a, abs=1e-8)
 
     def test_norm_maintained(self):
         cur, _ = make_programmed_observer(

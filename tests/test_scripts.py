@@ -1,5 +1,6 @@
-"""The experiment scripts run end to end from a fresh interpreter."""
+"""The experiment scripts, the README's example and the library's surface."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,3 +110,69 @@ def test_bench_compare_summary_on_fixed_numbers():
     assert not out["p50"]["unresolved"]
     apart = [(_run({"rate": r, "p50": 1.0}), _run({"rate": r + 81.0, "p50": 1.0})) for r in wide]
     assert not summarize(apart, end_to_end)["rate"]["unresolved"]
+
+
+def test_readme_library_example_round_trips():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", text, re.S).group(1)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert np.allclose(names["seen"].coords, [5, 3, 4, 0], rtol=0, atol=1e-10)
+    first = names["back"].preimages[0]
+    assert first.tau == pytest.approx(10.0, abs=1e-9)
+    assert np.allclose(first.x, [3, 4, 0], rtol=0, atol=1e-9)
+
+
+# Public definitions kept without a caller, with the reason: newton-limit's
+# report is to call limit_case_pseudo_forces once it judges accelerated and
+# curved observers (ROADMAP item 1)
+_UNCALLED = ["newtonian.limit_case_pseudo_forces"]
+
+
+def _used_names(tree, skip=None):
+    """Every name, attribute and string constant in tree, outside the node skip.
+
+    A string counts because bench/tracing.py patches functions by name.
+    """
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def _defined_names(node):
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for target in targets
+            for t in (target.elts if isinstance(target, ast.Tuple) else [target])
+            if isinstance(t, ast.Name)]
+
+
+def test_every_public_definition_has_a_caller():
+    # a public definition of src/lightcone stays only while src, scripts,
+    # bench or the acceptance suite refers to it outside its own body; the
+    # re-exports of __init__.py do not count
+    modules = {p: ast.parse(p.read_text())
+               for p in sorted((ROOT / "src" / "lightcone").glob("*.py")) if p.name != "__init__.py"}
+    users = [*sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    outside = set().union(*(_used_names(ast.parse(p.read_text())) for p in users))
+    uncalled = [f"{path.stem}.{name}"
+                for path, tree in modules.items() for node in tree.body
+                for name in _defined_names(node)
+                if not name.startswith("_") and name not in outside
+                and not any(name in _used_names(other, node if other is tree else None)
+                            for other in modules.values())]
+    assert uncalled == _UNCALLED

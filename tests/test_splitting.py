@@ -16,7 +16,7 @@ from lightcone.charts import metric_at, minkowski, schwarzschild
 from lightcone.cli import main
 from lightcone.errors import InvalidInputError, SuperluminalError, UnreachableDirectionError
 from lightcone.geodesics import CLIPPED, LANDED, integrate_batch
-from lightcone.lorentz import ETA, Event, Frame4
+from lightcone.lorentz import ETA, Event
 from lightcone.observers import (
     fermi_walker_transport,
     make_inertial_observer,
@@ -36,12 +36,8 @@ from lightcone.splitting import (
     kinematic_observer_map,
     observe_curve,
     observer_map_jacobian,
-    pullback_metric,
     relative_force,
-    static_distance,
-    static_observer_map,
     tau_dot,
-    transformed_christoffels,
 )
 
 MK = minkowski()
@@ -82,70 +78,6 @@ def closed_form_accel_rot(tau, x):
     ])
 
 
-class TestStaticMap:
-    def test_standard_frame_values(self):
-        frame = Frame4(Event("minkowski", np.zeros(4)), np.eye(4))
-        out = static_observer_map(MK, frame, [3, 4, 0])
-        assert np.allclose(out.coords, [-5, 3, 4, 0], atol=1e-10)
-
-    def test_boosted_frame_is_lorentz_transform(self):
-        b = np.eye(4)
-        b[0, 0] = b[1, 1] = math.cosh(0.7)
-        b[0, 1] = b[1, 0] = math.sinh(0.7)
-        frame = Frame4(Event("minkowski", np.array([1.0, 2.0, 0.0, 0.0])), b)
-        x = np.array([3.0, 4.0, 0.0])
-        out = static_observer_map(MK, frame, x)
-        expect = frame.base.coords + b @ np.array([-5.0, *x])
-        assert np.allclose(out.coords, expect, atol=1e-10)
-
-    def test_origin_excluded(self):
-        frame = Frame4(Event("minkowski", np.zeros(4)), np.eye(4))
-        with pytest.raises(InvalidInputError):
-            static_observer_map(MK, frame, [0, 0, 0])
-
-    def test_schwarzschild_ray_stays_lightlike(self):
-        q = Event("schwarzschild", np.array([0.0, 10.0, np.pi / 2, 0.0]))
-        frame = Frame4(q, SW.reference_frame(q.coords))
-        x = np.array([2.0, 1.0, 0.5])
-        out = static_observer_map(SW, frame, x)
-        # residual measured on the integrated ray's endpoint velocity
-        from lightcone.geodesics import GeodesicIVP, integrate_geodesic
-
-        k = frame.matrix @ np.array([-np.linalg.norm(x), *x])
-        sol = integrate_geodesic(SW, GeodesicIVP(q, k), 1.0)
-        g = metric_at(SW, sol.position(1.0))
-        v = sol.velocity(1.0)
-        assert abs(float(v @ g @ v)) / float(x @ x) <= 1e-8
-        assert np.allclose(out.coords, sol.position(1.0))
-
-
-class TestStaticDistance:
-    def test_coincident(self):
-        k = np.array([-5.0, 3.0, 4.0, 0.0])
-        assert static_distance(ETA, [1, 0, 0, 0], k, k) == 0.0
-
-    def test_euclidean_formula(self):
-        k1 = np.array([-5.0, 3.0, 4.0, 0.0])
-        k2 = np.array([-5.0, 0.0, 0.0, 5.0])
-        assert static_distance(ETA, [1, 0, 0, 0], k1, k2) == pytest.approx(math.sqrt(50))
-
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(4)
-        x1, x2 = rng.normal(size=3), rng.normal(size=3)
-        k1 = np.array([-np.linalg.norm(x1), *x1])
-        k2 = np.array([-np.linalg.norm(x2), *x2])
-        d0 = static_distance(ETA, [1, 0, 0, 0], k1, k2)
-        from scipy.linalg import expm
-
-        for _ in range(5):
-            w = rng.normal(size=3)
-            rot = expm(np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]]))
-            rot4 = np.eye(4)
-            rot4[1:, 1:] = rot
-            d = static_distance(ETA, [1, 0, 0, 0], rot4 @ k1, rot4 @ k2)
-            assert abs(d - d0) <= 1e-12 * (1.0 + d0)
-
-
 class TestKinematicMap:
     def test_inertial_closed_form(self, inertial):
         _, ff = inertial
@@ -165,6 +97,10 @@ class TestKinematicMap:
             x = rng.uniform(-1.5, 1.5, size=3)
             out = kinematic_observer_map(MK, ff, ObservedEvent(tau, x))
             assert np.max(np.abs(out.coords - closed_form_accel_rot(tau, x))) <= 1e-8
+
+    def test_origin_excluded(self):
+        with pytest.raises(InvalidInputError):
+            ObservedEvent(0.0, [0, 0, 0])
 
     def test_stationarity_in_tau(self, inertial):
         _, ff = inertial
@@ -363,6 +299,27 @@ class TestObserveCurve:
             assert smp.character == "lightlike"
             assert abs(smp.tau_dot) <= 1e-8
             assert smp.tau == pytest.approx(5.0, abs=1e-8)
+
+
+# -- the references for relative_force's alpha and Ups --------------------------
+
+def pullback_metric(chart, frames, p):
+    """Components of the pulled-back spacetime metric in observer coordinates."""
+    ev, jac = splitting._eval_landed(chart, frames, splitting._point(p.tau, p.x), True)
+    g = metric_at(chart, ev[0])
+    j = jac[0]
+    return j.T @ g @ j
+
+
+def transformed_christoffels(chart, frames, p):
+    """Connection coefficients of the spacetime metric in observer coordinates.
+
+    The chart coefficients transformed with the map Jacobian, plus the
+    map's Hessian from central differences of step splitting._FD_STEP of
+    the Jacobian in (x^0 = c*tau, x^a): p and its 8 stencil points are one
+    map+Jacobian batch.  This is the connection relative_force uses.
+    """
+    return splitting._jacobian_christoffels(chart, *splitting._map_derivatives(chart, frames, p))[0]
 
 
 class TestPullbackMetric:
