@@ -442,6 +442,23 @@ class TestNewtonLimit:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out" / "limit_residuals.csv").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("frame.kind = fermi_walker", "frame.kind = rotating\nframe.omega_rad_per_s = 0"),
+        ("observer.u0 = 1, 0, 0, 0", "observer.u0 = 1, 0.1, 0, 0"),
+    ])
+    def test_a_case_with_a_reference_is_measured(self, tmp_path, old, new):
+        # the edge of the refusal: a rotating frame at rate 0 and a moving
+        # inertial observer are still inertial, non-rotating and flat
+        text = (SCN_DIR / "sr_limit_sweep.scn").read_text()
+        assert old in text
+        scn_file = tmp_path / "case.scn"
+        scn_file.write_text(text.replace(old, new))
+        rc = main(["--scenario", str(scn_file), "--out", str(tmp_path / "out"),
+                   "newton-limit", "--c-list", "1,2"])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "out" / "limit_residuals.csv")
+        assert [float(row[0]) for row in rows] == [1.0, 2.0]
+
     @pytest.mark.parametrize("c_list", ["1,abc", "1,nan", "1,inf"])
     def test_bad_c_list_rejected(self, tmp_path, c_list):
         rc = main(["--scenario", str(SCN_DIR / "sr_limit_sweep.scn"),

@@ -94,6 +94,20 @@ class TestGeodesics:
 
 
 class TestRayEnd:
+    def test_flat_translation(self):
+        batch, steps = integrate_batch(MK, np.array([[0, 0, 0, 0, -1, 1, 0, 0]], dtype=float))
+        assert np.array_equal(batch.ends[0, :4], [-1, 1, 0, 0])
+        assert steps == 0  # flat rays are exact
+
+    def test_exit_is_clipped(self):
+        # a future ingoing ray long enough to reach the horizon stops there
+        f = 1.0 - 1.0 / 10.0
+        k = 20.0 * np.array([1.0 / f, -1.0, 0.0, 0.0])
+        batch, _ = integrate_batch(SW, np.concatenate([sw_event().coords, k])[None, :])
+        assert batch.outcome[0] == CLIPPED
+        assert 0.0 < batch.s1[0] < 1.0
+        assert np.isnan(batch.ends[0]).all()
+
     def test_small_vector_limit(self):
         eps = 1e-8
         sol = integrate_geodesic(SW, GeodesicIVP(sw_event(), eps * np.array([1.0, 0.3, 0.0, 0.1])),
@@ -179,6 +193,12 @@ def landed_jacobi_end(chart, q, k, j0, dj0):
 
 
 class TestJacobiAtUnitParameter:
+    def test_vertical_lift_inverse(self):
+        # flat rays: J(1) of J(0) = 0, W(0) = e is e
+        for e in np.eye(4):
+            out = landed_jacobi_end(MK, ORIGIN, np.array([-2.0, 1.0, 1.0, 0.0]), np.zeros(4), e)
+            assert np.allclose(out, e, atol=1e-10)
+
     @pytest.mark.parametrize("chart,q,k", [
         (MK, ORIGIN, np.array([-2.0, 1.0, 1.0, 0.0])),
         (SW, sw_event(), np.array([-1.1, -0.9, 0.0, 0.02])),

@@ -97,6 +97,36 @@ class TestFutureDirected:
                     assert (inner(ETA, u, w) > 0) == same_half
 
 
+def is_admissible_transform(lam, tol=1e-8):
+    """A matrix is a restricted Lorentz transformation iff its columns are an
+    admissible frame against the standard one: orthonormal, future-directed
+    and right-handed."""
+    return validate_frame_of_reference(ETA, [1, 0, 0, 0], np.eye(4), lam, tol)
+
+
+class TestRestrictedLorentz:
+    def test_identity(self):
+        assert is_admissible_transform(np.eye(4))
+
+    def test_time_inversion(self):
+        assert not is_admissible_transform(np.diag([-1.0, 1, 1, 1]))
+
+    def test_space_inversion(self):
+        assert not is_admissible_transform(np.diag([1.0, -1, 1, 1]))
+
+    def test_boost(self):
+        assert is_admissible_transform(boost_x(1.0))
+
+    def test_random_members(self):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            lam = random_restricted_lorentz(rng)
+            assert is_admissible_transform(lam)
+            # composing with a space or time inversion leaves the component
+            assert not is_admissible_transform(lam @ np.diag([1.0, -1, 1, 1]))
+            assert not is_admissible_transform(np.diag([-1.0, 1, 1, 1]) @ lam)
+
+
 class TestFrameValidation:
     def _standard(self):
         return Frame4(Event("minkowski", np.zeros(4)), np.eye(4))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lightcone.charts import minkowski
-from lightcone.errors import NewtonianLimitObstruction
+from lightcone.errors import InvalidInputError, NewtonianLimitObstruction
 from lightcone.lorentz import Event
 from lightcone.newtonian import (
     Series2,
@@ -58,6 +58,16 @@ class TestClockRateSeries:
             exact = tau_dot(sr_alpha(xhat), v_vec, 1.0)
             approx = sr_tau_dot_series(mu, ratio)(1.0)
             assert abs(exact - approx) <= 3.0 * ratio**3
+
+    def test_direction_cosine_outside_rejected(self):
+        for mu in (-1.01, 1.01):
+            with pytest.raises(InvalidInputError):
+                sr_tau_dot_series(mu, 0.2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            Series2(1.0, bad, 0.0)
 
 
 class TestForceCorrectionSeries:

@@ -348,6 +348,61 @@ class TestFermiWalkerTransport:
         ff.cov_deriv(taus)
 
 
+def spun(curve, angle=0.3):
+    """The curve's basis at tau = 0, its spatial axes turned about e1."""
+    spin = np.eye(4)
+    spin[2:, 2:] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    return curve.fw_basis(0.0) @ spin
+
+
+def sw_geodesic_observer(u0, interval):
+    q0 = Event("schwarzschild", np.array([0.0, 10.0, math.pi / 2, 0.0]))
+    return make_inertial_observer(SW, q0, u0, interval=interval)
+
+
+class TestParallelTransport:
+    """Along a geodesic observer Fermi-Walker transport is parallel transport."""
+
+    def test_flat_constant(self):
+        cur = make_inertial_observer(MK, Event("minkowski", np.zeros(4)), [1, 0.2, 0, 0],
+                                     interval=(0, 5))
+        ff = fermi_walker_transport(cur, spun(cur), (0, 5))
+        v0 = np.array([0.3, 1.0, -2.0, 0.7])
+        comps = np.linalg.solve(ff.matrix(0.0), v0)
+        for tau in np.linspace(0, 5, 7):
+            assert np.allclose(ff.matrix(tau) @ comps, v0, atol=1e-12)
+
+    def test_norm_preserved(self):
+        cur = sw_geodesic_observer([1.2, 0.0, 0.0, 0.04], (0, 8))
+        ff = fermi_walker_transport(cur, spun(cur), (0, 8))
+        v0 = np.array([0.5, 0.2, 0.01, -0.03])
+        comps = np.linalg.solve(ff.matrix(0.0), v0)
+        n0 = float(v0 @ metric_at(SW, cur.position(0.0)) @ v0)
+        for tau in np.linspace(0, 8, 9):
+            v = ff.matrix(tau) @ comps
+            assert abs(float(v @ metric_at(SW, cur.position(tau)) @ v) - n0) <= 1e-9 * (1 + abs(n0))
+
+    def test_velocity_self_transport(self):
+        # the observer's transport run and the ray integrator agree on the geodesic
+        cur = sw_geodesic_observer([1.2, 0.0, 0.0, 0.04], (0, 8))
+        ff = fermi_walker_transport(cur, spun(cur), (0, 8))
+        q0 = Event("schwarzschild", cur.position(0.0))
+        sol = geodesics.integrate_geodesic(SW, geodesics.GeodesicIVP(q0, cur.velocity(0.0)), 8.0)
+        for tau in np.linspace(0, 8, 9):
+            assert np.max(np.abs(ff.matrix(tau)[:, 0] * cur.c - sol.velocity(tau))) <= 1e-8
+            assert np.max(np.abs(cur.position(tau) - sol.position(tau))) <= 1e-8
+
+    def test_frame_products_preserved(self):
+        cur = sw_geodesic_observer([1.2, 0.02, 0.0, 0.03], (0, 6))
+        ff = fermi_walker_transport(cur, spun(cur), (0, 6))
+        rng = np.random.default_rng(5)
+        comps = rng.normal(size=(4, 4))  # four vectors, one a column
+        before = gram_matrix(metric_at(SW, cur.position(0.0)), ff.matrix(0.0) @ comps)
+        for tau in (2.0, 6.0):
+            after = gram_matrix(metric_at(SW, cur.position(tau)), ff.matrix(tau) @ comps)
+            assert np.max(np.abs(after - before)) <= 1e-9 * (1.0 + np.max(np.abs(before)))
+
+
 def _no_call(*args, **kwargs):
     raise AssertionError("integrated")
 

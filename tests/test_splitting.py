@@ -102,6 +102,39 @@ class TestKinematicMap:
         with pytest.raises(InvalidInputError):
             ObservedEvent(0.0, [0, 0, 0])
 
+    def test_standard_frame_values(self):
+        # x^0 = c t: at c = 2 the observer is at (2 tau, 0, 0, 0)
+        mk2 = minkowski(2.0)
+        cur = make_inertial_observer(mk2, Event("minkowski", np.zeros(4)), [1, 0, 0, 0])
+        out = kinematic_observer_map(mk2, standard_inertial_frame(cur), ObservedEvent(1.0, [3, 4, 0]))
+        assert np.allclose(out.coords, [-3, 3, 4, 0], atol=1e-10)
+
+    def test_boosted_frame_is_lorentz_transform(self):
+        b = np.eye(4)
+        b[0, 0] = b[1, 1] = math.cosh(0.7)
+        b[0, 1] = b[1, 0] = math.sinh(0.7)
+        base = np.array([1.0, 2.0, 0.0, 0.0])
+        cur = make_inertial_observer(MK, Event("minkowski", base), b[:, 0])
+        ff = fermi_walker_transport(cur, b)
+        x = np.array([3.0, 4.0, 0.0])
+        for tau in (0.0, 1.5):
+            out = kinematic_observer_map(MK, ff, ObservedEvent(tau, x))
+            assert np.allclose(out.coords, base + b @ np.array([tau - 5.0, *x]), atol=1e-10)
+
+    def test_schwarzschild_ray_stays_lightlike(self):
+        # a geodesic observer momentarily at rest at r = 10, its frame the chart's there
+        q = Event("schwarzschild", np.array([0.0, 10.0, np.pi / 2, 0.0]))
+        frame = SW.reference_frame(q.coords)
+        cur = make_inertial_observer(SW, q, frame[:, 0], interval=(-1, 1))
+        ff = fermi_walker_transport(cur, frame)
+        x = np.array([2.0, 1.0, 0.5])
+        out = kinematic_observer_map(SW, ff, ObservedEvent(0.0, x))
+        k = frame @ np.array([-np.linalg.norm(x), *x])
+        sol = geodesics.integrate_geodesic(SW, geodesics.GeodesicIVP(q, k), 1.0)
+        v = sol.velocity(1.0)
+        assert abs(float(v @ metric_at(SW, sol.position(1.0)) @ v)) / float(x @ x) <= 1e-8
+        assert np.allclose(out.coords, sol.position(1.0))
+
     def test_stationarity_in_tau(self, inertial):
         _, ff = inertial
         x = np.array([1.0, -2.0, 0.5])
@@ -116,6 +149,41 @@ class TestKinematicMap:
             g = metric_at(MK, cur.position(tau))
             assert abs(float(k @ g @ k)) <= 1e-10 * float(x @ x)
             assert float(cur.velocity(tau) @ g @ k) < 0.0
+
+
+def spatial_distance(g, e0, k1, k2):
+    """|x1 - x2| read off two cone vectors: the g-norm of k1 - k2 orthogonal to e0."""
+    d = k1 - k2
+    d = d - float(e0 @ g @ d) / float(e0 @ g @ e0) * e0
+    return math.sqrt(max(0.0, -float(d @ g @ d)))
+
+
+class TestConeVector:
+    def test_coincident(self, accel_rot):
+        cur, ff = accel_rot
+        k = cone_vector(ff, 0.4, [3.0, 4.0, 0.0])
+        g = metric_at(MK, cur.position(0.4))
+        assert spatial_distance(g, cur.velocity(0.4), k, k) == 0.0
+
+    def test_euclidean_formula(self, accel_rot):
+        cur, ff = accel_rot
+        g = metric_at(MK, cur.position(0.7))
+        k1, k2 = cone_vector(ff, 0.7, [3.0, 4.0, 0.0]), cone_vector(ff, 0.7, [0.0, 0.0, 5.0])
+        assert spatial_distance(g, cur.velocity(0.7), k1, k2) == pytest.approx(math.sqrt(50))
+
+    def test_rotation_invariance(self, accel_rot):
+        from scipy.linalg import expm
+
+        cur, ff = accel_rot
+        rng = np.random.default_rng(4)
+        x1, x2 = rng.normal(size=3), rng.normal(size=3)
+        for tau in (-1.0, 0.0, 2.5):
+            g = metric_at(MK, cur.position(tau))
+            gen = rng.normal(size=(3, 3))
+            rot = expm(gen - gen.T)
+            k1, k2 = cone_vector(ff, tau, rot @ x1), cone_vector(ff, tau, rot @ x2)
+            d = spatial_distance(g, cur.velocity(tau), k1, k2)
+            assert d == pytest.approx(np.linalg.norm(x1 - x2), rel=1e-12)
 
 
 class TestJacobian:
