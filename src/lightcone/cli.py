@@ -26,7 +26,7 @@ from .charts import metric_at, riemann_ricci_at
 from .errors import CausalDomainError, ConfigError, LightconeError
 from .geodesics import CLIPPED, FAILED, LANDED, GeodesicIVP, integrate_geodesic, integrate_jacobi
 from .lorentz import ETA, Event, gram_matrix, validate_frame_of_reference
-from .observers import make_inertial_observer
+from .observers import fermi_walker_transport, make_inertial_observer
 from .scenario import TOOL_VERSION, Scenario, apply_overrides, load_scenario
 
 # validate's bound on each invariant check
@@ -171,12 +171,11 @@ def _track(scn: Scenario, n_samples, start=None):
     search = scn.build_search(curve)
     kind = scn.get("observe.kind", "inertial", kind=str)
     if kind == "inertial":
-        q0 = np.array(scn.get("observe.q0_m", kind=list, count=4))
+        q0 = scn.event("observe.q0_m", chart)
         w = np.array(scn.get("observe.w_m_per_s", [0, 0, 0], kind=list, count=3))
         lo, hi = curve.interval
         try:
-            worldline = make_inertial_observer(chart, Event(chart.name, q0),
-                                               np.concatenate([[chart.c], w]),
+            worldline = make_inertial_observer(chart, q0, np.concatenate([[chart.c], w]),
                                                (lo - 1.0, hi + 1.0))
         except CausalDomainError as exc:
             raise ConfigError(f"setting 'observe.w_m_per_s' makes the observed velocity (c, w) "
@@ -238,7 +237,9 @@ def cmd_newton_limit(scn: Scenario, c_values, out_dir):
     from that start fails).  The manifest counts the samples inverted cold
     (cold_starts, a failed warm start included) and the continued ones.
     The report's series assume an inertial observer in flat spacetime with
-    a non-rotating frame; any other case is a config error, before any work.
+    a non-rotating frame of that observer (explicit columns must pass
+    fermi_walker_transport's checks); any other case is a config error,
+    before any work.
     """
     for key, want in (("spacetime.name", "minkowski"), ("observer.kind", "inertial")):
         if scn.get(key, want, kind=str) != want:
@@ -247,6 +248,13 @@ def cmd_newton_limit(scn: Scenario, c_values, out_dir):
     if scn.get("frame.kind", "", kind=str) == "rotating" and scn.get("frame.omega_rad_per_s"):
         raise ConfigError(f"newton-limit needs setting 'frame.omega_rad_per_s' = 0, "
                           f"got {scn.values['frame.omega_rad_per_s']!r}")
+    if scn.get("frame.kind", "", kind=str) == "explicit":
+        _, curve, frames = _splitting(scn)
+        try:
+            fermi_walker_transport(curve, frames.matrix(frames.tau0), frames.interval)
+        except CausalDomainError as exc:
+            raise ConfigError(f"newton-limit needs setting 'frame.columns' to be a frame of "
+                              f"the observer: {exc}") from exc
     first = None  # the previous c's first state (tau, x)
     starts = Counter()
 

@@ -33,10 +33,6 @@ class UnreachableDirectionError(LightconeError):
     """Observer-map ray leaves the chart before landing."""
 
 
-class SuperluminalError(LightconeError):
-    """Clock-rate radicand is non-positive: velocity not admissible."""
-
-
 class IllPosedForceError(LightconeError):
     """Zero-component reconstruction of a force has vanishing denominator."""
 

@@ -42,11 +42,13 @@ rays with n_jac Jacobi columns each, serves integrate_batch and the
 single-ray solves, which go through one entry, _ray, that checks the
 start event and makes one _rays run; rays without columns take their
 acceleration from the chart's spray (Chart.spray), rays with columns
-from the dense connection.  _transport_rhs, a position with
-Fermi-Walker-transported columns, serves the observers' worldlines and
-frames (both sides of tau = 0 as two rows of one run); without an
-accelerometer reading it is parallel transport and evaluates no thrust
-term.
+from the dense connection.  _transport_rhs, a position with its
+Fermi-Walker-transported frame, serves the observers' worldlines (both
+sides of tau = 0 as two rows of one run).  Its thrust term is the frame
+times the boost generator of the accelerometer reading (boost_generator,
+which the observers' frame derivatives use too), so it needs the
+connection but not the metric; without a reading it is parallel
+transport and evaluates no thrust term.
 
 A Jacobi column is integrated as the coordinate variation (dx, dv) of the
 ray, whose variational equation needs the connection and its first
@@ -180,9 +182,8 @@ class JacobiSolution(DenseSolution):
     (dx, dv), with J = dx (see _ray_rhs).
     """
 
-    def __init__(self, ts, h, q, y_old, y1, steps, clipped, along, chart):
+    def __init__(self, ts, h, q, y_old, y1, steps, clipped, chart):
         super().__init__(ts, h, q, y_old, y1, steps, clipped)
-        self.along = along
         self.chart = chart
 
     def value(self, s):
@@ -685,30 +686,43 @@ def _ray_rhs(chart: Chart, n_jac: int):
     return rhs
 
 
-def _transport_rhs(chart: Chart, k, reading=None):
-    """Right-hand side for a position with k Fermi-Walker-transported columns.
+def boost_generator(reading, c, col0):
+    """The Fermi-Walker generator G of frames X = [col0 gamma'/c, e1, e2, e3].
 
-    The state holds (n, 4 + 4k) rows: the position x, then the columns
-    M = [M_0, ..., M_{k-1}], M_0 being the tangent x':
-        x' = M_0,   M' = -Gamma(M_0, M) + (A g(M_0, M) - M_0 g(A, M)) / c^2,
-    with the acceleration A = [M_1 ... M_{k-1}] reading(s), (n, k - 1) at
-    (n,) s; without a reading A = 0, and x is a geodesic along which M is
-    parallel transported: the thrust terms and the metric they need are
-    skipped.
+    An observer whose accelerometer reads a = reading, (n, 3) in e1..e3,
+    carries its orthonormal frame by De/dtau = e K with K[0, i] = K[i, 0]
+    = a_i / c and zeros elsewhere (Misner, Thorne & Wheeler, Gravitation,
+    sec. 6.5); with column 0 scaled by col0 that is DX/dtau = X G,
+    G[i, 0] = a_i col0 / c and G[0, i] = a_i / (c col0).  Returns (n, 4, 4).
+    """
+    reading = np.asarray(reading, dtype=float)
+    gen = np.zeros((len(reading), 4, 4))
+    gen[:, 1:, 0] = reading * (col0 / c)
+    gen[:, 0, 1:] = reading / (c * col0)
+    return gen
+
+
+def _transport_rhs(chart: Chart, reading=None):
+    """Right-hand side for a position with its Fermi-Walker-transported frame.
+
+    The state holds (n, 20) rows: the position x, then the columns
+    M = [M_0, M_1, M_2, M_3], M_0 being the tangent x':
+        x' = M_0,   M' = -Gamma(M_0, M) + M G(a),
+    with G the boost generator of the accelerometer reading a, (n, 3) at
+    (n,) s (boost_generator with col0 = c); the metric is not needed.
+    Without a reading x is a geodesic along which M is parallel
+    transported, and no thrust term is evaluated.
     """
     c = chart.c
 
     def rhs(s, y):
         n = len(y)
-        pos, m = y[:, :4], y[:, 4:].reshape(n, k, 4).transpose(0, 2, 1)
+        pos, m = y[:, :4], y[:, 4:].reshape(n, 4, 4).transpose(0, 2, 1)
         vel = m[:, :, 0]
         dm = -np.einsum("nkij,ni,njm->nkm", chart.christoffels(pos), vel, m)
         if reading is not None:
-            acc = m[:, :, 1:] @ reading(s)[:, :, None]
-            g = chart.metric(pos)
-            fw = acc * (vel[:, None] @ g @ m) - vel[:, :, None] * (acc.transpose(0, 2, 1) @ g @ m)
-            dm = fw / c**2 + dm
-        return np.concatenate([vel, dm.transpose(0, 2, 1).reshape(n, 4 * k)], axis=1)
+            dm = dm + m @ boost_generator(reading(s), c, c)
+        return np.concatenate([vel, dm.transpose(0, 2, 1).reshape(n, 16)], axis=1)
 
     return rhs
 
@@ -805,12 +819,11 @@ def integrate_jacobi(chart: Chart, geodesic: GeodesicSolution, j0, dj0) -> Jacob
 
     The geodesic is integrated again together with the field, from its
     stored initial data to its end parameter, as a ray with one Jacobi
-    column: j0 = J(0) and dj0 = W(0), the covariant derivative of J.  The
-    stored solution is kept as `along`.
+    column: j0 = J(0) and dj0 = W(0), the covariant derivative of J.
     """
     ivp = GeodesicIVP(Event(chart.name, geodesic.position(0.0)), geodesic.velocity(0.0))
     run = _ray(chart, ivp, geodesic.s1, lambda g0: [j0, dj0], stop_at_exit=False)
-    return _single(chart, run, geodesic.s1, JacobiSolution, geodesic, chart)
+    return _single(chart, run, geodesic.s1, JacobiSolution, chart)
 
 
 @dataclass(frozen=True)

@@ -46,25 +46,6 @@ class Event:
         object.__setattr__(self, "coords", coords)
 
 
-@dataclass(frozen=True)
-class Frame4:
-    """Four ordered tangent vectors at one event, stored as matrix columns."""
-
-    base: Event
-    matrix: np.ndarray  # column i is the i-th frame vector
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4) or not np.all(np.isfinite(m)):
-            raise InvalidInputError("frame matrix must be a finite 4x4 array")
-        if abs(np.linalg.det(m)) <= 1e-12:
-            raise InvalidInputError("frame columns are linearly dependent")
-        object.__setattr__(self, "matrix", m)
-
-    def column(self, i):
-        return self.matrix[:, i]
-
-
 def _check_vec(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (4,) or not np.all(np.isfinite(v)):
@@ -138,12 +119,8 @@ def validate_frame_of_reference(g, future_ref, right_handed_ref, frame, tol=1e-8
     positive determinant (so spacetime orientation is preserved).
     """
     g = _check_metric(g)
-    x = frame.matrix if isinstance(frame, Frame4) else np.asarray(frame, dtype=float)
-    ref = (
-        right_handed_ref.matrix
-        if isinstance(right_handed_ref, Frame4)
-        else np.asarray(right_handed_ref, dtype=float)
-    )
+    x = np.asarray(frame, dtype=float)
+    ref = np.asarray(right_handed_ref, dtype=float)
     if np.max(np.abs(gram_matrix(g, x) - ETA)) > tol:
         return False
     try:

@@ -17,12 +17,14 @@ fw_basis(tau) is M with column 0 divided by c.  Each maker supplies M:
                            geodesics' stepper at geodesics.REL_TOL and
                            ABS_TOL: one run, one row per side of tau = 0
                            (_two_sided).
-A FrameField attaches an orthonormal, right-handed frame to every
-instant, with the zeroth column pinned to gamma'/c.  Fermi-Walker
+A FrameField is the curve's Fermi-Walker basis times data: Fermi-Walker
 transport is linear, so every Fermi-Walker frame along a curve is its
 basis times one constant Lorentz matrix, and fermi_walker_transport
-integrates nothing.  Rotating variants post-multiply the spatial columns
-by a time-dependent rotation.
+integrates nothing; a rotating frame turns the spatial columns by
+omega*tau about one axis.  Its covariant derivatives are derived from
+the transport law the curve's own M obeys, written once as the boost
+generator of the accelerometer reading (geodesics.boost_generator), so
+no frame holds a function and none evaluates the metric.
 
 An integrated worldline stops at the chart-exit margin the rays stop at
 (geodesics._exit_event): one that leaves the chart inside its interval
@@ -34,6 +36,7 @@ A scalar is run as an array of one, so row i of an array result has the
 bits of the scalar call at tau[i].
 """
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -42,9 +45,10 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart, metric_at, minkowski
-from .errors import CausalDomainError, IntegrationError, InvalidInputError, OutOfChartError
-from .lorentz import ETA, Event, Frame4, causal_character, CausalCharacter, gram_matrix
-from .geodesics import CLIPPED, FAILED, DenseSolution, _dopri, _exit_event, _transport_rhs
+from .errors import CausalDomainError, IntegrationError, InvalidInputError
+from .lorentz import ETA, Event, causal_character, CausalCharacter, gram_matrix
+from .geodesics import (CLIPPED, FAILED, DenseSolution, _dopri, _exit_event, _transport_rhs,
+                        boost_generator)
 
 
 def _over_taus(fn, tau, interval, what):
@@ -119,33 +123,67 @@ class ObserverCurve:
 
 @dataclass(frozen=True)
 class FrameField:
-    """Frame of reference field along an observer.
+    """Frame of reference field along an observer: its Fermi-Walker basis times data.
 
-    matrix(tau) returns the 4x4 component matrix whose columns are the
-    frame vectors; column 0 equals gamma'(tau)/c.  cov_deriv(tau) returns
-    the covariant derivatives of the columns, which the splitting layer
-    needs for the temporal column of the observer-map differential.
-    Both take a scalar tau, giving (4, 4), or a 1-D array of n values,
-    giving (n, 4, 4); any tau outside interval raises InvalidInputError.
-    The *_fn evaluators map an (n,) array of tau to (n, 4, 4).
-    tau_range may be narrower than the curve's interval when the frame
-    was transported over a sub-range.
+    matrix(tau) is B(tau) L R(tau): the curve's Fermi-Walker basis B, one
+    constant Lorentz matrix L (lorentz; None is the identity), and R
+    turning the spatial columns by omega*tau about axis (1, 2 or 3).  Its
+    column 0 is gamma'(tau)/c.  cov_deriv(tau), the covariant derivatives
+    of the columns, which the splitting layer needs for the temporal
+    column of the observer-map differential, follows from the transport
+    law DB/dtau = B K, K the boost generator of the accelerometer reading
+    (geodesics.boost_generator): it is B K L R + B L R', exactly zero along
+    a geodesic in a frame that does not spin.  Neither evaluates the
+    metric.  Both take a scalar tau, giving (4, 4), or a 1-D array of n
+    values, giving (n, 4, 4); any tau outside interval raises
+    InvalidInputError.  tau_range may be narrower than the curve's
+    interval when the frame was transported over a sub-range.
     """
 
     curve: ObserverCurve
-    matrix_fn: Callable[[np.ndarray], np.ndarray]
-    cov_deriv_fn: Callable[[np.ndarray], np.ndarray]
+    lorentz: np.ndarray = None
+    omega: float = 0.0
+    axis: int = 1
     tau_range: tuple = None
 
     @property
     def interval(self):
         return self.curve.interval if self.tau_range is None else self.tau_range
 
+    @property
+    def tau0(self):
+        """The instant a frame's columns are given at: 0 if the interval holds it, else its start."""
+        lo, hi = self.interval
+        return 0.0 if lo <= 0.0 <= hi else lo
+
+    def _matrix_fn(self, taus):
+        m = self.curve.fw_basis_fn(taus)
+        if self.lorentz is not None:
+            m = m @ self.lorentz
+        if self.omega:
+            rot, _ = _rotation(self.omega, self.axis, taus)
+            m = np.concatenate([m[:, :, :1], m[:, :, 1:] @ rot], axis=2)
+        return m
+
+    def _cov_deriv_fn(self, taus):
+        reading = self.curve.reading_fn
+        if reading is None and not self.omega:
+            return np.zeros((len(taus), 4, 4))
+        m = self.curve.fw_basis_fn(taus)
+        d = (np.zeros_like(m) if reading is None
+             else m @ boost_generator(reading(taus), self.curve.c, 1.0))
+        if self.lorentz is not None:
+            m, d = m @ self.lorentz, d @ self.lorentz
+        if self.omega:
+            rot, drot = _rotation(self.omega, self.axis, taus)
+            d = np.concatenate([d[:, :, :1], d[:, :, 1:] @ rot + m[:, :, 1:] @ drot], axis=2)
+        return d
+
     def matrix(self, tau):
-        return _over_taus(self.matrix_fn, tau, self.interval, "frame interval")
+        return _over_taus(self._matrix_fn, tau, self.interval, "frame interval")
 
     def cov_deriv(self, tau):
-        return _over_taus(self.cov_deriv_fn, tau, self.interval, "frame interval")
+        return _over_taus(self._cov_deriv_fn, tau, self.interval, "frame interval")
 
 
 def normalize_observer_velocity(chart: Chart, coords, u0):
@@ -232,10 +270,10 @@ def make_programmed_observer(chart: Chart, q0: Event, frame0, accel_program,
     worldline and its basis come from one coupled integration; returns
     (ObserverCurve, FrameField), the field being the curve's basis.
     """
-    x0 = np.asarray(frame0.matrix if isinstance(frame0, Frame4) else frame0, dtype=float)
+    x0 = np.asarray(frame0, dtype=float)
     curve = _integrated_curve(chart, q0, np.column_stack([chart.c * x0[:, 0], x0[:, 1:]]),
                               accel_program, interval)
-    return curve, _fw_field(curve, curve.fw_basis_fn)
+    return curve, FrameField(curve)
 
 
 def _integrated_curve(chart: Chart, q0: Event, m0, program, interval) -> ObserverCurve:
@@ -251,7 +289,7 @@ def _integrated_curve(chart: Chart, q0: Event, m0, program, interval) -> Observe
     y0 = np.concatenate([q0.coords, np.asarray(m0, dtype=float).T.ravel()])
     reading = None if program is None else (
         lambda taus: np.array([program(tau) for tau in taus], dtype=float).reshape(len(taus), 3))
-    state = _two_sided(chart, _transport_rhs(chart, 4, reading), y0,
+    state = _two_sided(chart, _transport_rhs(chart, reading), y0,
                        float(interval[0]), float(interval[1]))
 
     def frame_fn(taus):
@@ -267,63 +305,45 @@ def _integrated_curve(chart: Chart, q0: Event, m0, program, interval) -> Observe
     )
 
 
-def _fw_field(curve: ObserverCurve, matrix_fn, tau_range=None) -> FrameField:
-    """Fermi-Walker frame field with the columns of matrix_fn along curve.
-
-    Its covariant derivatives are the transport law's, (n, 4, 4): zero
-    along a geodesic (no reading), whose frame is parallel.
-    """
-    c = curve.c
-
-    def cov_deriv_fn(taus):
-        if curve.reading_fn is None:
-            return np.zeros((len(taus), 4, 4))
-        acc = curve.acceleration(taus)[:, :, None]
-        pos = curve.position(taus)
-        vel = curve.velocity(taus)[:, :, None]
-        inside = curve.chart.contains(pos)
-        if not np.all(inside):
-            raise OutOfChartError(
-                f"{pos[~inside][0]} lies outside the {curve.chart.name} chart domain")
-        g = curve.chart.metric(pos)
-        mats = matrix_fn(taus)
-        gv = (g @ vel).transpose(0, 2, 1) @ mats  # (n, 1, 4): g(gamma', X_m)
-        ga = (g @ acc).transpose(0, 2, 1) @ mats
-        return (acc * gv - vel * ga) / c**2
-
-    return FrameField(curve=curve, matrix_fn=matrix_fn, cov_deriv_fn=cov_deriv_fn,
-                      tau_range=tau_range)
-
-
 def fermi_walker_transport(curve: ObserverCurve, frame0, tau_range=None) -> FrameField:
     """Propagate a frame of reference along the observer without rotation.
 
-    Fermi-Walker transport is linear, so the field is the curve's own
-    basis times one constant Lorentz matrix: basis(tau) L with
-    L = basis(tau0)^-1 frame0; nothing is integrated.  frame0 must be a
-    valid frame at tau = tau0 (midpoint convention: tau0 is tau_range[0]
-    unless the range straddles 0), and tau_range must lie in the curve's
-    interval.
+    The field of transported_frame, after checks: tau_range must lie in
+    the curve's interval, and frame0 must be a valid frame at its tau0
+    (FrameField.tau0): column 0 equal to gamma'/c, and Gram matrix eta,
+    each within 1e-8.
     """
-    chart = curve.chart
     if tau_range is None:
         tau_range = curve.interval
     lo, hi = float(tau_range[0]), float(tau_range[1])
     if not (curve.interval[0] <= lo and hi <= curve.interval[1]):
         raise InvalidInputError(f"frame range [{lo}, {hi}] outside the observer interval "
                                 f"{list(curve.interval)}")
-    tau0 = 0.0 if lo <= 0.0 <= hi else lo
-    x0 = np.asarray(frame0.matrix if isinstance(frame0, Frame4) else frame0, dtype=float)
-    if np.max(np.abs(x0[:, 0] - curve.velocity(tau0) / curve.c)) > 1e-8:
+    field = transported_frame(curve, frame0, (lo, hi))
+    x0 = np.asarray(frame0, dtype=float)
+    if np.max(np.abs(x0[:, 0] - curve.velocity(field.tau0) / curve.c)) > 1e-8:
         raise CausalDomainError("frame column 0 must equal the observer tangent / c")
-    g0 = metric_at(chart, curve.position(tau0))
+    g0 = metric_at(curve.chart, curve.position(field.tau0))
     if np.max(np.abs(gram_matrix(g0, x0) - ETA)) > 1e-8:
         raise CausalDomainError("initial frame is not orthonormal")
-    basis0 = curve.fw_basis(tau0)
+    return field
+
+
+def transported_frame(curve: ObserverCurve, frame0, tau_range=None) -> FrameField:
+    """The Fermi-Walker field along the curve whose columns at tau0 are frame0.
+
+    Fermi-Walker transport is linear, so the field is the curve's own
+    basis times one constant matrix: basis(tau) L with L = basis(tau0)^-1
+    frame0; nothing is integrated.  frame0 is not checked, so columns that
+    are not a frame of the observer stay what they are, and validation
+    reports them.
+    """
+    field = FrameField(curve, tau_range=tau_range)
+    x0 = np.asarray(frame0, dtype=float)
+    basis0 = curve.fw_basis(field.tau0)
     if np.array_equal(x0, basis0):  # most often: the field is the basis, bit for bit
-        return _fw_field(curve, curve.fw_basis_fn, (lo, hi))
-    lorentz = np.linalg.solve(basis0, x0)
-    return _fw_field(curve, lambda taus: curve.fw_basis_fn(taus) @ lorentz, (lo, hi))
+        return field
+    return dataclasses.replace(field, lorentz=np.linalg.solve(basis0, x0))
 
 
 def _rotation(omega, axis, taus):
@@ -347,28 +367,16 @@ def rotating_frame(base: FrameField, omega, axis=1) -> FrameField:
 
     The spatial columns are post-multiplied by a rotation through angle
     omega*tau about the given axis (1, 2 or 3).  omega = 0 returns the
-    base field unchanged.
+    base field unchanged; a base that already spins is refused.
     """
     if axis not in (1, 2, 3):
         raise InvalidInputError("rotation axis must be 1, 2 or 3")
+    if base.omega:
+        raise InvalidInputError("the base frame already spins")
     omega = float(omega)
     if omega == 0.0:
         return base
-
-    def matrix_fn(taus):
-        m = base.matrix(taus)
-        rot, _ = _rotation(omega, axis, taus)
-        return np.concatenate([m[:, :, :1], m[:, :, 1:] @ rot], axis=2)
-
-    def cov_deriv_fn(taus):
-        rot, drot = _rotation(omega, axis, taus)
-        base_m = base.matrix(taus)
-        base_d = base.cov_deriv(taus)
-        return np.concatenate([base_d[:, :, :1], base_d[:, :, 1:] @ rot + base_m[:, :, 1:] @ drot],
-                              axis=2)
-
-    return FrameField(curve=base.curve, matrix_fn=matrix_fn, cov_deriv_fn=cov_deriv_fn,
-                      tau_range=base.tau_range)
+    return dataclasses.replace(base, omega=omega, axis=axis)
 
 
 def _two_sided(chart: Chart, rhs, y0, lo, hi):
@@ -413,7 +421,7 @@ def standard_inertial_frame(curve: ObserverCurve) -> FrameField:
     """
     if not curve.chart.flat:
         raise InvalidInputError("standard inertial frames require a flat chart")
-    return _fw_field(curve, curve.fw_basis_fn)
+    return FrameField(curve)
 
 
 def complete_orthonormal(g, e0):

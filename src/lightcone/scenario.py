@@ -9,10 +9,11 @@ meters, with coordinate 0 stored as c*t.
 The canonical form (sorted non-comment lines, normalized whitespace)
 feeds the manifest hash, so cosmetic edits never change it.
 
-The observer's frames come from its worldline's own Fermi-Walker basis
-(see observers): build_frames integrates nothing, whatever settings built
-the curve.  Building a worldline that leaves the chart inside its
-interval raises IntegrationError.
+The observer's frames are its worldline's own Fermi-Walker basis times
+data (see observers.FrameField): build_frames integrates nothing, whatever
+settings built the curve, and an explicit frame's columns are transported
+from tau0 without a check.  Building a worldline that leaves the chart
+inside its interval raises IntegrationError.
 """
 
 import hashlib
@@ -27,12 +28,12 @@ from .lorentz import Event
 from .observers import (
     FrameField,
     ObserverCurve,
-    _fw_field,
     complete_orthonormal,
     make_inertial_observer,
     make_programmed_observer,
     make_uniformly_accelerated_observer,
     rotating_frame,
+    transported_frame,
 )
 from .splitting import MultistartConfig
 
@@ -134,9 +135,9 @@ class Scenario:
             raise ConfigError(f"setting {key!r} must be positive, got {val}")
         return val
 
-    def event(self, key, chart: Chart) -> Event:
-        """A 4-vector setting (default the origin) as an event inside the chart's domain."""
-        coords = np.array(self.get(key, [0, 0, 0, 0], kind=list, count=4))
+    def event(self, key, chart: Chart, default=None) -> Event:
+        """A 4-vector setting as an event inside the chart's domain; required without a default."""
+        coords = np.array(self.get(key, default, kind=list, count=4))
         if not chart.contains(coords):
             raise ConfigError(f"setting {key!r} lies outside the {chart.name} chart domain, "
                               f"got {coords.tolist()}")
@@ -162,7 +163,7 @@ class Scenario:
         kind = self.get("observer.kind", "inertial", kind=str)
         interval = self._interval()
         if kind == "inertial":
-            q0 = self.event("observer.q0_m", chart)
+            q0 = self.event("observer.q0_m", chart, [0, 0, 0, 0])
             u0 = np.array(self.get("observer.u0", [1, 0, 0, 0], kind=list, count=4))
             try:
                 return make_inertial_observer(chart, q0, u0, interval)
@@ -176,7 +177,7 @@ class Scenario:
         if kind == "programmed":
             # a constant accelerometer reading in the curve's basis; arbitrary
             # programs are an API-level feature
-            q0 = self.event("observer.q0_m", chart)
+            q0 = self.event("observer.q0_m", chart, [0, 0, 0, 0])
             accel = np.array(self.get("observer.accel_m_per_s2", kind=list, count=3))
             frame0 = _initial_frame_at(chart, q0.coords)
             return make_programmed_observer(chart, q0, frame0,
@@ -186,16 +187,17 @@ class Scenario:
     def build_frames(self, chart: Chart, curve: ObserverCurve) -> FrameField:
         """The frame field these settings put along a curve.
 
-        Every frame comes from the curve's own Fermi-Walker basis, whatever
-        settings built the curve; nothing is integrated here.
+        Every frame is the curve's own Fermi-Walker basis times data,
+        whatever settings built the curve; nothing is integrated here.  An
+        explicit frame is its columns at tau0 (FrameField.tau0), Fermi-Walker
+        transported and not checked, so validate reports columns that are
+        not a frame of the observer.
         """
         kind = self.get("frame.kind", "fermi_walker", kind=str)
         if kind == "explicit":
             cols = np.array(self.get("frame.columns", kind=list, count=16)).reshape(4, 4, order="F")
-            return FrameField(curve=curve,
-                              matrix_fn=lambda taus: cols[None].repeat(len(taus), axis=0),
-                              cov_deriv_fn=lambda taus: np.zeros((len(taus), 4, 4)))
-        base = _fw_field(curve, curve.fw_basis_fn)
+            return transported_frame(curve, cols)
+        base = FrameField(curve)
         if kind == "fermi_walker":
             return base
         if kind == "rotating":

@@ -38,7 +38,6 @@ one (the inversion's start grid picks) and the force stencils (p and its
 Newton trial.
 """
 
-import math
 from dataclasses import dataclass
 from typing import List
 
@@ -50,7 +49,6 @@ from .errors import (
     IllPosedForceError,
     InvalidInputError,
     LightconeError,
-    SuperluminalError,
     UnreachableDirectionError,
 )
 from .geodesics import CLIPPED, BatchSolution, _exit_event, integrate_batch
@@ -707,24 +705,6 @@ def _continued(chart, frames, target, start, search):
 
 
 # -- clock rates and forces ---------------------------------------------------
-
-def tau_dot(alpha, v, c) -> float:
-    """Clock rate of the observed clock against the observer's clock.
-
-    1/sqrt(alpha_00 + 2 alpha_0a v^a/c + alpha_ab v^a v^b / c^2); raises
-    when the radicand is not positive (superluminal or degenerate data).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    v = np.asarray(v, dtype=float)
-    rad = (
-        alpha[0, 0]
-        + 2.0 * float(alpha[0, 1:] @ v) / c
-        + float(v @ alpha[1:, 1:] @ v) / c**2
-    )
-    if rad <= 0.0:
-        raise SuperluminalError(f"clock-rate radicand {rad:.3e} is not positive")
-    return 1.0 / math.sqrt(rad)
-
 
 def force_zero_component(alpha, v, c, inv_jacobian, f_spatial) -> float:
     """Time component of a force four-vector from orthogonality to the motion.

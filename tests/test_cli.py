@@ -99,6 +99,7 @@ class TestScenarioParsing:
         ("minkowski_inertial", "cone.n_azimuth", "0", "trace-cone"),
         ("schwarzschild_faller", "spacetime.R_m", "-1", "trace-cone"),
         ("schwarzschild_faller", "observer.q0_m", "0, 0.5, 1.5707963267948966, 0", "trace-cone"),
+        ("schwarzschild_faller", "observe.q0_m", "0, 0.5, 1.5707963267948966, 0", "observe"),
         ("accel_rotating", "observer.a_m_per_s2", "0", "trace-cone"),
         ("accel_rotating", "frame.axis", "4", "trace-cone"),
         ("minkowski_inertial", "observer.u0", "0, 1, 0, 0", "trace-cone"),
@@ -111,9 +112,10 @@ class TestScenarioParsing:
         # sample, a NaN angular velocity in NaN rows counted as landed, and
         # an empty direction grid in a header-only cone.csv
         text = (SCN_DIR / f"{preset}.scn").read_text()
-        old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+        old = next((line for line in text.splitlines() if line.startswith(f"{key} = ")), None)
         scn_file = tmp_path / "bad.scn"
-        scn_file.write_text(text.replace(old, f"{key} = {value}"))
+        scn_file.write_text(text + f"{key} = {value}\n" if old is None
+                            else text.replace(old, f"{key} = {value}"))
         rc = main(["--scenario", str(scn_file), "--out", str(tmp_path / "out"), command])
         assert rc == 2
         assert repr(key) in capsys.readouterr().err
@@ -458,6 +460,43 @@ class TestNewtonLimit:
         assert rc == 0
         _, rows = read_csv(tmp_path / "out" / "limit_residuals.csv")
         assert [float(row[0]) for row in rows] == [1.0, 2.0]
+
+    def _explicit_case(self, tmp_path, columns):
+        """corrupted_frame.scn with the given columns and sr_limit_sweep.scn's observed mass."""
+        text = (SCN_DIR / "corrupted_frame.scn").read_text()
+        old = next(line for line in text.splitlines() if line.startswith("frame.columns = "))
+        sweep = [line for line in (SCN_DIR / "sr_limit_sweep.scn").read_text().splitlines()
+                 if line.startswith(("observe.", "invert.", "mass_kg"))]
+        scn_file = tmp_path / "explicit.scn"
+        scn_file.write_text(text.replace(old, f"frame.columns = {columns}")
+                            + "\n".join(sweep) + "\n")
+        return scn_file
+
+    def test_explicit_frame_not_of_the_observer_is_a_config_error(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # these non-orthonormal columns used to be measured, with a
+        # tau_dot_slope of 0.570 where a frame of the observer gives 2.95
+        scn_file = self._explicit_case(
+            tmp_path, "1, 0, 0, 0, 0.02, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1")
+        monkeypatch.setattr(cli, "run_limit_scenario", _no_work)
+        rc = main(["--scenario", str(scn_file), "--out", str(tmp_path / "out"),
+                   "newton-limit", "--c-list", "1,2,4"])
+        assert rc == 2
+        assert "'frame.columns'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "limit_residuals.csv").exists()
+
+    def test_explicit_identity_frame_is_the_fermi_walker_frame(self, tmp_path):
+        scn_file = self._explicit_case(
+            tmp_path, "1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1")
+        fw_file = tmp_path / "fermi_walker.scn"
+        text = scn_file.read_text()
+        fw_file.write_text(text.replace("frame.kind = explicit", "frame.kind = fermi_walker"))
+        for path, out in ((scn_file, "explicit"), (fw_file, "fw")):
+            rc = main(["--scenario", str(path), "--out", str(tmp_path / out),
+                       "newton-limit", "--c-list", "1,2,4"])
+            assert rc == 0
+        assert ((tmp_path / "explicit" / "limit_report.txt").read_bytes()
+                == (tmp_path / "fw" / "limit_report.txt").read_bytes())
 
     @pytest.mark.parametrize("c_list", ["1,abc", "1,nan", "1,inf"])
     def test_bad_c_list_rejected(self, tmp_path, c_list):

@@ -573,7 +573,7 @@ def test_transport_to_its_own_ends_keeps_the_solo_bits():
     def reading(s):
         return np.column_stack([0.05 * np.sin(s), np.full(len(s), 0.02), 0.01 * s])
 
-    rhs = geodesics._transport_rhs(SW, 4, reading)
+    rhs = geodesics._transport_rhs(SW, reading)
 
     def start(r):
         q0 = np.array([0.0, r, np.pi / 2, 0.0])

@@ -20,8 +20,13 @@ from lightcone.splitting import (
     MultistartConfig,
     observe_curve,
     relative_force,
-    tau_dot,
 )
+
+
+def tau_dot(alpha, v, c):
+    """The closed-form clock rate 1/sqrt(alpha_00 + 2 alpha_0a v^a/c + alpha_ab v^a v^b/c^2)."""
+    return 1.0 / math.sqrt(alpha[0, 0] + 2.0 * float(alpha[0, 1:] @ v) / c
+                           + float(v @ alpha[1:, 1:] @ v) / c**2)
 
 
 def sr_alpha(xhat):

@@ -17,6 +17,7 @@ from lightcone.errors import CausalDomainError, IntegrationError, InvalidInputEr
 from lightcone.lorentz import (CLASSIFY_TOL, ETA, Event, _check_metric, _check_vec, gram_matrix,
                                inner, validate_frame_of_reference)
 from lightcone.observers import (
+    FrameField,
     ObserverCurve,
     fermi_walker_transport,
     make_inertial_observer,
@@ -25,7 +26,7 @@ from lightcone.observers import (
     rotating_frame,
     standard_inertial_frame,
 )
-from lightcone.scenario import load_scenario
+from lightcone.scenario import Scenario, load_scenario
 
 MK = minkowski()
 SW = schwarzschild(1.0)
@@ -445,6 +446,35 @@ def test_basis_is_fermi_walker_transported(kind):
             assert np.max(np.abs(direct - via_projectors)) <= 1e-7
 
 
+def _frame_on(kind, cur):
+    """One frame field of each kind along cur."""
+    if kind == "fermi-walker":
+        return FrameField(cur)
+    if kind == "spun":
+        return fermi_walker_transport(cur, spun(cur))
+    if kind == "rotating":
+        return rotating_frame(FrameField(cur), 0.9, 2)
+    columns = "1, 0, 0, 0, 0.02, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1"  # corrupted_frame.scn's
+    return Scenario(values={"frame.kind": "explicit", "frame.columns": columns}).build_frames(
+        cur.chart, cur)
+
+
+@pytest.mark.parametrize("frame_kind", ["fermi-walker", "spun", "rotating", "explicit"])
+@pytest.mark.parametrize("curve_kind", ["flat-inertial", "uniformly-accelerated",
+                                        "curved-inertial", "flat-programmed",
+                                        "curved-programmed"])
+def test_cov_deriv_is_the_covariant_derivative(curve_kind, frame_kind):
+    # against (X(tau + h) - X(tau - h)) / 2h + Gamma(gamma', X)
+    cur = _curve(curve_kind)
+    ff = _frame_on(frame_kind, cur)
+    h = 1e-4
+    for tau in (-2.5, -0.4, 0.0, 1.1, 2.5):
+        gam = cur.chart.christoffels(cur.position(tau))
+        fd = ((ff.matrix(tau + h) - ff.matrix(tau - h)) / (2.0 * h)
+              + np.einsum("kij,i,jm->km", gam, cur.velocity(tau), ff.matrix(tau)))
+        assert np.max(np.abs(ff.cov_deriv(tau) - fd)) <= 1e-7
+
+
 @pytest.mark.parametrize("make", [
     lambda q0, frame0: make_programmed_observer(SW, q0, frame0, lambda tau: np.zeros(3),
                                                 interval=(-10, 10)),
@@ -512,6 +542,10 @@ class TestRotatingFrame:
         cur = make_uniformly_accelerated_observer(1.0, 1.0)
         base = fermi_walker_transport(cur, np.eye(4), (-2, 2))
         assert rotating_frame(base, 0.0, 1) is base
+
+    def test_spinning_base_refused(self):
+        with pytest.raises(InvalidInputError):
+            rotating_frame(self._accel_rot(1.0), 0.5, 2)
 
     def test_quarter_turn_columns(self):
         ff = self._accel_rot(1.0)
