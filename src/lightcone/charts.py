@@ -7,23 +7,27 @@ checks.  Two analytic models ship built in (flat Minkowski and exterior
 Schwarzschild); anything else goes through the finite-difference path.
 
 A chart may also supply its geodesic spray in closed form as spray_fn,
-Gamma^k_ij v^i v^j per row: the acceleration of a ray without Jacobi
-columns, four numbers a row where the connection has 64.  Without it
-Chart.spray contracts Chart.christoffels with the velocity.
+Gamma^k_ij v^i v^j per row: the acceleration of a ray, four numbers a
+row where the connection has 64.  Without it Chart.spray contracts
+Chart.christoffels with the velocity.
 
-Connection derivatives dgam[..., k, i, j, m] = d_m Gamma^k_ij drive the
-Jacobi columns of the ray integrator and the curvature checks.  A chart
-may supply them in closed form as christoffel_deriv_fn, a model
-capability like christoffel_fn; without it Chart.christoffel_derivs takes
-central differences of the connection along the four coordinate axes.
+Every derivative of the connection is a complex step of what the chart
+already has: for a real-analytic f the derivative along d is
+Im f(x + i h d) / h, with nothing subtracted, so h = _COMPLEX_STEP gives
+it to rounding (Squire & Trapp, SIAM Review 40, 110, 1998; Martins,
+Sturdza & Alonso, ACM TOMS 29, 245, 2003).  The Jacobi columns of the
+ray integrator take the spray's, the curvature checks the connection's.
+So every evaluator keeps complex input, and each closed form allocates
+its result with its input's dtype: one that drops the imaginary part
+loses the derivative, with only numpy's ComplexWarning.
 
 A chart may name a second, regular chart that carries its rays
 (Chart.ray_chart, a RayChart): its own closed-form metric, connection and
-connection derivatives, with the coordinate map between the two charts
-and that map's Jacobian Lambda.  Rays are then integrated in the ray
-chart and every result is read back in the model chart: only the
-numerical route changes, not the geometry.  schwarzschild() carries its
-rays in outgoing Eddington-Finkelstein coordinates (u, r, theta, phi),
+spray, with the coordinate map between the two charts and that map's
+Jacobian Lambda.  Rays are then integrated in the ray chart and every
+result is read back in the model chart: only the numerical route
+changes, not the geometry.  schwarzschild() carries its rays in
+outgoing Eddington-Finkelstein coordinates (u, r, theta, phi),
 u = ct - r*, r* = r + R ln(r/R - 1) (Finkelstein, Phys. Rev. 110, 965,
 1958; MTW sec. 31.4), so du = dx0 - dr/f with f = 1 - R/r.  They are
 regular on the past horizon that past-directed rays approach, where
@@ -42,13 +46,14 @@ import numpy as np
 from .errors import DegenerateMetricError, InvalidInputError, OutOfChartError
 from .lorentz import ETA
 
-# Central-difference steps of a metric-only chart (one without christoffel_fn):
-# the metric step of its connection; the larger metric step of the connection
-# inside its derivatives (see Chart.christoffel_derivs); and the step of
-# those derivatives, taken on that connection
+# Central-difference step of the metric for the connection of a chart
+# without christoffel_fn
 _METRIC_STEP = 1e-5
-_DERIV_METRIC_STEP = 1e-4
-_DERIV_STEP = 1e-3
+
+# The complex step h of every derivative of the connection, Im f(x + i h d) / h:
+# nothing is subtracted, and its truncation error is h^2 relative, so it is
+# exact to rounding
+_COMPLEX_STEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -58,10 +63,10 @@ class Chart:
     Coordinates are stored as lengths (coordinate 0 is c*t), so the speed
     of light c enters only when converting to and from seconds.  Chart
     exit is an error condition, not a transition: there is no atlas.
-    christoffel_fn, christoffel_deriv_fn and spray_fn are optional closed
-    forms of the connection, its derivatives and the geodesic spray;
-    without one, the connection comes from differences of the metric and
-    the other two from the connection.
+    christoffel_fn and spray_fn are optional closed forms of the
+    connection and the geodesic spray; without the one, the connection
+    comes from differences of the metric, and without the other, the
+    spray from the connection.
     """
 
     name: str
@@ -73,7 +78,6 @@ class Chart:
     boundary_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     flat: bool = False
     params: dict = field(default_factory=dict)
-    christoffel_deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ray_chart: Optional["RayChart"] = None
     spray_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
@@ -88,46 +92,18 @@ class Chart:
 
     def christoffels(self, coords):
         """Gamma^k_ij: christoffel_fn, else differences of the metric at _METRIC_STEP."""
-        return self._connection(np.asarray(coords, dtype=float), _METRIC_STEP)
-
-    def _connection(self, coords, metric_step):
         if self.christoffel_fn is not None:
             return _per_row(self.christoffel_fn, coords)
-        return _fd_christoffels(self, coords, metric_step)
+        return _fd_christoffels(self, _array(coords))
 
     def spray(self, coords, vel):
         """Gamma^k_ij vel^i vel^j: spray_fn, else the connection contracted with vel."""
-        coords, vel = np.asarray(coords, dtype=float), np.asarray(vel, dtype=float)
+        coords, vel = _array(coords), _array(vel)
         if coords.ndim == 1:
             return self.spray(coords[None], vel[None])[0]
         if self.spray_fn is not None:
             return self.spray_fn(coords, vel)
         return np.einsum("nkij,ni,nj->nk", self.christoffels(coords), vel, vel)
-
-    def christoffel_derivs(self, coords):
-        """dgam[..., k, i, j, m] = d_m Gamma^k_ij, closed form if the chart has one.
-
-        Otherwise central differences of step _DERIV_STEP of the connection:
-        christoffel_fn when the chart has it, else the metric's differences
-        at _DERIV_METRIC_STEP.  The outer step is the larger: the
-        connection's rounding noise, about eps / metric step, is divided by
-        the outer step once more.  On the faller's rays one step of 1e-5
-        for both left errors of about 2e-5 of the largest component, and
-        its noise drove a Jacobian ray to hundreds of steps; these steps
-        leave about 7e-7.
-        """
-        coords = np.asarray(coords, dtype=float)
-        if self.christoffel_deriv_fn is not None:
-            return _per_row(self.christoffel_deriv_fn, coords)
-        dgam = np.empty(coords.shape[:-1] + (4, 4, 4, 4))
-        for m in range(4):
-            h = np.zeros(4)
-            h[m] = _DERIV_STEP
-            dgam[..., m] = (
-                self._connection(coords + h, _DERIV_METRIC_STEP)
-                - self._connection(coords - h, _DERIV_METRIC_STEP)
-            ) / (2.0 * _DERIV_STEP)
-        return dgam
 
     def boundary_distance(self, coords):
         """Positive inside the domain, crossing zero at the boundary."""
@@ -138,8 +114,14 @@ class Chart:
 
 def _per_row(fn, coords):
     """fn, which maps (n, 4) rows to n results, at a (4,) point or at (n, 4) rows."""
-    coords = np.asarray(coords, dtype=float)
+    coords = _array(coords)
     return fn(coords[None])[0] if coords.ndim == 1 else fn(coords)
+
+
+def _array(a):
+    """a as a float array, or as it is if complex (a complex step)."""
+    a = np.asarray(a)
+    return a if np.iscomplexobj(a) else np.asarray(a, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -208,7 +190,6 @@ def minkowski(c=1.0) -> Chart:
         boundary_fn=None,
         flat=True,
         params={"c": float(c)},
-        christoffel_deriv_fn=lambda pts: np.zeros((len(pts), 4, 4, 4, 4)),
     )
 
 
@@ -249,7 +230,7 @@ def schwarzschild(radius, c=1.0) -> Chart:
     def metric_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
         f = 1.0 - radius / r
-        g = np.zeros((len(pts), 4, 4))
+        g = np.zeros((len(pts), 4, 4), pts.dtype)
         g[:, 0, 0] = f
         g[:, 1, 1] = -1.0 / f
         g[:, 2, 2] = -(r**2)
@@ -264,7 +245,7 @@ def schwarzschild(radius, c=1.0) -> Chart:
         f = 1.0 - radius / r
         fp = radius / r**2  # df/dr
         sin, cos = np.sin(th), np.cos(th)
-        gam = np.zeros((len(pts), 4, 4, 4))
+        gam = np.zeros((len(pts), 4, 4, 4), pts.dtype)
         # a value and its negative share one evaluation: -a / b == -(a / b)
         # and (-a) * b == -(a * b) in floating point
         ratio, minus_fr, inv_r = fp / (2.0 * f), -f * r, 1.0 / r
@@ -278,28 +259,6 @@ def schwarzschild(radius, c=1.0) -> Chart:
         gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
         return gam
 
-    def christoffel_deriv_fn(pts):
-        # only d_r (m = 1) and d_theta (m = 2) are nonzero
-        r, th = pts[:, 1], pts[:, 2]
-        f = 1.0 - radius / r
-        fp = radius / r**2  # df/dr
-        fpp = -2.0 * radius / r**3
-        sin, cos = np.sin(th), np.cos(th)
-        dgam = np.zeros((len(pts), 4, 4, 4, 4))
-        d_ratio = (fpp * f - fp**2) / (2.0 * f**2)  # d/dr of fp / (2 f)
-        fp2, sin2, minus = fp**2, sin**2, -(fp * r + f)
-        dgam[:, 0, 0, 1, 1] = dgam[:, 0, 1, 0, 1] = d_ratio
-        dgam[:, 1, 0, 0, 1] = (fp2 + f * fpp) / 2.0
-        dgam[:, 1, 1, 1, 1] = -d_ratio
-        dgam[:, 1, 2, 2, 1] = minus
-        dgam[:, 1, 3, 3, 1] = minus * sin2
-        dgam[:, 1, 3, 3, 2] = -2.0 * f * r * sin * cos
-        dgam[:, 2, 1, 2, 1] = dgam[:, 2, 2, 1, 1] = -1.0 / r**2
-        dgam[:, 3, 1, 3, 1] = dgam[:, 3, 3, 1, 1] = dgam[:, 2, 1, 2, 1]
-        dgam[:, 2, 3, 3, 2] = sin2 - cos**2
-        dgam[:, 3, 2, 3, 2] = dgam[:, 3, 3, 2, 2] = -1.0 / sin2
-        return dgam
-
     return Chart(
         name="schwarzschild",
         c=float(c),
@@ -310,7 +269,6 @@ def schwarzschild(radius, c=1.0) -> Chart:
         boundary_fn=boundary_fn,
         flat=False,
         params={"c": float(c), "R": radius},
-        christoffel_deriv_fn=christoffel_deriv_fn,
         ray_chart=_eddington_finkelstein_rays(radius, c),
     )
 
@@ -364,7 +322,7 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
 
     def metric_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
-        g = np.zeros((len(pts), 4, 4))
+        g = np.zeros((len(pts), 4, 4), pts.dtype)
         g[:, 0, 0] = 1.0 - radius / r
         g[:, 0, 1] = g[:, 1, 0] = 1.0
         g[:, 2, 2] = -(r**2)
@@ -383,7 +341,7 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         half_fp = radius / (2.0 * r**2)  # df/dr / 2
         sin, cos = np.sin(th), np.cos(th)
         sin2, fr = sin**2, f * r
-        gam = np.zeros((len(pts), 4, 4, 4))
+        gam = np.zeros((len(pts), 4, 4, 4), pts.dtype)
         gam[:, 0, 0, 0] = -half_fp
         gam[:, 0, 2, 2] = r
         gam[:, 0, 3, 3] = r * sin2
@@ -406,34 +364,12 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         v0, v1, v2, v3 = vel.T
         w = v2 * v2 + sin * sin * (v3 * v3)
         two_v1_r = 2.0 * v1 / r
-        out = np.empty((len(pts), 4))
+        out = np.empty((len(pts), 4), np.result_type(pts, vel))
         out[:, 0] = r * w - half_fp * (v0 * v0)
         out[:, 1] = half_fp * v0 * (f * v0 + 2.0 * v1) - f * r * w
         out[:, 2] = two_v1_r * v2 - sin * cos * (v3 * v3)
         out[:, 3] = (two_v1_r + 2.0 * cos / sin * v2) * v3
         return out
-
-    def christoffel_deriv_fn(pts):
-        # only d_r (m = 1) and d_theta (m = 2) are nonzero
-        r, th = pts[:, 1], pts[:, 2]
-        f = 1.0 - radius / r
-        sin, cos = np.sin(th), np.cos(th)
-        sin2, sin_cos, r3 = sin**2, sin * cos, r**3
-        dgam = np.zeros((len(pts), 4, 4, 4, 4))
-        dgam[:, 0, 0, 0, 1] = radius / r3
-        dgam[:, 0, 2, 2, 1] = 1.0
-        dgam[:, 0, 3, 3, 1] = sin2
-        dgam[:, 0, 3, 3, 2] = 2.0 * r * sin_cos
-        dgam[:, 1, 0, 0, 1] = radius * (1.5 * radius - r) / (r3 * r)
-        dgam[:, 1, 0, 1, 1] = dgam[:, 1, 1, 0, 1] = -radius / r3
-        dgam[:, 1, 2, 2, 1] = -1.0
-        dgam[:, 1, 3, 3, 1] = -sin2
-        dgam[:, 1, 3, 3, 2] = -2.0 * f * r * sin_cos
-        dgam[:, 2, 1, 2, 1] = dgam[:, 2, 2, 1, 1] = -1.0 / r**2
-        dgam[:, 3, 1, 3, 1] = dgam[:, 3, 3, 1, 1] = dgam[:, 2, 1, 2, 1]
-        dgam[:, 2, 3, 3, 2] = sin2 - cos**2
-        dgam[:, 3, 2, 3, 2] = dgam[:, 3, 3, 2, 2] = -1.0 / sin2
-        return dgam
 
     return Chart(
         name="eddington-finkelstein",
@@ -445,7 +381,6 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         boundary_fn=boundary_fn,
         flat=False,
         params={"c": float(c), "R": radius},
-        christoffel_deriv_fn=christoffel_deriv_fn,
         spray_fn=spray_fn,
     )
 
@@ -460,29 +395,38 @@ def metric_at(chart: Chart, coords) -> np.ndarray:
     return chart.metric(coords)
 
 
-def _fd_christoffels(chart: Chart, coords, fd_step):
-    """Levi-Civita coefficients from central differences of the metric."""
+def _fd_christoffels(chart: Chart, coords):
+    """Levi-Civita coefficients from central differences of the metric at _METRIC_STEP."""
     g = chart.metric(coords)
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(f"metric not invertible at {coords}") from exc
-    dg = np.empty(g.shape + (4,))  # dg[..., l, i, j] = d g_li / d x^j
+    dg = np.empty(g.shape + (4,), g.dtype)  # dg[..., l, i, j] = d g_li / d x^j
     for j in range(4):
         h = np.zeros(4)
-        h[j] = fd_step
-        dg[..., j] = (chart.metric(coords + h) - chart.metric(coords - h)) / (2.0 * fd_step)
+        h[j] = _METRIC_STEP
+        dg[..., j] = (chart.metric(coords + h) - chart.metric(coords - h)) / (2.0 * _METRIC_STEP)
     # gamma^k_ij = 1/2 g^{kl} (g_{li,j} + g_{lj,i} - g_{ij,l})
     term = dg + np.einsum("...lji->...lij", dg) - np.einsum("...ijl->...lij", dg)
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
 
 
+def _connection_derivs(chart: Chart, coords):
+    """dgam[n, k, i, j, m] = d_m Gamma^k_ij at (n, 4) points: Im Gamma(x + i h e_m) / h."""
+    coords = np.asarray(coords, dtype=float)
+    steps = (coords[:, None] + 1j * _COMPLEX_STEP * np.eye(4)).reshape(-1, 4)
+    dgam = chart.christoffels(steps).imag.reshape(len(coords), 4, 4, 4, 4) / _COMPLEX_STEP
+    return np.moveaxis(dgam, 1, -1)
+
+
 def riemann_ricci_at(chart: Chart, coords) -> CurvatureSample:
     """Curvature components from the connection and its derivatives.
 
-    The connection comes from Chart.christoffels and the derivatives from
-    Chart.christoffel_derivs: closed form when the chart has them, else
-    central differences at the module's fixed steps.
+    The connection comes from Chart.christoffels, and each derivative is
+    its complex step (_connection_derivs, h = _COMPLEX_STEP): exact to
+    rounding on a closed-form connection, and the derivative of the
+    metric's differences on a metric-only chart.
 
     riemann[k, l, i, j] are the components of R(e_i, e_j) e_l in the
     commutator convention nabla_i nabla_j - nabla_j nabla_i - nabla_[i,j];
@@ -493,7 +437,7 @@ def riemann_ricci_at(chart: Chart, coords) -> CurvatureSample:
     if not chart.contains(coords):
         raise OutOfChartError(f"{coords} lies outside the {chart.name} chart domain")
     gamma = chart.christoffels(coords)
-    dgam = chart.christoffel_derivs(coords)
+    dgam = _connection_derivs(chart, coords[None])[0]
     # R^k_{l ij} = d_i gamma^k_jl - d_j gamma^k_il
     #             + gamma^k_im gamma^m_jl - gamma^k_jm gamma^m_il
     riem = (

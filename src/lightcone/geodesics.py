@@ -40,9 +40,9 @@ and each Jacobi column (J + s W, W).
 Two right-hand sides run through that stepper.  _ray_rhs, a stack of
 rays with n_jac Jacobi columns each, serves integrate_batch and the
 single-ray solves, which go through one entry, _ray, that checks the
-start event and makes one _rays run; rays without columns take their
-acceleration from the chart's spray (Chart.spray), rays with columns
-from the dense connection.  _transport_rhs, a position with its
+start event and makes one _rays run; every ray takes its acceleration
+from the chart's spray (Chart.spray), and its columns the complex step
+of that spray.  _transport_rhs, a position with its
 Fermi-Walker-transported frame, serves the observers' worldlines (both
 sides of tau = 0 as two rows of one run).  Its thrust term is the frame
 times the boost generator of the accelerometer reading (boost_generator,
@@ -51,11 +51,11 @@ connection but not the metric; without a reading it is parallel
 transport and evaluates no thrust term.
 
 A Jacobi column is integrated as the coordinate variation (dx, dv) of the
-ray, whose variational equation needs the connection and its first
-derivatives (Chart.christoffel_derivs) but no curvature; then J = dx
-exactly.  Callers see the covariant layout (J, W), W = DJ/ds: one helper,
-_convert_columns, sets dv = W - Gamma(kappa', J) before a solve and
-W = dv + Gamma(kappa', dx) on read-out.
+ray, whose variational equation is the derivative of the spray along
+(dx, dv), one complex step of it (see charts), and needs no curvature;
+then J = dx exactly.  Callers see the covariant layout (J, W),
+W = DJ/ds: one helper, _convert_columns, sets dv = W - Gamma(kappa', J)
+before a solve and W = dv + Gamma(kappa', dx) on read-out.
 """
 
 from dataclasses import dataclass
@@ -63,7 +63,7 @@ from math import comb
 
 import numpy as np
 
-from .charts import Chart
+from .charts import _COMPLEX_STEP, Chart
 from .errors import (
     EmptySolutionError,
     IntegrationError,
@@ -649,15 +649,15 @@ def _ray_rhs(chart: Chart, n_jac: int):
     n_jac columns (dx, dv), the coordinate variation of the ray and of
     its velocity (the variational equation, Hairer-Norsett-Wanner,
     Solving ODEs I, sec. I.14):
-        kappa''^k = -Gamma^k_ij kappa'^i kappa'^j
-        dx'^k = dv^k
-        dv'^k = -d_m Gamma^k_ij kappa'^i kappa'^j dx^m - 2 Gamma^k_ij kappa'^i dv^j
-    The Jacobi field is J = dx exactly; its covariant derivative is
-    W = dv + Gamma(kappa', dx) (see _convert_columns).  No curvature
-    tensor is formed.  Rays without columns take kappa'' from
-    Chart.spray, the chart's closed-form spray where it has one; rays
-    with columns contract the dense connection, which their 2 Gamma(kappa', .)
-    needs anyway.  Both are computed row by row.
+        kappa'' = -S(kappa, kappa'),   S^k(x, v) = Gamma^k_ij v^i v^j
+        dx' = dv
+        dv' = -dS(kappa, kappa') . (dx, dv) = -Im S(kappa + i h dx, kappa' + i h dv) / h
+    with S the chart's spray (Chart.spray) and h = _COMPLEX_STEP (see
+    charts), so every row has one acceleration formula and a column is
+    one complex evaluation of it.  The Jacobi field is J = dx exactly;
+    its covariant derivative is W = dv + Gamma(kappa', dx) (see
+    _convert_columns).  No curvature tensor is formed, and every row is
+    computed on its own.
     """
 
     def rhs(s, y):
@@ -666,21 +666,13 @@ def _ray_rhs(chart: Chart, n_jac: int):
         out = np.empty_like(m)
         pos, vel = m[:, 0, 0], m[:, 0, 1]
         out[:, :, 0] = m[:, :, 1]
-        if not n_jac:
-            out[:, 0, 1] = -chart.spray(pos, vel)
-            return out.reshape(y.shape)
-        gam = chart.christoffels(pos)  # (n,4,4,4)
-        out[:, 0, 1] = -np.einsum("nkij,ni,nj->nk", gam, vel, vel)
-        row = vel[:, None, None, :]
-        vv = (vel[:, :, None] * vel[:, None, :]).reshape(n, 1, 1, 16)
-        # coef[n, k] = (d_m Gamma^k(kappa', kappa'), 2 Gamma^k_ij kappa'^i), width 8;
-        # matmul over the flattened (i, j) pair beat einsum at n = 1, 20 and 400
-        coef = np.concatenate([
-            np.matmul(vv, chart.christoffel_derivs(pos).reshape(n, 4, 16, 4)),
-            2.0 * np.matmul(row, gam),
-        ], axis=-1)[:, :, 0]
-        cols = m[:, 1:]
-        out[:, 1:, 1] = -np.matmul(cols.reshape(n, n_jac, 8), coef.transpose(0, 2, 1))
+        out[:, 0, 1] = -chart.spray(pos, vel)
+        if n_jac:
+            # one complex call over the (n * n_jac) rows (x + i h dx, v + i h dv)
+            cols, step = m[:, 1:], 1j * _COMPLEX_STEP
+            kick = chart.spray((pos[:, None] + step * cols[:, :, 0]).reshape(-1, 4),
+                               (vel[:, None] + step * cols[:, :, 1]).reshape(-1, 4))
+            out[:, 1:, 1] = -kick.imag.reshape(n, n_jac, 4) / _COMPLEX_STEP
         return out.reshape(y.shape)
 
     return rhs

@@ -963,7 +963,7 @@ def test_runs_without_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0]
-    assert result["values"] == [21.746188382332047]
+    assert result["values"] == [21.746188382332033]
     assert result["scipy"] == []
     assert "rays_clipped = 1" in (tmp_path / "cone" / "manifest.txt").read_text()
     _, rows = read_csv(tmp_path / "invert" / "preimages.csv")
