@@ -118,10 +118,12 @@ def _per_row(fn, coords):
     return fn(coords[None])[0] if coords.ndim == 1 else fn(coords)
 
 
+_KEPT_DTYPES = (np.dtype(float), np.dtype(complex))
+
+
 def _array(a):
-    """a as a float array, or as it is if complex (a complex step)."""
-    a = np.asarray(a)
-    return a if np.iscomplexobj(a) else np.asarray(a, dtype=float)
+    """a as a float array; a float or complex array (a complex step) as it is."""
+    return a if getattr(a, "dtype", None) in _KEPT_DTYPES else np.asarray(a, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -364,7 +366,7 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         v0, v1, v2, v3 = vel.T
         w = v2 * v2 + sin * sin * (v3 * v3)
         two_v1_r = 2.0 * v1 / r
-        out = np.empty((len(pts), 4), np.result_type(pts, vel))
+        out = np.empty((len(pts), 4), w.dtype)  # complex if pts or vel is
         out[:, 0] = r * w - half_fp * (v0 * v0)
         out[:, 1] = half_fp * v0 * (f * v0 + 2.0 * v1) - f * r * w
         out[:, 2] = two_v1_r * v2 - sin * cos * (v3 * v3)
