@@ -19,7 +19,10 @@ Sturdza & Alonso, ACM TOMS 29, 245, 2003).  The Jacobi columns of the
 ray integrator take the spray's, the curvature checks the connection's.
 So every evaluator keeps complex input, and each closed form allocates
 its result with its input's dtype: one that drops the imaginary part
-loses the derivative, with only numpy's ComplexWarning.
+would zero the derivative.  So Chart.christoffels, and the ray
+integrator on a complex spray call, raise InvalidInputError on a real
+result for complex input, naming the closed form (_kept_step); real
+calls of the spray, the map rays' one evaluator, are not checked.
 
 A chart may name a second, regular chart that carries its rays
 (Chart.ray_chart, a RayChart): its own closed-form metric, connection and
@@ -92,9 +95,12 @@ class Chart:
 
     def christoffels(self, coords):
         """Gamma^k_ij: christoffel_fn, else differences of the metric at _METRIC_STEP."""
+        coords = _array(coords)
         if self.christoffel_fn is not None:
-            return _per_row(self.christoffel_fn, coords)
-        return _fd_christoffels(self, _array(coords))
+            out, fn = _per_row(self.christoffel_fn, coords), "christoffel_fn"
+        else:
+            out, fn = _fd_christoffels(self, coords), "metric_fn"
+        return _kept_step(self, fn, coords.dtype.kind == "c", out)
 
     def spray(self, coords, vel):
         """Gamma^k_ij vel^i vel^j: spray_fn, else the connection contracted with vel."""
@@ -110,6 +116,19 @@ class Chart:
         if self.boundary_fn is None:
             return None
         return _per_row(self.boundary_fn, coords)
+
+
+def _kept_step(chart, fn, stepped, out):
+    """out, from chart's closed form fn; stepped says whether its input was complex.
+
+    A real out for a complex input lost the imaginary part, and with it
+    the derivative that the complex step was taken for: InvalidInputError
+    names the chart and fn.
+    """
+    if stepped and out.dtype.kind != "c":
+        raise InvalidInputError(f"the {chart.name} chart's {fn} returned real values for "
+                                "complex input; allocate its result with its input's dtype")
+    return out
 
 
 def _per_row(fn, coords):
@@ -172,7 +191,7 @@ def minkowski(c=1.0) -> Chart:
     """Flat spacetime in standard coordinates (ct, y1, y2, y3)."""
 
     def metric_fn(pts):
-        out = np.empty((len(pts), 4, 4))
+        out = np.empty((len(pts), 4, 4), pts.dtype)
         out[...] = ETA
         return out
 
@@ -188,7 +207,7 @@ def minkowski(c=1.0) -> Chart:
         metric_fn=metric_fn,
         domain_fn=domain_fn,
         reference_frame_fn=frame_fn,
-        christoffel_fn=lambda pts: np.zeros((len(pts), 4, 4, 4)),
+        christoffel_fn=lambda pts: np.zeros((len(pts), 4, 4, 4), pts.dtype),
         boundary_fn=None,
         flat=True,
         params={"c": float(c)},

@@ -63,7 +63,7 @@ from math import comb
 
 import numpy as np
 
-from .charts import _COMPLEX_STEP, Chart
+from .charts import _COMPLEX_STEP, Chart, _kept_step
 from .errors import (
     EmptySolutionError,
     IntegrationError,
@@ -654,7 +654,8 @@ def _ray_rhs(chart: Chart, n_jac: int):
         dv' = -dS(kappa, kappa') . (dx, dv) = -Im S(kappa + i h dx, kappa' + i h dv) / h
     with S the chart's spray (Chart.spray) and h = _COMPLEX_STEP (see
     charts), so every row has one acceleration formula and a column is
-    one complex evaluation of it.  The Jacobi field is J = dx exactly;
+    one complex evaluation of it (a chart whose closed form returns it
+    real raises InvalidInputError).  The Jacobi field is J = dx exactly;
     its covariant derivative is W = dv + Gamma(kappa', dx) (see
     _convert_columns).  No curvature tensor is formed, and every row is
     computed on its own.
@@ -672,6 +673,8 @@ def _ray_rhs(chart: Chart, n_jac: int):
             cols, step = m[:, 1:], 1j * _COMPLEX_STEP
             kick = chart.spray((pos[:, None] + step * cols[:, :, 0]).reshape(-1, 4),
                                (vel[:, None] + step * cols[:, :, 1]).reshape(-1, 4))
+            # without spray_fn the connection raised already if it came back real
+            kick = _kept_step(chart, "spray_fn", True, kick)
             out[:, 1:, 1] = -kick.imag.reshape(n, n_jac, 4) / _COMPLEX_STEP
         return out.reshape(y.shape)
 

@@ -26,7 +26,8 @@ tol.inv) sits on top of that accuracy and cannot meaningfully be set below
 it.  That stop rule is in the model chart's coordinates; the Newton
 damping is not: a halved step is accepted by the natural monotonicity
 test (Deuflhard 2004, sec. 3.3), which no linear change of the chart's
-coordinates alters.
+coordinates alters, and on a curved chart each step is bent to second
+order along the chart's geodesic (_newton_polish).
 
 Which batch serves which Jacobian: Newton maps every trial point with its
 Jacobian, so the J of an accepted trial is the next step's J, the root
@@ -339,25 +340,37 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
     halvings are dropped from the active set, and none runs more than
     _MAX_NEWTON iterations.
 
-    The full step dxi solves J dxi = -r in (c tau, x).  The trial at step
-    factor lam is xi + lam dxi, except for a member whose frame is
-    parallel along its seen ray (cov_deriv(tau) takes the cone vector
-    (-|x|, x) to exactly zero): there the retarded time sigma = c tau - |x|
-    moves linearly in lam, so c tau also gets the cone's second-order term
-    |x + lam dx| - |x| - x.lam dx/|x| (_cone_bend).  The map of an inertial
-    observer in flat space is affine in (sigma, x), so one step lands on
-    its root, and a free faller's trials are off by curvature only.  A
-    trial is accepted, halving lam from 1, by the natural monotonicity
-    test |J^-1 r(trial)| < |dxi|, with the J of this step (Deuflhard,
-    Newton Methods for Nonlinear Problems, 2004, sec. 3.3).
-    The test does not change under a linear change of the chart's
-    coordinates, so the chart's mix of units (metres with radians in
-    Schwarzschild) does not shorten the steps.  The stop rule |r| <=
-    inv_tol (1 + max|target|) stays in chart coordinates.
+    The full step dxi solves J dxi = -r in (c tau, x), with r = phi(xi) -
+    target.  On a flat chart the trial at step factor lam is xi + lam dxi.
+    Off one, the image of that straight step would be a geodesic of the
+    model chart, which drifts from the chart line phi - lam r by
+    -lam^2 S(phi, r) / 2 to second order (S = Chart.spray, quadratic in
+    its vector, and J dxi = -r); the trial is xi + lam dxi + lam^2 b with
+    the bend b = J^-1 S(phi, r) / 2, which cancels that drift (a
+    second-order retraction, Absil, Mahony & Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008, ch. 6).  For a member whose frame
+    is parallel along its seen ray (cov_deriv(tau) takes the cone vector
+    (-|x|, x) to exactly zero) the retarded time sigma = c tau - |x| moves
+    as the trial's other slots do, so c tau also gets the cone's
+    second-order term |x + dx| - |x| - x.dx/|x| (_cone_bend) of the
+    trial's whole move dx in x.  The map of an inertial observer in flat
+    space is affine in (sigma, x), so one step lands on its root; a
+    spherical chart of flat space only bends that map's image, which the
+    bend follows, so a free faller's trials are off the root by curvature
+    only.  A trial is accepted, halving lam from 1, by the natural
+    monotonicity test |J^-1 r(trial)| < |dxi|, with the J of this step
+    (Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 3.3).
+    Neither the test nor the bend changes under a linear change of the
+    chart's coordinates (the spray transforms as a vector), so the chart's
+    mix of units (metres with radians in Schwarzschild) does not shorten
+    the steps.  The stop rule |r| <= inv_tol (1 + max|target|) stays in
+    chart coordinates.
 
     Every trial is mapped together with its Jacobian, so an accepted
     trial's J is the next iteration's J: past the seeds, each halving is
-    one batch and no iteration makes a Jacobian batch of its own.
+    one batch and no iteration makes a Jacobian batch of its own.  The
+    bend costs one spray call per iteration and a second right-hand side
+    in the same solve, and maps nothing.
     """
     c = frames.curve.c
     tau_lo, tau_hi = _tau_bounds(frames)
@@ -390,13 +403,19 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
         if len(active) == 0:
             break
         jac = jacs[active]  # this step's J, kept while accepted trials overwrite jacs
-        # solve J dxi = -r in (c tau, x) variables
+        # solve J dxi = -r in (c tau, x) variables and, off a flat chart, the
+        # bend J b = S(phi, r) / 2 that cancels the chart geodesic's drift
         ok = np.abs(np.linalg.det(jac)) > 1e-300
-        steps = np.zeros((len(active), 4))
+        rhs = -resid[active][:, :, None]
+        if not chart.flat:
+            spray = chart.spray(images[active], resid[active])
+            rhs = np.concatenate([rhs, 0.5 * spray[:, :, None]], axis=2)
+        sol = np.zeros(rhs.shape)
         if np.any(ok):
-            steps[ok] = np.linalg.solve(jac[ok], -resid[active][ok][:, :, None])[:, :, 0]
-        step_norm = np.linalg.norm(steps, axis=1)
-        steps[:, 0] /= c  # first slot of the state is tau, not c*tau
+            sol[ok] = np.linalg.solve(jac[ok], rhs[ok])
+        step_norm = np.linalg.norm(sol[:, :, 0], axis=1)
+        sol[:, 0] /= c  # first slot of the state is tau, not c*tau
+        steps = sol[:, :, 0]
         # members whose frame is parallel along the seen ray: their trials move
         # the retarded time sigma = c tau - |x|, not tau, linearly in lam
         now = states[active]
@@ -409,11 +428,13 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
             rows = np.flatnonzero(~improved & ok)
             if len(rows) == 0:
                 break
-            cand = states[active[rows]] + lam[rows, None] * steps[rows]
+            move = lam[rows, None] * steps[rows]
+            if not chart.flat:
+                move += lam[rows, None] ** 2 * sol[rows, :, 1]
+            cand = states[active[rows]] + move
             cone = parallel[rows]
             if np.any(cone):
-                on = rows[cone]
-                cand[cone, 0] += _cone_bend(now[on, 1:], lam[on, None] * steps[on, 1:]) / c
+                cand[cone, 0] += _cone_bend(now[rows[cone], 1:], move[cone, 1:]) / c
             cand_ok = admissible(cand)
             if np.any(cand_ok):
                 sub = rows[cand_ok]

@@ -362,6 +362,48 @@ def test_jacobi_columns_are_the_spray_derivative(chart):
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
 
+def _real_part_only(fn):
+    """fn at the real part of its input: a closed form that drops a complex step.
+
+    Nothing complex is ever written into a float array, so no
+    ComplexWarning fires before the check.
+    """
+    return lambda pts, *vel: fn(pts.real, *(v.real for v in vel))
+
+
+def _dropping(field):
+    """A chart whose closed form field (or, with metric_fn, whose only one) drops the step."""
+    if field == "spray_fn":
+        ef = eddington_finkelstein(1.0)
+        return dataclasses.replace(ef, spray_fn=_real_part_only(ef.spray_fn))
+    sw = schwarzschild(1.0)
+    if field == "christoffel_fn":
+        return dataclasses.replace(sw, christoffel_fn=_real_part_only(sw.christoffel_fn))
+    return dataclasses.replace(sw, christoffel_fn=None, metric_fn=_real_part_only(sw.metric_fn))
+
+
+@pytest.mark.parametrize("field", ["spray_fn", "christoffel_fn", "metric_fn"])
+def test_a_complex_step_that_comes_back_real_raises(field):
+    # a real result would zero every Jacobi column's dv' (and every dGamma):
+    # the ray right-hand side and the connection's derivatives refuse it,
+    # naming the chart and the closed form; a real call is not checked
+    chart = _dropping(field)
+    pts, vel = _ray_region(np.random.default_rng(14), 5)
+    assert np.isfinite(chart.spray(pts, vel)).all()
+    dx, dv = np.random.default_rng(15).normal(size=(2, 5, 4))
+    with pytest.raises(InvalidInputError, match=f"{chart.name} chart's {field}"):
+        _ray_rhs(chart, 1)(0.0, np.hstack([pts, vel, dx, dv]))
+    if field != "spray_fn":  # riemann_ricci_at's path
+        with pytest.raises(InvalidInputError, match=f"{chart.name} chart's {field}"):
+            _connection_derivs(chart, pts)
+
+
+def test_minkowski_keeps_a_complex_step():
+    mk = minkowski()
+    pts = np.zeros((2, 4)) + 1e-30j
+    assert mk.metric(pts).dtype == mk.christoffels(pts).dtype == complex
+
+
 def test_ray_chart_map_round_trips(sw):
     rays = sw.ray_chart
     model = EF_POINTS.copy()

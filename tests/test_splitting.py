@@ -1010,12 +1010,23 @@ def _faller_targets(chart, frames, sites):
 BOOST_1 = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4])
 
 
-@pytest.mark.parametrize("generator", [np.zeros((4, 4)), BOOST_1], ids=["parallel", "boosting"])
-def test_newton_is_invariant_under_a_linear_change_of_chart(monkeypatch, generator):
+def _synthetic_spray(y, v):
+    """A smooth stand-in spray, quadratic in v."""
+    return 0.02 * np.cos(y) * (v @ np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.3],
+                                             [0.2, 0.0, 1.0, 0.0], [0.0, 0.0, 0.4, 1.0]])) ** 2
+
+
+@pytest.mark.parametrize("generator, bent", [(np.zeros((4, 4)), False), (BOOST_1, False),
+                                             (np.zeros((4, 4)), True)],
+                         ids=["parallel", "boosting", "parallel-bent"])
+def test_newton_is_invariant_under_a_linear_change_of_chart(monkeypatch, generator, bent):
     # a smooth synthetic map F and the same map in a badly scaled, sheared
     # chart, A F: Newton's steps and its damping must not see A, so both
     # runs take the same path to the same root; only the stop rule, in
-    # chart coordinates, may end one of them an iteration sooner
+    # chart coordinates, may end one of them an iteration sooner.  The bent
+    # case's chart has a spray, which in the sheared chart is
+    # S_A(A y, A v) = A S(y, v), so the bend (A J)^-1 A S(y, r) / 2 is the
+    # plain run's bend too
     mix = np.array([[1.0, 0.3, 0.0, 0.1], [0.0, 1.0, 0.2, 0.0],
                     [0.1, 0.0, 1.0, 0.3], [0.2, 0.0, 0.0, 1.0]])
 
@@ -1038,14 +1049,22 @@ def test_newton_is_invariant_under_a_linear_change_of_chart(monkeypatch, generat
 
     def polish(a):
         calls = []
+        sprays = []
 
         def fake(chart, frames, pts, with_jacobian):
             calls.append(with_jacobian)
             return fmap(pts) @ a.T, a @ fjac(pts) if with_jacobian else None
 
+        def spray(y, v):
+            a_inv = np.linalg.inv(a)
+            sprays.append(len(y))
+            return _synthetic_spray(y @ a_inv.T, v @ a_inv.T) @ a.T
+
+        chart = SimpleNamespace(flat=not bent, spray=spray)
         monkeypatch.setattr(splitting, "_eval_batch", fake)
         targets = np.tile(a @ fmap(root[None])[0], (len(seeds), 1))
-        states, _, converged, _, _ = splitting._newton_polish(None, frames, targets, seeds, cfg)
+        states, _, converged, _, _ = splitting._newton_polish(chart, frames, targets, seeds, cfg)
+        assert bool(sprays) == bent  # a flat chart's steps take no bend
         return states, converged, sum(calls)
 
     plain, plain_ok, plain_jacs = polish(np.eye(4))
@@ -1200,16 +1219,75 @@ def test_parallel_frame_in_flat_space_converges_in_one_trial(monkeypatch):
     assert np.max(np.abs(states - sites)) <= 1e-12
 
 
+def _flat_spherical_spray(y, v):
+    """Flat space's spray in (ct, r, theta, phi)."""
+    r, th = y[:, 1], y[:, 2]
+    sin, cos = np.sin(th), np.cos(th)
+    vr, vt, vp = v[:, 1], v[:, 2], v[:, 3]
+    return np.column_stack([np.zeros(len(y)), -r * (vt * vt + sin * sin * vp * vp),
+                            2.0 * vr * vt / r - sin * cos * vp * vp,
+                            2.0 * vr * vp / r + 2.0 * cos / sin * vt * vp])
+
+
+def test_bent_step_is_second_order(monkeypatch):
+    # an affine map into Minkowski space read in spherical coordinates: a
+    # straight step ends O(d^2) off the root, since its image is a chart
+    # geodesic and not a chart line, and the bent step O(d^3)
+    mix = np.array([[1.0, 0.2, 0.0, -0.1], [0.1, 1.0, 0.3, 0.0],
+                    [0.0, -0.2, 1.0, 0.2], [0.3, 0.0, 0.1, 1.0]])
+    shift = np.array([0.0, 1.5, -2.0, 1.0])
+
+    def fake(chart, frames, pts, with_jacobian):
+        y = pts @ mix.T + shift  # (t, X, Y, Z); c = 1, so c tau is tau
+        big_x, big_y, big_z = y[:, 1], y[:, 2], y[:, 3]
+        rho2 = big_x ** 2 + big_y ** 2
+        r, rho = np.linalg.norm(y[:, 1:], axis=1), np.sqrt(rho2)
+        ev = np.column_stack([y[:, 0], r, np.arccos(big_z / r), np.arctan2(big_y, big_x)])
+        if not with_jacobian:
+            return ev, None
+        dpsi = np.zeros((len(y), 4, 4))
+        dpsi[:, 0, 0] = 1.0
+        dpsi[:, 1, 1:] = y[:, 1:] / r[:, None]
+        dpsi[:, 2, 1:] = np.column_stack([big_x * big_z, big_y * big_z, -rho2]) / (r ** 2 * rho)[:, None]
+        dpsi[:, 3, 1:3] = np.column_stack([-big_y, big_x]) / rho2[:, None]
+        return ev, dpsi @ mix
+
+    monkeypatch.setattr(splitting, "_eval_batch", fake)
+    monkeypatch.setattr(splitting, "_MAX_NEWTON", 1)
+    frames = SimpleNamespace(curve=SimpleNamespace(c=1.0), interval=(-50.0, 50.0),
+                             cov_deriv=lambda taus: np.tile(BOOST_1, (len(taus), 1, 1)))
+    cfg = MultistartConfig(tau_range=(-1.0, 1.0), x_halfwidth=1.0, inv_tol=1e-15)
+    root = np.array([0.3, 1.0, -0.5, 0.8])
+    units = np.random.default_rng(5).normal(size=(6, 4))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    targets = np.tile(fake(None, frames, root[None], False)[0], (len(units), 1))
+
+    def one_step(flat, d):
+        chart = SimpleNamespace(flat=flat, spray=_flat_spherical_spray)
+        seeds = root + d * units
+        states, rnorm, _, _, _ = splitting._newton_polish(chart, frames, targets, seeds, cfg)
+        assert np.all(np.linalg.norm(states - root, axis=1) < 0.5 * d)  # a whole step, taken
+        return rnorm
+
+    straight = one_step(True, 0.1) / one_step(True, 0.05)
+    bent = one_step(False, 0.1) / one_step(False, 0.05)
+    assert np.all((straight > 3.0) & (straight < 5.0))  # O(d^2)
+    assert np.all(bent >= 6.0)  # O(d^3)
+    assert np.all(one_step(False, 0.05) < 0.1 * one_step(True, 0.05))
+
+
 def test_faller_inversion_jacobian_batches(faller, monkeypatch):
     # the invert-schw call: the benchmark's box and eight targets in one
-    # invert_many; along the faller's parallel frame the trials are off the
-    # root by curvature only (11 Jacobian batches with straight trials)
+    # invert_many; along the faller's parallel frame the trials follow the
+    # light cone, and each step bends along the spherical chart's geodesic,
+    # so a trial is off the root by curvature only (6 Jacobian batches with
+    # unbent steps, 11 with straight trials)
     chart, frames = faller
     sites = _bench_sites()
     targets = _faller_targets(chart, frames, sites)
     calls = _count_batches(monkeypatch)
     results = invert_many(chart, frames, targets, FALLER_BOX)
-    assert sum(calls) == 6 and len(calls) == 7
+    assert sum(calls) == 4 and len(calls) == 5
     for (tau, x), target, res in zip(sites, targets, results):
         assert len(res) == 1
         # a root within tol.inv of the target in the chart, carried back
