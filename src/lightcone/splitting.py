@@ -417,7 +417,7 @@ def _newton_polish(chart, frames, targets, states, cfg, seeds=None):
         sol[:, 0] /= c  # first slot of the state is tau, not c*tau
         steps = sol[:, :, 0]
         # members whose frame is parallel along the seen ray: their trials move
-        # the retarded time sigma = c tau - |x|, not tau, linearly in lam
+        # the retarded time sigma = c tau - |x|, not tau, as they move x
         now = states[active]
         drift = frames.cov_deriv(now[:, 0]) @ _cone_components(now[:, 1:])[:, :, None]
         parallel = ~np.any(drift, axis=(1, 2))

@@ -1248,7 +1248,8 @@ def test_bent_step_is_second_order(monkeypatch):
         dpsi = np.zeros((len(y), 4, 4))
         dpsi[:, 0, 0] = 1.0
         dpsi[:, 1, 1:] = y[:, 1:] / r[:, None]
-        dpsi[:, 2, 1:] = np.column_stack([big_x * big_z, big_y * big_z, -rho2]) / (r ** 2 * rho)[:, None]
+        dpsi[:, 2, 1:] = (np.column_stack([big_x * big_z, big_y * big_z, -rho2])
+                          / (r ** 2 * rho)[:, None])
         dpsi[:, 3, 1:3] = np.column_stack([-big_y, big_x]) / rho2[:, None]
         return ev, dpsi @ mix
 
