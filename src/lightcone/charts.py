@@ -17,12 +17,20 @@ Im f(x + i h d) / h, with nothing subtracted, so h = _COMPLEX_STEP gives
 it to rounding (Squire & Trapp, SIAM Review 40, 110, 1998; Martins,
 Sturdza & Alonso, ACM TOMS 29, 245, 2003).  The Jacobi columns of the
 ray integrator take the spray's, the curvature checks the connection's.
-So every evaluator keeps complex input, and each closed form allocates
-its result with its input's dtype: one that drops the imaginary part
-would zero the derivative.  So Chart.christoffels, and the ray
-integrator on a complex spray call, raise InvalidInputError on a real
-result for complex input, naming the closed form (_kept_step); real
-calls of the spray, the map rays' one evaluator, are not checked.
+So every evaluator keeps complex input, and a closed form keeps two
+rules.  Its result takes its input's dtype: one that drops the
+imaginary part would zero the derivative.  So Chart.christoffels, and
+the ray integrator on a complex spray call, raise InvalidInputError on
+a real result for complex input, naming the closed form (_kept_step);
+real calls of the spray, the map rays' one evaluator, are not checked.
+And it divides only as 1.0 / x: numpy divides complex numbers by
+multiplying with the reciprocal, so complex a / b rounds unlike real
+a / b, while 1.0 / b and a * (1.0 / b) round alike.  Then a row whose
+imaginary step is zero, the ray that rides its Jacobi columns' complex
+spray call, keeps the real bits of a real call; a chart without spray_fn
+contracts its connection in complex numbers, and keeps them only to
+rounding.  Every f = 1 - R/r below is computed as (r - R) * (1.0 / r),
+exact to a few ulp up to the horizon, where 1 - R/r cancels.
 
 A chart may name a second, regular chart that carries its rays
 (Chart.ray_chart, a RayChart): its own closed-form metric, connection and
@@ -32,9 +40,9 @@ result is read back in the model chart: only the numerical route
 changes, not the geometry.  schwarzschild() carries its rays in
 outgoing Eddington-Finkelstein coordinates (u, r, theta, phi),
 u = ct - r*, r* = r + R ln(r/R - 1) (Finkelstein, Phys. Rev. 110, 965,
-1958; MTW sec. 31.4), so du = dx0 - dr/f with f = 1 - R/r.  They are
-regular on the past horizon that past-directed rays approach, where
-Schwarzschild t diverges like ln(r - R).
+1958; MTW sec. 31.4), so du = dx0 - dr/f with f = 1 - R/r = (r - R)/r.
+They are regular on the past horizon that past-directed rays approach,
+where Schwarzschild t diverges like ln(r - R).
 
 Every Chart evaluator takes coords shaped (4,) or (n, 4).  The model's
 *_fn callables see (n, 4) rows only: _per_row runs a point as a batch of
@@ -250,7 +258,7 @@ def schwarzschild(radius, c=1.0) -> Chart:
 
     def metric_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
-        f = 1.0 - radius / r
+        f = (r - radius) * (1.0 / r)
         g = np.zeros((len(pts), 4, 4), pts.dtype)
         g[:, 0, 0] = f
         g[:, 1, 1] = -1.0 / f
@@ -263,21 +271,22 @@ def schwarzschild(radius, c=1.0) -> Chart:
 
     def christoffel_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
-        f = 1.0 - radius / r
-        fp = radius / r**2  # df/dr
+        inv_r, fr = 1.0 / r, r - radius  # f r
+        f = fr * inv_r
+        half_fp = (0.5 * radius) * (inv_r * inv_r)  # df/dr / 2
         sin, cos = np.sin(th), np.cos(th)
         gam = np.zeros((len(pts), 4, 4, 4), pts.dtype)
-        # a value and its negative share one evaluation: -a / b == -(a / b)
-        # and (-a) * b == -(a * b) in floating point
-        ratio, minus_fr, inv_r = fp / (2.0 * f), -f * r, 1.0 / r
+        # a value and its negative share one evaluation: (-a) * b == -(a * b)
+        # in floating point
+        ratio, minus_fr = half_fp * (1.0 / f), -fr
         gam[:, 0, 0, 1] = gam[:, 0, 1, 0] = ratio
-        gam[:, 1, 0, 0] = f * fp / 2.0
+        gam[:, 1, 0, 0] = f * half_fp
         gam[:, 1, 1, 1] = -ratio
         gam[:, 1, 2, 2] = minus_fr
         gam[:, 1, 3, 3] = minus_fr * sin**2
         gam[:, 2, 1, 2] = gam[:, 2, 2, 1] = gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = inv_r
         gam[:, 2, 3, 3] = -sin * cos
-        gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
+        gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos * (1.0 / sin)
         return gam
 
     return Chart(
@@ -297,18 +306,20 @@ def schwarzschild(radius, c=1.0) -> Chart:
 def _static_frame(radius, pts):
     """The static observers' orthonormal frame diag(f^-1/2, f^1/2, 1/r, 1/(r sin theta))."""
     r, th = pts[:, 1], pts[:, 2]
-    f = 1.0 - radius / r
+    inv_r = 1.0 / r
+    f = (r - radius) * inv_r
     m = np.zeros((len(pts), 4, 4))
     m[:, 0, 0], m[:, 1, 1] = f**-0.5, f**0.5
-    m[:, 2, 2], m[:, 3, 3] = 1.0 / r, 1.0 / (r * np.sin(th))
+    m[:, 2, 2], m[:, 3, 3] = inv_r, 1.0 / (r * np.sin(th))
     return m
 
 
 def _eddington_finkelstein_rays(radius, c):
     """Schwarzschild's ray chart: outgoing Eddington-Finkelstein, u = x0 - r*.
 
-    Lambda is the identity but for Lambda[0, 1] = -1/f, and Lambda^-1 has
-    +1/f there; both depend on r alone, which the two charts share.
+    Lambda is the identity but for Lambda[0, 1] = -1/f = -r/(r - R), and
+    Lambda^-1 has +1/f there; both depend on r alone, which the two charts
+    share.
     """
 
     def transform(sign):
@@ -317,9 +328,9 @@ def _eddington_finkelstein_rays(radius, c):
             with np.errstate(invalid="ignore", divide="ignore"):
                 r = coords[:, 1]
                 out = coords.copy()
-                out[:, 0] += sign * (r + radius * np.log(r / radius - 1.0))
+                out[:, 0] += sign * (r + radius * np.log((r - radius) / radius))
                 lam = np.tile(np.eye(4), (len(r), 1, 1))
-                lam[:, 0, 1] = sign / (1.0 - radius / r)
+                lam[:, 0, 1] = sign * r / (r - radius)
             return out, lam
 
         return move
@@ -331,7 +342,7 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
     """Schwarzschild's exterior in outgoing Eddington-Finkelstein (u, r, theta, phi).
 
     u = ct - r*, r* = r + R ln(r/R - 1); the metric is
-    f du^2 + 2 du dr - r^2 dOmega^2 with f = 1 - R/r, and no component
+    f du^2 + 2 du dr - r^2 dOmega^2 with f = (r - R)/r, and no component
     of it, of its connection or of their derivatives has a 1/f.  The
     domain and exit boundary are Schwarzschild's, so rays clip where they
     would there.
@@ -344,7 +355,7 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
     def metric_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
         g = np.zeros((len(pts), 4, 4), pts.dtype)
-        g[:, 0, 0] = 1.0 - radius / r
+        g[:, 0, 0] = (r - radius) * (1.0 / r)
         g[:, 0, 1] = g[:, 1, 0] = 1.0
         g[:, 2, 2] = -(r**2)
         g[:, 3, 3] = -(r**2) * np.sin(th) ** 2
@@ -358,10 +369,11 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
 
     def christoffel_fn(pts):
         r, th = pts[:, 1], pts[:, 2]
-        f = 1.0 - radius / r
-        half_fp = radius / (2.0 * r**2)  # df/dr / 2
+        inv_r, fr = 1.0 / r, r - radius  # f r
+        f = fr * inv_r
+        half_fp = (0.5 * radius) * (inv_r * inv_r)  # df/dr / 2
         sin, cos = np.sin(th), np.cos(th)
-        sin2, fr = sin**2, f * r
+        sin2 = sin**2
         gam = np.zeros((len(pts), 4, 4, 4), pts.dtype)
         gam[:, 0, 0, 0] = -half_fp
         gam[:, 0, 2, 2] = r
@@ -370,26 +382,28 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         gam[:, 1, 0, 1] = gam[:, 1, 1, 0] = half_fp
         gam[:, 1, 2, 2] = -fr
         gam[:, 1, 3, 3] = -fr * sin2
-        gam[:, 2, 1, 2] = gam[:, 2, 2, 1] = gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = 1.0 / r
+        gam[:, 2, 1, 2] = gam[:, 2, 2, 1] = gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = inv_r
         gam[:, 2, 3, 3] = -sin * cos
-        gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos / sin
+        gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos * (1.0 / sin)
         return gam
 
     def spray_fn(pts, vel):
         # christoffel_fn's nonzero components contracted with vel twice, with
-        # w = v2^2 + sin^2 v3^2 the angular part
+        # w = v2^2 + sin^2 v3^2 the angular part and f r = r - R
         r, th = pts[:, 1], pts[:, 2]
-        f = 1.0 - radius / r
-        half_fp = radius / (2.0 * r**2)
+        inv_r, fr = 1.0 / r, r - radius
+        f = fr * inv_r
+        half_fp = (0.5 * radius) * (inv_r * inv_r)
         sin, cos = np.sin(th), np.cos(th)
         v0, v1, v2, v3 = vel.T
-        w = v2 * v2 + sin * sin * (v3 * v3)
-        two_v1_r = 2.0 * v1 / r
+        v3_sq = v3 * v3
+        w = v2 * v2 + sin * sin * v3_sq
+        two_v1_r = 2.0 * v1 * inv_r
         out = np.empty((len(pts), 4), w.dtype)  # complex if pts or vel is
         out[:, 0] = r * w - half_fp * (v0 * v0)
-        out[:, 1] = half_fp * v0 * (f * v0 + 2.0 * v1) - f * r * w
-        out[:, 2] = two_v1_r * v2 - sin * cos * (v3 * v3)
-        out[:, 3] = (two_v1_r + 2.0 * cos / sin * v2) * v3
+        out[:, 1] = half_fp * v0 * (f * v0 + 2.0 * v1) - fr * w
+        out[:, 2] = two_v1_r * v2 - sin * cos * v3_sq
+        out[:, 3] = (two_v1_r + 2.0 * cos * (1.0 / sin) * v2) * v3
         return out
 
     return Chart(

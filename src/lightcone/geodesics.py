@@ -42,7 +42,9 @@ rays with n_jac Jacobi columns each, serves integrate_batch and the
 single-ray solves, which go through one entry, _ray, that checks the
 start event and makes one _rays run; every ray takes its acceleration
 from the chart's spray (Chart.spray), and its columns the complex step
-of that spray.  _transport_rhs, a position with its
+of that spray: a ray without columns in one real call, a ray with them
+in one complex call over its own row, whose imaginary step is zero, and
+its columns' rows.  _transport_rhs, a position with its
 Fermi-Walker-transported frame, serves the observers' worldlines (both
 sides of tau = 0 as two rows of one run).  Its thrust term is the frame
 times the boost generator of the accelerometer reading (boost_generator,
@@ -653,10 +655,13 @@ def _ray_rhs(chart: Chart, n_jac: int):
         dx' = dv
         dv' = -dS(kappa, kappa') . (dx, dv) = -Im S(kappa + i h dx, kappa' + i h dv) / h
     with S the chart's spray (Chart.spray) and h = _COMPLEX_STEP (see
-    charts), so every row has one acceleration formula and a column is
-    one complex evaluation of it (a chart whose closed form returns it
-    real raises InvalidInputError).  The Jacobi field is J = dx exactly;
-    its covariant derivative is W = dv + Gamma(kappa', dx) (see
+    charts).  Without columns that is one real spray call.  With them it
+    is one complex call over n * (1 + n_jac) rows: each member's ray,
+    whose imaginary step is exactly zero, so its acceleration is the real
+    part and, on a closed form that divides only as 1.0 / x, has the bits
+    of a real call; then its columns (a chart whose closed form returns
+    them real raises InvalidInputError).  The Jacobi field is J = dx
+    exactly; its covariant derivative is W = dv + Gamma(kappa', dx) (see
     _convert_columns).  No curvature tensor is formed, and every row is
     computed on its own.
     """
@@ -665,17 +670,19 @@ def _ray_rhs(chart: Chart, n_jac: int):
         n = len(y)
         m = y.reshape(n, 1 + n_jac, 2, 4)  # member, (ray, columns), (value, derivative)
         out = np.empty_like(m)
-        pos, vel = m[:, 0, 0], m[:, 0, 1]
         out[:, :, 0] = m[:, :, 1]
-        out[:, 0, 1] = -chart.spray(pos, vel)
-        if n_jac:
-            # one complex call over the (n * n_jac) rows (x + i h dx, v + i h dv)
-            cols, step = m[:, 1:], 1j * _COMPLEX_STEP
-            kick = chart.spray((pos[:, None] + step * cols[:, :, 0]).reshape(-1, 4),
-                               (vel[:, None] + step * cols[:, :, 1]).reshape(-1, 4))
-            # without spray_fn the connection raised already if it came back real
-            kick = _kept_step(chart, "spray_fn", True, kick)
-            out[:, 1:, 1] = -kick.imag.reshape(n, n_jac, 4) / _COMPLEX_STEP
+        if not n_jac:
+            out[:, 0, 1] = -chart.spray(m[:, 0, 0], m[:, 0, 1])
+            return out.reshape(y.shape)
+        # rows (x, v), unstepped, then (x + i h dx, v + i h dv) for each column
+        z = np.empty(m.shape, complex)
+        z[:, 0] = m[:, 0]
+        z[:, 1:] = m[:, :1] + 1j * _COMPLEX_STEP * m[:, 1:]
+        kick = chart.spray(z[:, :, 0].reshape(-1, 4), z[:, :, 1].reshape(-1, 4))
+        # without spray_fn the connection raised already if it came back real
+        kick = _kept_step(chart, "spray_fn", True, kick).reshape(n, 1 + n_jac, 4)
+        out[:, 0, 1] = -kick[:, 0].real
+        out[:, 1:, 1] = -kick[:, 1:].imag / _COMPLEX_STEP
         return out.reshape(y.shape)
 
     return rhs

@@ -282,27 +282,26 @@ def _sympy_connection(name):
              for j in range(4)] for i in range(4)] for k in range(4)]
     dgam = [[[[sp.diff(gam[k][i][j], xs[m]) for m in range(4)] for j in range(4)]
              for i in range(4)] for k in range(4)]
-    return sp.lambdify((xs, big_r), gam, "numpy"), sp.lambdify((xs, big_r), dgam, "numpy")
+    return sp.lambdify((xs, big_r), gam, "mpmath"), sp.lambdify((xs, big_r), dgam, "mpmath")
 
 
 @pytest.mark.parametrize("make", [schwarzschild, eddington_finkelstein], ids=lambda m: m.__name__)
 def test_eddington_finkelstein_connection_matches_sympy(make):
-    # the closed-form connection and its complex step, against sympy
+    # the closed-form connection and its complex step, against sympy's
+    # expressions at 40 digits: with f = (r - R)/r both charts hold 1e-14
+    # up to r = 1.001 R, where 1 - R/r in doubles would be 3.5e-14 off
+    mpmath = pytest.importorskip("mpmath")
     want_gam, want_dgam = _sympy_connection(make.__name__)
     for radius in (1.0, 2.5):
         chart = make(radius)
         pts = EF_POINTS * [1.0, radius, 1.0, 1.0]
         got_gam, got_dgam = chart.christoffels(pts), _connection_derivs(chart, pts)
         for p, gg, dg in zip(pts, got_gam, got_dgam):
-            w, wd = (np.array(want(p, radius), dtype=float) for want in (want_gam, want_dgam))
-            # Schwarzschild's entries divide by f = 1 - R/r, whose rounding is
-            # eps R / (r - R) relative, and the derivatives by f twice: at
-            # r = 1.001 R they are 3.5e-14 and 1.1e-13 off sympy, EF's 2e-16
-            tol = 1e-14
-            if make is schwarzschild:
-                tol += 2.0 * np.finfo(float).eps * radius / (p[1] - radius)
-            assert np.max(np.abs(gg - w)) <= tol * np.max(np.abs(w))
-            assert np.max(np.abs(dg - wd)) <= tol * np.max(np.abs(wd))
+            with mpmath.workdps(40):
+                args = [mpmath.mpf(v) for v in p], mpmath.mpf(radius)
+                w, wd = (np.array(want(*args), dtype=float) for want in (want_gam, want_dgam))
+            assert np.max(np.abs(gg - w)) <= 1e-14 * np.max(np.abs(w))
+            assert np.max(np.abs(dg - wd)) <= 1e-14 * np.max(np.abs(wd))
         assert np.array_equal(got_gam[1], chart.christoffels(pts[1]))
         assert np.array_equal(got_dgam[1], _connection_derivs(chart, pts[1:2])[0])
 
@@ -360,6 +359,34 @@ def test_jacobi_columns_are_the_spray_derivative(chart):
     h = 3e-3
     want = -(8.0 * (spray(h) - spray(-h)) - (spray(2 * h) - spray(-2 * h))) / (12.0 * h)
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_a_ray_riding_its_columns_keeps_its_real_bits(radius):
+    # with Jacobi columns each ray is the unstepped row of its columns'
+    # complex spray call, and has the bits of the real call a map ray
+    # makes, at the horizon's edge, near the poles and with zero velocity
+    # components; each evaluation makes one spray call, complex with
+    # columns and real without
+    ef = eddington_finkelstein(radius)
+    calls = []
+
+    def counting(pts, vel):
+        calls.append((pts.dtype.kind, len(pts)))
+        return ef.spray_fn(pts, vel)
+
+    chart = dataclasses.replace(ef, spray_fn=counting)
+    rng = np.random.default_rng(16)
+    r = radius * np.concatenate([np.full(12, 1.001), rng.uniform(1.002, 40.0, 60)])
+    th = np.concatenate([[1e-6, 1e-3, np.pi - 1e-3, np.pi - 1e-6], rng.uniform(0.1, 3.0, 8)])
+    pts = np.column_stack([rng.normal(size=72), r, np.tile(th, 6), rng.uniform(-4.0, 4.0, 72)])
+    vel = rng.normal(size=(72, 4))
+    vel[::2, 1] = vel[1::3, 2:] = vel[2::4, 0] = 0.0
+    y = np.hstack([pts, vel, rng.normal(size=(72, 32))])
+    with_columns = _ray_rhs(chart, 4)(0.0, y)
+    alone = _ray_rhs(chart, 0)(0.0, y[:, :8])
+    assert calls == [("c", 72 * 5), ("f", 72)]
+    assert np.array_equal(with_columns[:, :8], alone)
 
 
 def _real_part_only(fn):
