@@ -151,7 +151,9 @@ class LimitReport:
     tau_dot_slope: float          # log-residual vs log(1/c) fit
     force_slope: float
     pseudo_force_slope: float
-    newton_law_residual: float    # max |m dv/dtau - total force| / scale
+    # max |m dv/dtau - total force| / scale: tracking and forces take the same
+    # J and Hessian, so this checks only the algebra of the force formula
+    newton_law_residual: float
     below_noise: bool
 
 

@@ -34,9 +34,9 @@ Jacobian, so the J of an accepted trial is the next step's J, the root
 grade of invert_many (its condition number) and, in observe_curve, the
 Jacobian behind tau' and dx/ds; an InversionResult carries it, so a cold
 start in observe_curve maps nothing again.  Only seeds that come without
-one (the inversion's start grid picks) and the force stencils (p and its
-8 neighbours, one batch per force) are mapped with the Jacobian outside a
-Newton trial.
+one (the inversion's start grid picks) and a tracked sample's Hessian
+batch (its state and 8 neighbours, for its acceleration and its force)
+are mapped with the Jacobian outside a Newton trial.
 """
 
 from dataclasses import dataclass
@@ -54,7 +54,7 @@ from .errors import (
 )
 from .geodesics import CLIPPED, BatchSolution, _exit_event, integrate_batch
 from .lorentz import Event, CausalCharacter, causal_character
-from .observers import FrameField
+from .observers import FrameField, ObserverCurve
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,9 @@ class RelativeMotionSample:
     dv_dtau: np.ndarray
     tau_ddot: float       # d^2 tau / ds^2 along the worldline parameter
     character: str
+    event: np.ndarray     # the map at (tau, x), its Jacobian and Hessian in (c tau, x),
+    jacobian: np.ndarray  # from the sample's _map_derivatives batch (NaN where a ray
+    hessian: np.ndarray   # of that batch did not land)
     not_an_observer: bool = False
     ambiguous: bool = False
     start: str = "warm"   # where Newton found the state: "cold", "warm" or "continued"
@@ -610,13 +613,11 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     tracked coordinates to relative velocity and acceleration.  Branch
     loss truncates the report rather than failing.
 
-    Each sample makes one Newton batch of five rows: the four stencil
-    targets at s +- h, s +- 2h, and the next sample's target, all seeded at
-    this sample's state with its image and Jacobian.  The fifth row is the
-    next sample's warm start; a sample whose warm start fails inverts cold
-    over the search box through invert_observer_map and takes the
-    preimage nearest the previous state, with the image and Jacobian
-    Newton returned there.
+    Each sample but the last makes a one-row Newton batch, the next sample's
+    target seeded at this sample's state, image and Jacobian: its warm
+    start.  A sample whose warm start fails inverts cold over the search
+    box through invert_observer_map and takes the preimage nearest the
+    previous state, with the image and Jacobian Newton returned there.
 
     The first sample's branch: with start, a (tau, x^1, x^2, x^3) row
     such as the first state of the same worldline at a nearby speed of
@@ -628,15 +629,14 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     flagged ambiguous when the box holds more than one.  The two agree
     whenever the root is unique.
 
-    tau' and dx/ds come from the inverse Jacobian applied to the
-    worldline tangent, with the Jacobians that Newton returned, so no
-    Jacobian batch is made outside Newton; the second derivatives use a
-    five-point stencil on the tracked functions, of half-width h a tenth
-    of the sample spacing and at least 1e-4.
+    phi(xi(s)) = lambda(s), xi = (c tau, x), differentiated once and twice
+    gives xi' = J^-1 lambda', with the J Newton returned, and xi'' =
+    J^-1 (lambda'' - H(xi', xi')), with lambda'' from _worldline_acceleration
+    and H from the sample's one _map_derivatives batch, which the sample
+    keeps for relative_force.  A sample whose Hessian batch loses a ray
+    keeps tau' and v, with NaN tau'' and dv/dtau.
     """
     s_samples = np.asarray(s_samples, dtype=float)
-    span = s_samples[-1] - s_samples[0] if len(s_samples) > 1 else 1.0
-    stencil_h = max(1e-4, 0.02 * span / max(1, len(s_samples) - 1) * 5)
     c = frames.curve.c
 
     samples: List[RelativeMotionSample] = []
@@ -665,39 +665,30 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
             ambiguous = near > 1
             state, image, jac = rows[best], res.images[best], res.jacobians[best]
         prev = state
-        g = metric_at(chart, target)
 
-        # five-point stencil and the next sample's target: one Newton batch
-        s_pts = s + stencil_h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])
-        tk = np.asarray(worldline.position(np.concatenate([s_pts[1:], s_samples[i + 1:i + 2]])),
-                        dtype=float)
-        n = len(tk)
-        stk, _, conv, ek, jk = _newton_polish(
-            chart, frames, tk, np.tile(state, (n, 1)), search,
-            (np.tile(image, (n, 1)), np.tile(jac, (n, 1, 1))))
-        if n == 5:
-            warm = (stk[4], ek[4], jk[4]) if conv[4] else None
-        stencil_ok = bool(np.all(conv[:4]))
-        jacs = np.concatenate([jac[None], jk[:4]]) if stencil_ok else jac[None]
-        lam = np.asarray(worldline.velocity(s_pts[:len(jacs)]), dtype=float)
-        xi_dot = np.linalg.solve(jacs, lam[:, :, None])[:, :, 0]  # d(c tau, x)/ds
-        tds, dx_ds = xi_dot[:, 0] / c, xi_dot[:, 1:]
-        tau_dot = tds[0]
-        vs = np.full_like(dx_ds, np.nan)  # dx/dtau, undefined where tau' = 0
-        moving = tds != 0.0
-        vs[moving] = dx_ds[moving] / tds[moving, None]
-        v = vs[0]
-        char = causal_character(g, lam[0], tol=1e-9 * max(1.0, float(np.max(np.abs(lam[0])))**2))
+        # the next sample's target and warm start: one Newton row
+        after, warm = None, None
+        if i + 1 < len(s_samples):
+            after = np.asarray(worldline.position(s_samples[i + 1]), dtype=float)
+            stn, _, conv, en, jn = _newton_polish(chart, frames, after[None], state[None],
+                                                  search, (image[None], jac[None]))
+            warm = (stn[0], en[0], jn[0]) if conv[0] else None
 
-        if stencil_ok and tau_dot != 0.0:
-            w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * stencil_h)
-            dv_ds = w @ vs[1:]
-            tau_ddot = float(w @ tds[1:])
-            dv_dtau = dv_ds / tau_dot
+        lam = np.asarray(worldline.velocity(s), dtype=float)
+        xi_dot = np.linalg.solve(jac, lam)  # d(c tau, x)/ds
+        tau_dot = xi_dot[0] / c
+        event, jac_h, hess = _map_derivatives(chart, frames, state)
+        lam_ddot = _worldline_acceleration(chart, worldline, s, target, lam)
+        xi_ddot = np.linalg.solve(jac, lam_ddot - np.einsum("lij,i,j->l", hess, xi_dot, xi_dot))
+        tau_ddot = xi_ddot[0] / c
+        if tau_dot != 0.0:
+            v = xi_dot[1:] / tau_dot
+            dv_dtau = (xi_ddot[1:] - v * tau_ddot) / tau_dot**2
         else:
-            dv_dtau = np.full(3, np.nan)
-            tau_ddot = float("nan")
+            v = dv_dtau = np.full(3, np.nan)
 
+        g = metric_at(chart, target)
+        char = causal_character(g, lam, tol=1e-9 * max(1.0, float(np.max(np.abs(lam)))**2))
         not_obs = char in (CausalCharacter.SPACELIKE, CausalCharacter.ZERO)
         if char is CausalCharacter.TIMELIKE and tau_dot <= 0.0:
             raise LightconeError(
@@ -705,11 +696,25 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
             )
         samples.append(RelativeMotionSample(
             s=float(s), tau=float(state[0]), x=state[1:].copy(),
-            tau_dot=float(tau_dot), v=v, dv_dtau=dv_dtau, tau_ddot=tau_ddot,
-            character=char.value, not_an_observer=not_obs, ambiguous=ambiguous, start=how,
+            tau_dot=float(tau_dot), v=v, dv_dtau=dv_dtau, tau_ddot=float(tau_ddot),
+            character=char.value, event=event, jacobian=jac_h, hessian=hess,
+            not_an_observer=not_obs, ambiguous=ambiguous, start=how,
         ))
-        target = tk[-1]  # the next sample's, when there is one
+        target = after
     return samples
+
+
+def _worldline_acceleration(chart, worldline, s, position, velocity):
+    """lambda'' at s: a worldline's coordinate acceleration, lambda(s) = position.
+
+    A - S(lambda, lambda') for an ObserverCurve (A its thrust), c^2 H[:, 0, 0]
+    at (s, x) for a MappedCurve, and -S(lambda, lambda') for a free GeodesicSolution.
+    """
+    if isinstance(worldline, MappedCurve):
+        pt = np.array([s, *worldline.x])
+        return chart.c**2 * _map_derivatives(worldline.chart, worldline.frames, pt)[2][:, 0, 0]
+    thrust = worldline.acceleration(s) if isinstance(worldline, ObserverCurve) else 0.0
+    return thrust - chart.spray(position, velocity)
 
 
 def _continued(chart, frames, target, start, search):
@@ -745,39 +750,30 @@ def force_zero_component(alpha, v, c, inv_jacobian, f_spatial) -> float:
     return float(-(uw[1:] @ f_spatial) / uw[0])
 
 
-_FD_STEP = 1e-4  # central step in (c*tau, x) for derivatives of the map
+_FD_STEP = 1e-4  # central step in (c*tau, x) of the map's Jacobian, for its Hessian
 
 
-def _stencil_points(c, p):
-    """The 8 rows p + _FD_STEP e_i, then p - _FD_STEP e_i, as (tau, x).
+def _map_derivatives(chart, frames, pt):
+    """Event, Jacobian and finite-difference Hessian of the map at pt = (tau, x).
 
-    e_i are the unit vectors of (x^0 = c*tau, x^a).
+    One map+Jacobian batch: pt, then pt +- _FD_STEP e_i, e_i the unit vectors
+    of (x^0 = c*tau, x^a).  hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the
+    central difference of those 8 neighbours' Jacobians, symmetrized; a ray
+    that does not land leaves NaN rows, and so a NaN Hessian.
     """
-    base = np.array([c * p.tau, *p.x])
+    c = frames.curve.c
+    base = np.array([c * pt[0], *pt[1:]])
     shifted = np.concatenate([base + _FD_STEP * np.eye(4), base - _FD_STEP * np.eye(4)])
     shifted[:, 0] /= c
-    return shifted
-
-
-def _stencil_maps(chart, frames, p):
-    """Events and Jacobians at p and its 8 stencil points, as one map+Jacobian batch."""
-    pts = np.vstack([_point(p.tau, p.x), _stencil_points(frames.curve.c, p)])
-    return _eval_landed(chart, frames, pts, True)
-
-
-def _map_derivatives(chart, frames, p):
-    """Event, Jacobian and finite-difference Hessian of the map at p.
-
-    hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the central difference of
-    the Jacobian columns at the stencil points, symmetrized.
-    """
-    ev, jac = _stencil_maps(chart, frames, p)
+    ev, jac = _eval_batch(chart, frames, np.vstack([pt, shifted]), True)
     hess = ((jac[1:5] - jac[5:9]) / (2.0 * _FD_STEP)).transpose(1, 0, 2)
     return ev[0], jac[0], 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
 def _jacobian_christoffels(chart, event, j, hess):
     """(Ups, J^-1): the chart connection carried to observer coordinates."""
+    if np.isnan(hess).any():
+        raise UnreachableDirectionError("a ray of the map's Hessian batch did not land")
     if abs(np.linalg.det(j)) < 1e-12:
         raise CriticalPointError("observer map is singular at this point")
     w = np.linalg.inv(j)
@@ -794,12 +790,12 @@ def relative_force(m, chart: Chart, frames: FrameField, sample: RelativeMotionSa
     by the clock rate) with the four geometric pseudo-force terms built
     from the transformed connection, the sample's clock-rate derivative
     tau'' and the relative velocity.  The parts sum to total by construction.
+    It maps nothing: the map's derivatives are the sample's (a NaN Hessian raises).
     """
     c = frames.curve.c
-    p = ObservedEvent(sample.tau, sample.x)
-    event, jac, hess = _map_derivatives(chart, frames, p)
-    alpha = jac.T @ metric_at(chart, event) @ jac
+    event, jac, hess = sample.event, sample.jacobian, sample.hessian
     ups, w = _jacobian_christoffels(chart, event, jac, hess)
+    alpha = jac.T @ metric_at(chart, event) @ jac
     v = sample.v
     td = sample.tau_dot
 

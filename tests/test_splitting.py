@@ -353,7 +353,7 @@ class TestObserveCurve:
         assert all(smp.not_an_observer for smp in samples)
         assert all(smp.character == "spacelike" for smp in samples)
 
-    def test_pointed_ray_zero_clock_rate(self, inertial):
+    def test_pointed_ray_zero_clock_rate(self, inertial, monkeypatch):
         _, ff = inertial
         from lightcone.geodesics import GeodesicIVP, integrate_geodesic
 
@@ -361,7 +361,13 @@ class TestObserveCurve:
         k = cone_vector(ff, 5.0, x0)
         sol = integrate_geodesic(
             MK, GeodesicIVP(Event("minkowski", np.array([5.0, 0, 0, 0])), k), 1.0)
+        res = invert_observer_map(MK, ff, Event("minkowski", sol.position(0.2)), search_box())
+        monkeypatch.setattr(splitting, "invert_observer_map", lambda *a, **k: res)
+        calls, newton = count_batches(monkeypatch)
         samples = observe_curve(MK, ff, sol, np.linspace(0.2, 0.8, 4), search_box())
+        assert len(samples) == 4
+        assert newton == [1, 1, 1]     # the warm starts of samples 2 to 4
+        assert calls == [(9, 4)] * 4   # one Hessian batch per sample
         for smp in samples:
             assert smp.character == "lightlike"
             assert abs(smp.tau_dot) <= 1e-8
@@ -378,15 +384,29 @@ def pullback_metric(chart, frames, p):
     return j.T @ g @ j
 
 
+def hessian_points(c, p):
+    """p, then p + _FD_STEP e_i and p - _FD_STEP e_i, as (tau, x) rows.
+
+    e_i are the unit vectors of (x^0 = c*tau, x^a): the 9 points of
+    splitting._map_derivatives's batch.
+    """
+    base = np.array([c * p.tau, *p.x])
+    h = splitting._FD_STEP * np.eye(4)
+    shifted = np.concatenate([base + h, base - h])
+    shifted[:, 0] /= c
+    return np.vstack([[p.tau, *p.x], shifted])
+
+
 def transformed_christoffels(chart, frames, p):
     """Connection coefficients of the spacetime metric in observer coordinates.
 
     The chart coefficients transformed with the map Jacobian, plus the
     map's Hessian from central differences of step splitting._FD_STEP of
-    the Jacobian in (x^0 = c*tau, x^a): p and its 8 stencil points are one
+    the Jacobian in (x^0 = c*tau, x^a): p and its 8 neighbours are one
     map+Jacobian batch.  This is the connection relative_force uses.
     """
-    return splitting._jacobian_christoffels(chart, *splitting._map_derivatives(chart, frames, p))[0]
+    derivs = splitting._map_derivatives(chart, frames, np.array([p.tau, *p.x]))
+    return splitting._jacobian_christoffels(chart, *derivs)[0]
 
 
 class TestPullbackMetric:
@@ -493,10 +513,11 @@ class TestForceZeroComponent:
 def pullback_christoffels(chart, frames, p):
     """transformed_christoffels's reference: the pulled-back metric, differentiated.
 
-    The metric pulled back at p and its 8 stencil points (one map+Jacobian
-    batch), differentiated centrally, then the Levi-Civita formula.
+    The metric pulled back at p and its 8 neighbours (hessian_points, one
+    map+Jacobian batch), differentiated centrally, then the Levi-Civita
+    formula.
     """
-    ev, jac = splitting._stencil_maps(chart, frames, p)
+    ev, jac = splitting._eval_landed(chart, frames, hessian_points(frames.curve.c, p), True)
     alpha = np.array([j.T @ metric_at(chart, e) @ j for e, j in zip(ev, jac)])
     dal = np.stack((alpha[1:5] - alpha[5:9]) / (2.0 * splitting._FD_STEP), axis=-1)
     term = dal + np.einsum("lji->lij", dal) - np.einsum("ijl->lij", dal)
@@ -548,6 +569,150 @@ class TestRelativeForce:
         assert np.max(np.abs(fb.total)) <= 1e-8
         for part in fb.pseudo_parts:
             assert np.max(np.abs(part)) <= 1e-8
+
+
+# -- tracked second derivatives -------------------------------------------------
+
+def richardson_hessian(chart, frames, state):
+    """The map's Hessian at state = (tau, x), in (c tau, x), as a reference.
+
+    Central differences of the Jacobian at steps 2e-3 and 1e-3, Richardson
+    extrapolated: its error is fourth order in the step, against
+    _map_derivatives's second order at step _FD_STEP.
+    """
+    c = frames.curve.c
+    base = np.array([c * state[0], *state[1:]])
+
+    def central(h):
+        rows = np.concatenate([base + h * np.eye(4), base - h * np.eye(4)])
+        rows[:, 0] /= c
+        _, jac = splitting._eval_landed(chart, frames, rows, True)
+        hess = ((jac[:4] - jac[4:]) / (2.0 * h)).transpose(1, 0, 2)
+        return 0.5 * (hess + hess.transpose(0, 2, 1))
+
+    return (4.0 * central(1e-3) - central(2e-3)) / 3.0
+
+
+def stencil_derivatives(chart, frames, worldline, smp, search, h):
+    """(dv/dtau, tau'') of a tracked sample from a five-point stencil in s.
+
+    The route the tracker took before it differentiated phi(xi(s)) =
+    lambda(s): Newton, seeded at the sample, tracks the worldline at
+    s +- h and s +- 2h, and tau' and v there, from Newton's Jacobians, are
+    differenced.  It shares no second derivative with the tracker.
+    """
+    c = frames.curve.c
+    s_pts = smp.s + h * np.array([-2.0, -1.0, 1.0, 2.0])
+    state = np.array([smp.tau, *smp.x])
+    _, _, conv, _, jacs = splitting._newton_polish(
+        chart, frames, np.asarray(worldline.position(s_pts)), np.tile(state, (4, 1)), search,
+        (np.tile(smp.event, (4, 1)), np.tile(smp.jacobian, (4, 1, 1))))
+    assert conv.all()
+    xi_dot = np.linalg.solve(jacs, np.asarray(worldline.velocity(s_pts))[:, :, None])[:, :, 0]
+    tds = xi_dot[:, 0] / c
+    w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    return (w @ (xi_dot[:, 1:] / tds[:, None])) / smp.tau_dot, float(w @ tds)
+
+
+def stencil_flat_case():
+    """A free mass seen by an inertial observer in flat space."""
+    cur = make_inertial_observer(MK, Event("minkowski", np.zeros(4)), [1, 0, 0, 0],
+                                 interval=(-60, 60))
+    mass = make_inertial_observer(MK, Event("minkowski", np.array([0.0, 2, 1, 0])),
+                                  [1, 0.06, 0.08, 0], interval=(-60, 60))
+    cfg = MultistartConfig(tau_range=(-30, 30), x_halfwidth=4.0, x_center=(2, 1, 0),
+                           n_tau=5, n_x=5, top_k=8)
+    return MK, standard_inertial_frame(cur), mass, cfg, np.linspace(0.0, 2.0, 3)
+
+
+def stencil_schwarzschild_case():
+    """Acceptance criterion 10's: a free faller at r = 10 sees one at r = 11."""
+    q0 = Event("schwarzschild", np.array([0.0, 10.0, np.pi / 2, 0.0]))
+    cur = make_inertial_observer(SW, q0, [1.0 / math.sqrt(0.9), 0, 0, 0], interval=(-3, 3))
+    ff = fermi_walker_transport(cur, SW.reference_frame(q0.coords), (-3, 3))
+    q2 = Event("schwarzschild", np.array([0.0, 11.0, np.pi / 2, 0.0]))
+    mass = make_inertial_observer(SW, q2, [1.0 / math.sqrt(1.0 - 1.0 / 11.0), 0, 0, 0.005],
+                                  interval=(-4, 4))
+    cfg = MultistartConfig(tau_range=(-2.5, 2.5), x_halfwidth=1.6, x_center=(1.0, 0.0, 0.0),
+                           n_tau=7, n_x=7, top_k=12)
+    return SW, ff, mass, cfg, np.linspace(-0.4, 0.4, 3)
+
+
+class TestSecondDerivatives:
+    """dv/dtau and tau'' from xi'' = J^-1 (lambda'' - H(xi', xi'))."""
+
+    @pytest.mark.parametrize("c", [4.0, 16.0, 64.0])
+    def test_accelerated_rotating_frame_matches_richardson(self, c):
+        # a free mass seen from a frame accelerating at a = 1 and turning at
+        # omega = 0.5 about its thrust axis; the reference takes the same
+        # formula with a Richardson-extrapolated Hessian (a five-point
+        # stencil in s was 2.4e-7 off at c = 4)
+        mk = minkowski(c)
+        cur = make_uniformly_accelerated_observer(1.0, c, interval=(-3, 3))
+        ff = rotating_frame(fermi_walker_transport(cur, np.eye(4), (-2.5, 2.5)), 0.5, 1)
+        mass = make_inertial_observer(mk, Event("minkowski", np.array([0.0, 0.3, 0.5, 0.2])),
+                                      [c, 0.1, 0.0, 0.05], interval=(-3, 3))
+        cfg = MultistartConfig(tau_range=(-1.0, 1.5), x_halfwidth=1.0,
+                               x_center=(0.3, 0.5, 0.2), n_tau=5, n_x=5, top_k=8)
+        samples = observe_curve(mk, ff, mass, np.linspace(0.0, 0.6, 4), cfg)
+        assert len(samples) == 4
+        for smp in samples:
+            state = np.array([smp.tau, *smp.x])
+            _, jac = splitting._eval_landed(mk, ff, state[None], True)
+            hess = richardson_hessian(mk, ff, state)
+            xi_dot = np.linalg.solve(jac[0], mass.velocity(smp.s))
+            # the mass is free and the chart Cartesian: lambda'' = 0
+            xi_ddot = np.linalg.solve(jac[0], -np.einsum("lij,i,j->l", hess, xi_dot, xi_dot))
+            tau_dot, tau_ddot = xi_dot[0] / c, xi_ddot[0] / c
+            v = xi_dot[1:] / tau_dot
+            dv_dtau = (xi_ddot[1:] - v * tau_ddot) / tau_dot**2
+            assert np.max(np.abs(smp.dv_dtau - dv_dtau)) <= 1e-8
+            assert abs(smp.tau_ddot - tau_ddot) <= 1e-8
+
+    @pytest.mark.parametrize("case", [stencil_flat_case, stencil_schwarzschild_case])
+    def test_matches_the_stencil_route(self, case):
+        # the stencil's error at h = 1e-2 is its truncation, about h^4 / 30
+        # times the fifth derivative in s, and Newton's stop over h, well
+        # below 1e-8 here; a missing term of lambda'' or H would be 1e-3
+        chart, ff, mass, cfg, s = case()
+        samples = observe_curve(chart, ff, mass, s, cfg)
+        assert len(samples) == len(s)
+        for smp in samples:
+            dv_dtau, tau_ddot = stencil_derivatives(chart, ff, mass, smp, cfg, 1e-2)
+            assert np.max(np.abs(smp.dv_dtau - dv_dtau)) <= 1e-8
+            assert abs(smp.tau_ddot - tau_ddot) <= 1e-8
+
+    def test_a_lost_hessian_ray_costs_only_that_samples_acceleration(self, inertial,
+                                                                      monkeypatch):
+        # one ray of the second sample's Hessian batch does not land: that
+        # sample keeps tau' and v, its dv/dtau and tau'' are NaN, its force
+        # raises, and the track goes on
+        _, ff = inertial
+        wl = TestFailedWarmStart.worldline()
+        s = [1.0, 1.5, 2.0]
+        want = observe_curve(MK, ff, wl, s, search_box())
+        real, hessians = splitting._eval_batch, []
+
+        def lossy(chart, frames, pts, with_jacobian):
+            events, jacs = real(chart, frames, pts, with_jacobian)
+            if with_jacobian and len(pts) == 9:  # a Hessian batch; Newton's hold 8 rows at most
+                hessians.append(1)
+                if len(hessians) == 2:
+                    events[3], jacs[3] = np.nan, np.nan
+            return events, jacs
+
+        monkeypatch.setattr(splitting, "_eval_batch", lossy)
+        got = observe_curve(MK, ff, wl, s, search_box())
+        assert len(hessians) == len(got) == len(want) == 3
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert (a.tau, a.tau_dot) == (b.tau, b.tau_dot)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
+            if i == 1:
+                assert np.isnan(a.tau_ddot) and np.isnan(a.dv_dtau).all()
+                with pytest.raises(UnreachableDirectionError):
+                    relative_force(1.0, MK, ff, a, np.zeros(3))
+            else:
+                assert a.tau_ddot == b.tau_ddot and np.array_equal(a.dv_dtau, b.dv_dtau)
 
 
 def test_observe_truncates_on_branch_loss():
@@ -620,82 +785,89 @@ def test_fw_temporal_column_initial_data():
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
+def count_batches(monkeypatch):
+    """Record (rays, n_jac) of every batched integration outside Newton, and
+    the number of targets of every Newton batch."""
+    calls, newton = [], []
+    real_batch, real_newton = splitting.integrate_batch, splitting._newton_polish
+
+    def batch(chart, y0, n_jac=0, *args, **kwargs):
+        if not newton or newton[-1] is not None:
+            calls.append((len(y0), n_jac))
+        return real_batch(chart, y0, n_jac, *args, **kwargs)
+
+    def polish(chart, frames, targets, *args, **kwargs):
+        newton.append(None)  # batches from here on belong to Newton
+        try:
+            return real_newton(chart, frames, targets, *args, **kwargs)
+        finally:
+            newton[-1] = len(targets)
+
+    monkeypatch.setattr(splitting, "integrate_batch", batch)
+    monkeypatch.setattr(splitting, "_newton_polish", polish)
+    return calls, newton
+
+
 class TestOneBatchPerSample:
-    """The splitting layer evaluates each force or stencil as one batch."""
+    """Each tracked sample makes at most one Newton row, for the next sample's
+    warm start, and one 9-row map+Jacobian batch for its Hessian, which its
+    force reuses."""
 
-    @staticmethod
-    def count_batches(monkeypatch):
-        """Record (rays, n_jac) of every batched integration outside Newton."""
-        calls, newton = [], []
-        real_batch, real_newton = splitting.integrate_batch, splitting._newton_polish
-
-        def batch(chart, y0, n_jac=0, *args, **kwargs):
-            if not newton or newton[-1] is not None:
-                calls.append((len(y0), n_jac))
-            return real_batch(chart, y0, n_jac, *args, **kwargs)
-
-        def polish(chart, frames, targets, *args, **kwargs):
-            newton.append(None)  # batches from here on belong to Newton
-            try:
-                return real_newton(chart, frames, targets, *args, **kwargs)
-            finally:
-                newton[-1] = len(targets)
-
-        monkeypatch.setattr(splitting, "integrate_batch", batch)
-        monkeypatch.setattr(splitting, "_newton_polish", polish)
-        return calls, newton
-
-    def test_relative_force_single_batch(self, accel_rot, monkeypatch):
+    def test_relative_force_maps_nothing(self, accel_rot, monkeypatch):
+        # the force takes the sample's event, Jacobian and Hessian, which are
+        # a fresh _map_derivatives batch's at the sample's state
         _, ff = accel_rot
         wl = comoving_worldline(MK, ff, np.array([0.0, 0.5, 0.0]))
         samples = observe_curve(MK, ff, wl, np.linspace(0, 1, 3),
                                 search_box(tau=(-4, 4), half=2.0))
-        calls, newton = self.count_batches(monkeypatch)
+        for smp in samples:
+            fresh = splitting._map_derivatives(MK, ff, np.array([smp.tau, *smp.x]))
+            for got, want in zip((smp.event, smp.jacobian, smp.hessian), fresh):
+                assert np.array_equal(got, want)
+        calls, newton = count_batches(monkeypatch)
         for smp in samples:
             relative_force(1.0, MK, ff, smp, np.zeros(3))
-        assert calls == [(9, 4)] * len(samples)
+        assert calls == []
         assert newton == []
 
     def test_pullback_christoffels_single_batch(self, accel_rot, faller, monkeypatch):
-        # p and its 8 stencil points are one map+Jacobian batch, with the
+        # p and its 8 neighbours are one map+Jacobian batch, with the
         # bits of the nine single-point pullback_metric calls it replaced
         h = splitting._FD_STEP
         cases = [(MK, accel_rot[1], ObservedEvent(0.3, [0.8, 0.5, -0.3])),
                  (*faller, ObservedEvent(0.4, [1.2, -0.8, 0.6]))]
         want = []
         for chart, ff, p in cases:
-            shifted = [ObservedEvent(r[0], r[1:])
-                       for r in splitting._stencil_points(ff.curve.c, p)]
-            al = [pullback_metric(chart, ff, q) for q in [p, *shifted]]
+            al = [pullback_metric(chart, ff, ObservedEvent(r[0], r[1:]))
+                  for r in hessian_points(ff.curve.c, p)]
             dal = np.empty((4, 4, 4))
             for l in range(4):
                 dal[:, :, l] = (al[1 + l] - al[5 + l]) / (2.0 * h)
             term = dal + np.einsum("lji->lij", dal) - np.einsum("ijl->lij", dal)
             want.append(0.5 * np.einsum("cl,lij->cij", np.linalg.inv(al[0]), term))
-        calls, newton = self.count_batches(monkeypatch)
+        calls, newton = count_batches(monkeypatch)
         for (chart, ff, p), ups in zip(cases, want):
             assert np.array_equal(pullback_christoffels(chart, ff, p), ups)
         assert calls == [(9, 4)] * len(cases)
         assert newton == []
 
-    def test_observe_stencil_single_newton_and_jacobian(self, inertial, monkeypatch):
+    def test_observe_single_sample_one_hessian_batch(self, inertial, monkeypatch):
         _, ff = inertial
         cur2 = make_inertial_observer(MK, Event("minkowski", np.array([0.0, 4, 0, 0])),
                                       [1, 0.1, 0, 0], interval=(-30, 30))
         res = invert_observer_map(MK, ff, Event("minkowski", cur2.position(1.0)),
                                   search_box())
         monkeypatch.setattr(splitting, "invert_observer_map", lambda *a, **k: res)
-        calls, newton = self.count_batches(monkeypatch)
+        calls, newton = count_batches(monkeypatch)
         (smp,) = observe_curve(MK, ff, cur2, [1.0], search_box())
-        assert newton == [4]           # the four stencil inversions, with their Jacobians
-        assert calls == []             # the cold start's Jacobian comes from its inversion
+        assert newton == []            # a last sample has no next sample to start
+        assert calls == [(9, 4)]       # its Hessian; its Jacobian comes from the inversion
         assert smp.v[0] == pytest.approx(0.1 / 1.1, abs=1e-9)
         assert np.max(np.abs(smp.dv_dtau)) <= 1e-8
 
     def test_observe_track_one_newton_batch_per_sample(self, inertial, monkeypatch):
-        # each sample's batch holds its four stencil targets and the next
-        # sample's, whose row is that sample's warm start; nothing maps
-        # outside Newton
+        # each sample but the last makes a one-row Newton batch, the next
+        # sample's warm start, and every sample one Hessian batch
         _, ff = inertial
         cur2 = make_inertial_observer(MK, Event("minkowski", np.array([0.0, 4, 0, 0])),
                                       [1, 0.1, 0, 0], interval=(-30, 30))
@@ -705,11 +877,11 @@ class TestOneBatchPerSample:
         cold = []
         monkeypatch.setattr(splitting, "invert_observer_map",
                             lambda *a, **k: cold.append(1) or res)
-        calls, newton = self.count_batches(monkeypatch)
+        calls, newton = count_batches(monkeypatch)
         got = observe_curve(MK, ff, cur2, s, search_box())
         assert cold == [1]
-        assert newton == [5, 5, 4]
-        assert calls == []
+        assert newton == [1, 1]
+        assert calls == [(9, 4)] * 3
         assert len(got) == len(want) == 3
         for a, b in zip(got, want):
             assert (a.tau, a.tau_dot, a.tau_ddot) == (b.tau, b.tau_dot, b.tau_ddot)
@@ -733,7 +905,8 @@ class TestFailedWarmStart:
 
         decoy(prev, root) gives a preimage added to the second cold
         inversion, from the previous state and the true root.  Returns the
-        samples and the number of cold inversions.
+        samples and the number of cold inversions; asserts that each sample
+        but the last made one one-row tracking batch.
         """
         _, ff = inertial
         real_newton, real_invert = splitting._newton_polish, splitting.invert_observer_map
@@ -742,10 +915,10 @@ class TestFailedWarmStart:
         def polish(*args, **kwargs):
             out = real_newton(*args, **kwargs)
             if len(args) > 5 or "seeds" in kwargs:  # a tracking batch, not an inversion
-                seeded.append(1)
+                seeded.append(len(args[2]))
                 if len(seeded) == 1:
                     conv = out[2].copy()
-                    conv[4] = False
+                    conv[0] = False
                     out = (out[0], out[1], conv, out[3], out[4])
             return out
 
@@ -765,6 +938,7 @@ class TestFailedWarmStart:
         monkeypatch.setattr(splitting, "_newton_polish", polish)
         monkeypatch.setattr(splitting, "invert_observer_map", invert)
         got = observe_curve(MK, ff, self.worldline(), self.S, search_box())
+        assert seeded == [1] * (len(self.S) - 1)
         return got, len(cold)
 
     def assert_same_track(self, got, want):
@@ -1106,9 +1280,8 @@ def test_newton_returns_the_images_and_jacobians_of_its_states(case, request):
 
 @pytest.mark.parametrize("case", NEWTON_CASES)
 def test_newton_row_does_not_depend_on_its_batch(case, request):
-    # the tracker's batch: four stencil targets around a sample and the
-    # next sample's target, all seeded at the sample; polished together or
-    # one at a time, every row gets the same bits
+    # targets around a point, all seeded at it; polished together or one at
+    # a time, every row gets the same bits
     chart, frames = _newton_case(request, case)
     tau, x, w = 0.4, np.array([1.2, -0.8, 0.6]), np.array([0.1, 0.05, -0.08])
     d = np.array([-0.1, -0.05, 0.05, 0.1, 0.5])
