@@ -685,7 +685,7 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
             v = xi_dot[1:] / tau_dot
             dv_dtau = (xi_ddot[1:] - v * tau_ddot) / tau_dot**2
         else:
-            v = dv_dtau = np.full(3, np.nan)
+            v, dv_dtau = np.full(3, np.nan), np.full(3, np.nan)
 
         g = metric_at(chart, target)
         char = causal_character(g, lam, tol=1e-9 * max(1.0, float(np.max(np.abs(lam)))**2))

@@ -596,10 +596,10 @@ def richardson_hessian(chart, frames, state):
 def stencil_derivatives(chart, frames, worldline, smp, search, h):
     """(dv/dtau, tau'') of a tracked sample from a five-point stencil in s.
 
-    The route the tracker took before it differentiated phi(xi(s)) =
-    lambda(s): Newton, seeded at the sample, tracks the worldline at
-    s +- h and s +- 2h, and tau' and v there, from Newton's Jacobians, are
-    differenced.  It shares no second derivative with the tracker.
+    An acceleration independent of the map's Hessian: Newton, seeded at
+    the sample, tracks the worldline at s +- h and s +- 2h, and tau' and v
+    there, from Newton's Jacobians, are differenced.  It shares no second
+    derivative with the tracker or the forces.
     """
     c = frames.curve.c
     s_pts = smp.s + h * np.array([-2.0, -1.0, 1.0, 2.0])
@@ -646,7 +646,7 @@ class TestSecondDerivatives:
         # a free mass seen from a frame accelerating at a = 1 and turning at
         # omega = 0.5 about its thrust axis; the reference takes the same
         # formula with a Richardson-extrapolated Hessian (a five-point
-        # stencil in s was 2.4e-7 off at c = 4)
+        # stencil in s of half-width 0.02 is 2.4e-7 off it at c = 4)
         mk = minkowski(c)
         cur = make_uniformly_accelerated_observer(1.0, c, interval=(-3, 3))
         ff = rotating_frame(fermi_walker_transport(cur, np.eye(4), (-2.5, 2.5)), 0.5, 1)
