@@ -11,7 +11,9 @@ measure uncommitted edits.  Then runs `bench/run.py --workload W --trace
 0` in each checkout N times, in pairs.  Pair i uses seed K + i (K
 defaults to 1) on both sides, and the side that runs first alternates
 from pair to pair, so a drift of the machine's speed falls on both sides
-alike.  Every run takes run_seconds of BENCHMARK.json.
+alike.  Every run takes run_seconds of BENCHMARK.json.  Then each side
+makes one short `--trace 1` run of TRACE_SECONDS with seed K, for its
+per-layer metrics and its accuracy figures.
 
 Writes BENCH_<workload>.json at the repository root: both commits, the
 machine, every run, and for each end-to-end metric of BENCHMARK.json its
@@ -24,10 +26,14 @@ least nine tenths of them and its median beats the base's by more than
 the base's interquartile range.  A metric is unresolved when either
 side's interquartile range is wider than the bound (relative to the base's
 median) and not every head run beats every base run: its spread cannot
-tell a change within the bound from one beyond it.
+tell a change within the bound from one beyond it.  The file also holds
+both traced runs' metrics and, for each accuracy figure a traced run
+reports (the keys of bench/workloads.py's ACCURACY), its value on either
+side, so that a speedup shows what it cost in accuracy.
 """
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -40,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_GAIN_PAIRS = 10  # fewer pairs than this never support a claimed gain
+TRACE_SECONDS = 4  # each side's traced run: a few traced rounds, enough to check
 
 
 def _spread(values):
@@ -89,6 +96,29 @@ def summarize(pairs, end_to_end):
     return out
 
 
+def accuracy(base, head, names):
+    """Each accuracy figure on both sides: {name: {base, head, equal}}.
+
+    base and head are the metrics ({name: value}) of the two traced runs;
+    a figure a side did not report is None there.
+    """
+    out = {}
+    for name in names:
+        b, h = base.get(name), head.get(name)
+        out[name] = {"base": b, "head": h, "equal": b is not None and b == h}
+    return out
+
+
+def _accuracy_names(tree):
+    """The keys of ACCURACY in tree's bench/workloads.py, read without importing it."""
+    module = ast.parse((tree / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "ACCURACY"
+                                                for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
@@ -100,12 +130,12 @@ def _extract(rev, into):
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def _run(tree, workload, seed, seconds):
-    """One untraced bench/run.py run in tree: its result line, as a dict."""
+def _run(tree, workload, seed, seconds, trace=0):
+    """One bench/run.py run in tree, untraced unless trace: its result line, as a dict."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"bench/run.py in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -145,6 +175,10 @@ def main(argv=None):
                                  first=side == order[0]))
                 print(f"pair {i} {side}: " + ", ".join(
                     f"{k} {v:.6g}" for k, v in run["metrics"].items()), flush=True)
+        traced = {side: _run(trees[side], args.workload, args.seed, TRACE_SECONDS, trace=1)
+                  for side in commits}
+        names = list(dict.fromkeys(_accuracy_names(trees["base"])
+                                   + _accuracy_names(trees["head"])))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -165,6 +199,10 @@ def main(argv=None):
                    for side in commits},
         "correct": all(r["correct"] for r in runs),
         "metrics": summary,
+        "traced": {"seed": args.seed, "seconds": TRACE_SECONDS,
+                   "correct": {side: traced[side]["correct"] for side in commits},
+                   "metrics": {side: traced[side]["metrics"] for side in commits}},
+        "accuracy": accuracy(traced["base"]["metrics"], traced["head"]["metrics"], names),
         "runs": runs,
     }
     path = ROOT / f"BENCH_{args.workload}.json"
@@ -175,6 +213,8 @@ def main(argv=None):
               f"gain {'yes' if m['gain'] else 'no'}, within bound "
               f"{'yes' if m['within_bound'] else 'NO'}"
               f"{', UNRESOLVED' if m['unresolved'] else ''}")
+    for name, a in report["accuracy"].items():
+        print(f"{name:36s} base {a['base']} head {a['head']}{'' if a['equal'] else ' (moved)'}")
     print(f"wrote {path}")
     return 0
 

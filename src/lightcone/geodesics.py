@@ -12,9 +12,10 @@ So a ray gives the same bits alone and in any batch.  The module needs
 numpy only.
 
 What the tolerances mean for each ray (REL_TOL = 1e-10, ABS_TOL =
-1e-12, the one accuracy setting): every accepted step keeps that ray's
-own error norm below 1.  With each component weighed by
-ABS_TOL + REL_TOL*|y|, the norm
+1e-12, the accuracy of every ray but those of the inversion's start
+grid, which take the ranking pair RANK_REL_TOL = 1e-6, RANK_ABS_TOL =
+1e-8): every accepted step keeps that ray's own error norm below 1.
+With each component weighed by ABS_TOL + REL_TOL*|y|, the norm
 is DOP853's |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) width) from the
 5th- and 3rd-order estimates e5, e3 over all components of the ray's
 state, in the chart it is given (the splitting layer gives a model's ray
@@ -76,6 +77,12 @@ from .lorentz import Event
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
+
+# The ranking pair: the tolerances of the rays of splitting.invert_many's
+# start grid, whose images only drop the starts that do not land and rank
+# the seeds; Newton maps each seed again at REL_TOL and ABS_TOL
+RANK_REL_TOL = 1e-6
+RANK_ABS_TOL = 1e-8
 
 # Step attempts a ray may spend before it ends failed: over four times the
 # most that any test or benchmark workload's ray takes (229, a ray into the
@@ -407,10 +414,14 @@ def _rms(x):
     return _norm(x) / x.shape[1] ** 0.5
 
 
-def _initial_step(rhs, y, f, s_end, direction):
-    """scipy's select_initial_step for each row, from s = 0 towards its own s_end."""
+def _initial_step(rhs, y, f, s_end, direction, tol):
+    """scipy's select_initial_step for each row, from s = 0 towards its own s_end.
+
+    tol: the (rtol, atol) pair.
+    """
+    rtol, atol = tol
     length = np.abs(s_end)
-    scale = ABS_TOL + np.abs(y) * REL_TOL
+    scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
@@ -461,7 +472,7 @@ class _Run:
     segments: list = None
 
 
-def _dopri(rhs, y0, s_end, event=None, dense=False):
+def _dopri(rhs, y0, s_end, event=None, dense=False, *, tol=None):
     """Integrate y' = rhs(s, y) from s = 0 to s_end != 0 for each row of y0.
 
     s_end is one end for every row, or an (n,) array of each row's own end,
@@ -469,9 +480,11 @@ def _dopri(rhs, y0, s_end, event=None, dense=False):
     and (m, width) states of the running rows to their (m, width)
     derivatives, row by row.  event maps (m, width) states to (m,) values;
     a row stops, clipped, where its value falls through zero (scipy's
-    terminal event with direction -1).  See the module docstring for the
-    step control and the outcomes.
+    terminal event with direction -1).  tol, an (rtol, atol) pair, weighs
+    the error norm; None takes REL_TOL and ABS_TOL as they are at the
+    call.  See the module docstring for the step control and the outcomes.
     """
+    rtol, atol = (REL_TOL, ABS_TOL) if tol is None else tol
     y0 = np.array(y0, dtype=float)
     n, width = y0.shape
     s_end = np.broadcast_to(np.asarray(s_end, dtype=float), (n,))
@@ -489,7 +502,7 @@ def _dopri(rhs, y0, s_end, event=None, dense=False):
     s = np.zeros(n)
     y = y0
     f = rhs(s, y)
-    h_abs = _initial_step(rhs, y, f, s_end, direction)
+    h_abs = _initial_step(rhs, y, f, s_end, direction, (rtol, atol))
     rejected = np.zeros(n, dtype=bool)
     retry = False  # whether any row's last attempt was rejected
     steps = np.zeros(n, dtype=int)
@@ -547,7 +560,7 @@ def _dopri(rhs, y0, s_end, event=None, dense=False):
                 k[:, i] = rhs(t_stage[:, i], y + (kt[:, :, :i] @ _A[i, :i]) * hc)
             y_new = y + hc * (kt[:, :, :_STAGES] @ _B)
             f_new = k[:, _STAGES] = rhs(s + h, y_new)
-            scale = ABS_TOL + np.maximum(np.abs(y), np.abs(y_new)) * REL_TOL
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             e5 = _norm((kt[:, :, :_STAGES + 1] @ _E5) / scale) ** 2
             e3 = _norm((kt[:, :, :_STAGES + 1] @ _E3) / scale) ** 2
             err = np.where((e5 == 0) & (e3 == 0), 0.0,
@@ -759,11 +772,12 @@ def _linear_run(y0, deriv, s_end, dense):
     return out
 
 
-def _rays(chart: Chart, y0, s_end, stop_at_exit=True, dense=False):
+def _rays(chart: Chart, y0, s_end, stop_at_exit=True, dense=False, *, tol=None):
     """Integrate rays in the (dx, dv) layout: y0 is (n, 8 + 8*n_jac).
 
-    Curved rays run _ray_rhs through _dopri, stopped by the chart-exit
-    event when stop_at_exit; flat rays and s_end = 0 are exact.
+    Curved rays run _ray_rhs through _dopri at the tolerance pair tol (see
+    _dopri), stopped by the chart-exit event when stop_at_exit; flat rays
+    and s_end = 0 are exact.
     """
     y0 = np.asarray(y0, dtype=float)
     if s_end == 0.0 or chart.flat:
@@ -774,7 +788,7 @@ def _rays(chart: Chart, y0, s_end, stop_at_exit=True, dense=False):
         return _linear_run(y0, deriv.reshape(y0.shape), s_end, dense)
     n_jac = y0.shape[1] // 8 - 1
     event = _exit_event(chart) if stop_at_exit else None
-    return _dopri(_ray_rhs(chart, n_jac), y0, s_end, event, dense)
+    return _dopri(_ray_rhs(chart, n_jac), y0, s_end, event, dense, tol=tol)
 
 
 def _ray(chart: Chart, ivp: GeodesicIVP, s_end, columns=None, stop_at_exit=True):
@@ -902,12 +916,14 @@ def detect_conjugate(chart: Chart, q: Event, tangent, s_max, grid_n) -> Conjugat
     return ConjugateScan(tuple(zeros), False, s1)
 
 
-def integrate_batch(chart: Chart, y0, n_jac=0):
+def integrate_batch(chart: Chart, y0, n_jac=0, *, tol=None):
     """Integrate n rays, each with n_jac Jacobi columns, to the map's unit parameter s = 1.
 
     y0: (n, 8 + 8*n_jac) initial states, each column (J, W).  Each row is
     its own problem, with its own steps and chart-exit event, and ends
-    landed, clipped or failed without stopping the others.  Returns
+    landed, clipped or failed without stopping the others.  tol is the
+    (rtol, atol) pair of the error norm, REL_TOL and ABS_TOL unless given
+    (splitting.invert_many's start grid gives the ranking pair).  Returns
     (BatchSolution, steps), steps being the most accepted steps any one
     ray took (0 on a flat chart, where rays are exact).
     """
@@ -917,7 +933,7 @@ def integrate_batch(chart: Chart, y0, n_jac=0):
         raise InvalidInputError("batch state width does not match n_jac")
     # a ray that starts outside the chart fails there, untraced
     inside = np.asarray(chart.contains(y0[:, :4]), dtype=bool).reshape(n)
-    run = _rays(chart, _convert_columns(chart, y0[inside], -1), 1.0)
+    run = _rays(chart, _convert_columns(chart, y0[inside], -1), 1.0, tol=tol)
     states, s1 = y0.copy(), np.zeros(n)
     outcome = np.full(n, FAILED)
     reasons = ["start outside the chart domain"] * n

@@ -32,11 +32,15 @@ order along the chart's geodesic (_newton_polish).
 Which batch serves which Jacobian: Newton maps every trial point with its
 Jacobian, so the J of an accepted trial is the next step's J, the root
 grade of invert_many (its condition number) and, in observe_curve, the
-Jacobian behind tau' and dx/ds; an InversionResult carries it, so a cold
-start in observe_curve maps nothing again.  Only seeds that come without
-one (the inversion's start grid picks) and a tracked sample's Hessian
-batch (its state and 8 neighbours, for its acceleration and its force)
-are mapped with the Jacobian outside a Newton trial.
+Jacobian behind tau' and dx/ds and the sample's J for its force; an
+InversionResult carries it, so a cold start in observe_curve maps
+nothing again.  Only seeds that come without one (the inversion's start
+grid picks) and a tracked sample's Hessian batch (its state's 8
+neighbours, for its acceleration and its force) are mapped with the
+Jacobian outside a Newton trial.  Every one of these rays runs at
+geodesics.REL_TOL and ABS_TOL; the start grid itself is mapped without
+Jacobians at the ranking pair geodesics.RANK_REL_TOL and RANK_ABS_TOL,
+since its images only drop starts and rank seeds and never reach Newton.
 """
 
 from dataclasses import dataclass
@@ -44,6 +48,7 @@ from typing import List
 
 import numpy as np
 
+from . import geodesics
 from .charts import Chart, metric_at
 from .errors import (
     CriticalPointError,
@@ -100,9 +105,9 @@ class RelativeMotionSample:
     dv_dtau: np.ndarray
     tau_ddot: float       # d^2 tau / ds^2 along the worldline parameter
     character: str
-    event: np.ndarray     # the map at (tau, x), its Jacobian and Hessian in (c tau, x),
-    jacobian: np.ndarray  # from the sample's _map_derivatives batch (NaN where a ray
-    hessian: np.ndarray   # of that batch did not land)
+    event: np.ndarray     # the map at (tau, x) and its Jacobian in (c tau, x), as Newton
+    jacobian: np.ndarray  # returned them; its Hessian from the sample's _map_hessian
+    hessian: np.ndarray   # batch (NaN where a ray of that batch did not land)
     not_an_observer: bool = False
     ambiguous: bool = False
     start: str = "warm"   # where Newton found the state: "cold", "warm" or "continued"
@@ -205,7 +210,7 @@ def _map_states(frames: FrameField, pts, with_jacobian):
     return y0.reshape(n, 8 * y0.shape[1])
 
 
-def _trace(chart, y0, n_jac):
+def _trace(chart, y0, n_jac, *, tol=None):
     """The one ray entry: integrate_batch of model-chart states y0 to s = 1.
 
     With a ray chart the rays run there: positions go in through its
@@ -213,11 +218,12 @@ def _trace(chart, y0, n_jac):
     the end states come back through Lambda^-1, so the result is in the
     model chart.  Clipped ends are first put onto the exit surface
     (_onto_exit).  A ray that never left its start keeps its start bits.
+    tol is integrate_batch's tolerance pair: the ray tolerance unless given.
     """
     rays = chart.ray_chart
     if rays is None:
-        return integrate_batch(chart, y0, n_jac)[0]
-    sol, _ = integrate_batch(rays.chart, rays.states_to_ray(y0), n_jac)
+        return integrate_batch(chart, y0, n_jac, tol=tol)[0]
+    sol, _ = integrate_batch(rays.chart, rays.states_to_ray(y0), n_jac, tol=tol)
     _onto_exit(rays.chart, sol)
     sol.states = np.where((sol.s1 == 0.0)[:, None], y0, rays.states_from_ray(sol.states))
     return sol
@@ -256,15 +262,16 @@ def observer_rays(chart: Chart, frames: FrameField, pts) -> BatchSolution:
     return _trace(chart, _map_states(frames, np.asarray(pts, dtype=float), False), 0)
 
 
-def _eval_batch(chart, frames, pts, with_jacobian):
+def _eval_batch(chart, frames, pts, with_jacobian, *, tol=None):
     """Map (and optionally Jacobian) for an (n, 4) array of points (tau, x).
 
     Returns (events (n,4), jacobians (n,4,4) or None).  Jacobian columns
     are derivatives with respect to (c*tau, x^1, x^2, x^3).  The rows of a
     ray that does not land (it clips at the chart boundary or fails) are
-    NaN.
+    NaN.  tol is the rays' tolerance pair (see _trace).
     """
-    out = _trace(chart, _map_states(frames, pts, with_jacobian), 4 if with_jacobian else 0).ends
+    out = _trace(chart, _map_states(frames, pts, with_jacobian), 4 if with_jacobian else 0,
+                 tol=tol).ends
     events = out[:, 0:4]
     if not with_jacobian:
         return events, None
@@ -488,12 +495,15 @@ def invert_many(chart: Chart, frames: FrameField, targets,
                 search: MultistartConfig) -> List[InversionResult]:
     """Invert the observer map for many targets sharing one start grid.
 
-    The start grid is mapped forward once.  Starts outside the observer's
-    tau interval (where Newton could not move them either) and starts
-    whose ray does not land are never seeds; n_starts still counts the
-    whole grid.  Each target keeps the search.top_k starts (at
-    most the landed starts) with the smallest forward residual, and damped
-    Newton runs on all targets' seeds as batches of _CHUNK targets.
+    The start grid is mapped forward once, its rays at the ranking pair
+    geodesics.RANK_REL_TOL and RANK_ABS_TOL: their images only drop
+    starts and rank seeds, and Newton maps every seed again at the ray
+    tolerance.  Starts outside the observer's tau interval (where Newton
+    could not move them either) and starts whose ray does not land are
+    never seeds; n_starts still counts the whole grid.  Each target keeps
+    the search.top_k starts (at most the landed starts) with the smallest
+    forward residual, and damped Newton runs on all targets' seeds as
+    batches of _CHUNK targets.
     Converged roots are deduplicated and sorted by coordinates, so a
     target's outcome does not depend on start order; each root is graded
     by the condition number of the Jacobian Newton returned with it.
@@ -508,7 +518,8 @@ def invert_many(chart: Chart, frames: FrameField, targets,
     n_starts = len(starts)
     tau_lo, tau_hi = _tau_bounds(frames)
     starts = starts[(starts[:, 0] >= tau_lo) & (starts[:, 0] <= tau_hi)]
-    ev = _eval_batch(chart, frames, starts, False)[0]
+    ev = _eval_batch(chart, frames, starts, False,
+                     tol=(geodesics.RANK_REL_TOL, geodesics.RANK_ABS_TOL))[0]
     landed = ~np.isnan(ev).any(axis=1)
     starts, ev = starts[landed], ev[landed]
 
@@ -632,9 +643,10 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
     phi(xi(s)) = lambda(s), xi = (c tau, x), differentiated once and twice
     gives xi' = J^-1 lambda', with the J Newton returned, and xi'' =
     J^-1 (lambda'' - H(xi', xi')), with lambda'' from _worldline_acceleration
-    and H from the sample's one _map_derivatives batch, which the sample
-    keeps for relative_force.  A sample whose Hessian batch loses a ray
-    keeps tau' and v, with NaN tau'' and dv/dtau.
+    and H from the sample's one _map_hessian batch; the sample keeps the
+    image, J and H for relative_force.  A sample whose Hessian batch loses
+    a ray, or steps past the frame interval, keeps tau' and v, with NaN
+    tau'' and dv/dtau.
     """
     s_samples = np.asarray(s_samples, dtype=float)
     c = frames.curve.c
@@ -677,7 +689,7 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
         lam = np.asarray(worldline.velocity(s), dtype=float)
         xi_dot = np.linalg.solve(jac, lam)  # d(c tau, x)/ds
         tau_dot = xi_dot[0] / c
-        event, jac_h, hess = _map_derivatives(chart, frames, state)
+        hess = _map_hessian(chart, frames, state)
         lam_ddot = _worldline_acceleration(chart, worldline, s, target, lam)
         xi_ddot = np.linalg.solve(jac, lam_ddot - np.einsum("lij,i,j->l", hess, xi_dot, xi_dot))
         tau_ddot = xi_ddot[0] / c
@@ -697,7 +709,7 @@ def observe_curve(chart: Chart, frames: FrameField, worldline, s_samples,
         samples.append(RelativeMotionSample(
             s=float(s), tau=float(state[0]), x=state[1:].copy(),
             tau_dot=float(tau_dot), v=v, dv_dtau=dv_dtau, tau_ddot=float(tau_ddot),
-            character=char.value, event=event, jacobian=jac_h, hessian=hess,
+            character=char.value, event=image, jacobian=jac, hessian=hess,
             not_an_observer=not_obs, ambiguous=ambiguous, start=how,
         ))
         target = after
@@ -709,10 +721,13 @@ def _worldline_acceleration(chart, worldline, s, position, velocity):
 
     A - S(lambda, lambda') for an ObserverCurve (A its thrust), c^2 H[:, 0, 0]
     at (s, x) for a MappedCurve, and -S(lambda, lambda') for a free GeodesicSolution.
+    H[:, 0, 0] is the central difference of the Jacobian's column 0 over
+    its two rows (s +- _FD_STEP / c, x), with _map_hessian's bits.
     """
     if isinstance(worldline, MappedCurve):
         pt = np.array([s, *worldline.x])
-        return chart.c**2 * _map_derivatives(worldline.chart, worldline.frames, pt)[2][:, 0, 0]
+        jac = _neighbour_jacobians(worldline.chart, worldline.frames, pt, 1)
+        return chart.c**2 * ((jac[0, :, 0] - jac[1, :, 0]) / (2.0 * _FD_STEP))
     thrust = worldline.acceleration(s) if isinstance(worldline, ObserverCurve) else 0.0
     return thrust - chart.spray(position, velocity)
 
@@ -753,21 +768,36 @@ def force_zero_component(alpha, v, c, inv_jacobian, f_spatial) -> float:
 _FD_STEP = 1e-4  # central step in (c*tau, x) of the map's Jacobian, for its Hessian
 
 
-def _map_derivatives(chart, frames, pt):
-    """Event, Jacobian and finite-difference Hessian of the map at pt = (tau, x).
+def _neighbour_jacobians(chart, frames, pt, axes):
+    """The map's Jacobians at pt +- _FD_STEP e_i, i < axes, as one batch.
 
-    One map+Jacobian batch: pt, then pt +- _FD_STEP e_i, e_i the unit vectors
-    of (x^0 = c*tau, x^a).  hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the
-    central difference of those 8 neighbours' Jacobians, symmetrized; a ray
-    that does not land leaves NaN rows, and so a NaN Hessian.
+    e_i are the unit vectors of (x^0 = c*tau, x^a) at pt = (tau, x); the
+    rows are pt + _FD_STEP e_i, then pt - _FD_STEP e_i, (2 axes, 4, 4).  A
+    row whose tau lies outside the frame interval counts as a ray that did
+    not land: its Jacobian is NaN, as a clipped or failed ray's is.
     """
     c = frames.curve.c
     base = np.array([c * pt[0], *pt[1:]])
-    shifted = np.concatenate([base + _FD_STEP * np.eye(4), base - _FD_STEP * np.eye(4)])
-    shifted[:, 0] /= c
-    ev, jac = _eval_batch(chart, frames, np.vstack([pt, shifted]), True)
-    hess = ((jac[1:5] - jac[5:9]) / (2.0 * _FD_STEP)).transpose(1, 0, 2)
-    return ev[0], jac[0], 0.5 * (hess + hess.transpose(0, 2, 1))
+    step = _FD_STEP * np.eye(4)[:axes]
+    rows = np.concatenate([base + step, base - step])
+    rows[:, 0] /= c
+    lo, hi = frames.interval
+    inside = (rows[:, 0] >= lo) & (rows[:, 0] <= hi)
+    jac = np.full((len(rows), 4, 4), np.nan)
+    jac[inside] = _eval_batch(chart, frames, rows[inside], True)[1]
+    return jac
+
+
+def _map_hessian(chart, frames, pt):
+    """Finite-difference Hessian of the map at pt = (tau, x), in (c*tau, x).
+
+    hess[l, i, j] = d^2 kappa^l / dx^i dx^j is the central difference of
+    the 8 neighbours' Jacobians (_neighbour_jacobians), symmetrized; a
+    neighbour whose ray does not land leaves a NaN Hessian.
+    """
+    jac = _neighbour_jacobians(chart, frames, pt, 4)
+    hess = ((jac[:4] - jac[4:]) / (2.0 * _FD_STEP)).transpose(1, 0, 2)
+    return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
 def _jacobian_christoffels(chart, event, j, hess):

@@ -111,6 +111,26 @@ def test_bench_compare_summary_on_fixed_numbers():
     apart = [(_run({"rate": r, "p50": 1.0}), _run({"rate": r + 81.0, "p50": 1.0})) for r in wide]
     assert not summarize(apart, end_to_end)["rate"]["unresolved"]
 
+    # the traced runs' accuracy figures, side by side: only the named ones,
+    # None where a side did not report one, equal only when both hold the
+    # same value
+    module = _bench_compare()
+    base = {"splitting.roundtrip_err_max": 5.97e-10, "splitting.residual_max": 3.70e-10,
+            "geodesics.batch_map_s": 0.073}
+    head = {"splitting.roundtrip_err_max": 5.97e-10, "splitting.residual_max": 3.71e-10,
+            "geodesics.batch_map_s": 0.049, "newtonian.tau_dot_slope": 0.0}
+    names = ["splitting.roundtrip_err_max", "splitting.residual_max", "newtonian.tau_dot_slope"]
+    assert module.accuracy(base, head, names) == {
+        "splitting.roundtrip_err_max": {"base": 5.97e-10, "head": 5.97e-10, "equal": True},
+        "splitting.residual_max": {"base": 3.70e-10, "head": 3.71e-10, "equal": False},
+        "newtonian.tau_dot_slope": {"base": None, "head": 0.0, "equal": False},
+    }
+    # the names are the keys of the benchmark's ACCURACY, read without importing it
+    assert module._accuracy_names(ROOT) == [
+        "geodesics.ref_dev_max", "geodesics.lightlike_residual_max",
+        "splitting.roundtrip_err_max", "splitting.residual_max",
+        "newtonian.tau_dot_slope", "newtonian.newton_law_residual"]
+
 
 def test_readme_library_example_round_trips():
     text = (ROOT / "README.md").read_text()

@@ -367,7 +367,7 @@ class TestObserveCurve:
         samples = observe_curve(MK, ff, sol, np.linspace(0.2, 0.8, 4), search_box())
         assert len(samples) == 4
         assert newton == [1, 1, 1]     # the warm starts of samples 2 to 4
-        assert calls == [(9, 4)] * 4   # one Hessian batch per sample
+        assert calls == [(8, 4)] * 4   # one Hessian batch per sample
         for smp in samples:
             assert smp.character == "lightlike"
             assert abs(smp.tau_dot) <= 1e-8
@@ -387,8 +387,8 @@ def pullback_metric(chart, frames, p):
 def hessian_points(c, p):
     """p, then p + _FD_STEP e_i and p - _FD_STEP e_i, as (tau, x) rows.
 
-    e_i are the unit vectors of (x^0 = c*tau, x^a): the 9 points of
-    splitting._map_derivatives's batch.
+    e_i are the unit vectors of (x^0 = c*tau, x^a): p, then the 8 points
+    of splitting._map_hessian's batch.
     """
     base = np.array([c * p.tau, *p.x])
     h = splitting._FD_STEP * np.eye(4)
@@ -402,11 +402,12 @@ def transformed_christoffels(chart, frames, p):
 
     The chart coefficients transformed with the map Jacobian, plus the
     map's Hessian from central differences of step splitting._FD_STEP of
-    the Jacobian in (x^0 = c*tau, x^a): p and its 8 neighbours are one
+    the Jacobian in (x^0 = c*tau, x^a): p's 8 neighbours are one
     map+Jacobian batch.  This is the connection relative_force uses.
     """
-    derivs = splitting._map_derivatives(chart, frames, np.array([p.tau, *p.x]))
-    return splitting._jacobian_christoffels(chart, *derivs)[0]
+    ev, jac = splitting._eval_landed(chart, frames, splitting._point(p.tau, p.x), True)
+    hess = splitting._map_hessian(chart, frames, np.array([p.tau, *p.x]))
+    return splitting._jacobian_christoffels(chart, ev[0], jac[0], hess)[0]
 
 
 class TestPullbackMetric:
@@ -691,16 +692,23 @@ class TestSecondDerivatives:
         wl = TestFailedWarmStart.worldline()
         s = [1.0, 1.5, 2.0]
         want = observe_curve(MK, ff, wl, s, search_box())
-        real, hessians = splitting._eval_batch, []
+        real, real_hessian = splitting._eval_batch, splitting._map_hessian
+        hessians = []  # per _map_hessian call: whether it is still running
 
-        def lossy(chart, frames, pts, with_jacobian):
-            events, jacs = real(chart, frames, pts, with_jacobian)
-            if with_jacobian and len(pts) == 9:  # a Hessian batch; Newton's hold 8 rows at most
-                hessians.append(1)
-                if len(hessians) == 2:
-                    events[3], jacs[3] = np.nan, np.nan
+        def hessian(*args):
+            hessians.append(True)
+            try:
+                return real_hessian(*args)
+            finally:
+                hessians[-1] = False
+
+        def lossy(chart, frames, pts, with_jacobian, **kwargs):
+            events, jacs = real(chart, frames, pts, with_jacobian, **kwargs)
+            if hessians == [False, True]:  # the second sample's Hessian batch
+                events[3], jacs[3] = np.nan, np.nan
             return events, jacs
 
+        monkeypatch.setattr(splitting, "_map_hessian", hessian)
         monkeypatch.setattr(splitting, "_eval_batch", lossy)
         got = observe_curve(MK, ff, wl, s, search_box())
         assert len(hessians) == len(got) == len(want) == 3
@@ -727,6 +735,27 @@ def test_observe_truncates_on_branch_loss():
                            n_tau=5, n_x=5, top_k=8)
     samples = observe_curve(MK, ff, cur2, np.linspace(0, 20, 9), cfg)
     assert 0 < len(samples) < 9
+
+
+def test_a_sample_at_the_frame_interval_end_loses_only_its_acceleration():
+    # the resting mass at x = (2, 0, 0) is seen at tau = s + 2; at s = 3.99995
+    # that is within _FD_STEP / c of the frame interval's end, and the
+    # Hessian rows past it count as rays that did not land: the sample
+    # keeps tau' and v, its tau'' and dv/dtau are NaN and its force raises
+    cur = make_inertial_observer(MK, Event("minkowski", np.zeros(4)), [1, 0, 0, 0],
+                                 interval=(-6, 6))
+    ff = standard_inertial_frame(cur)
+    mass = make_inertial_observer(MK, Event("minkowski", np.array([0.0, 2, 0, 0])),
+                                  [1, 0, 0, 0], interval=(-40, 40))
+    cfg = MultistartConfig(tau_range=(-5.5, 5.5), x_halfwidth=4.0, n_tau=5, n_x=5, top_k=8)
+    inner, end = observe_curve(MK, ff, mass, [3.9, 3.99995], cfg)
+    assert end.tau == pytest.approx(5.99995, abs=1e-9)
+    assert np.allclose(end.x, [2.0, 0.0, 0.0], rtol=0, atol=1e-9)
+    assert end.tau_dot == pytest.approx(1.0, abs=1e-9) and np.max(np.abs(end.v)) <= 1e-9
+    assert np.isnan(end.tau_ddot) and np.isnan(end.dv_dtau).all()
+    with pytest.raises(UnreachableDirectionError):
+        relative_force(1.0, MK, ff, end, np.zeros(3))
+    assert abs(inner.tau_ddot) <= 1e-8 and np.max(np.abs(inner.dv_dtau)) <= 1e-8
 
 
 def _states_per_point(frames, pts, with_jacobian):
@@ -791,10 +820,10 @@ def count_batches(monkeypatch):
     calls, newton = [], []
     real_batch, real_newton = splitting.integrate_batch, splitting._newton_polish
 
-    def batch(chart, y0, n_jac=0, *args, **kwargs):
+    def batch(chart, y0, n_jac=0, **kwargs):
         if not newton or newton[-1] is not None:
             calls.append((len(y0), n_jac))
-        return real_batch(chart, y0, n_jac, *args, **kwargs)
+        return real_batch(chart, y0, n_jac, **kwargs)
 
     def polish(chart, frames, targets, *args, **kwargs):
         newton.append(None)  # batches from here on belong to Newton
@@ -810,19 +839,21 @@ def count_batches(monkeypatch):
 
 class TestOneBatchPerSample:
     """Each tracked sample makes at most one Newton row, for the next sample's
-    warm start, and one 9-row map+Jacobian batch for its Hessian, which its
+    warm start, and one 8-row map+Jacobian batch for its Hessian, which its
     force reuses."""
 
     def test_relative_force_maps_nothing(self, accel_rot, monkeypatch):
-        # the force takes the sample's event, Jacobian and Hessian, which are
-        # a fresh _map_derivatives batch's at the sample's state
+        # the force takes the sample's event, Jacobian and Hessian: the first
+        # two Newton's, with the bits of a fresh map+Jacobian ray at the
+        # sample's state, the Hessian a fresh _map_hessian batch's
         _, ff = accel_rot
         wl = comoving_worldline(MK, ff, np.array([0.0, 0.5, 0.0]))
         samples = observe_curve(MK, ff, wl, np.linspace(0, 1, 3),
                                 search_box(tau=(-4, 4), half=2.0))
         for smp in samples:
-            fresh = splitting._map_derivatives(MK, ff, np.array([smp.tau, *smp.x]))
-            for got, want in zip((smp.event, smp.jacobian, smp.hessian), fresh):
+            ev, jac = splitting._eval_batch(MK, ff, splitting._point(smp.tau, smp.x), True)
+            hess = splitting._map_hessian(MK, ff, np.array([smp.tau, *smp.x]))
+            for got, want in zip((smp.event, smp.jacobian, smp.hessian), (ev[0], jac[0], hess)):
                 assert np.array_equal(got, want)
         calls, newton = count_batches(monkeypatch)
         for smp in samples:
@@ -861,7 +892,7 @@ class TestOneBatchPerSample:
         calls, newton = count_batches(monkeypatch)
         (smp,) = observe_curve(MK, ff, cur2, [1.0], search_box())
         assert newton == []            # a last sample has no next sample to start
-        assert calls == [(9, 4)]       # its Hessian; its Jacobian comes from the inversion
+        assert calls == [(8, 4)]       # its Hessian; its Jacobian comes from the inversion
         assert smp.v[0] == pytest.approx(0.1 / 1.1, abs=1e-9)
         assert np.max(np.abs(smp.dv_dtau)) <= 1e-8
 
@@ -881,7 +912,7 @@ class TestOneBatchPerSample:
         got = observe_curve(MK, ff, cur2, s, search_box())
         assert cold == [1]
         assert newton == [1, 1]
-        assert calls == [(9, 4)] * 3
+        assert calls == [(8, 4)] * 3
         assert len(got) == len(want) == 3
         for a, b in zip(got, want):
             assert (a.tau, a.tau_dot, a.tau_ddot) == (b.tau, b.tau_dot, b.tau_ddot)
@@ -1315,9 +1346,9 @@ def _count_batches(monkeypatch):
     calls = []
     real = splitting._eval_batch
 
-    def counted(chart, frames, pts, with_jacobian):
+    def counted(chart, frames, pts, with_jacobian, **kwargs):
         calls.append(with_jacobian)
-        return real(chart, frames, pts, with_jacobian)
+        return real(chart, frames, pts, with_jacobian, **kwargs)
 
     monkeypatch.setattr(splitting, "_eval_batch", counted)
     return calls
@@ -1367,6 +1398,33 @@ def test_inversion_agrees_between_the_ray_charts(faller):
         assert len(a) == len(b) >= 1
         for p, q in zip(a.preimages, b.preimages):
             assert abs(p.tau - q.tau) <= 1e-10 and np.max(np.abs(p.x - q.x)) <= 1e-10
+
+
+def test_start_grid_ranks_at_the_ranking_pair(faller, monkeypatch):
+    # the grid's images only drop starts and rank seeds, so its looser rays
+    # must leave every root, residual and Jacobian of the benchmark's eight
+    # targets as the ray tolerance leaves them, while taking fewer steps
+    chart, frames = faller
+    targets = _faller_targets(chart, frames, _bench_sites())
+    steps = []
+
+    def counted(*args, **kwargs):
+        out = integrate_batch(*args, **kwargs)
+        if args[2] == 0:  # the grid is the only batch without Jacobians
+            steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(splitting, "integrate_batch", counted)
+    ranked = invert_many(chart, frames, targets, FALLER_BOX)
+    monkeypatch.setattr(geodesics, "RANK_REL_TOL", geodesics.REL_TOL)
+    monkeypatch.setattr(geodesics, "RANK_ABS_TOL", geodesics.ABS_TOL)
+    full = invert_many(chart, frames, targets, FALLER_BOX)
+    assert len(steps) == 2 and steps[0] <= 3 and steps[1] == 6  # most steps of one grid ray
+    for a, b in zip(ranked, full):
+        assert len(a) == len(b) == 1
+        assert [(p.tau, *p.x) for p in a.preimages] == [(p.tau, *p.x) for p in b.preimages]
+        for field in ("residuals", "conds", "images", "jacobians"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 # -- Newton's trials along the light cone --------------------------------------
