@@ -801,14 +801,19 @@ def _map_hessian(chart, frames, pt):
 
 
 def _jacobian_christoffels(chart, event, j, hess):
-    """(Ups, J^-1): the chart connection carried to observer coordinates."""
+    """(Ups, J^-1): the chart connection carried to observer coordinates.
+
+    Ups = J^-1 (Gamma(J, J) + H), with Gamma(J, J) as matrix products:
+    einsum over Gamma and both J would walk J by its memory order, at
+    twice the cost for Newton's row-major J.
+    """
     if np.isnan(hess).any():
         raise UnreachableDirectionError("a ray of the map's Hessian batch did not land")
     if abs(np.linalg.det(j)) < 1e-12:
         raise CriticalPointError("observer map is singular at this point")
     w = np.linalg.inv(j)
     gam = chart.christoffels(event)
-    ups = np.einsum("cl,lmn,mi,nj->cij", w, gam, j, j) + np.einsum("cl,lij->cij", w, hess)
+    ups = np.einsum("cl,lij->cij", w, j.T @ gam @ j + hess)
     return ups, w
 
 
