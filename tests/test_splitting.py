@@ -579,7 +579,7 @@ def richardson_hessian(chart, frames, state):
 
     Central differences of the Jacobian at steps 2e-3 and 1e-3, Richardson
     extrapolated: its error is fourth order in the step, against
-    _map_derivatives's second order at step _FD_STEP.
+    _map_hessian's second order at step _FD_STEP.
     """
     c = frames.curve.c
     base = np.array([c * state[0], *state[1:]])
