@@ -33,8 +33,8 @@ rounding.  Every f = 1 - R/r below is computed as (r - R) * (1.0 / r),
 exact to a few ulp up to the horizon, where 1 - R/r cancels.
 
 A chart may name a second, regular chart that carries its rays
-(Chart.ray_chart, a RayChart): its own closed-form metric, connection and
-spray, with the coordinate map between the two charts and that map's
+(Chart.ray_chart, a RayChart): its own closed-form metric and spray,
+with the coordinate map between the two charts and that map's
 Jacobian Lambda.  Rays are then integrated in the ray chart and every
 result is read back in the model chart: only the numerical route
 changes, not the geometry.  schwarzschild() carries its rays in
@@ -157,6 +157,8 @@ def _array(a):
 class RayChart:
     """A regular chart that carries a model chart's rays, and the map to it.
 
+    chart supplies its metric and spray: rays, their Jacobi columns and
+    the columns' conversion reach its connection only through the spray.
     to_ray maps (n, 4) model coordinates to (ray coordinates, Lambda),
     Lambda[n] = d(ray coordinates) / d(model coordinates) there; from_ray
     maps ray coordinates back to (model coordinates, Lambda^-1).  The
@@ -343,7 +345,7 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
 
     u = ct - r*, r* = r + R ln(r/R - 1); the metric is
     f du^2 + 2 du dr - r^2 dOmega^2 with f = (r - R)/r, and no component
-    of it, of its connection or of their derivatives has a 1/f.  The
+    of it, of its spray or of their derivatives has a 1/f.  The
     domain and exit boundary are Schwarzschild's, so rays clip where they
     would there.
     """
@@ -367,29 +369,9 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         m[:, 0, 1] = -m[:, 0, 0]
         return m
 
-    def christoffel_fn(pts):
-        r, th = pts[:, 1], pts[:, 2]
-        inv_r, fr = 1.0 / r, r - radius  # f r
-        f = fr * inv_r
-        half_fp = (0.5 * radius) * (inv_r * inv_r)  # df/dr / 2
-        sin, cos = np.sin(th), np.cos(th)
-        sin2 = sin**2
-        gam = np.zeros((len(pts), 4, 4, 4), pts.dtype)
-        gam[:, 0, 0, 0] = -half_fp
-        gam[:, 0, 2, 2] = r
-        gam[:, 0, 3, 3] = r * sin2
-        gam[:, 1, 0, 0] = f * half_fp
-        gam[:, 1, 0, 1] = gam[:, 1, 1, 0] = half_fp
-        gam[:, 1, 2, 2] = -fr
-        gam[:, 1, 3, 3] = -fr * sin2
-        gam[:, 2, 1, 2] = gam[:, 2, 2, 1] = gam[:, 3, 1, 3] = gam[:, 3, 3, 1] = inv_r
-        gam[:, 2, 3, 3] = -sin * cos
-        gam[:, 3, 2, 3] = gam[:, 3, 3, 2] = cos * (1.0 / sin)
-        return gam
-
     def spray_fn(pts, vel):
-        # christoffel_fn's nonzero components contracted with vel twice, with
-        # w = v2^2 + sin^2 v3^2 the angular part and f r = r - R
+        # Gamma(vel, vel) of the metric above, with w = v2^2 + sin^2 v3^2 the
+        # angular part and f r = r - R
         r, th = pts[:, 1], pts[:, 2]
         inv_r, fr = 1.0 / r, r - radius
         f = fr * inv_r
@@ -412,7 +394,6 @@ def eddington_finkelstein(radius, c=1.0) -> Chart:
         metric_fn=metric_fn,
         domain_fn=domain_fn,
         reference_frame_fn=frame_fn,
-        christoffel_fn=christoffel_fn,
         boundary_fn=boundary_fn,
         flat=False,
         params={"c": float(c), "R": radius},

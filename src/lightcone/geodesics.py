@@ -58,7 +58,8 @@ ray, whose variational equation is the derivative of the spray along
 (dx, dv), one complex step of it (see charts), and needs no curvature;
 then J = dx exactly.  Callers see the covariant layout (J, W),
 W = DJ/ds: one helper, _convert_columns, sets dv = W - Gamma(kappa', J)
-before a solve and W = dv + Gamma(kappa', dx) on read-out.
+before a solve and W = dv + Gamma(kappa', dx) on read-out, each
+Gamma(kappa', J) the spray's complex step along J.
 """
 
 from dataclasses import dataclass
@@ -746,16 +747,19 @@ def _convert_columns(chart: Chart, states, sign):
     """Move ray states between the (J, W) and (dx, dv) column layouts.
 
     states: (n, 8 + 8*n_jac).  J = dx in both; each column's second half
-    becomes W + sign * Gamma^k_ij kappa'^i J^j, so sign = -1 maps the
-    public (J, W) to the integrated (dx, dv) and sign = +1 maps back.
-    Returns a new array.
+    becomes W + sign * Gamma(kappa', J), so sign = -1 maps the public
+    (J, W) to the integrated (dx, dv) and sign = +1 maps back.  Each
+    Gamma(kappa', J) = Im S(kappa, kappa' + i h J) / (2h), one complex spray
+    call over the columns' rows, checked by _kept_step.  Returns a new array.
     """
     states = np.array(states, dtype=float)
     if chart.flat or states.shape[-1] == 8:
         return states
     m = states.reshape(len(states), states.shape[1] // 8, 2, 4)
-    gv = np.einsum("nkij,ni->nkj", chart.christoffels(m[:, 0, 0]), m[:, 0, 1])
-    m[:, 1:, 1] += sign * np.einsum("nkj,ncj->nck", gv, m[:, 1:, 0])
+    vel = m[:, :1, 1] + 1j * _COMPLEX_STEP * m[:, 1:, 0]  # (n, n_jac, 4)
+    kick = chart.spray(np.repeat(m[:, 0, 0], vel.shape[1], axis=0) + 0j, vel.reshape(-1, 4))
+    kick = _kept_step(chart, "spray_fn", True, kick).reshape(vel.shape)
+    m[:, 1:, 1] += sign * kick.imag / (2.0 * _COMPLEX_STEP)
     return states
 
 

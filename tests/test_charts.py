@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lightcone.charts import (
+    _COMPLEX_STEP,
     _connection_derivs,
     _fd_christoffels,
     eddington_finkelstein,
@@ -16,8 +17,8 @@ from lightcone.charts import (
     riemann_ricci_at,
     schwarzschild,
 )
-from lightcone.errors import InvalidInputError, OutOfChartError
-from lightcone.geodesics import _ray_rhs, integrate_batch
+from lightcone.errors import DegenerateMetricError, InvalidInputError, OutOfChartError
+from lightcone.geodesics import _convert_columns, _ray_rhs, integrate_batch
 from lightcone.lorentz import ETA, _check_metric
 from lightcone.scenario import load_scenario
 from lightcone.splitting import _map_states
@@ -260,6 +261,18 @@ def test_fd_path_on_metric_only_chart():
     assert np.max(np.abs(sample.ricci)) <= 1e-8
 
 
+def test_metric_only_chart_raises_where_its_metric_is_singular(sw):
+    # on the polar axis g_33 = -r^2 sin^2 theta is exactly zero: the
+    # connection from the metric's differences needs g^-1 there, and so
+    # does the spray contracted from it
+    mo = dataclasses.replace(sw, christoffel_fn=None)
+    axis = np.array([[0.0, 3.0, 1.3, 0.2], [0.0, 3.0, 0.0, 0.2]])
+    with pytest.raises(DegenerateMetricError, match="metric not invertible"):
+        mo.christoffels(axis)
+    with pytest.raises(DegenerateMetricError, match="metric not invertible"):
+        mo.spray(axis, np.ones((2, 4)))
+
+
 # -- the ray chart: outgoing Eddington-Finkelstein ----------------------------
 
 EF_POINTS = np.array([[0.3, r, th, 0.4] for r in (1.001, 1.5, 3.0, 12.0) for th in (0.4, 1.3, 2.9)])
@@ -285,15 +298,14 @@ def _sympy_connection(name):
     return sp.lambdify((xs, big_r), gam, "mpmath"), sp.lambdify((xs, big_r), dgam, "mpmath")
 
 
-@pytest.mark.parametrize("make", [schwarzschild, eddington_finkelstein], ids=lambda m: m.__name__)
-def test_eddington_finkelstein_connection_matches_sympy(make):
+def test_schwarzschild_connection_matches_sympy():
     # the closed-form connection and its complex step, against sympy's
-    # expressions at 40 digits: with f = (r - R)/r both charts hold 1e-14
-    # up to r = 1.001 R, where 1 - R/r in doubles would be 3.5e-14 off
+    # expressions at 40 digits: with f = (r - R)/r they hold 1e-14 up to
+    # r = 1.001 R, where 1 - R/r in doubles would be 3.5e-14 off
     mpmath = pytest.importorskip("mpmath")
-    want_gam, want_dgam = _sympy_connection(make.__name__)
+    want_gam, want_dgam = _sympy_connection("schwarzschild")
     for radius in (1.0, 2.5):
-        chart = make(radius)
+        chart = schwarzschild(radius)
         pts = EF_POINTS * [1.0, radius, 1.0, 1.0]
         got_gam, got_dgam = chart.christoffels(pts), _connection_derivs(chart, pts)
         for p, gg, dg in zip(pts, got_gam, got_dgam):
@@ -317,16 +329,37 @@ def _contracted(chart, pts, vel):
     return np.einsum("nkij,ni,nj->nk", chart.christoffels(pts), vel, vel)
 
 
-def test_eddington_finkelstein_spray_is_the_contracted_connection():
-    # the closed form is Gamma(v, v) to rounding, and row i of a batch is
-    # the call at point i
-    ef = eddington_finkelstein(1.0)
-    pts, vel = _ray_region(np.random.default_rng(11), 500)
-    got, want = ef.spray(pts, vel), _contracted(ef, pts, vel)
-    bound = 1e-14 * (1.0 + np.linalg.norm(want, axis=1))
-    assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
-    for p, v, row in zip(pts[:7], vel[:7], got):
-        assert np.array_equal(ef.spray(p, v), row)
+def test_eddington_finkelstein_spray_matches_sympy():
+    # the ray chart's one closed form, the spray Gamma(v, v), and its
+    # complex step along (dx, dv), dGamma(dx)(v, v) + 2 Gamma(v, dv),
+    # against sympy's connection and its derivatives at 40 digits, up to
+    # r = 1.001 R; row i of a batch has the bits of the call at point i
+    mpmath = pytest.importorskip("mpmath")
+    want_gam, want_dgam = _sympy_connection("eddington_finkelstein")
+    rng = np.random.default_rng(11)
+    for radius in (1.0, 2.5):
+        ef = eddington_finkelstein(radius)
+        pts = EF_POINTS * [1.0, radius, 1.0, 1.0]
+        vel, dx, dv = rng.normal(size=(3, len(pts), 4)) * rng.uniform(0.1, 10.0, (3, len(pts), 1))
+        got = ef.spray(pts, vel)
+        step = ef.spray(pts + 1j * _COMPLEX_STEP * dx, vel + 1j * _COMPLEX_STEP * dv)
+        got_step = step.imag / _COMPLEX_STEP
+        for i, p in enumerate(pts):
+            with mpmath.workdps(40):
+                gam, dgam = (want([mpmath.mpf(v) for v in p], mpmath.mpf(radius))
+                             for want in (want_gam, want_dgam))
+                v, d, e = ([mpmath.mpf(float(x)) for x in a[i]] for a in (vel, dx, dv))
+                pairs = [(a, b) for a in range(4) for b in range(4)]
+                w = [sum(gam[k][a][b] * v[a] * v[b] for a, b in pairs) for k in range(4)]
+                wd = [sum((sum(dgam[k][a][b][m] * d[m] for m in range(4)) * v[b]
+                           + 2 * gam[k][a][b] * e[b]) * v[a] for a, b in pairs)
+                      for k in range(4)]
+                w, wd = np.array(w, dtype=float), np.array(wd, dtype=float)
+            assert np.max(np.abs(got[i] - w)) <= 1e-14 * (1.0 + np.linalg.norm(w))
+            assert np.max(np.abs(got_step[i] - wd)) <= 1e-14 * (1.0 + np.linalg.norm(wd))
+            assert np.array_equal(ef.spray(p, vel[i]), got[i])
+            assert np.array_equal(ef.spray(p + 1j * _COMPLEX_STEP * dx[i],
+                                           vel[i] + 1j * _COMPLEX_STEP * dv[i]), step[i])
 
 
 @pytest.mark.parametrize("metric_only", [False, True], ids=["schwarzschild", "metric-only"])
@@ -411,15 +444,19 @@ def _dropping(field):
 
 @pytest.mark.parametrize("field", ["spray_fn", "christoffel_fn", "metric_fn"])
 def test_a_complex_step_that_comes_back_real_raises(field):
-    # a real result would zero every Jacobi column's dv' (and every dGamma):
-    # the ray right-hand side and the connection's derivatives refuse it,
-    # naming the chart and the closed form; a real call is not checked
+    # a real result would zero every Jacobi column's dv' (and every dGamma
+    # and Gamma(kappa', J)): the ray right-hand side, the columns'
+    # conversion and the connection's derivatives refuse it, naming the
+    # chart and the closed form; a real call is not checked
     chart = _dropping(field)
     pts, vel = _ray_region(np.random.default_rng(14), 5)
     assert np.isfinite(chart.spray(pts, vel)).all()
     dx, dv = np.random.default_rng(15).normal(size=(2, 5, 4))
     with pytest.raises(InvalidInputError, match=f"{chart.name} chart's {field}"):
         _ray_rhs(chart, 1)(0.0, np.hstack([pts, vel, dx, dv]))
+    for sign in (-1, +1):
+        with pytest.raises(InvalidInputError, match=f"{chart.name} chart's {field}"):
+            _convert_columns(chart, np.hstack([pts, vel, dx, dv]), sign)
     if field != "spray_fn":  # riemann_ricci_at's path
         with pytest.raises(InvalidInputError, match=f"{chart.name} chart's {field}"):
             _connection_derivs(chart, pts)

@@ -9,7 +9,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from lightcone import geodesics
-from lightcone.charts import metric_at, minkowski, schwarzschild
+from lightcone.charts import Chart, metric_at, minkowski, schwarzschild
 from lightcone.errors import (
     EmptySolutionError,
     IntegrationError,
@@ -476,6 +476,50 @@ def test_map_rays_in_the_ray_chart_take_its_spray():
         alone, _ = integrate_batch(ef, row[None])
         assert alone.outcome[0] == batch.outcome[i] and alone.s1[0] == batch.s1[i]
         assert np.array_equal(alone.states[0], batch.states[i])
+
+
+def _column_states(rng, n):
+    """n ray states with four random columns (J, W), where the faller's rays run."""
+    pts = np.column_stack([rng.normal(size=n), rng.uniform(1.5, 30.0, n),
+                           rng.uniform(0.05, np.pi - 0.05, n), rng.uniform(-4.0, 4.0, n)])
+    return np.hstack([pts, rng.normal(size=(n, 36))])
+
+
+def test_columns_convert_by_the_closed_form_connection():
+    # dv = W - Gamma(kappa', J) from the spray's complex step is the
+    # contraction of Schwarzschild's closed-form connection
+    y = _column_states(np.random.default_rng(17), 40)
+    m = y.reshape(40, 5, 2, 4)
+    want = m.copy()
+    want[:, 1:, 1] -= np.einsum("nkij,ni,ncj->nck", SW.christoffels(m[:, 0, 0]), m[:, 0, 1],
+                                m[:, 1:, 0])
+    got = geodesics._convert_columns(SW, y, -1).reshape(m.shape)
+    assert np.array_equal(got[:, :, 0], m[:, :, 0]) and np.array_equal(got[:, 0], m[:, 0])
+    scale = np.max(np.abs(want[:, 1:, 1]), axis=(1, 2))
+    assert np.all(np.max(np.abs(got[:, 1:, 1] - want[:, 1:, 1]), axis=(1, 2)) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("chart", [SW, SW.ray_chart.chart, dataclasses.replace(SW, christoffel_fn=None)],
+                         ids=["schwarzschild", "eddington-finkelstein", "metric-only"])
+def test_columns_convert_there_and_back_in_one_spray_call(chart, monkeypatch):
+    # each conversion is one complex spray call over the columns' rows; the
+    # ray chart, whose spray is closed-form, never evaluates its connection
+    spray, calls = Chart.spray, []
+
+    def counting(self, coords, vel):
+        calls.append((coords.dtype.kind, len(coords)))
+        return spray(self, coords, vel)
+
+    def no_connection(self, coords):
+        raise AssertionError("the conversion evaluated the connection")
+
+    monkeypatch.setattr(Chart, "spray", counting)
+    if chart.spray_fn is not None:
+        monkeypatch.setattr(Chart, "christoffels", no_connection)
+    y = _column_states(np.random.default_rng(18), 40)
+    back = geodesics._convert_columns(chart, geodesics._convert_columns(chart, y, -1), +1)
+    assert calls == [("c", 4 * 40)] * 2
+    assert np.all(np.max(np.abs(back - y), axis=1) <= 1e-14 * np.max(np.abs(y), axis=1))
 
 
 def test_attempt_budget_ends_a_runaway_ray():

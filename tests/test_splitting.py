@@ -14,7 +14,12 @@ import pytest
 from lightcone import geodesics, splitting
 from lightcone.charts import metric_at, minkowski, schwarzschild
 from lightcone.cli import main
-from lightcone.errors import InvalidInputError, UnreachableDirectionError
+from lightcone.errors import (
+    CriticalPointError,
+    IllPosedForceError,
+    InvalidInputError,
+    UnreachableDirectionError,
+)
 from lightcone.geodesics import CLIPPED, LANDED, integrate_batch
 from lightcone.lorentz import ETA, Event
 from lightcone.observers import (
@@ -510,6 +515,13 @@ class TestForceZeroComponent:
         expect = -(al[0, 1:] @ f_sp) / al[0, 0]
         assert got == pytest.approx(expect, abs=1e-12)
 
+    def test_vanishing_denominator_raises(self):
+        # an inverse Jacobian whose first column is orthogonal to the motion
+        # leaves F'^0 undetermined
+        swap = np.eye(4)[[1, 0, 2, 3]]
+        with pytest.raises(IllPosedForceError, match="vanishing denominator"):
+            force_zero_component(ETA, np.zeros(3), 1.0, swap, np.array([1.0, 0.0, 0.0]))
+
 
 def pullback_christoffels(chart, frames, p):
     """transformed_christoffels's reference: the pulled-back metric, differentiated.
@@ -570,6 +582,16 @@ class TestRelativeForce:
         assert np.max(np.abs(fb.total)) <= 1e-8
         for part in fb.pseudo_parts:
             assert np.max(np.abs(part)) <= 1e-8
+
+    def test_singular_jacobian_raises(self, inertial):
+        # a sample whose map Jacobian has two equal columns has no J^-1
+        _, ff = inertial
+        wl = comoving_worldline(MK, ff, np.array([1.0, 2.0, 0.0]))
+        smp = observe_curve(MK, ff, wl, [0.5], search_box())[0]
+        jac = smp.jacobian.copy()
+        jac[:, 2] = jac[:, 1]
+        with pytest.raises(CriticalPointError, match="singular"):
+            relative_force(1.0, MK, ff, dataclasses.replace(smp, jacobian=jac), np.zeros(3))
 
 
 # -- tracked second derivatives -------------------------------------------------
