@@ -330,13 +330,14 @@ def _contracted(chart, pts, vel):
 
 
 def test_eddington_finkelstein_spray_matches_sympy():
-    # the ray chart's one closed form, the spray Gamma(v, v), and its
-    # complex step along (dx, dv), dGamma(dx)(v, v) + 2 Gamma(v, dv),
-    # against sympy's connection and its derivatives at 40 digits, up to
-    # r = 1.001 R; row i of a batch has the bits of the call at point i
+    # the ray chart's closed-form spray Gamma(v, v), and its complex step
+    # along (dx, dv), dGamma(dx)(v, v) + 2 Gamma(v, dv), against sympy's
+    # connection and its derivatives at 40 digits, up to r = 1.001 R; row
+    # i of a batch has the bits of the call at point i
     mpmath = pytest.importorskip("mpmath")
     want_gam, want_dgam = _sympy_connection("eddington_finkelstein")
     rng = np.random.default_rng(11)
+    pairs = [(a, b) for a in range(4) for b in range(4)]
     for radius in (1.0, 2.5):
         ef = eddington_finkelstein(radius)
         pts = EF_POINTS * [1.0, radius, 1.0, 1.0]
@@ -349,7 +350,6 @@ def test_eddington_finkelstein_spray_matches_sympy():
                 gam, dgam = (want([mpmath.mpf(v) for v in p], mpmath.mpf(radius))
                              for want in (want_gam, want_dgam))
                 v, d, e = ([mpmath.mpf(float(x)) for x in a[i]] for a in (vel, dx, dv))
-                pairs = [(a, b) for a in range(4) for b in range(4)]
                 w = [sum(gam[k][a][b] * v[a] * v[b] for a, b in pairs) for k in range(4)]
                 wd = [sum((sum(dgam[k][a][b][m] * d[m] for m in range(4)) * v[b]
                            + 2 * gam[k][a][b] * e[b]) * v[a] for a, b in pairs)
